@@ -19,8 +19,9 @@ import numpy as np
 
 from .actions import (
     act_e,
+    act_e_right,
     act_f,
-    act_k,
+    act_f_right,
     act_weight,
     sigma_left,
     sweedler_oracle,
@@ -130,8 +131,8 @@ def _monomials_up_to(max_degree: int):
 
 
 def check_action_oracle() -> CheckResult:
-    """Ladder and weight actions agree with the Sweedler-form oracle on
-    every basis monomial of degree at most 4."""
+    """Left and right ladder and weight actions agree with the
+    Sweedler-form oracles on every basis monomial of degree at most 4."""
     t0 = time.perf_counter()
     bad = 0
     total = 0
@@ -144,12 +145,15 @@ def check_action_oracle() -> CheckResult:
             (act_f(x), sweedler_oracle("f", x)),
             (act_weight(x, "left", 1), sweedler_oracle("k", x)),
             (act_weight(x, "left", -1), sweedler_oracle("kinv", x)),
+            (act_e_right(x), sweedler_oracle_right("e", x)),
+            (act_f_right(x), sweedler_oracle_right("f", x)),
             (act_weight(x, "right", 1), sweedler_oracle_right("k", x)),
+            (act_weight(x, "right", -1), sweedler_oracle_right("kinv", x)),
         )
         if any(got != want for got, want in pairs):
             bad += 1
             first = first or str(m)
-    detail = f"{total} monomials x 5 actions, all exact"
+    detail = f"{total} monomials x {len(pairs)} actions, all exact"
     if bad:
         detail = f"{bad}/{total} monomials disagree, first: {first}"
     return _done("action-oracle", bad == 0, detail, t0)

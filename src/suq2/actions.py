@@ -22,14 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
-from .algebra import (
-    UNIT_MONO,
-    AlgebraElement,
-    Monomial,
-    coproduct,
-)
+from .algebra import AlgebraElement, Monomial, _accumulate, coproduct
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 _A = Monomial(1, 0, 0, 0)
@@ -41,19 +36,24 @@ _D = Monomial(0, 0, 0, 1)
 # ---------------------------------------------------------------------------
 # Weight scalings.
 
+def _weight2(m: Monomial, side: str) -> int:
+    return m.left_weight2 if side == "left" else m.right_weight2
+
+
 def act_weight(x: AlgebraElement, side: str, h: int) -> AlgebraElement:
     """Scale each weight component: the weight-w part picks up v**(h*w).
 
-    ``side`` is ``"left"`` or ``"right"``; ``h`` counts powers of v, so
-    the left group-like k acts with side="left", h=-1 on weights... — in
-    practice every named automorphism below is a thin wrapper over this.
+    ``side`` (``"left"`` or ``"right"``) selects which doubled weight w
+    is read; ``h`` is the power of v per unit of w, so act_weight(x,
+    "left", h) is the left group-like k**h and act_weight(x, "right", h)
+    its right counterpart.  Every named automorphism below is this map
+    with a fixed side and h.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     out: Dict[Monomial, Scalar] = {}
     for m, c in x.terms.items():
-        w = m.left_weight2 if side == "left" else m.right_weight2
-        out[m] = c * Scalar.v_pow(h * w)
+        out[m] = c * Scalar.v_pow(h * _weight2(m, side))
     return AlgebraElement(out)
 
 
@@ -73,7 +73,7 @@ def sigma_right(x: AlgebraElement, half_steps: int = 2) -> AlgebraElement:
 
 
 def theta(x: AlgebraElement, power: int = 1) -> AlgebraElement:
-    """The modular automorphism sigma_L о sigma_R (or its integer power)."""
+    """The modular automorphism sigma_L ∘ sigma_R (or its integer power)."""
     return act_weight(act_weight(x, "left", -2 * power), "right", -2 * power)
 
 
@@ -83,9 +83,22 @@ def theta_inv(x: AlgebraElement) -> AlgebraElement:
 
 # ---------------------------------------------------------------------------
 # Ladder operators.
+#
+# The left action pairs against the second leg of the coproduct and shifts
+# the left weight: e raises it (a -> b, c -> d), f lowers it.  The right
+# action, x . g = sum x_(2) <g, x_(1)>, pairs against the first leg and
+# shifts the right (row) weight: e lowers it (c -> a, d -> b) and f raises
+# it (a -> c, b -> d).  Both extend from their generator tables by the same
+# twisted Leibniz rule, with the twist read off the weight of their side:
+# e(xy) = e(x) k(y) + k^-1(x) e(y) and (xy) . e = (x . e)(y . k) +
+# (x . k^-1)(y . e).
 
-_E_TABLE = {_A: (_B, ONE), _C: (_D, ONE)}
-_F_TABLE = {_B: (_A, ONE), _D: (_C, ONE)}
+_LADDER_TABLES = {
+    "left": {"e": {_A: (_B, ONE), _C: (_D, ONE)},
+             "f": {_B: (_A, ONE), _D: (_C, ONE)}},
+    "right": {"e": {_C: (_A, ONE), _D: (_B, ONE)},
+              "f": {_A: (_C, ONE), _B: (_D, ONE)}},
+}
 
 
 def _split_first(m: Monomial) -> Tuple[Monomial, Monomial]:
@@ -100,59 +113,76 @@ def _split_first(m: Monomial) -> Tuple[Monomial, Monomial]:
     return _D, Monomial(0, 0, 0, s - 1)
 
 
-def _add(acc, key, coeff):
-    tot = acc.get(key, ZERO) + coeff
-    if tot.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = tot
-
-
-@lru_cache(maxsize=None)
-def _ladder_cached(m: Monomial, which: str) -> Tuple[Tuple[Monomial, Scalar], ...]:
-    """Ladder action on one monomial via e(xy) = e(x) k(y) + k^-1(x) e(y)."""
-    table = _E_TABLE if which == "e" else _F_TABLE
+def _ladder(m: Monomial, which: str, side: str, cached: Callable,
+            ) -> Tuple[Tuple[Monomial, Scalar], ...]:
+    """Ladder ``which`` of ``side`` on one monomial, by the twisted Leibniz
+    rule; ``cached`` is the memoized entry point of that side, used for
+    the action on the tail."""
+    table = _LADDER_TABLES[side][which]
     if m.degree == 0:
         return ()
     if m.degree == 1:
         hit = table.get(m)
-        return ((hit[0], hit[1]),) if hit else ()
+        return (hit,) if hit else ()
     head, rest = _split_first(m)
     acc: Dict[Monomial, Scalar] = {}
     hit = table.get(head)
     if hit:
         # e(head) * k(rest): rest is a single monomial, k scales it.
         img, coeff = hit
-        kfac = Scalar.v_pow(rest.left_weight2)
+        kfac = Scalar.v_pow(_weight2(rest, side))
         prod = AlgebraElement.from_mono(img, coeff * kfac) \
             * AlgebraElement.from_mono(rest)
         for mm, cc in prod.terms.items():
-            _add(acc, mm, cc)
-    sub = _ladder_cached(rest, which)
+            _accumulate(acc, mm, cc)
+    sub = cached(rest, which)
     if sub:
-        head_el = AlgebraElement.from_mono(head, Scalar.v_pow(-head.left_weight2))
+        head_el = AlgebraElement.from_mono(
+            head, Scalar.v_pow(-_weight2(head, side)))
         tail = AlgebraElement(dict(sub))
         for mm, cc in (head_el * tail).terms.items():
-            _add(acc, mm, cc)
+            _accumulate(acc, mm, cc)
     return tuple(sorted(acc.items()))
+
+
+@lru_cache(maxsize=None)
+def _ladder_cached(m: Monomial, which: str) -> Tuple[Tuple[Monomial, Scalar], ...]:
+    return _ladder(m, which, "left", _ladder_cached)
+
+
+@lru_cache(maxsize=None)
+def _ladder_right_cached(m: Monomial, which: str,
+                         ) -> Tuple[Tuple[Monomial, Scalar], ...]:
+    return _ladder(m, which, "right", _ladder_right_cached)
+
+
+def _apply_ladder(x: AlgebraElement, which: str,
+                  cached: Callable) -> AlgebraElement:
+    out: Dict[Monomial, Scalar] = {}
+    for m, c in x.terms.items():
+        for mm, cc in cached(m, which):
+            _accumulate(out, mm, c * cc)
+    return AlgebraElement(out)
 
 
 def act_e(x: AlgebraElement) -> AlgebraElement:
     """Left action of the raising operator e."""
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in x.terms.items():
-        for mm, cc in _ladder_cached(m, "e"):
-            _add(out, mm, c * cc)
-    return AlgebraElement(out)
+    return _apply_ladder(x, "e", _ladder_cached)
 
 
 def act_f(x: AlgebraElement) -> AlgebraElement:
     """Left action of the lowering operator f."""
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in x.terms.items():
-        for mm, cc in _ladder_cached(m, "f"):
-            _add(out, mm, c * cc)
-    return AlgebraElement(out)
+    return _apply_ladder(x, "f", _ladder_cached)
+
+
+def act_e_right(x: AlgebraElement) -> AlgebraElement:
+    """Right action of e: lowers the right weight by one step."""
+    return _apply_ladder(x, "e", _ladder_right_cached)
+
+
+def act_f_right(x: AlgebraElement) -> AlgebraElement:
+    """Right action of f: raises the right weight by one step."""
+    return _apply_ladder(x, "f", _ladder_right_cached)
 
 
 def act_h(x: AlgebraElement) -> AlgebraElement:
@@ -162,64 +192,6 @@ def act_h(x: AlgebraElement) -> AlgebraElement:
         j = Fraction(m.left_weight2, 2)
         if j:
             out[m] = c * as_scalar(j)
-    return AlgebraElement(out)
-
-
-# ---------------------------------------------------------------------------
-# Right ladder operators.  The right action pairs against the first leg of
-# the coproduct, x . g = sum x_(2) <g, x_(1)>, so it shifts the right
-# (row) weight: e lowers it (c -> a, d -> b) and f raises it (a -> c,
-# b -> d), while the Leibniz twist uses right weights:
-# (xy) . e = (x . e)(y . k) + (x . k^-1)(y . e).
-
-_E_RIGHT_TABLE = {_C: (_A, ONE), _D: (_B, ONE)}
-_F_RIGHT_TABLE = {_A: (_C, ONE), _B: (_D, ONE)}
-
-
-@lru_cache(maxsize=None)
-def _ladder_right_cached(m: Monomial, which: str,
-                         ) -> Tuple[Tuple[Monomial, Scalar], ...]:
-    table = _E_RIGHT_TABLE if which == "e" else _F_RIGHT_TABLE
-    if m.degree == 0:
-        return ()
-    if m.degree == 1:
-        hit = table.get(m)
-        return ((hit[0], hit[1]),) if hit else ()
-    head, rest = _split_first(m)
-    acc: Dict[Monomial, Scalar] = {}
-    hit = table.get(head)
-    if hit:
-        img, coeff = hit
-        kfac = Scalar.v_pow(rest.right_weight2)
-        prod = AlgebraElement.from_mono(img, coeff * kfac) \
-            * AlgebraElement.from_mono(rest)
-        for mm, cc in prod.terms.items():
-            _add(acc, mm, cc)
-    sub = _ladder_right_cached(rest, which)
-    if sub:
-        head_el = AlgebraElement.from_mono(
-            head, Scalar.v_pow(-head.right_weight2))
-        tail = AlgebraElement(dict(sub))
-        for mm, cc in (head_el * tail).terms.items():
-            _add(acc, mm, cc)
-    return tuple(sorted(acc.items()))
-
-
-def act_e_right(x: AlgebraElement) -> AlgebraElement:
-    """Right action of e: lowers the right weight by one step."""
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in x.terms.items():
-        for mm, cc in _ladder_right_cached(m, "e"):
-            _add(out, mm, c * cc)
-    return AlgebraElement(out)
-
-
-def act_f_right(x: AlgebraElement) -> AlgebraElement:
-    """Right action of f: raises the right weight by one step."""
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in x.terms.items():
-        for mm, cc in _ladder_right_cached(m, "f"):
-            _add(out, mm, c * cc)
     return AlgebraElement(out)
 
 
@@ -266,7 +238,7 @@ def sweedler_oracle(g: str, x: AlgebraElement) -> AlgebraElement:
     for (m1, m2), c in coproduct(x).terms.items():
         p = _pair_mono(g, m2)
         if not p.is_zero():
-            _add(out, m1, c * p)
+            _accumulate(out, m1, c * p)
     return AlgebraElement(out)
 
 
@@ -276,5 +248,5 @@ def sweedler_oracle_right(g: str, x: AlgebraElement) -> AlgebraElement:
     for (m1, m2), c in coproduct(x).terms.items():
         p = _pair_mono(g, m1)
         if not p.is_zero():
-            _add(out, m2, c * p)
+            _accumulate(out, m2, c * p)
     return AlgebraElement(out)

@@ -122,11 +122,7 @@ def _merge(*term_lists) -> Tuple:
     acc: Dict[Tuple[int, int, int], Scalar] = {}
     for terms in term_lists:
         for key, coeff in terms:
-            tot = acc.get(key, ZERO) + coeff
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
+            _accumulate(acc, key, coeff)
     return tuple(sorted(acc.items()))
 
 
@@ -157,7 +153,8 @@ def _mono_mul(x: Monomial, y: Monomial) -> Tuple:
     return tuple(sorted(acc.items()))
 
 
-def _accumulate(acc: Dict[Monomial, Scalar], key: Monomial, coeff: Scalar):
+def _accumulate(acc: Dict, key, coeff: Scalar) -> None:
+    """Add coeff at key in a sparse term map, dropping keys that cancel."""
     tot = acc.get(key, ZERO) + coeff
     if tot.is_zero():
         acc.pop(key, None)
@@ -375,11 +372,7 @@ class TensorElement:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            tot = out.get(k, ZERO) + c
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
+            _accumulate(out, k, c)
         return TensorElement(out)
 
     def __neg__(self) -> "TensorElement":
@@ -407,12 +400,7 @@ class TensorElement:
                 c12 = c1 * c2
                 for m1, d1 in _mono_mul(x1, y1):
                     for m2, d2 in _mono_mul(x2, y2):
-                        key = (m1, m2)
-                        tot = out.get(key, ZERO) + c12 * d1 * d2
-                        if tot.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = tot
+                        _accumulate(out, (m1, m2), c12 * d1 * d2)
         return TensorElement(out)
 
     __rmul__ = __mul__

@@ -7,7 +7,7 @@ row-shaped outputs).  Outputs are deterministic: a fixed configuration
 reproduces the output files byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 numeric
-non-convergence.
+non-convergence or overflow.
 """
 
 import argparse
@@ -16,12 +16,11 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .acceptance import ALL_CHECKS, CHECK_IDS, format_result, run_checks
+from .acceptance import CHECK_IDS, run_checks
 from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_weight
 from .algebra import AlgebraElement, normalize_word
 from .functionals import haar
@@ -34,11 +33,10 @@ from .spectral import (
     NonConvergenceError,
     residue_extract,
     sector_spectrum_closed,
-    tail_bound,
-    upsilon_value,
+    upsilon_scan,
 )
 
-__all__ = ["RunConfig", "parse_element", "run_command", "main"]
+__all__ = ["parse_element", "run_command", "main"]
 
 
 class UsageError(ValueError):
@@ -95,25 +93,9 @@ def _parse_schedule(text: str) -> Tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Configuration: flags, optionally seeded from a key=value file
-# (explicit flags win over the file).
-
-@dataclass
-class RunConfig:
-    """Merged run configuration for one subcommand invocation."""
-
-    command: str
-    q: Optional[float] = None
-    lmax: Optional[int] = None
-    z_from: Optional[float] = None
-    z_to: Optional[float] = None
-    z_steps: Optional[int] = None
-    eps: Optional[Tuple[float, ...]] = None
-    seed: Optional[int] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-    extras: Dict[str, object] = field(default_factory=dict)
-
+# Configuration: every key of _CASTERS, taken from the flag, else from the
+# key=value config file, else from the command's row of _DEFAULTS, else
+# None.
 
 _CASTERS = {
     "q": float,
@@ -134,8 +116,15 @@ _CASTERS = {
     "max_error_bar": float,
 }
 
-_CORE_KEYS = ("q", "lmax", "z_from", "z_to", "z_steps", "eps", "seed",
-              "out", "format")
+_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "act": {"which": "e", "side": "left"},
+    "pair-dvol": {"cocycle": "phi"},
+    "hochschild-check": {"seed": 0, "tuples": 50},
+    "spectrum": {"q": 0.5, "lmax": 6, "format": "csv"},
+    "upsilon-scan": {"q": 0.5, "lmax": 200, "z_from": 3.2, "z_to": 4.0,
+                     "z_steps": 5, "format": "csv"},
+    "residue": {"q": 0.5, "format": "json"},
+}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -155,7 +144,8 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return mapping
 
 
-def _merge(ns: argparse.Namespace) -> RunConfig:
+def _merge(ns: argparse.Namespace) -> argparse.Namespace:
+    defaults = _DEFAULTS.get(ns.command, {})
     values: Dict[str, object] = {}
     file_values: Dict[str, str] = {}
     if getattr(ns, "config", None):
@@ -171,13 +161,11 @@ def _merge(ns: argparse.Namespace) -> RunConfig:
                 ) from exc
         elif isinstance(current, str) and caster is _parse_schedule:
             current = caster(current)
-        values[dest] = current
+        values[dest] = defaults.get(dest) if current is None else current
     unknown = set(file_values) - set(_CASTERS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = RunConfig(command=ns.command,
-                    **{k: values[k] for k in _CORE_KEYS})
-    cfg.extras = {k: v for k, v in values.items() if k not in _CORE_KEYS}
+    cfg = argparse.Namespace(command=ns.command, **values)
     if cfg.format not in (None, "json", "csv"):
         raise UsageError(f"unknown format {cfg.format!r}; choose json or csv")
     return cfg
@@ -198,7 +186,8 @@ def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _emit(cfg: RunConfig, human: List[str], payload: Optional[str]) -> None:
+def _emit(cfg: argparse.Namespace, human: List[str],
+          payload: Optional[str]) -> None:
     for line in human:
         print(line)
     if cfg.out is not None:
@@ -240,16 +229,15 @@ def _named_cochains() -> Dict[str, Cochain]:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: return the exit code.
 
-def _cmd_normalize(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_normalize(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
     _emit(cfg, [f"{ns.element.strip()}  =  {x}"],
           _render_json(_element_payload("normalize", ns.element, x)))
     return 0
 
 
-def _cmd_act(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    which = cfg.extras.get("which") or "e"
-    side = cfg.extras.get("side") or "left"
+def _cmd_act(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+    which, side = cfg.which, cfg.side
     x = parse_element(ns.element)
     table = {
         ("e", "left"): act_e,
@@ -274,7 +262,7 @@ def _cmd_act(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_haar(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_haar(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
     value = haar(x)
     _emit(cfg, [f"h({x})  =  {value}"],
@@ -282,9 +270,9 @@ def _cmd_haar(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cocycle_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_cocycle_eval(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     table = _named_cochains()
-    name = cfg.extras.get("cocycle")
+    name = cfg.cocycle
     if name not in table:
         raise UsageError(f"unknown cocycle {name!r}; choose from "
                          f"{', '.join(sorted(table))}")
@@ -302,9 +290,9 @@ def _cmd_cocycle_eval(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pair_dvol(cfg: RunConfig, ns: argparse.Namespace) -> int:
+def _cmd_pair_dvol(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     table = {n: c for n, c in _named_cochains().items() if c.degree == 3}
-    name = cfg.extras.get("cocycle") or "phi"
+    name = cfg.cocycle
     if name not in table:
         raise UsageError(f"unknown 3-cochain {name!r}; choose from "
                          f"{', '.join(sorted(table))}")
@@ -315,9 +303,9 @@ def _cmd_pair_dvol(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hochschild_check(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    seed = cfg.seed if cfg.seed is not None else 0
-    tuples = int(cfg.extras.get("tuples") or 50)
+def _cmd_hochschild_check(cfg: argparse.Namespace,
+                          ns: argparse.Namespace) -> int:
+    seed, tuples = cfg.seed, cfg.tuples
     if tuples < 1:
         raise UsageError("tuple count must be positive")
     rng = make_rng(seed)
@@ -348,9 +336,8 @@ def _cmd_hochschild_check(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0 if all_zero else 1
 
 
-def _cmd_spectrum(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    q = cfg.q if cfg.q is not None else 0.5
-    lmax = cfg.lmax if cfg.lmax is not None else 6
+def _cmd_spectrum(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+    q, lmax = cfg.q, cfg.lmax
     rows: List[Tuple[int, float, int]] = []
     for l2 in range(0, lmax + 1):
         for val in sector_spectrum_closed(l2, q):
@@ -359,7 +346,7 @@ def _cmd_spectrum(cfg: RunConfig, ns: argparse.Namespace) -> int:
     human = [f"spectrum q={q}, 2l <= {lmax}: {len(rows)} levels, "
              f"total dimension {dim}, range "
              f"[{min(r[1] for r in rows):.6f}, {max(r[1] for r in rows):.6f}]"]
-    if (cfg.format or "csv") == "json":
+    if cfg.format == "json":
         payload = _render_json({
             "command": "spectrum", "q": q, "lmax": lmax,
             "levels": [{"l2": l2, "eigenvalue": v, "multiplicity": mult}
@@ -371,16 +358,16 @@ def _cmd_spectrum(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_upsilon_scan(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    omega = cfg.extras.get("omega")
-    if omega not in OMEGA_TAGS:
-        raise UsageError(f"unknown weight tag {omega!r}; choose from "
+def _omega(cfg: argparse.Namespace) -> str:
+    if cfg.omega not in OMEGA_TAGS:
+        raise UsageError(f"unknown weight tag {cfg.omega!r}; choose from "
                          f"{', '.join(OMEGA_TAGS)}")
-    q = cfg.q if cfg.q is not None else 0.5
-    lmax = cfg.lmax if cfg.lmax is not None else 200
-    z_from = cfg.z_from if cfg.z_from is not None else 3.2
-    z_to = cfg.z_to if cfg.z_to is not None else 4.0
-    steps = cfg.z_steps if cfg.z_steps is not None else 5
+    return cfg.omega
+
+
+def _cmd_upsilon_scan(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+    omega = _omega(cfg)
+    z_from, z_to, steps = cfg.z_from, cfg.z_to, cfg.z_steps
     if steps < 1:
         raise UsageError("z-steps must be positive")
     if steps == 1:
@@ -388,47 +375,28 @@ def _cmd_upsilon_scan(cfg: RunConfig, ns: argparse.Namespace) -> int:
     else:
         width = (z_to - z_from) / (steps - 1)
         zs = [z_from + k * width for k in range(steps)]
-    rows = []
-    for z in zs:
-        partial = upsilon_value(omega, z, q, lmax)
-        bound = tail_bound(omega, lmax, z, q)
-        rows.append((omega, q, z, lmax, partial, bound))
-    human = [f"{len(rows)} scan rows: omega={omega}, q={q}, "
-             f"z in [{zs[0]}, {zs[-1]}], lmax={lmax}"]
-    if (cfg.format or "csv") == "json":
-        payload = _render_json({
-            "command": "upsilon-scan",
-            "rows": [{"omega_tag": o, "q": qq, "z": z, "lmax": lm,
-                      "partial_sum": p, "tail_bound": t}
-                     for o, qq, z, lm, p, t in rows],
-        })
+    rows = upsilon_scan(omega, cfg.q, zs, cfg.lmax)
+    human = [f"{len(rows)} scan rows: omega={omega}, q={cfg.q}, "
+             f"z in [{zs[0]}, {zs[-1]}], lmax={cfg.lmax}"]
+    if cfg.format == "json":
+        payload = _render_json({"command": "upsilon-scan", "rows": rows})
     else:
-        payload = _render_csv(
-            ("omega_tag", "q", "z", "lmax", "partial_sum", "tail_bound"),
-            rows)
+        payload = _render_csv(tuple(rows[0]),
+                              [tuple(r.values()) for r in rows])
     _emit(cfg, human, payload)
     return 0
 
 
-def _cmd_residue(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    omega = cfg.extras.get("omega")
-    if omega not in OMEGA_TAGS:
-        raise UsageError(f"unknown weight tag {omega!r}; choose from "
-                         f"{', '.join(OMEGA_TAGS)}")
-    q = cfg.q if cfg.q is not None else 0.5
-    kwargs = {}
-    if cfg.eps is not None:
-        kwargs["schedule"] = cfg.eps
-    if cfg.lmax is not None:
-        kwargs["lmax"] = cfg.lmax
-    bar_cap = cfg.extras.get("max_error_bar")
-    if bar_cap is not None:
-        kwargs["max_error_bar"] = float(bar_cap)
-    report = residue_extract(omega, q, **kwargs)
+def _cmd_residue(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+    omega = _omega(cfg)
+    q = cfg.q
+    kwargs = {} if cfg.eps is None else {"schedule": cfg.eps}
+    report = residue_extract(omega, q, lmax=cfg.lmax,
+                             max_error_bar=cfg.max_error_bar, **kwargs)
     doc = report.to_json_dict()
     human = [f"residue({omega}, q={q})  =  {report.estimate:.6f} "
              f"+- {report.error_bar:.2e}   [{report.method}]"]
-    if (cfg.format or "json") == "csv":
+    if cfg.format == "csv":
         header = tuple(doc.keys())
         payload = _render_csv(header, [tuple(doc[k] for k in header)])
     else:
@@ -437,8 +405,8 @@ def _cmd_residue(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_all(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    only = cfg.extras.get("only")
+def _cmd_verify_all(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+    only = cfg.only
     ids = None
     if only:
         ids = [p for chunk in str(only).split(",") for p in chunk.split()]
@@ -570,6 +538,9 @@ def run_command(argv: Sequence[str]) -> int:
         return 2
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

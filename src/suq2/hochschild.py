@@ -22,10 +22,10 @@ master consistency check.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from .actions import act_e, act_f, act_h, act_k, theta_inv
-from .algebra import AlgebraElement, Monomial, gens, normalize_word
+from .algebra import AlgebraElement, normalize_word
 from .functionals import int_one
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -109,40 +109,37 @@ def boundary(f: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # The six cup-product 3-cocycles.
 
-def _kw(x: AlgebraElement, h: int) -> AlgebraElement:
-    return act_k(x, h)
-
-
 def _phi_123(a0, a1, a2, a3):
-    return int_one(_kw(a0 * act_h(a1), -4)
-                   * _kw(act_e(a2), -3)
-                   * _kw(act_f(a3), -1))
+    return int_one(act_k(a0 * act_h(a1), -4)
+                   * act_k(act_e(a2), -3)
+                   * act_k(act_f(a3), -1))
 
 
 def _phi_132(a0, a1, a2, a3):
-    return -Scalar.q_pow(-2) * int_one(_kw(a0 * act_h(a1), -4)
-                                       * _kw(act_f(a2), -3)
-                                       * _kw(act_e(a3), -1))
+    return -Scalar.q_pow(-2) * int_one(act_k(a0 * act_h(a1), -4)
+                                       * act_k(act_f(a2), -3)
+                                       * act_k(act_e(a3), -1))
 
 
 def _phi_213(a0, a1, a2, a3):
-    return -int_one(_kw(a0, -4) * _kw(act_e(a1), -3)
-                    * _kw(act_h(a2), -2) * _kw(act_f(a3), -1))
+    return -int_one(act_k(a0, -4) * act_k(act_e(a1), -3)
+                    * act_k(act_h(a2), -2) * act_k(act_f(a3), -1))
 
 
 def _phi_312(a0, a1, a2, a3):
-    return Scalar.q_pow(-2) * int_one(_kw(a0, -4) * _kw(act_f(a1), -3)
-                                      * _kw(act_h(a2), -2) * _kw(act_e(a3), -1))
+    return Scalar.q_pow(-2) * int_one(act_k(a0, -4) * act_k(act_f(a1), -3)
+                                      * act_k(act_h(a2), -2)
+                                      * act_k(act_e(a3), -1))
 
 
 def _phi_231(a0, a1, a2, a3):
-    return int_one(_kw(a0, -4) * _kw(act_e(a1), -3)
-                   * _kw(act_f(a2), -1) * act_h(a3))
+    return int_one(act_k(a0, -4) * act_k(act_e(a1), -3)
+                   * act_k(act_f(a2), -1) * act_h(a3))
 
 
 def _phi_321(a0, a1, a2, a3):
-    return -Scalar.q_pow(-2) * int_one(_kw(a0, -4) * _kw(act_f(a1), -3)
-                                       * _kw(act_e(a2), -1) * act_h(a3))
+    return -Scalar.q_pow(-2) * int_one(act_k(a0, -4) * act_k(act_f(a1), -3)
+                                       * act_k(act_e(a2), -1) * act_h(a3))
 
 
 PHI = Cochain(3, _phi_123, "phi")
@@ -160,14 +157,14 @@ COCYCLES = {"phi": PHI, "phi_132": PHI_132, "phi_213": PHI_213,
 # Transposition 2-cochains.
 
 def _psi_132(a0, a1, a2):
-    return int_one(_kw(a0, -4) * _kw(act_h(a1), -4)
-                   * _kw(act_e(_kw(act_f(a2), 1)), -3))
+    return int_one(act_k(a0, -4) * act_k(act_h(a1), -4)
+                   * act_k(act_e(act_k(act_f(a2), 1)), -3))
 
 
 def _psi_213(a0, a1, a2):
-    return -int_one(_kw(a0, -4)
-                    * _kw(act_h(_kw(act_e(a1), 1)), -4)
-                    * _kw(act_f(a2), -1))
+    return -int_one(act_k(a0, -4)
+                    * act_k(act_h(act_k(act_e(a1), 1)), -4)
+                    * act_k(act_f(a2), -1))
 
 
 PSI_132 = Cochain(2, _psi_132, "psi_132")

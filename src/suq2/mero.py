@@ -32,7 +32,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from .spectral import NonConvergenceError, _richardson_to_zero, eigen_lattice_sum
+from .spectral import (NonConvergenceError, _lattice_cd, _richardson_to_zero,
+                       eigen_lattice_sum)
 
 __all__ = [
     "h_closed", "h_direct", "h_err_bound", "f_value", "f_residue",
@@ -204,9 +205,7 @@ def f_residue(q_value: float, *,
 # Holomorphic remainder pieces.
 
 def _lattice_powers(z: float, q: float, m: int, n_top: int) -> np.ndarray:
-    big_q = q / (1.0 - q * q)
-    c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
-    d_m = big_q * big_q * (1.0 - q ** (m + 1))
+    c_m, d_m = _lattice_cd(q, m)
     n = np.arange(0, n_top + 1, dtype=float)
     return n, (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
 

@@ -239,14 +239,7 @@ def ttilde(alpha: AlgebraElement) -> ModularMatrix:
 def commutator_d(alpha: AlgebraElement) -> ModularMatrix:
     """[D, alpha] as a modular matrix: diagonal weight part at power zero
     plus off-diagonal ladder part at power one."""
-    s = act_h(alpha)
-    half = act_k(alpha, 1)
-    upper = act_e(half).scale(Scalar.v_pow(-1))
-    lower = act_f(half).scale(Scalar.v_pow(1))
-    return ModularMatrix({
-        0: ((s, _ZERO_EL), (_ZERO_EL, -s)),
-        1: ((_ZERO_EL, upper), (lower, _ZERO_EL)),
-    })
+    return ModularMatrix({0: stilde(alpha).part(0), 1: ttilde(alpha).part(0)})
 
 
 def tau_over_R(m: ModularMatrix) -> Scalar:
@@ -296,14 +289,11 @@ def pi_split(a0: AlgebraElement, a1: AlgebraElement,
     derivations exchanged and all three signs flipped.
     """
 
-    def shift(x: AlgebraElement, half_steps: int) -> AlgebraElement:
-        # act_k(x, t) applies the inverse left modular automorphism t/2 times
-        return act_k(x, half_steps)
-
-    pi1 = (a0 * act_h(a1) * act_e(shift(a2, 1)) * act_f(shift(a3, 3))
-           - a0 * act_e(shift(a1, 1)) * act_h(shift(a2, 2)) * act_f(shift(a3, 3))
-           + a0 * act_e(shift(a1, 1)) * act_f(shift(a2, 3)) * act_h(shift(a3, 4)))
-    pi2 = (-(a0 * act_h(a1) * act_f(shift(a2, 1)) * act_e(shift(a3, 3)))
-           + a0 * act_f(shift(a1, 1)) * act_h(shift(a2, 2)) * act_e(shift(a3, 3))
-           - a0 * act_f(shift(a1, 1)) * act_e(shift(a2, 3)) * act_h(shift(a3, 4)))
+    # act_k(x, t) applies the inverse left modular automorphism t/2 times
+    pi1 = (a0 * act_h(a1) * act_e(act_k(a2, 1)) * act_f(act_k(a3, 3))
+           - a0 * act_e(act_k(a1, 1)) * act_h(act_k(a2, 2)) * act_f(act_k(a3, 3))
+           + a0 * act_e(act_k(a1, 1)) * act_f(act_k(a2, 3)) * act_h(act_k(a3, 4)))
+    pi2 = (-(a0 * act_h(a1) * act_f(act_k(a2, 1)) * act_e(act_k(a3, 3)))
+           + a0 * act_f(act_k(a1, 1)) * act_h(act_k(a2, 2)) * act_e(act_k(a3, 3))
+           - a0 * act_f(act_k(a1, 1)) * act_e(act_k(a2, 3)) * act_h(act_k(a3, 4)))
     return pi1, pi2

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 
 class EvaluationSingularityError(ZeroDivisionError):
@@ -63,12 +63,6 @@ def _pmul(p: _Poly, q: _Poly) -> _Poly:
             else:
                 out.pop(e, None)
     return out
-
-
-def _pscale(p: _Poly, c: Fraction) -> _Poly:
-    if not c:
-        return {}
-    return {e: k * c for e, k in p.items()}
 
 
 def _dense(p: _Poly) -> Tuple[list, int]:

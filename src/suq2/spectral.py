@@ -36,7 +36,7 @@ weakened by it.  Three levels:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -88,6 +88,13 @@ def _fbracket(t2: int, q: float) -> float:
     return (q ** (-0.5 * t2) - q ** (0.5 * t2)) / (1.0 / q - q)
 
 
+def _beta(l2: int, j2: int, q: float) -> float:
+    """Dirac coupling q^{j-1/2} sqrt([l+j][l-j+1]) between the upper
+    component at 2j = j2 and the lower one at j2 - 2, doubled spin l2."""
+    return q ** (0.5 * (j2 - 1)) * math.sqrt(
+        _fbracket(l2 + j2, q) * _fbracket(l2 - j2 + 2, q))
+
+
 def lambda_eigen(l2: int, n: int, q_value: float) -> float:
     """Positive eigenvalue lambda(l, n) of the doubled spin-l sector.
 
@@ -130,9 +137,6 @@ class SpectralGrid:
     def sectors(self) -> range:
         return range(0, self.lmax + 1)
 
-    def lambda_eigen(self, l2: int, n: int) -> float:
-        return lambda_eigen(l2, n, self.q)
-
     def __repr__(self) -> str:
         return f"SpectralGrid(q={self.q}, lmax={self.lmax})"
 
@@ -160,8 +164,7 @@ def dirac_sector_matrix(l2: int, q_value: float) -> np.ndarray:
     for j2 in range(-l2 + 2, l2 + 1, 2):
         up = (j2 + l2) // 2
         down = (l2 + 1) + (j2 - 2 + l2) // 2
-        beta = q ** (0.5 * (j2 - 1)) * math.sqrt(
-            _fbracket(l2 + j2, q) * _fbracket(l2 - j2 + 2, q))
+        beta = _beta(l2, j2, q)
         mat[up, down] = beta
         mat[down, up] = beta
     return mat
@@ -193,8 +196,7 @@ def c_ratio(l2: int, j2: int, sign: int, q_value: float) -> float:
     if not (-l2 + 2 <= j2 <= l2) or (j2 + l2) % 2:
         raise ValueError(f"no paired column 2j = {j2} at doubled spin {l2}")
     lam = lambda_eigen(l2, j2 - 1, q)
-    beta = q ** (0.5 * (j2 - 1)) * math.sqrt(
-        _fbracket(l2 + j2, q) * _fbracket(l2 - j2 + 2, q))
+    beta = _beta(l2, j2, q)
     return (sign * lam - 0.5 * (j2 - 1)) / beta
 
 
@@ -270,9 +272,6 @@ class MultOpMatrix:
         self.flagged = flagged
         self.q = q_value
 
-    def position(self, l2: int, i2: int, j2: int) -> int:
-        return self.labels.index((l2, i2, j2))
-
     def entry(self, row: Tuple[int, int, int],
               col: Tuple[int, int, int]) -> float:
         return float(self.matrix[self.labels.index(row),
@@ -288,10 +287,7 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     exact) pass through floating point.  Requires the exact-mode cutoff
     ``grid.lmax <= 8``.
     """
-    l2max = grid.lmax
-    if l2max > 8:
-        raise ValueError("exact basis mode is limited to doubled spin <= 8")
-    blocks = pw_orthobasis(l2max)
+    blocks = pw_orthobasis(grid.lmax)
     vectors = sorted((v for blk in blocks.values() for v in blk),
                      key=lambda v: (v.l2, v.i2, v.j2))
     labels = [(v.l2, v.i2, v.j2) for v in vectors]
@@ -424,8 +420,7 @@ def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
             if j2 - 1 < 0:
                 continue
             mu = 0.5 * (j2 - 1)
-            beta = q ** (0.5 * (j2 - 1)) * math.sqrt(
-                _fbracket(l2 + j2, q) * _fbracket(l2 - j2 + 2, q))
+            beta = _beta(l2, j2, q)
             evs = np.linalg.eigvalsh(np.array([[mu, beta], [beta, -mu]]))
             terms.append((l2 + 1) * float(
                 (1.0 + evs[0] ** 2) ** (-0.5 * z)
@@ -537,6 +532,14 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
 # closed form and keeping the per-m remainders (which decay geometrically)
 # gives an evaluator that stays accurate arbitrarily close to the pole.
 
+def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
+    """The column coefficients (c_m, d_m) above."""
+    big_q = q / (1.0 - q * q)
+    c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
+    d_m = big_q * big_q * (1.0 - q ** (m + 1))
+    return c_m, d_m
+
+
 def _lattice_inner_direct(z: float, q: float, m: int, c_m: float, d_m: float,
                           haar_weight: bool) -> float:
     """Near-exact n sum for small m: direct terms plus an integral tail."""
@@ -597,8 +600,7 @@ def eigen_lattice_sum(z: float, q_value: float, *, odd_m_only: bool = True,
     quiet = 0
     m = 1
     while m <= 2001:
-        c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
-        d_m = big_q * big_q * (1.0 - q ** (m + 1))
+        c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m <= 5:
             inner = _lattice_inner_direct(z, q, m, c_m, d_m, haar_weight)
@@ -673,12 +675,10 @@ def upsilon_cstarc_lattice(z: float, q_value: float, *,
     q = _check_q(q_value)
     if z <= 2.0:
         raise ValueError("trace sums are only defined for z > 2")
-    big_q = q / (1.0 - q * q)
     total = 0.0
     quiet = 0
     for m in range(1, 2002, 2):
-        c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
-        d_m = big_q * big_q * (1.0 - q ** (m + 1))
+        c_m, d_m = _lattice_cd(q, m)
         term = _cstarc_inner(z, q, m, c_m, d_m)
         total += term
         if abs(term) < rel_tol * abs(total):
@@ -850,8 +850,7 @@ def commutator_growth(q_value: float, lmax: int = 6) -> List[Tuple[int, float]]:
         dirac_sp[2 * p + 1, 2 * p + 1] = -0.5 * (j2 + 1)
         partner = pos.get((l2, i2, j2 - 2))
         if partner is not None:
-            beta = q ** (0.5 * (j2 - 1)) * math.sqrt(
-                _fbracket(l2 + j2, q) * _fbracket(l2 - j2 + 2, q))
+            beta = _beta(l2, j2, q)
             dirac_sp[2 * p, 2 * partner + 1] = beta
             dirac_sp[2 * partner + 1, 2 * p] = beta
     comm = dirac_sp @ mult_sp - mult_sp @ dirac_sp

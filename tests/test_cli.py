@@ -7,7 +7,7 @@ import pytest
 
 from suq2 import acceptance
 from suq2.actions import act_e
-from suq2.algebra import gens, normalize_word
+from suq2.algebra import gens
 from suq2.cli import UsageError, parse_element, run_command
 from suq2.functionals import haar
 from suq2.scalars import Scalar
@@ -101,6 +101,16 @@ def test_hochschild_check_records_seed(tmp_path, capsys):
         "phi_res_over_R"}
 
 
+def test_hochschild_check_rejects_zero_tuples(tmp_path, capsys):
+    # 0 is an explicit count, not "use the default of 50".
+    assert run_command(["hochschild-check", "--tuples", "0"]) == 2
+    assert "tuple count must be positive" in capsys.readouterr().err
+    cfgfile = tmp_path / "zero.cfg"
+    cfgfile.write_text("tuples=0\n")
+    assert run_command(["hochschild-check", "--config", str(cfgfile)]) == 2
+    assert "tuple count must be positive" in capsys.readouterr().err
+
+
 def test_spectrum_csv_shape(tmp_path):
     out = tmp_path / "spec.csv"
     assert run_command(["spectrum", "--q", "0.5", "--lmax", "2",
@@ -171,6 +181,19 @@ def test_residue_custom_schedule_and_nonconvergence(capsys):
                       "--max-error-bar", "1e-9"])
     assert rc == 3
     assert "non-convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["upsilon-scan", "--omega", "identity", "--q", "0.5", "--lmax", "1100"],
+    ["residue", "--omega", "identity", "--q", "0.1"],
+])
+def test_numeric_overflow_exits_3(argv, capsys):
+    # Exit code 1 is reserved for a failed verification; an overflow in
+    # the float layer is a numeric failure with a one-line message.
+    assert run_command(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert err.count("\n") == 1
 
 
 def test_residue_invalid_q_is_usage_error(capsys):
