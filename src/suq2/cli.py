@@ -1,10 +1,17 @@
 """Batch command-line surface over the symbolic and spectral layers.
 
 Every subcommand prints a short human summary to stdout and, when
-``--out`` is given, writes a machine-readable file (JSON, or CSV for the
-row-shaped outputs).  Outputs are deterministic: a fixed configuration
--- including the recorded random seed for the property sweeps --
-reproduces the output files byte for byte.
+``--out`` is given, writes a machine-readable file.  The three
+row-shaped commands ``spectrum``, ``upsilon-scan`` (CSV by default) and
+``residue`` (JSON by default) take ``--format json|csv``; they are the
+only commands with that flag, and the others write JSON.
+``--config FILE`` reads ``key=value`` lines that name the command's own
+flags (``z_from`` or ``z-from`` for ``--z-from``); any other key is a
+usage error, and explicit flags win over the file.  ``residue --lmax``
+sets the cutoff of the ``identity`` scan, at most 400; the other weights
+have no cutoff scan and reject it.  Outputs are deterministic: a fixed
+configuration -- including the recorded random seed for the property
+sweeps -- reproduces the output files byte for byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 numeric
 non-convergence or overflow.
@@ -18,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .acceptance import CHECK_IDS, run_checks
 from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_weight
@@ -29,7 +36,6 @@ from .modular import phi_res_over_r
 from .sampling import make_rng, random_monomial
 from .scalars import Scalar
 from .spectral import (
-    OMEGA_TAGS,
     NonConvergenceError,
     residue_extract,
     sector_spectrum_closed,
@@ -82,39 +88,17 @@ def parse_element(text: str) -> AlgebraElement:
 
 
 def _parse_schedule(text: str) -> Tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
-        sched = tuple(float(p) for p in parts if p)
+        return tuple(float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
-        raise UsageError(f"bad epsilon schedule {text!r}") from exc
-    if not sched:
-        raise UsageError("empty epsilon schedule")
-    return sched
+        raise argparse.ArgumentTypeError(
+            f"bad epsilon schedule {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
-# Configuration: every key of _CASTERS, taken from the flag, else from the
-# key=value config file, else from the command's row of _DEFAULTS, else
-# None.
-
-_CASTERS = {
-    "q": float,
-    "lmax": int,
-    "z_from": float,
-    "z_to": float,
-    "z_steps": int,
-    "eps": _parse_schedule,
-    "seed": int,
-    "out": str,
-    "format": str,
-    "omega": str,
-    "which": str,
-    "side": str,
-    "cocycle": str,
-    "tuples": int,
-    "only": str,
-    "max_error_bar": float,
-}
+# Configuration: argparse declares, casts, checks and defaults every option.
+# A --config file is a list of the command's own flags, one key=value per
+# line; they are parsed ahead of the explicit flags, so explicit flags win.
 
 _DEFAULTS: Dict[str, Dict[str, object]] = {
     "act": {"which": "e", "side": "left"},
@@ -127,48 +111,27 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
 }
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
+def _config_flags(path: str, sub: argparse.ArgumentParser) -> List[str]:
+    """The key=value lines of a config file as ``--key=value`` flags."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    mapping: Dict[str, str] = {}
+    flags: List[str] = []
     for line in raw.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"config line {line!r} is not key=value")
-        key, value = line.split("=", 1)
-        mapping[key.strip().replace("-", "_")] = value.strip()
-    return mapping
-
-
-def _merge(ns: argparse.Namespace) -> argparse.Namespace:
-    defaults = _DEFAULTS.get(ns.command, {})
-    values: Dict[str, object] = {}
-    file_values: Dict[str, str] = {}
-    if getattr(ns, "config", None):
-        file_values = _read_config_file(ns.config)
-    for dest, caster in _CASTERS.items():
-        current = getattr(ns, dest, None)
-        if current is None and dest in file_values:
-            try:
-                current = caster(file_values[dest])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(
-                    f"bad config value {dest}={file_values[dest]!r}"
-                ) from exc
-        elif isinstance(current, str) and caster is _parse_schedule:
-            current = caster(current)
-        values[dest] = defaults.get(dest) if current is None else current
-    unknown = set(file_values) - set(_CASTERS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    cfg = argparse.Namespace(command=ns.command, **values)
-    if cfg.format not in (None, "json", "csv"):
-        raise UsageError(f"unknown format {cfg.format!r}; choose json or csv")
-    return cfg
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        # Exact names only: argparse would also take a prefix of a flag.
+        if flag == "--config" or flag not in sub._option_string_actions:
+            raise UsageError(f"unknown config key {key!r}: "
+                             f"{sub.prog} has no {flag} option")
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +149,12 @@ def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _emit(cfg: argparse.Namespace, human: List[str],
-          payload: Optional[str]) -> None:
+def _emit(ns: argparse.Namespace, human: List[str], payload: str) -> None:
     for line in human:
         print(line)
-    if cfg.out is not None:
-        if payload is None:
-            raise UsageError(
-                f"{cfg.command} has no machine-readable output")
-        Path(cfg.out).write_text(payload)
-        print(f"wrote {cfg.out}")
+    if ns.out is not None:
+        Path(ns.out).write_text(payload)
+        print(f"wrote {ns.out}")
 
 
 def _element_payload(command: str, source: str,
@@ -229,15 +188,15 @@ def _named_cochains() -> Dict[str, Cochain]:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: return the exit code.
 
-def _cmd_normalize(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+def _cmd_normalize(ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
-    _emit(cfg, [f"{ns.element.strip()}  =  {x}"],
+    _emit(ns, [f"{ns.element.strip()}  =  {x}"],
           _render_json(_element_payload("normalize", ns.element, x)))
     return 0
 
 
-def _cmd_act(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
-    which, side = cfg.which, cfg.side
+def _cmd_act(ns: argparse.Namespace) -> int:
+    which, side = ns.which, ns.side
     x = parse_element(ns.element)
     table = {
         ("e", "left"): act_e,
@@ -257,22 +216,22 @@ def _cmd_act(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     payload = _element_payload("act", ns.element, result)
     payload["which"] = which
     payload["side"] = side
-    _emit(cfg, [f"{which}[{side}] . ({x})  =  {result}"],
+    _emit(ns, [f"{which}[{side}] . ({x})  =  {result}"],
           _render_json(payload))
     return 0
 
 
-def _cmd_haar(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+def _cmd_haar(ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
     value = haar(x)
-    _emit(cfg, [f"h({x})  =  {value}"],
+    _emit(ns, [f"h({x})  =  {value}"],
           _render_json(_scalar_payload("haar", [ns.element], value)))
     return 0
 
 
-def _cmd_cocycle_eval(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
     table = _named_cochains()
-    name = cfg.cocycle
+    name = ns.cocycle
     if name not in table:
         raise UsageError(f"unknown cocycle {name!r}; choose from "
                          f"{', '.join(sorted(table))}")
@@ -285,27 +244,26 @@ def _cmd_cocycle_eval(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     value = cochain(*args)
     payload = _scalar_payload("cocycle-eval", ns.elements, value)
     payload["cocycle"] = name
-    _emit(cfg, [f"{name}({', '.join(str(a) for a in args)})  =  {value}"],
+    _emit(ns, [f"{name}({', '.join(str(a) for a in args)})  =  {value}"],
           _render_json(payload))
     return 0
 
 
-def _cmd_pair_dvol(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
+def _cmd_pair_dvol(ns: argparse.Namespace) -> int:
     table = {n: c for n, c in _named_cochains().items() if c.degree == 3}
-    name = cfg.cocycle
+    name = ns.cocycle
     if name not in table:
         raise UsageError(f"unknown 3-cochain {name!r}; choose from "
                          f"{', '.join(sorted(table))}")
     value = table[name].pair_chain(VOLUME_CHAIN)
     payload = _scalar_payload("pair-dvol", [name], value)
     payload["cocycle"] = name
-    _emit(cfg, [f"{name}(dvol)  =  {value}"], _render_json(payload))
+    _emit(ns, [f"{name}(dvol)  =  {value}"], _render_json(payload))
     return 0
 
 
-def _cmd_hochschild_check(cfg: argparse.Namespace,
-                          ns: argparse.Namespace) -> int:
-    seed, tuples = cfg.seed, cfg.tuples
+def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
+    seed, tuples = ns.seed, ns.tuples
     if tuples < 1:
         raise UsageError("tuple count must be positive")
     rng = make_rng(seed)
@@ -332,12 +290,14 @@ def _cmd_hochschild_check(cfg: argparse.Namespace,
         "nonzero_counts": {k: nonzero[k] for k in sorted(nonzero)},
         "all_zero": all_zero,
     })
-    _emit(cfg, human, payload)
+    _emit(ns, human, payload)
     return 0 if all_zero else 1
 
 
-def _cmd_spectrum(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
-    q, lmax = cfg.q, cfg.lmax
+def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    q, lmax = ns.q, ns.lmax
+    if lmax < 0:
+        raise UsageError("cutoff must be non-negative")
     rows: List[Tuple[int, float, int]] = []
     for l2 in range(0, lmax + 1):
         for val in sector_spectrum_closed(l2, q):
@@ -346,7 +306,7 @@ def _cmd_spectrum(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     human = [f"spectrum q={q}, 2l <= {lmax}: {len(rows)} levels, "
              f"total dimension {dim}, range "
              f"[{min(r[1] for r in rows):.6f}, {max(r[1] for r in rows):.6f}]"]
-    if cfg.format == "json":
+    if ns.format == "json":
         payload = _render_json({
             "command": "spectrum", "q": q, "lmax": lmax,
             "levels": [{"l2": l2, "eigenvalue": v, "multiplicity": mult}
@@ -354,20 +314,12 @@ def _cmd_spectrum(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
         })
     else:
         payload = _render_csv(("l2", "eigenvalue", "multiplicity"), rows)
-    _emit(cfg, human, payload)
+    _emit(ns, human, payload)
     return 0
 
 
-def _omega(cfg: argparse.Namespace) -> str:
-    if cfg.omega not in OMEGA_TAGS:
-        raise UsageError(f"unknown weight tag {cfg.omega!r}; choose from "
-                         f"{', '.join(OMEGA_TAGS)}")
-    return cfg.omega
-
-
-def _cmd_upsilon_scan(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
-    omega = _omega(cfg)
-    z_from, z_to, steps = cfg.z_from, cfg.z_to, cfg.z_steps
+def _cmd_upsilon_scan(ns: argparse.Namespace) -> int:
+    z_from, z_to, steps = ns.z_from, ns.z_to, ns.z_steps
     if steps < 1:
         raise UsageError("z-steps must be positive")
     if steps == 1:
@@ -375,83 +327,59 @@ def _cmd_upsilon_scan(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
     else:
         width = (z_to - z_from) / (steps - 1)
         zs = [z_from + k * width for k in range(steps)]
-    rows = upsilon_scan(omega, cfg.q, zs, cfg.lmax)
-    human = [f"{len(rows)} scan rows: omega={omega}, q={cfg.q}, "
-             f"z in [{zs[0]}, {zs[-1]}], lmax={cfg.lmax}"]
-    if cfg.format == "json":
+    rows = upsilon_scan(ns.omega, ns.q, zs, ns.lmax)
+    human = [f"{len(rows)} scan rows: omega={ns.omega}, q={ns.q}, "
+             f"z in [{zs[0]}, {zs[-1]}], lmax={ns.lmax}"]
+    if ns.format == "json":
         payload = _render_json({"command": "upsilon-scan", "rows": rows})
     else:
         payload = _render_csv(tuple(rows[0]),
                               [tuple(r.values()) for r in rows])
-    _emit(cfg, human, payload)
+    _emit(ns, human, payload)
     return 0
 
 
-def _cmd_residue(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
-    omega = _omega(cfg)
-    q = cfg.q
-    kwargs = {} if cfg.eps is None else {"schedule": cfg.eps}
-    report = residue_extract(omega, q, lmax=cfg.lmax,
-                             max_error_bar=cfg.max_error_bar, **kwargs)
+def _cmd_residue(ns: argparse.Namespace) -> int:
+    kwargs = {} if ns.eps is None else {"schedule": ns.eps}
+    report = residue_extract(ns.omega, ns.q, lmax=ns.lmax,
+                             max_error_bar=ns.max_error_bar, **kwargs)
     doc = report.to_json_dict()
-    human = [f"residue({omega}, q={q})  =  {report.estimate:.6f} "
+    human = [f"residue({ns.omega}, q={ns.q})  =  {report.estimate:.6f} "
              f"+- {report.error_bar:.2e}   [{report.method}]"]
-    if cfg.format == "csv":
+    if ns.format == "csv":
         header = tuple(doc.keys())
         payload = _render_csv(header, [tuple(doc[k] for k in header)])
     else:
         payload = _render_json(doc)
-    _emit(cfg, human, payload)
+    _emit(ns, human, payload)
     return 0
 
 
-def _cmd_verify_all(cfg: argparse.Namespace, ns: argparse.Namespace) -> int:
-    only = cfg.only
+def _cmd_verify_all(ns: argparse.Namespace) -> int:
     ids = None
-    if only:
-        ids = [p for chunk in str(only).split(",") for p in chunk.split()]
-    try:
-        results = run_checks(ids, report=print)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    ok = all(r.passed for r in results)
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    if cfg.out is not None:
-        payload = _render_json([
-            {"check_id": r.check_id, "passed": r.passed} for r in results])
-        Path(cfg.out).write_text(payload)
-        print(f"wrote {cfg.out}")
-    return 0 if ok else 1
+    if ns.only:
+        ids = ns.only.replace(",", " ").split()
+    results = run_checks(ids, report=print)
+    passed = sum(r.passed for r in results)
+    _emit(ns, [f"{passed}/{len(results)} checks passed"], _render_json([
+        {"check_id": r.check_id, "passed": r.passed} for r in results]))
+    return 0 if passed == len(results) else 1
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly and entry point.
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    sub.add_argument("--config", help="key=value file mirroring the flags "
-                     "(explicit flags win)")
-    if "q" in names:
-        sub.add_argument("--q", type=float, default=None,
-                         help="deformation parameter in (0, 1)")
-    if "lmax" in names:
-        sub.add_argument("--lmax", type=int, default=None,
-                         help="doubled-spin cutoff")
-    if "zgrid" in names:
-        sub.add_argument("--z-from", dest="z_from", type=float, default=None)
-        sub.add_argument("--z-to", dest="z_to", type=float, default=None)
-        sub.add_argument("--z-steps", dest="z_steps", type=int, default=None)
-    if "eps" in names:
-        sub.add_argument("--eps", default=None,
-                         help="comma-separated epsilon schedule")
-    if "seed" in names:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="PRNG seed recorded in the output")
-    sub.add_argument("--out", default=None,
-                     help="write machine-readable output to this path")
-    sub.add_argument("--format", default=None, choices=("json", "csv"))
+def _add_numeric(sub: argparse.ArgumentParser) -> None:
+    """The flags shared by the three float commands with row-shaped output."""
+    sub.add_argument("--q", type=float,
+                     help="deformation parameter in (0, 1)")
+    sub.add_argument("--lmax", type=int, help="doubled-spin cutoff")
+    sub.add_argument("--format", choices=("json", "csv"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="suq2",
         description="Exact quantum-SU(2) Hochschild calculus and the "
@@ -460,54 +388,59 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("normalize", help="normal form of a monomial word")
     p.add_argument("element", help='e.g. "d a" or "3/2 v^-1 a^2 b"')
-    _add_common(p)
 
     p = subs.add_parser("act", help="apply a Hopf action to an element")
-    p.add_argument("--which", default=None,
-                   choices=("e", "f", "h", "k", "kinv"))
-    p.add_argument("--side", default=None, choices=("left", "right"))
+    p.add_argument("--which", choices=("e", "f", "h", "k", "kinv"))
+    p.add_argument("--side", choices=("left", "right"))
     p.add_argument("element")
-    _add_common(p)
 
     p = subs.add_parser("haar", help="Haar state of an element")
     p.add_argument("element")
-    _add_common(p)
 
     p = subs.add_parser("cocycle-eval", help="evaluate a named cochain")
-    p.add_argument("--cocycle", default=None)
+    p.add_argument("--cocycle")
     p.add_argument("elements", nargs="+")
-    _add_common(p)
 
     p = subs.add_parser("pair-dvol",
                         help="pair a 3-cochain with the volume chain")
-    p.add_argument("--cocycle", default=None)
-    _add_common(p)
+    p.add_argument("--cocycle")
 
     p = subs.add_parser("hochschild-check",
                         help="seeded coboundary-vanishing sweep")
-    p.add_argument("--tuples", type=int, default=None)
-    _add_common(p, "seed")
+    p.add_argument("--tuples", type=int)
+    p.add_argument("--seed", type=int,
+                   help="PRNG seed recorded in the output")
 
     p = subs.add_parser("spectrum", help="closed-form truncated spectrum")
-    _add_common(p, "q", "lmax")
+    _add_numeric(p)
 
     p = subs.add_parser("upsilon-scan",
                         help="weighted trace scan over a z grid")
-    p.add_argument("--omega", default=None, help="weight tag")
-    _add_common(p, "q", "lmax", "zgrid")
+    p.add_argument("--omega", help="weight tag")
+    p.add_argument("--z-from", type=float)
+    p.add_argument("--z-to", type=float)
+    p.add_argument("--z-steps", type=int)
+    _add_numeric(p)
 
     p = subs.add_parser("residue", help="residue extraction at z = 3")
-    p.add_argument("--omega", default=None, help="weight tag")
-    p.add_argument("--max-error-bar", dest="max_error_bar", type=float,
-                   default=None,
+    p.add_argument("--omega", help="weight tag")
+    p.add_argument("--max-error-bar", type=float,
                    help="fail with exit 3 if the error bar exceeds this")
-    _add_common(p, "q", "lmax", "eps")
+    p.add_argument("--eps", type=_parse_schedule,
+                   help="comma-separated epsilon schedule")
+    _add_numeric(p)
 
     p = subs.add_parser("verify-all", help="run the verification battery")
-    p.add_argument("--only", default=None,
+    p.add_argument("--only",
                    help=f"comma-separated subset of: {', '.join(CHECK_IDS)}")
-    _add_common(p)
-    return parser
+
+    for name, sub in subs.choices.items():
+        sub.add_argument("--config", help="key=value file of this "
+                         "command's own flags (explicit flags win)")
+        sub.add_argument("--out",
+                         help="write machine-readable output to this path")
+        sub.set_defaults(**_DEFAULTS.get(name, {}))
+    return parser, subs.choices
 
 
 _HANDLERS = {
@@ -524,25 +457,29 @@ _HANDLERS = {
 }
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    parser, subs = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    at = argv.index(ns.command) + 1
+    flags = _config_flags(ns.config, subs[ns.command])
+    return parser.parse_args(argv[:at] + flags + argv[at:])
+
+
 def run_command(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _parse(list(argv))
+        return _HANDLERS[ns.command](ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _merge(ns)
-        return _HANDLERS[ns.command](cfg, ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

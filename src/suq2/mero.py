@@ -147,11 +147,11 @@ def _h_column(zc: complex, x: float, y: float, r: float, m: int,
 
 
 def h_direct(z: Number, x: float, y: float, r: float, w: int, *,
-             n_cap: int = 3000, abs_tol: float = 1e-9) -> Number:
+             n_cap: int = 3000) -> Number:
     """The template double sum evaluated directly (no gamma identity).
 
     Columns are accumulated until the geometric column estimate certifies
-    the remaining tail below ``abs_tol``; requires Re z > 3 for the sum
+    the remaining tail below 1e-9; requires Re z > 3 for the sum
     to converge at all.
     """
     _check_h_params(x, y, r, w)
@@ -164,11 +164,11 @@ def h_direct(z: Number, x: float, y: float, r: float, w: int, *,
     while m <= w + 900:
         col = _h_column(zc, x, y, r, m, n_cap)
         total += col
-        if abs(col) * ratio / (1.0 - ratio) < abs_tol:
+        if abs(col) * ratio / (1.0 - ratio) < 1e-9:
             return _as_output(total, z)
         m += 1
     raise NonConvergenceError(
-        f"direct template sum did not settle below {abs_tol:.1e} "
+        "direct template sum did not settle below 1.0e-09 "
         f"within {m - w} columns at z = {z}")
 
 
@@ -189,10 +189,11 @@ def f_residue_formula(q_value: float) -> float:
     return 4.0 * q_value / (big_q * big_q * math.log(1.0 / q_value))
 
 
-def f_residue(q_value: float, *,
-              schedule=(0.4, 0.2, 0.1, 0.05)) -> Dict[str, float]:
-    """Richardson estimate of lim (z-3) f(z) with its target formula."""
-    points = [(eps, eps * f_value(3.0 + eps, q_value)) for eps in schedule]
+def f_residue(q_value: float) -> Dict[str, float]:
+    """Richardson estimate of lim (z-3) f(z) with its target formula, on
+    the standard schedule eps = 0.4, 0.2, 0.1, 0.05."""
+    points = [(eps, eps * f_value(3.0 + eps, q_value))
+              for eps in (0.4, 0.2, 0.1, 0.05)]
     rich, last_corr = _richardson_to_zero(points)
     return {
         "estimate": rich,

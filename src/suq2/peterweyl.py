@@ -13,18 +13,16 @@ in monic form (unit coefficient on the newly entering monomial) together
 with their exact squared norms; the conventional normalization, with
 squared norm q^(-2i) [2l+1]^-1, differs from the monic one by a scalar
 whose square is exact even when the scalar itself leaves the coefficient
-field.  Whenever that square root does exist in the field (for example all
-spin-1/2 vectors, the highest/lowest monomial vectors, and the central
-column), the exactly normalized vector is stored as well.
+field, so only that square is stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import AlgebraElement, Monomial
 from .functionals import gns_inner, gns_norm_sq
-from .scalars import Scalar, q_number, scalar_sqrt
+from .scalars import Scalar, q_number
 
 __all__ = [
     "PWVector",
@@ -51,13 +49,10 @@ class PWVector:
 
     ``monic`` carries unit coefficient on its top monomial; ``norm_sq`` is
     its exact squared norm; ``rescale_sq`` is the exact square of the
-    scalar bringing it to the conventional normalization, and
-    ``normalized`` is the conventionally normalized vector whenever that
-    scalar exists in the coefficient field (None otherwise).
+    scalar bringing it to the conventional normalization.
     """
 
-    __slots__ = ("l2", "i2", "j2", "monic", "norm_sq", "rescale_sq",
-                 "normalized")
+    __slots__ = ("l2", "i2", "j2", "monic", "norm_sq", "rescale_sq")
 
     def __init__(self, l2: int, i2: int, j2: int, monic: AlgebraElement,
                  norm_sq: Scalar):
@@ -67,9 +62,6 @@ class PWVector:
         self.monic = monic
         self.norm_sq = norm_sq
         self.rescale_sq = target_norm_sq(l2, i2) / norm_sq
-        root = scalar_sqrt(self.rescale_sq)
-        self.normalized: Optional[AlgebraElement] = (
-            monic.scale(root) if root is not None else None)
 
     @property
     def target_norm_sq(self) -> Scalar:

@@ -421,9 +421,9 @@ def big_q() -> Scalar:
 def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
     """Exact square root in Q(v) when one exists, else None.
 
-    Used to decide whether an exactly-representable rescaling exists when
-    normalizing matrix-coefficient bases; many natural norms are perfect
-    squares in Q(v) and this recovers their roots exactly.
+    Many natural squared norms, such as the squared rescales of the
+    Peter-Weyl anchor vectors, are perfect squares in Q(v); this recovers
+    their roots exactly.
     """
     if x.is_zero():
         return ZERO

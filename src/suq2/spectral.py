@@ -330,7 +330,8 @@ _DELTA_TAGS = ("deltaL2-e11", "deltaL2-e22")
 
 def _check_omega(omega: str) -> str:
     if omega not in OMEGA_TAGS:
-        raise ValueError(f"unknown weight tag {omega!r}; choose from {OMEGA_TAGS}")
+        raise ValueError(f"unknown weight tag {omega!r}; choose from "
+                         f"{', '.join(OMEGA_TAGS)}")
     return omega
 
 
@@ -576,8 +577,7 @@ def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
 
 
 def eigen_lattice_sum(z: float, q_value: float, *, odd_m_only: bool = True,
-                      haar_weight: bool = True,
-                      rel_tol: float = 1e-14) -> float:
+                      haar_weight: bool = True) -> float:
     """Sum over the (n, m) eigenvalue lattice of
 
         q^{-m} w(n, m) (n^2/4 + c_m - d_m q^{2n})^{-z/2},
@@ -608,7 +608,7 @@ def eigen_lattice_sum(z: float, q_value: float, *, odd_m_only: bool = True,
             inner = _lattice_inner_model(z, q, m, c_m, d_m, haar_weight)
         corr = q ** (-m) * (inner - lead)
         total += corr
-        if abs(corr) < rel_tol * abs(total):
+        if abs(corr) < 1e-14 * abs(total):
             quiet += 1
             if quiet >= 3 and m >= 41:
                 break
@@ -662,13 +662,12 @@ def _cstarc_inner(z: float, q: float, m: int, c_m: float, d_m: float) -> float:
     return head + tail_int + 0.5 * f(a) - fp_a / 12.0
 
 
-def upsilon_cstarc_lattice(z: float, q_value: float, *,
-                           rel_tol: float = 1e-12) -> float:
+def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice.
 
     The n sums are evaluated near-exactly (direct head plus integral
     tail with its endpoint corrections) and the positive m series, damped
-    like q^{m(z-1)/2}, is accumulated to ``rel_tol``.  No spin ceiling
+    like q^{m(z-1)/2}, is accumulated to a relative 1e-12.  No spin ceiling
     enters, so values stay accurate down toward z = 2 where plain
     cutoff scans would need astronomically many sectors.
     """
@@ -681,7 +680,7 @@ def upsilon_cstarc_lattice(z: float, q_value: float, *,
         c_m, d_m = _lattice_cd(q, m)
         term = _cstarc_inner(z, q, m, c_m, d_m)
         total += term
-        if abs(term) < rel_tol * abs(total):
+        if abs(term) < 1e-12 * abs(total):
             quiet += 1
             if quiet >= 3:
                 break
@@ -766,12 +765,20 @@ def residue_extract(omega: str, q_value: float, *,
     extrapolant, and both are reported.  Weights with a genuine pole go
     through the pole-resolved lattice evaluator; the geometrically damped
     weights use plain cutoff scans whose certified tails are folded into
-    the error bar (the cutoff ceiling is 400).  If ``max_error_bar`` is
+    the error bar.  Only ``identity`` is scanned that way; its cutoff
+    ``lmax`` defaults to the ceiling of 400, and an ``lmax`` above the
+    ceiling or for any other weight is rejected.  If ``max_error_bar`` is
     given and exceeded, the non-convergence is raised, never smoothed
     over.
     """
     _check_omega(omega)
     q = _check_q(q_value)
+    ceiling = 400
+    if lmax is not None and omega != "identity":
+        raise ValueError(f"lmax applies only to the identity weight's "
+                         f"cutoff scan, not to {omega}")
+    if lmax is not None and lmax > ceiling:
+        raise ValueError(f"lmax {lmax} is above the cutoff ceiling {ceiling}")
     sched = tuple(float(e) for e in schedule)
     if len(sched) < 3 or any(e <= 0.0 for e in sched) \
             or any(a <= b for a, b in zip(sched, sched[1:])):
@@ -797,8 +804,7 @@ def residue_extract(omega: str, q_value: float, *,
             points.append((eps, eps * ups))
     else:
         method = "direct-scan/richardson+least-squares"
-        ceiling = 400
-        lmax_used = min(lmax, ceiling) if lmax is not None else ceiling
+        lmax_used = ceiling if lmax is None else lmax
         at_target = True
         for eps in sched:
             z = 3.0 + eps

@@ -8,7 +8,8 @@ import pytest
 from suq2 import acceptance
 from suq2.actions import act_e
 from suq2.algebra import gens
-from suq2.cli import UsageError, parse_element, run_command
+from suq2.cli import (_DEFAULTS, UsageError, _build_parser, parse_element,
+                      run_command)
 from suq2.functionals import haar
 from suq2.scalars import Scalar
 
@@ -161,6 +162,81 @@ def test_config_file_bad_lines(tmp_path, capsys):
     assert run_command(["spectrum", "--config", str(bad)]) == 2
     bad.write_text("unknown-key=1\n")
     assert run_command(["spectrum", "--config", str(bad)]) == 2
+
+
+def test_config_file_format_is_honoured(tmp_path):
+    cfgfile = tmp_path / "spec.cfg"
+    cfgfile.write_text("format=json\nlmax=1\n")
+    out = tmp_path / "spec.json"
+    assert run_command(["spectrum", "--config", str(cfgfile),
+                        "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "spectrum"
+    assert doc["lmax"] == 1
+
+
+@pytest.mark.parametrize("command, line", [
+    (["act", "c"], "format=csv"),         # a flag of other commands only
+    (["spectrum"], "omega=identity"),
+    (["hochschild-check"], "tup=2"),      # a prefix, not the flag's name
+    (["spectrum"], "config=other.cfg"),
+])
+def test_config_key_foreign_to_command(command, line, tmp_path, capsys):
+    # Keys are the command's own flags; anything else was once dropped
+    # silently, which is how format=csv on act wrote JSON.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    out = tmp_path / "out.txt"
+    argv = command[:1] + ["--config", str(cfgfile), "--out", str(out)]
+    assert run_command(argv + command[1:]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_value_checked_by_the_flag_parser(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("eps=0.4, x\n")
+    assert run_command(["residue", "--config", str(cfgfile)]) == 2
+    assert "argument --eps: bad epsilon schedule" in capsys.readouterr().err
+    cfgfile.write_text("lmax=six\n")
+    assert run_command(["spectrum", "--config", str(cfgfile)]) == 2
+    assert "argument --lmax: invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--which", "e", "c"],
+    ["verify-all", "--only", "gamma-vanishes"],
+])
+def test_format_exists_only_where_honoured(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_command(argv + ["--format", "csv", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_defaults_name_the_commands_own_options():
+    # set_defaults accepts any key, so a misspelt one would be dropped.
+    _, subs = _build_parser()
+    for command, defaults in _DEFAULTS.items():
+        dests = {a.dest for a in subs[command]._actions if a.option_strings}
+        assert set(defaults) <= dests, command
+
+
+def test_spectrum_rejects_negative_cutoff(capsys):
+    assert run_command(["spectrum", "--lmax", "-1"]) == 2
+    assert "cutoff must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["residue", "--omega", "identity", "--lmax", "401"],
+    ["residue", "--omega", "gamma", "--lmax", "40"],
+    ["residue", "--omega", "deltaL2-e11", "--lmax", "40"],
+    ["residue", "--omega", "cstarc", "--lmax", "40"],
+])
+def test_residue_lmax_is_never_clipped_or_ignored(argv, capsys):
+    # Only the identity weight is a cutoff scan, with a ceiling of 400.
+    assert run_command(argv) == 2
+    assert "lmax" in capsys.readouterr().err
 
 
 def test_residue_json_shape(tmp_path):

@@ -24,7 +24,7 @@ from suq2.algebra import AlgebraElement, Monomial, gens
 from suq2.functionals import gns_inner
 from suq2.peterweyl import (PWBasisBlock, block_monomials, pw_orthobasis,
                             target_norm_sq)
-from suq2.scalars import Scalar, q_number
+from suq2.scalars import Scalar, q_number, scalar_sqrt
 
 A, B, C, D = gens()
 
@@ -105,7 +105,7 @@ class TestNormAnchors:
             assert v.monic == gen
             assert v.norm_sq == target_norm_sq(1, i2)
             assert v.rescale_sq == ONE
-            assert v.normalized == gen
+            assert scalar_sqrt(v.rescale_sq) == ONE
 
     def test_top_power_vectors_normalized(self):
         # The (-l, -l) block of spin l is spanned by a^2l, whose squared
@@ -115,8 +115,7 @@ class TestNormAnchors:
             assert v.monic == AlgebraElement.from_mono(Monomial(l2, 0, 0, 0))
             assert v.norm_sq == Scalar.q_pow(l2) * q_number(
                 2 * l2 + 2).inverse()
-            assert v.normalized is not None
-            assert v.normalized == v.monic
+            assert scalar_sqrt(v.rescale_sq) == ONE
 
     def test_center_column_spin_one(self):
         # The spin-1 vector in the weight-(0,0) block is proportional to
@@ -126,13 +125,14 @@ class TestNormAnchors:
         assert v.monic.scale(two) == (
             AlgebraElement.from_mono(Monomial(0, 1, 1, 0)).scale(two)
             + AlgebraElement.unit())
-        assert v.normalized is not None
+        assert scalar_sqrt(v.rescale_sq) is not None
 
     def test_normalized_vectors_hit_target(self):
         from suq2.functionals import gns_norm_sq
         for v in all_vectors():
-            if v.normalized is not None:
-                assert gns_norm_sq(v.normalized) == v.target_norm_sq
+            root = scalar_sqrt(v.rescale_sq)
+            if root is not None:
+                assert gns_norm_sq(v.monic.scale(root)) == v.target_norm_sq
 
 
 class TestLeftTransport:
