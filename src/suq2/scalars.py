@@ -6,7 +6,7 @@ Working with v rather than q keeps half-integer q-powers (which appear in
 the k-pairing and the spin-half Clebsch--Gordan data) exact.
 
 A :class:`Scalar` is a reduced fraction of Laurent polynomials in v with
-`fractions.Fraction` coefficients.  The canonical form is unique:
+rational coefficients.  The canonical form is unique:
 
 * numerator and denominator share no polynomial factor (after shifting
   out powers of v, which are units);
@@ -16,13 +16,30 @@ A :class:`Scalar` is a reduced fraction of Laurent polynomials in v with
 
 Equality is therefore plain structural equality, and Scalars are hashable
 and usable as dict values throughout the algebra layer.
+
+Each coefficient is stored as a Python ``int`` when it is integral and as
+a non-integral `fractions.Fraction` otherwise.  This is storage only: the
+canonical form is the one above, and an ``int`` compares, hashes and
+prints exactly like the equal ``Fraction``, so ``==``, ``hash``, ``str``
+and ``to_json`` do not depend on it.  A denominator that is a single
+monomial -- every denominator the cochain layer produces -- is
+canonicalised by an exponent shift and at most one exact division.  A
+genuine rational function is reduced by a gcd over Z[v]: a primitive
+pseudo-remainder sequence with ``math.gcd`` content removal and exact
+integer division.  No float ever enters a coefficient: inputs other than
+``int`` and ``Fraction`` raise ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from math import gcd, isqrt
+from typing import List, Mapping, Optional, Tuple, Union
+
+Coeff = Union[int, Fraction]
 
 
 class EvaluationSingularityError(ZeroDivisionError):
@@ -32,9 +49,51 @@ class EvaluationSingularityError(ZeroDivisionError):
 #: Sparse Laurent polynomial: v-exponent -> coefficient.  Zero coeffs absent.
 _Poly = dict
 
+#: The polynomial 1.  Stored dicts are never mutated, so it is shared.
+_ONE_POLY: _Poly = {0: 1}
 
-def _trim(p: _Poly) -> _Poly:
-    return {e: c for e, c in p.items() if c}
+
+def _exact(c) -> Coeff:
+    """``c`` as a stored coefficient: ``int`` when integral, else Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("Scalar coefficients must be int or Fraction, "
+                    f"not {type(c).__name__}")
+
+
+def _stored(p: Mapping[int, Coeff]) -> _Poly:
+    """A caller's polynomial with int exponents and stored coefficients."""
+    out = {operator.index(e): _exact(c) for e, c in dict(p).items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def _ints(p: _Poly) -> _Poly:
+    """Store every integral Fraction coefficient of ``p`` as ``int``, in place.
+
+    ``p`` is either a new dict or one a Scalar already holds, and a held
+    dict has no integral Fraction, so a held dict is never written to.
+    """
+    for e, c in p.items():
+        if type(c) is not int and c.denominator == 1:
+            p[e] = c.numerator
+    return p
+
+
+def _q(n: int, d: int) -> Coeff:
+    """The exact quotient n / d of two ints (d nonzero)."""
+    quo, rem = divmod(n, d)
+    return Fraction(n, d) if rem else quo
+
+
+def _div(c: Coeff, s: Coeff) -> Coeff:
+    """The exact quotient c / s of two stored coefficients (s nonzero)."""
+    if type(c) is int and type(s) is int:
+        return _q(c, s)
+    return _exact(Fraction(c) / s)
 
 
 def _padd(p: _Poly, q: _Poly) -> _Poly:
@@ -53,6 +112,12 @@ def _pneg(p: _Poly) -> _Poly:
 
 
 def _pmul(p: _Poly, q: _Poly) -> _Poly:
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        # A monomial times a polynomial: no two products share an exponent.
+        (e1, c1), = p.items()
+        return {e1 + e2: c1 * c2 for e2, c2 in q.items()}
     out: _Poly = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
@@ -65,60 +130,80 @@ def _pmul(p: _Poly, q: _Poly) -> _Poly:
     return out
 
 
-def _dense(p: _Poly) -> Tuple[list, int]:
-    """Return (coefficient list, lowest exponent) with list[0] != 0."""
-    lo = min(p)
-    hi = max(p)
-    coeffs = [p.get(e, Fraction(0)) for e in range(lo, hi + 1)]
-    return coeffs, lo
+# ---------------------------------------------------------------------------
+# Dense integer polynomials: lists of ints, lowest degree first, with a
+# nonzero last entry.
+
+def _primitive(p: _Poly) -> Tuple[int, int, int, List[int]]:
+    """Split ``p`` as v**lo * (g/L) * P with P a primitive integer list.
+
+    ``P[0]`` is nonzero, ``g`` is the content (positive) and ``L`` the
+    least common denominator of the coefficients, so gcd(g, L) == 1.
+    """
+    lo, hi = min(p), max(p)
+    lcd = 1
+    for c in p.values():
+        if type(c) is not int:
+            d = c.denominator
+            lcd = lcd // gcd(lcd, d) * d
+    ints = [0] * (hi - lo + 1)
+    for e, c in p.items():
+        ints[e - lo] = (c * lcd if type(c) is int
+                        else c.numerator * (lcd // c.denominator))
+    g = gcd(*ints)
+    if g != 1:
+        ints = [c // g for c in ints]
+    return lo, g, lcd, ints
 
 
-def _dense_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _primitive_part(a: List[int]) -> List[int]:
+    g = gcd(*a)
+    return [c // g for c in a] if g != 1 else a
 
 
-def _dense_mod(a: list, b: list) -> list:
-    """Remainder of dense polynomial division a mod b (b nonzero)."""
+def _prem(a: List[int], b: List[int]) -> List[int]:
+    """A nonzero integer multiple of the remainder of a by b (len(b) > 1)."""
     a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lead
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        la = a[-1]
+        g = gcd(la, lb)
+        ma, mb = lb // g, la // g
+        if ma != 1:
+            a = [ma * c for c in a]
         shift = len(a) - 1 - db
         for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        _dense_trim(a)
+            a[shift + i] -= mb * bc
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
-def _dense_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _dense_mod(a, b)
-    lead = a[-1]
-    return [c / lead for c in a]
+def _zgcd(a: List[int], b: List[int]) -> List[int]:
+    """A gcd of two primitive integer polynomials, by a primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+    return [1]
 
 
-def _dense_divexact(a: list, b: list) -> list:
-    """Exact dense quotient a / b (b divides a)."""
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+def _zdivexact(a: List[int], b: List[int]) -> List[int]:
+    """The quotient a / b over Z[v], where b is primitive and divides a."""
+    db, lead = len(b) - 1, b[-1]
     a = list(a)
-    lead = b[-1]
+    out = [0] * (len(a) - db)
     for i in range(len(out) - 1, -1, -1):
-        coeff = a[i + len(b) - 1] / lead
-        out[i] = coeff
-        if coeff:
+        c = a[i + db] // lead
+        if c:
+            out[i] = c
             for j, bc in enumerate(b):
-                a[i + j] -= coeff * bc
+                a[i + j] -= c * bc
     return out
-
-
-def _from_dense(coeffs: list, lo: int) -> _Poly:
-    return {lo + i: c for i, c in enumerate(coeffs) if c}
-
-
-_ONE_POLY: _Poly = {0: Fraction(1)}
 
 
 class Scalar:
@@ -126,11 +211,9 @@ class Scalar:
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, num: Mapping[int, Union[int, Fraction]] = (),
-                 den: Mapping[int, Union[int, Fraction]] = _ONE_POLY):
-        n = _trim({int(e): Fraction(c) for e, c in dict(num).items()})
-        d = _trim({int(e): Fraction(c) for e, c in dict(den).items()})
-        self._num, self._den = _canonical(n, d)
+    def __init__(self, num: Mapping[int, Coeff] = (),
+                 den: Mapping[int, Coeff] = _ONE_POLY):
+        self._num, self._den = _canonical(_stored(num), _stored(den))
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -143,6 +226,15 @@ class Scalar:
         return out
 
     @classmethod
+    def _const(cls, c: Coeff) -> "Scalar":
+        """The constant ``c``, already a stored coefficient."""
+        if not c:
+            return _ZERO
+        out = object.__new__(cls)
+        out._num, out._den, out._hash = {0: c}, _ONE_POLY, None
+        return out
+
+    @classmethod
     def zero(cls) -> "Scalar":
         return _ZERO
 
@@ -152,30 +244,34 @@ class Scalar:
 
     @classmethod
     def from_int(cls, k: int) -> "Scalar":
-        return cls._raw({0: Fraction(k)}, dict(_ONE_POLY))
+        if not isinstance(k, int):
+            raise TypeError(f"from_int takes an int, not {type(k).__name__}")
+        return cls._const(int(k))
 
     @classmethod
-    def from_fraction(cls, fr: Union[Fraction, int]) -> "Scalar":
-        return cls._raw({0: Fraction(fr)}, dict(_ONE_POLY))
+    def from_fraction(cls, fr: Coeff) -> "Scalar":
+        return cls._const(_exact(fr))
 
     @classmethod
     def v_pow(cls, k: int) -> "Scalar":
         """v**k (so q**(k/2))."""
-        return cls._raw({k: Fraction(1)}, dict(_ONE_POLY))
+        out = object.__new__(cls)
+        out._num, out._den, out._hash = {operator.index(k): 1}, _ONE_POLY, None
+        return out
 
     @classmethod
     def q_pow(cls, k: int) -> "Scalar":
         """q**k as an element of Q(v)."""
-        return cls._raw({2 * k: Fraction(1)}, dict(_ONE_POLY))
+        return cls.v_pow(2 * k)
 
     # -- views ---------------------------------------------------------
 
     @property
-    def num_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
+    def num_terms(self) -> Tuple[Tuple[int, Coeff], ...]:
         return tuple(sorted(self._num.items()))
 
     @property
-    def den_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
+    def den_terms(self) -> Tuple[Tuple[int, Coeff], ...]:
         return tuple(sorted(self._den.items()))
 
     def is_zero(self) -> bool:
@@ -192,10 +288,18 @@ class Scalar:
 
     @staticmethod
     def _coerce(other) -> Optional["Scalar"]:
+        """``other`` as a Scalar; None for a type outside the number tower.
+
+        An inexact number (a float, say) raises ``TypeError``: it would
+        enter the field as its binary expansion, not as the value meant.
+        """
         if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar._raw({0: Fraction(other)}, dict(_ONE_POLY))
+            return Scalar._const(_exact(other))
+        if isinstance(other, numbers.Number):
+            raise TypeError("Scalar arithmetic takes int or Fraction, "
+                            f"not {type(other).__name__}")
         return None
 
     def __add__(self, other) -> "Scalar":
@@ -203,7 +307,7 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._den == o._den:
-            return Scalar._raw(_padd(self._num, o._num), dict(self._den))
+            return Scalar._raw(_padd(self._num, o._num), self._den)
         num = _padd(_pmul(self._num, o._den), _pmul(o._num, self._den))
         return Scalar._raw(num, _pmul(self._den, o._den))
 
@@ -211,7 +315,7 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         out = object.__new__(Scalar)
-        out._num, out._den = _pneg(self._num), dict(self._den)
+        out._num, out._den = _pneg(self._num), self._den
         out._hash = None
         return out
 
@@ -231,7 +335,9 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar._raw(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        den = (_ONE_POLY if self._den is _ONE_POLY and o._den is _ONE_POLY
+               else _pmul(self._den, o._den))
+        return Scalar._raw(_pmul(self._num, o._num), den)
 
     __rmul__ = __mul__
 
@@ -252,7 +358,7 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self._num:
             raise ZeroDivisionError("the zero Scalar has no inverse")
-        return Scalar._raw(dict(self._den), dict(self._num))
+        return Scalar._raw(self._den, self._num)
 
     def __pow__(self, k: int) -> "Scalar":
         if not isinstance(k, int):
@@ -326,9 +432,11 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Scalar":
-        num = {int(e): Fraction(c) for e, c in data["num"]}
-        den = {int(e): Fraction(c) for e, c in data["den"]}
-        return cls._raw(num, den)
+        def poly(terms) -> _Poly:
+            # ``to_json`` writes each coefficient as its ``str``.
+            return {e: Fraction(c) if isinstance(c, str) else c
+                    for e, c in terms}
+        return cls(poly(data["num"]), poly(data["den"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -376,25 +484,41 @@ def _canonical(num: _Poly, den: _Poly) -> Tuple[_Poly, _Poly]:
     if not den:
         raise ZeroDivisionError("zero denominator in Scalar")
     if not num:
-        return {}, dict(_ONE_POLY)
-    ncoeffs, nlo = _dense(num)
-    dcoeffs, dlo = _dense(den)
-    if len(ncoeffs) > 1 and len(dcoeffs) > 1:
-        g = _dense_gcd(ncoeffs, dcoeffs)
+        return {}, _ONE_POLY
+    if den is _ONE_POLY:
+        return _ints(num), _ONE_POLY
+    if len(den) == 1:
+        # A monomial denominator is a unit times a scale: shift and divide.
+        (dlo, s), = den.items()
+        if s == 1:
+            if dlo:
+                num = {e - dlo: c for e, c in num.items()}
+        elif s == -1:
+            num = {e - dlo: -c for e, c in num.items()}
+        else:
+            return {e - dlo: _div(c, s) for e, c in num.items()}, _ONE_POLY
+        return _ints(num), _ONE_POLY
+    nlo, ng, nl, ncoeffs = _primitive(num)
+    dlo, dg, dl, dcoeffs = _primitive(den)
+    if len(ncoeffs) > 1:
+        g = _zgcd(ncoeffs, dcoeffs)
         if len(g) > 1:
-            ncoeffs = _dense_divexact(ncoeffs, g)
-            dcoeffs = _dense_divexact(dcoeffs, g)
-    # Denominator: lowest-degree coefficient 1; v-shift moved to numerator.
-    scale = dcoeffs[0]
-    num_out = {nlo - dlo + i: c / scale for i, c in enumerate(ncoeffs) if c}
-    den_out = {i: c / scale for i, c in enumerate(dcoeffs) if c}
-    return num_out, den_out
+            ncoeffs = _zdivexact(ncoeffs, g)
+            dcoeffs = _zdivexact(dcoeffs, g)
+    # num/den = (ng/nl) / (dg/dl) * ncoeffs/dcoeffs.  Denominator: lowest
+    # coefficient 1; v-shift moved to numerator.
+    d0 = dcoeffs[0]
+    rn, rd = ng * dl, nl * dg * d0
+    num_out = {nlo - dlo + i: _q(rn * c, rd) for i, c in enumerate(ncoeffs) if c}
+    if len(dcoeffs) == 1:
+        return num_out, _ONE_POLY
+    return num_out, {i: _q(c, d0) for i, c in enumerate(dcoeffs) if c}
 
 
 _ZERO = object.__new__(Scalar)
-_ZERO._num, _ZERO._den, _ZERO._hash = {}, dict(_ONE_POLY), None
+_ZERO._num, _ZERO._den, _ZERO._hash = {}, _ONE_POLY, None
 _ONE = object.__new__(Scalar)
-_ONE._num, _ONE._den, _ONE._hash = dict(_ONE_POLY), dict(_ONE_POLY), None
+_ONE._num, _ONE._den, _ONE._hash = dict(_ONE_POLY), _ONE_POLY, None
 
 ZERO = _ZERO
 ONE = _ONE
@@ -409,13 +533,12 @@ def q_number(twice_a: int) -> Scalar:
     t = twice_a
     if t == 0:
         return _ZERO
-    return Scalar._raw({-t: Fraction(1), t: Fraction(-1)},
-                       {-2: Fraction(1), 2: Fraction(-1)})
+    return Scalar._raw({-t: 1, t: -1}, {-2: 1, 2: -1})
 
 
 def big_q() -> Scalar:
     """Q = (q^-1 - q)^-1, the scale factor of the q-number denominators."""
-    return Scalar._raw(dict(_ONE_POLY), {-2: Fraction(1), 2: Fraction(-1)})
+    return Scalar._raw(_ONE_POLY, {-2: 1, 2: -1})
 
 
 def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
@@ -423,51 +546,44 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
 
     Many natural squared norms, such as the squared rescales of the
     Peter-Weyl anchor vectors, are perfect squares in Q(v); this recovers
-    their roots exactly.
+    their roots exactly.  The root returned has positive lowest-degree
+    coefficients in its numerator and denominator.
     """
     if x.is_zero():
         return ZERO
-
-    def poly_sqrt(p: _Poly) -> Optional[_Poly]:
-        coeffs, lo = _dense(p)
-        if lo % 2 or (len(coeffs) - 1) % 2:
-            return None
-        lead = coeffs[0]
-        root0 = _fraction_sqrt(lead)
-        if root0 is None:
-            return None
-        half = (len(coeffs) - 1) // 2
-        out = [Fraction(0)] * (half + 1)
-        out[0] = root0
-        for i in range(1, half + 1):
-            acc = coeffs[i] if i < len(coeffs) else Fraction(0)
-            for j in range(1, i):
-                if i - j <= half:
-                    acc -= out[j] * out[i - j]
-            out[i] = acc / (2 * root0)
-        cand = _from_dense(out, lo // 2)
-        if _pmul(cand, cand) == p:
-            return cand
-        return None
-
-    nr = poly_sqrt(dict(x._num))
+    nr = _poly_sqrt(x._num)
     if nr is None:
         return None
-    dr = poly_sqrt(dict(x._den))
+    dr = _poly_sqrt(x._den)
     if dr is None:
         return None
     return Scalar._raw(nr, dr)
 
 
-def _fraction_sqrt(fr: Fraction) -> Optional[Fraction]:
-    if fr < 0:
+def _poly_sqrt(p: _Poly) -> Optional[_Poly]:
+    """The square root of ``p`` with positive lowest coefficient, or None.
+
+    With p = v**lo * (g/L) * P and P primitive, Gauss's lemma makes any
+    rational root (sqrt(g)/sqrt(L)) * v**(lo/2) * R with R**2 == P over Z,
+    so the root exists only if g and L are squares and R's coefficients,
+    solved for from the lowest one up, are all exact integers.
+    """
+    lo, g, lcd, coeffs = _primitive(p)
+    if lo % 2 or (len(coeffs) - 1) % 2 or coeffs[0] < 0:
         return None
-    import math
-    a = math.isqrt(fr.numerator)
-    b = math.isqrt(fr.denominator)
-    if a * a == fr.numerator and b * b == fr.denominator:
-        return Fraction(a, b)
-    return None
+    rg, rl, r0 = isqrt(g), isqrt(lcd), isqrt(coeffs[0])
+    if rg * rg != g or rl * rl != lcd or r0 * r0 != coeffs[0]:
+        return None
+    half = (len(coeffs) - 1) // 2
+    root = [r0]
+    for i in range(1, half + 1):
+        acc = coeffs[i] - sum(root[j] * root[i - j] for j in range(1, i))
+        c, rem = divmod(acc, 2 * r0)
+        if rem:
+            return None
+        root.append(c)
+    cand = {lo // 2 + i: _q(rg * c, rl) for i, c in enumerate(root) if c}
+    return cand if _pmul(cand, cand) == p else None
 
 
 def as_scalar(x: Union[Scalar, int, Fraction]) -> Scalar:

@@ -88,6 +88,74 @@ def test_pair_dvol_reports_computed_value(capsys):
     assert "1/2*v^-2" in out  # the computed pairing, printed as measured
 
 
+# ---------------------------------------------------------------------------
+# Golden bytes: a fixed configuration reproduces the --out file exactly.
+
+COCYCLE_EVAL_BYTES = b"""{
+  "command": "cocycle-eval",
+  "inputs": [
+    "a",
+    "b",
+    "c",
+    "d"
+  ],
+  "value": "-1/2*v^2",
+  "scalar": {
+    "num": [
+      [
+        2,
+        "-1/2"
+      ]
+    ],
+    "den": [
+      [
+        0,
+        "1"
+      ]
+    ]
+  },
+  "cocycle": "phi_res_over_R"
+}
+"""
+
+PAIR_DVOL_BYTES = b"""{
+  "command": "pair-dvol",
+  "inputs": [
+    "phi"
+  ],
+  "value": "1/2*v^-2",
+  "scalar": {
+    "num": [
+      [
+        -2,
+        "1/2"
+      ]
+    ],
+    "den": [
+      [
+        0,
+        "1"
+      ]
+    ]
+  },
+  "cocycle": "phi"
+}
+"""
+
+
+def test_cocycle_eval_golden_bytes(tmp_path):
+    out = tmp_path / "value.json"
+    assert run_command(["cocycle-eval", "--cocycle", "phi_res_over_R",
+                        "a", "b", "c", "d", "--out", str(out)]) == 0
+    assert out.read_bytes() == COCYCLE_EVAL_BYTES
+
+
+def test_pair_dvol_golden_bytes(tmp_path):
+    out = tmp_path / "pairing.json"
+    assert run_command(["pair-dvol", "--out", str(out)]) == 0
+    assert out.read_bytes() == PAIR_DVOL_BYTES
+
+
 def test_hochschild_check_records_seed(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     rc = run_command(["hochschild-check", "--tuples", "4",

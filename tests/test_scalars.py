@@ -228,3 +228,109 @@ def test_as_scalar_coercion():
     assert as_scalar(ONE) is ONE
     with pytest.raises(TypeError):
         as_scalar("v")
+
+
+# ---------------------------------------------------------------------------
+# Inexact input is rejected, never rounded into the field.
+
+class TestInexactInput:
+    @pytest.mark.parametrize("num, den", [
+        ({0: 0.1}, {0: 1}),
+        ({0: 0.0}, {0: 1}),
+        ({0: 1}, {0: 2.0}),
+        ({1: 1, 0: 3}, {0: 1, 2: 0.5}),
+    ])
+    def test_constructor_rejects_floats(self, num, den):
+        with pytest.raises(TypeError):
+            Scalar(num, den)
+
+    def test_float_exponents_rejected(self):
+        with pytest.raises(TypeError):
+            Scalar({1.5: 1})
+        with pytest.raises(TypeError):
+            Scalar.v_pow(0.5)
+        with pytest.raises(TypeError):
+            Scalar.q_pow(1.5)
+        with pytest.raises(TypeError):
+            Scalar.from_json({"num": [[0.5, "1"]], "den": [[0, "1"]]})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, Fraction(5, 2), Fraction(2)])
+    def test_from_int_takes_int_only(self, value):
+        with pytest.raises(TypeError):
+            Scalar.from_int(value)
+
+    def test_from_int_accepts_int(self):
+        assert Scalar.from_int(3) == Scalar({0: 3})
+        assert Scalar.from_int(0) == ZERO
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, complex(1, 0)])
+    def test_from_fraction_rejects_inexact(self, value):
+        with pytest.raises(TypeError):
+            Scalar.from_fraction(value)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0])
+    def test_coercion_rejects_floats(self, value):
+        with pytest.raises(TypeError):
+            Scalar._coerce(value)
+        with pytest.raises(TypeError):
+            as_scalar(value)
+        with pytest.raises(TypeError):
+            ONE + value
+        with pytest.raises(TypeError):
+            value * ONE
+        with pytest.raises(TypeError):
+            ONE / value
+
+    def test_from_json_rejects_floats(self):
+        with pytest.raises(TypeError):
+            Scalar.from_json({"num": [[0, 0.5]], "den": [[0, "1"]]})
+
+    def test_non_numbers_defer_to_the_other_operand(self):
+        # A type outside the number tower is not coerced: the operator
+        # returns NotImplemented so the other operand's method can run.
+        assert Scalar._coerce("v") is None
+        assert ONE.__mul__(object()) is NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# Representation invariants: integral coefficients are stored as int, the
+# rest as non-integral Fractions, and the storage never shows.
+
+def _stored_coefficients(x):
+    return [c for _, c in x.num_terms + x.den_terms]
+
+
+def _assert_stored_exactly(x):
+    for c in _stored_coefficients(x):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            f"{c!r} stored in {x!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(allow_zero=False), st.integers(-3, 3))
+def test_coefficients_are_int_or_nonintegral_fraction(x, y, k):
+    results = [x, y, x + y, x - y, y - 1, 2 - x, x * y, 3 * x,
+               Fraction(1, 2) * x, x / y, Fraction(3, 2) / y, -x,
+               y.inverse(), y ** k, Scalar.from_json(x.to_json()),
+               Scalar.loads(y.dumps()), scalar_sqrt(x * x), q_number(k),
+               big_q() * x]
+    for r in results:
+        _assert_stored_exactly(r)
+
+
+@pytest.mark.parametrize("as_int, as_fraction", [
+    (({0: 2},), ({0: Fraction(4, 2)},)),
+    (({-1: 3, 2: -1}, {0: 1, 2: 5}),
+     ({-1: Fraction(6, 2), 2: Fraction(-1)}, {0: Fraction(1), 2: Fraction(10, 2)})),
+    (({0: 1}, {1: 2, 3: 4}), ({0: Fraction(3, 3)}, {1: Fraction(2), 3: Fraction(8, 2)})),
+])
+def test_storage_does_not_show(as_int, as_fraction):
+    x, y = Scalar(*as_int), Scalar(*as_fraction)
+    assert str(x) == str(y)
+    assert x.to_json() == y.to_json()
+    assert x.dumps() == y.dumps()
+    assert x == y and hash(x) == hash(y)
+    assert x.num_terms == y.num_terms and x.den_terms == y.den_terms
+    for z in (x, y):
+        _assert_stored_exactly(z)
+        _assert_stored_exactly(Scalar.from_json(z.to_json()))
