@@ -39,11 +39,10 @@ from .hochschild import (
     PSI_132,
     PSI_213,
     VOLUME_CHAIN,
-    Cochain,
     boundary,
 )
 from .mero import f_residue, h_closed, h_direct, h_err_bound
-from .modular import phi_res_over_r, pi_split
+from .modular import PHI_RES_OVER_R, phi_res_over_r, pi_split
 from .peterweyl import pw_orthobasis
 from .rewrite import rewrite_normal_form
 from .sampling import make_rng, random_element
@@ -190,7 +189,7 @@ def check_cocycle_closure() -> CheckResult:
     random 5-tuples."""
     t0 = time.perf_counter()
     cochains = dict(COCYCLES)
-    cochains["phi_res_over_R"] = Cochain(3, phi_res_over_r, "phi_res_over_R")
+    cochains["phi_res_over_R"] = PHI_RES_OVER_R
     bounds = {name: boundary(c) for name, c in cochains.items()}
     bad = 0
     first = ""
@@ -220,8 +219,8 @@ def check_comparison_identities() -> CheckResult:
     256 generator 4-tuples, with phi_132 nonzero on at least one of them
     so that the sign is actually tested.
 
-    The named cocycle phi_132 carries the prefactor -q^{-2}, so the plus
-    sign seen at the level of the bare permuted form becomes a minus
+    The named cocycle phi_132 carries the prefactor -1 (the sign of the
+    order hfe), so the plus sign of the bare cup products becomes a minus
     here.  The plus sign is also ruled out by the rest of the battery:
     b(psi_132) pairs to zero against the volume cycle and all six
     cocycles pair equally to it, so a plus would force pair(phi, dvol)
@@ -274,8 +273,7 @@ def check_volume_pairings() -> CheckResult:
     t0 = time.perf_counter()
     got_phi = PHI.pair_chain(VOLUME_CHAIN)
     want_phi = ONE
-    res = Cochain(3, phi_res_over_r, "phi_res_over_R")
-    got_res = res.pair_chain(VOLUME_CHAIN)
+    got_res = PHI_RES_OVER_R.pair_chain(VOLUME_CHAIN)
     three = Scalar.from_fraction(Fraction(3))
     want_res = three * (Scalar.q_pow(-1) + Scalar.q_pow(1))
     equal_bad = sum(1 for c in COCYCLES.values()

@@ -32,7 +32,7 @@ from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_w
 from .algebra import AlgebraElement, normalize_word
 from .functionals import haar
 from .hochschild import COCYCLES, PSI_132, PSI_213, VOLUME_CHAIN, Cochain, boundary
-from .modular import phi_res_over_r
+from .modular import PHI_RES_OVER_R
 from .sampling import make_rng, random_monomial
 from .scalars import Scalar
 from .spectral import (
@@ -73,6 +73,8 @@ def parse_element(text: str) -> AlgebraElement:
             continue
         m = _FRACTION.match(tok)
         if m:
+            if m.group(2) and not int(m.group(2)):
+                raise UsageError(f"zero denominator in token {tok!r}")
             coeff = coeff * Scalar.from_fraction(
                 Fraction(int(m.group(1)), int(m.group(2) or "1")))
             continue
@@ -181,7 +183,7 @@ def _named_cochains() -> Dict[str, Cochain]:
     table: Dict[str, Cochain] = dict(COCYCLES)
     table["psi_132"] = PSI_132
     table["psi_213"] = PSI_213
-    table["phi_res_over_R"] = Cochain(3, phi_res_over_r, "phi_res_over_R")
+    table["phi_res_over_R"] = PHI_RES_OVER_R
     return table
 
 

@@ -8,12 +8,15 @@ automorphism:
         sum_i (-1)^i f(..., a_i a_{i+1}, ...)
         + (-1)^{n+1} f(theta^-1(a_{n+1}) a0, a1, ..., a_n)
 
-The six cup-product 3-cocycles phi_* all share the same skeleton: the
-unit-coefficient integral of a product of one undifferentiated argument,
-one Cartan derivative and one each of the e/f ladder derivatives, with
-k-power twists that record how much of the modular weight sits to the
-left of each slot.  Two explicit 2-cochains psi_* realize the
-cohomologies between phi and its transposition partners.
+The six cup-product 3-cocycles phi_* are one rule over slot orders, the
+derivations (h Cartan, e and f ladders) applied to a1, a2, a3: phi = hef,
+phi_132 = hfe, phi_213 = ehf, phi_312 = fhe, phi_231 = efh, phi_321 = feh.
+With k^t = act_k(., t), cup(order) = a0 D1(k^t1 a1) D2(k^t2 a2) D3(k^t3 a3),
+where a slot's t is 2 per earlier ladder, plus 1 if it holds a ladder, and
+phi_order = sign(order) q^{-2 if e precedes f, else 0} int(cup(order)),
+with sign +1 on the rotations hef, efh, fhe and -1 on the other orders.
+Two explicit 2-cochains psi_* realize the cohomologies between phi and
+its transposition partners.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
@@ -109,48 +112,39 @@ def boundary(f: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # The six cup-product 3-cocycles.
 
-def _phi_123(a0, a1, a2, a3):
-    return int_one(act_k(a0 * act_h(a1), -4)
-                   * act_k(act_e(a2), -3)
-                   * act_k(act_f(a3), -1))
+#: Slot order of each cocycle: the derivations applied to a1, a2, a3.
+ORDERS = {"phi": "hef", "phi_132": "hfe", "phi_213": "ehf",
+          "phi_312": "fhe", "phi_231": "efh", "phi_321": "feh"}
 
 
-def _phi_132(a0, a1, a2, a3):
-    return -Scalar.q_pow(-2) * int_one(act_k(a0 * act_h(a1), -4)
-                                       * act_k(act_f(a2), -3)
-                                       * act_k(act_e(a3), -1))
+def sign(order: str) -> int:
+    return 1 if order in "hefhe" else -1  # the even orders rotate hef
 
 
-def _phi_213(a0, a1, a2, a3):
-    return -int_one(act_k(a0, -4) * act_k(act_e(a1), -3)
-                    * act_k(act_h(a2), -2) * act_k(act_f(a3), -1))
+def e_first(order: str) -> bool:
+    return order.index("e") < order.index("f")
 
 
-def _phi_312(a0, a1, a2, a3):
-    return Scalar.q_pow(-2) * int_one(act_k(a0, -4) * act_k(act_f(a1), -3)
-                                      * act_k(act_h(a2), -2)
-                                      * act_k(act_e(a3), -1))
+def cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
+        a2: AlgebraElement, a3: AlgebraElement) -> AlgebraElement:
+    """The cup product of the module docstring for one slot order."""
+    # Built per call, so that a rebound module-level act_* takes effect.
+    derivation = {"h": act_h, "e": act_e, "f": act_f}
+    out, t = a0, 0
+    for letter, a in zip(order, (a1, a2, a3)):
+        ladder = letter != "h"
+        out = out * derivation[letter](act_k(a, t + ladder))
+        t += 2 * ladder
+    return out
 
 
-def _phi_231(a0, a1, a2, a3):
-    return int_one(act_k(a0, -4) * act_k(act_e(a1), -3)
-                   * act_k(act_f(a2), -1) * act_h(a3))
+def _cocycle(name: str, order: str) -> Cochain:
+    coeff = Scalar.q_pow(-2 if e_first(order) else 0) * sign(order)
+    return Cochain(3, lambda *a: coeff * int_one(cup(order, *a)), name)
 
 
-def _phi_321(a0, a1, a2, a3):
-    return -Scalar.q_pow(-2) * int_one(act_k(a0, -4) * act_k(act_f(a1), -3)
-                                       * act_k(act_e(a2), -1) * act_h(a3))
-
-
-PHI = Cochain(3, _phi_123, "phi")
-PHI_132 = Cochain(3, _phi_132, "phi_132")
-PHI_213 = Cochain(3, _phi_213, "phi_213")
-PHI_312 = Cochain(3, _phi_312, "phi_312")
-PHI_231 = Cochain(3, _phi_231, "phi_231")
-PHI_321 = Cochain(3, _phi_321, "phi_321")
-
-COCYCLES = {"phi": PHI, "phi_132": PHI_132, "phi_213": PHI_213,
-            "phi_312": PHI_312, "phi_231": PHI_231, "phi_321": PHI_321}
+COCYCLES = {name: _cocycle(name, order) for name, order in ORDERS.items()}
+PHI, PHI_132, PHI_213, PHI_312, PHI_231, PHI_321 = COCYCLES.values()
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def h_direct(z: Number, x: float, y: float, r: float, w: int, *,
 def f_value(z: float, q_value: float) -> float:
     """The lattice sum over all columns m >= 1 (every parity, no Haar
     weight); simple pole at z = 3 with residue 4 q Q^{-2} / ln(q^{-1})."""
-    return eigen_lattice_sum(z, q_value, odd_m_only=False, haar_weight=False)
+    return eigen_lattice_sum(z, q_value, admitted=False)
 
 
 def f_residue_formula(q_value: float) -> float:

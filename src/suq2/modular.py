@@ -25,7 +25,8 @@ power zero vanish, and full diagonals at modular power two integrate against
 the unit-coefficient functional).  Dividing out the overall residue constant
 R keeps every value inside the exact scalar field; `tau_over_R` implements
 exactly that normalized functional, and `phi_res_over_r` the resulting
-residue 3-cochain.
+residue 3-cochain, `PHI_RES_OVER_R`.  `pi_split` gives the same diagonal
+as signed sums of `hochschild.cup`; this route is its reference.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 from .actions import act_e, act_f, act_h, act_k
 from .algebra import AlgebraElement
 from .functionals import int_one
+from .hochschild import ORDERS, Cochain, cup, e_first, sign
 from .scalars import Scalar
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "mm_mul",
     "tau_over_R",
     "phi_res_over_r",
+    "PHI_RES_OVER_R",
     "pi_split",
 ]
 
@@ -277,23 +280,21 @@ def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
     return tau_over_R(prod)
 
 
+# The lambda looks `phi_res_over_r` up at call time.
+PHI_RES_OVER_R = Cochain(3, lambda *a: phi_res_over_r(*a), "phi_res_over_R")
+
+
 def pi_split(a0: AlgebraElement, a1: AlgebraElement,
              a2: AlgebraElement, a3: AlgebraElement,
              ) -> Tuple[AlgebraElement, AlgebraElement]:
     """The two diagonal entries of the reduced commutator product.
 
     Collapsing a0 [D,a1] [D,a2] [D,a3] to its modular-power-two diagonal and
-    pulling the modular twists into the arguments leaves two algebra-valued
-    multilinear maps; integrating both against the unit coefficient
-    reproduces `phi_res_over_r`.  The second is the first with the two ladder
-    derivations exchanged and all three signs flipped.
+    pulling the modular twists into the arguments leaves the signed sums of
+    sign(order) * cup(order, ...) over the orders with e before f and with
+    f before e; their unit-coefficient integrals add up to `phi_res_over_r`.
     """
-
-    # act_k(x, t) applies the inverse left modular automorphism t/2 times
-    pi1 = (a0 * act_h(a1) * act_e(act_k(a2, 1)) * act_f(act_k(a3, 3))
-           - a0 * act_e(act_k(a1, 1)) * act_h(act_k(a2, 2)) * act_f(act_k(a3, 3))
-           + a0 * act_e(act_k(a1, 1)) * act_f(act_k(a2, 3)) * act_h(act_k(a3, 4)))
-    pi2 = (-(a0 * act_h(a1) * act_f(act_k(a2, 1)) * act_e(act_k(a3, 3)))
-           + a0 * act_f(act_k(a1, 1)) * act_h(act_k(a2, 2)) * act_e(act_k(a3, 3))
-           - a0 * act_f(act_k(a1, 1)) * act_e(act_k(a2, 3)) * act_h(act_k(a3, 4)))
-    return pi1, pi2
+    pi = {True: AlgebraElement.zero(), False: AlgebraElement.zero()}
+    for order in ORDERS.values():
+        pi[e_first(order)] += sign(order) * cup(order, a0, a1, a2, a3)
+    return pi[True], pi[False]

@@ -379,8 +379,8 @@ def upsilon_value(omega: str, z: float, q_value: float, lmax: int) -> float:
     """Partial trace sum at cutoff lmax (plain scan, exactly rounded merge)."""
     _check_omega(omega)
     q = _check_q(q_value)
-    if z <= 2.0:
-        raise ValueError("trace sums are only defined for z > 2")
+    if not 2.0 < z < math.inf:
+        raise ValueError("trace sums are only defined for finite z > 2")
     if lmax < 1:
         raise ValueError("cutoff must be at least 1")
     return math.fsum(_scan_terms(omega, z, q, lmax))
@@ -413,8 +413,8 @@ def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
     mode bookkeeping to machine precision.
     """
     q = _check_q(q_value)
-    if z <= 2.0:
-        raise ValueError("trace sums are only defined for z > 2")
+    if not 2.0 < z < math.inf:
+        raise ValueError("trace sums are only defined for finite z > 2")
     terms: List[float] = []
     for l2 in range(1, lmax + 1):
         for j2 in range(-l2 + 2, l2 + 1, 2):
@@ -458,9 +458,11 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
     """Certified upper bound on the part of the trace sum beyond lmax."""
     _check_omega(omega)
     q = _check_q(q_value)
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"tail bounds need a finite z, got {z}")
     if omega == "gamma":
         return 0.0
-    z = float(z)
     z_floor = 3.0 if omega in _DELTA_TAGS else 2.0
     if z <= z_floor:
         return math.inf
@@ -576,36 +578,36 @@ def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
     return model + math.fsum(diffs)
 
 
-def eigen_lattice_sum(z: float, q_value: float, *, odd_m_only: bool = True,
-                      haar_weight: bool = True) -> float:
+def eigen_lattice_sum(z: float, q_value: float, *,
+                      admitted: bool = True) -> float:
     """Sum over the (n, m) eigenvalue lattice of
 
         q^{-m} w(n, m) (n^2/4 + c_m - d_m q^{2n})^{-z/2},
 
-    with w = 1 - q^{2(n+m+1)} when ``haar_weight`` (the exact geometric
-    column sum over the right index) and m restricted to odd values when
-    ``odd_m_only`` (the mode-parity lock of the admitted states).  The
+    over the ``admitted`` states by default: m odd (the mode-parity lock)
+    and w = 1 - q^{2(n+m+1)} (the exact geometric column sum over the
+    right index); with ``admitted=False``, over every m >= 1 with w = 1.  The
     leading m-geometric part is resummed in closed form, so the evaluation
     stays accurate for every z > 3; at and below 3 the sum diverges.
     """
     q = _check_q(q_value)
-    if z <= 3.0:
-        raise ValueError("pole-resolved evaluation requires z > 3")
+    if not 3.0 < z < math.inf:
+        raise ValueError("pole-resolved evaluation requires finite z > 3")
     big_q = q / (1.0 - q * q)
     ghalf = _gamma_half_ratio(z)
     x = q ** (0.5 * (z - 3.0))
-    geo = x / (1.0 - x * x) if odd_m_only else x / (1.0 - x)
+    geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
     total = ghalf * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0)) * geo
-    step = 2 if odd_m_only else 1
+    step = 2 if admitted else 1
     quiet = 0
     m = 1
     while m <= 2001:
         c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m <= 5:
-            inner = _lattice_inner_direct(z, q, m, c_m, d_m, haar_weight)
+            inner = _lattice_inner_direct(z, q, m, c_m, d_m, admitted)
         else:
-            inner = _lattice_inner_model(z, q, m, c_m, d_m, haar_weight)
+            inner = _lattice_inner_model(z, q, m, c_m, d_m, admitted)
         corr = q ** (-m) * (inner - lead)
         total += corr
         if abs(corr) < 1e-14 * abs(total):
@@ -672,8 +674,8 @@ def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     cutoff scans would need astronomically many sectors.
     """
     q = _check_q(q_value)
-    if z <= 2.0:
-        raise ValueError("trace sums are only defined for z > 2")
+    if not 2.0 < z < math.inf:
+        raise ValueError("trace sums are only defined for finite z > 2")
     total = 0.0
     quiet = 0
     for m in range(1, 2002, 2):
@@ -779,11 +781,13 @@ def residue_extract(omega: str, q_value: float, *,
                          f"cutoff scan, not to {omega}")
     if lmax is not None and lmax > ceiling:
         raise ValueError(f"lmax {lmax} is above the cutoff ceiling {ceiling}")
+    if max_error_bar is not None and not max_error_bar >= 0.0:
+        raise ValueError(f"max_error_bar must be >= 0, got {max_error_bar}")
     sched = tuple(float(e) for e in schedule)
-    if len(sched) < 3 or any(e <= 0.0 for e in sched) \
+    if len(sched) < 3 or any(not 0.0 < e < math.inf for e in sched) \
             or any(a <= b for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be at least three decreasing "
-                         "positive offsets")
+                         "positive finite offsets")
     if omega == "gamma":
         return ResidueReport(omega, q, 0.0, 0.0, "identically-zero",
                              0.0, 0.0, sched, None)

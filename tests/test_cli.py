@@ -56,6 +56,17 @@ def test_normalize_usage_error(capsys):
     assert "unrecognized token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["normalize", "1/0"], "'1/0'"),
+    (["haar", "0/0 a"], "'0/0'"),
+])
+def test_zero_denominator_is_usage_error(argv, token, capsys):
+    # Malformed input, not a numeric failure: exit 2, naming the token.
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and token in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_command([]) == 2
 
@@ -338,6 +349,26 @@ def test_numeric_overflow_exits_3(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["upsilon-scan", "--omega", "identity", "--z-from", "nan",
+     "--z-steps", "1", "--lmax", "10", "--format", "json"],
+    ["upsilon-scan", "--omega", "identity", "--z-from", "4", "--z-to", "nan",
+     "--z-steps", "3", "--lmax", "10", "--format", "json"],
+    ["upsilon-scan", "--omega", "cstarc", "--z-from", "inf",
+     "--z-steps", "1", "--lmax", "10"],
+    ["residue", "--omega", "cstarc", "--eps", "nan,0.2,0.1"],
+    ["residue", "--omega", "cstarc", "--eps", "inf,0.2,0.1"],
+    ["residue", "--omega", "gamma", "--eps", "nan,0.2,0.1"],
+    ["residue", "--omega", "gamma", "--max-error-bar", "nan"],
+    ["residue", "--omega", "deltaL2-e11", "--max-error-bar", "-1"],
+])
+def test_non_finite_spectral_input_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_command(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_residue_invalid_q_is_usage_error(capsys):

@@ -226,3 +226,39 @@ class TestVolumePairings:
         base = PHI.pair_chain(VOLUME_CHAIN)
         for name, coc in COCYCLES.items():
             assert coc.pair_chain(VOLUME_CHAIN) == base, name
+
+
+class TestCocycleGolden:
+    """Values of the six cocycles recorded before they were built from one
+    cup-product table; every generator 4-tuple not listed is zero on all
+    six."""
+
+    ORDER = ("phi", "phi_132", "phi_213", "phi_312", "phi_231", "phi_321")
+    NONZERO = {
+        "abcd": ("0", "0", "0", "0", "0", "-1/2*v^2"),
+        "abdc": ("0", "0", "0", "1/2", "0", "0"),
+        "acbd": ("0", "0", "0", "0", "1/2*v^2", "0"),
+        "acdb": ("0", "0", "-1/2", "0", "0", "0"),
+        "adbc": ("0", "-1/2*v^-2", "0", "0", "0", "0"),
+        "adcb": ("1/2*v^-2", "0", "0", "0", "0", "0"),
+        "dabc": ("0", "1/2*v^-2", "0", "0", "0", "0"),
+        "dacb": ("-1/2*v^-2", "0", "0", "0", "0", "0"),
+        "dbac": ("0", "0", "0", "-1/2*v^-4", "0", "0"),
+        "dbca": ("0", "0", "0", "0", "0", "1/2*v^-6"),
+        "dcab": ("0", "0", "1/2*v^-4", "0", "0", "0"),
+        "dcba": ("0", "0", "0", "0", "-1/2*v^-6", "0"),
+    }
+
+    def test_key_order(self):
+        # Iterated in this order by the battery and the benchmark.
+        assert tuple(COCYCLES) == self.ORDER
+        assert [c.name for c in COCYCLES.values()] == list(self.ORDER)
+        assert (PHI, PHI_132, PHI_213, PHI_312, PHI_231, PHI_321) == tuple(
+            COCYCLES.values())
+
+    def test_generator_values(self):
+        by_letter = dict(zip("abcd", GENS))
+        for word in map("".join, itertools.product("abcd", repeat=4)):
+            tup = tuple(by_letter[ch] for ch in word)
+            got = tuple(str(COCYCLES[name](*tup)) for name in self.ORDER)
+            assert got == self.NONZERO.get(word, ("0",) * 6), word

@@ -422,6 +422,41 @@ def test_residue_schedule_validation():
         residue_extract("cstarc", 0.5, schedule=(0.4, 0.2, -0.1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_z_rejected(bad):
+    # A bare "z <= 2" guard is False for NaN and lets it into the sums.
+    calls = [
+        lambda: upsilon_value("identity", bad, 0.5, 10),
+        lambda: upsilon_value("gamma", bad, 0.5, 10),
+        lambda: tail_bound("identity", 10, bad, 0.5),
+        lambda: tail_bound("gamma", 10, bad, 0.5),
+        lambda: eigen_lattice_sum(bad, 0.5),
+        lambda: eigen_lattice_sum(bad, 0.5, admitted=False),
+        lambda: upsilon_cstarc_lattice(bad, 0.5),
+        lambda: upsilon_identity_pairblocks(bad, 0.5, 4),
+        lambda: upsilon_scan("identity", 0.5, [4.0, bad], 10),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("omega", ["gamma", "deltaL2-e11", "cstarc"])
+def test_residue_rejects_non_finite_offsets_and_bad_bar(omega):
+    for sched in ((math.nan, 0.2, 0.1), (math.inf, 0.2, 0.1),
+                  (0.4, 0.2, math.nan)):
+        with pytest.raises(ValueError):
+            residue_extract(omega, 0.5, schedule=sched)
+    for bar in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            residue_extract(omega, 0.5, max_error_bar=bar)
+
+
+def test_residue_unbounded_error_bar_accepted():
+    rep = residue_extract("gamma", 0.5, max_error_bar=math.inf)
+    assert rep.estimate == 0.0
+
+
 def test_residue_nonconvergence_is_reported():
     with pytest.raises(NonConvergenceError):
         residue_extract("cstarc", 0.5, max_error_bar=1e-9)
