@@ -8,7 +8,7 @@ template double sum
 which has an explicit closed form: a gamma-factor term carrying a simple
 pole at z = 3 (from the geometric m series of the n integrals), minus a
 geometric correction, up to a remainder ``err`` that is holomorphic for
-Re z > 2 and admits the printed bound.  This module evaluates
+Re z > 2 and admits the printed bound.  This module evaluates, at real z,
 
 * ``h_direct``  -- the truncated double sum itself, summed per column
   with an integral tail (no use of the gamma identity, so it is an
@@ -21,26 +21,27 @@ Re z > 2 and admits the printed bound.  This module evaluates
   pieces, as plain truncated sums whose Cauchy behavior certifies
   convergence.
 
-Complex z is supported wherever the underlying powers make sense; the
-evaluators return a real float for real input.
+Every evaluator rejects a non-finite z, or one at or below its abscissa,
+with ``ValueError``, and a complex z with ``TypeError``.
 """
 
 import math
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import loggamma
 
-from .spectral import (NonConvergenceError, _lattice_cd, _richardson_to_zero,
-                       eigen_lattice_sum)
+from .spectral import (NonConvergenceError, _check_cutoff, _check_q, _check_z,
+                       _column_powers, _em_close, _gamma_half_ratio,
+                       _richardson_to_zero, eigen_lattice_sum)
 
 __all__ = [
     "h_closed", "h_direct", "h_err_bound", "f_value", "f_residue",
     "f1_partial", "f2_partial", "mero_reference",
 ]
 
-Number = Union[float, complex]
+#: Head length of every column of the direct template sum.
+N_CAP = 3000
 
 
 def _check_h_params(x: float, y: float, r: float, w: int) -> None:
@@ -50,126 +51,99 @@ def _check_h_params(x: float, y: float, r: float, w: int) -> None:
         raise ValueError("column offset w must be a non-negative integer")
 
 
-def _as_output(value: complex, z: Number) -> Number:
-    return value if isinstance(z, complex) else float(value.real)
+def _geometric_term(z: float, y: float, r: float, w: int) -> float:
+    """1/(2 y^z) * e^{-rw(z-2)/2} / (1 - e^{-r(z-2)/2})."""
+    return (0.5 * y ** (-z) * math.exp(-r * w * 0.5 * (z - 2.0))
+            / (1.0 - math.exp(-r * 0.5 * (z - 2.0))))
 
 
-def h_closed(z: Number, x: float, y: float, r: float, w: int) -> Number:
-    """Closed form of the template sum, valid for Re z > 2 away from the
-    pole line Re z = 3:
+def h_closed(z: float, x: float, y: float, r: float, w: int) -> float:
+    """Closed form of the template sum, valid for real z > 2 away from
+    the pole z = 3:
 
         sqrt(pi)/(2 x y^{z-1}) * Gamma((z-1)/2)/Gamma(z/2)
             * e^{-rw(z-3)/2} / (1 - e^{-r(z-3)/2})
         - 1/(2 y^z) * e^{-rw(z-2)/2} / (1 - e^{-r(z-2)/2})
     """
     _check_h_params(x, y, r, w)
-    zc = complex(z)
-    if zc.real <= 2.0:
-        raise ValueError("closed form requires Re z > 2")
-    gamma_ratio = np.exp(loggamma(0.5 * (zc - 1.0)) - loggamma(0.5 * zc))
-    first = (math.sqrt(math.pi) / (2.0 * x) * y ** (1.0 - zc) * gamma_ratio
-             * np.exp(-r * w * 0.5 * (zc - 3.0))
-             / (1.0 - np.exp(-r * 0.5 * (zc - 3.0))))
-    second = (0.5 * y ** (-zc) * np.exp(-r * w * 0.5 * (zc - 2.0))
-              / (1.0 - np.exp(-r * 0.5 * (zc - 2.0))))
-    return _as_output(complex(first - second), z)
+    _check_z(z, 2.0)
+    first = (_gamma_half_ratio(z) / (2.0 * x) * y ** (1.0 - z)
+             * math.exp(-r * w * 0.5 * (z - 3.0))
+             / (1.0 - math.exp(-r * 0.5 * (z - 3.0))))
+    return first - _geometric_term(z, y, r, w)
 
 
-def h_err_bound(z: Number, x: float, y: float, r: float, w: int) -> float:
-    """Bound on |h_direct - h_closed|, depending only on Re z:
+def h_err_bound(z: float, x: float, y: float, r: float, w: int) -> float:
+    """Bound on |h_direct - h_closed| for real z > 2; it equals the
+    closed form's geometric correction:
 
-        1/(2 y^{Re z}) * e^{-rw(Re z - 2)/2} / (1 - e^{-r(Re z - 2)/2})
+        1/(2 y^z) * e^{-rw(z-2)/2} / (1 - e^{-r(z-2)/2})
     """
     _check_h_params(x, y, r, w)
-    s = complex(z).real
-    if s <= 2.0:
-        raise ValueError("error bound requires Re z > 2")
-    return (0.5 * y ** (-s) * math.exp(-r * w * 0.5 * (s - 2.0))
-            / (1.0 - math.exp(-r * 0.5 * (s - 2.0))))
+    _check_z(z, 2.0)
+    return _geometric_term(z, y, r, w)
 
 
-def _quad_complex(fn, a: float, b: float, want_imag: bool) -> complex:
-    re = quad(lambda t: fn(t).real, a, b, epsabs=1e-14, epsrel=1e-12)[0]
-    im = quad(lambda t: fn(t).imag, a, b,
-              epsabs=1e-14, epsrel=1e-12)[0] if want_imag else 0.0
-    return complex(re, im)
-
-
-def _j_tail(alpha: float, zc: complex) -> complex:
+def _j_tail(alpha: float, z: float) -> float:
     """J(alpha) = integral over [alpha, inf) of (1 + u^2)^{-z/2}.
 
     Everything is O(1)-normalized: the finite piece is integrated as is,
     and the far piece through u -> 1/v, whose integrand v^{z-2}
-    (1+v^2)^{-z/2} is bounded on (0, 1] for Re z > 2.  Windows never
+    (1+v^2)^{-z/2} is bounded on (0, 1] for z > 2.  Windows never
     exceed length 1, so the quadrature sees no scale spread.
     """
-    want_imag = bool(zc.imag)
-    total = 0.0 + 0.0j
+    total = 0.0
     cut = max(alpha, 1.0)
     if alpha < 1.0:
-        total += _quad_complex(lambda u: (1.0 + u * u) ** (-0.5 * zc),
-                               alpha, 1.0, want_imag)
-    total += _quad_complex(
-        lambda v: v ** (zc - 2.0) * (1.0 + v * v) ** (-0.5 * zc),
-        0.0, 1.0 / cut, want_imag)
+        total += quad(lambda u: (1.0 + u * u) ** (-0.5 * z), alpha, 1.0,
+                      epsabs=1e-14, epsrel=1e-12)[0]
+    total += quad(lambda v: v ** (z - 2.0) * (1.0 + v * v) ** (-0.5 * z),
+                  0.0, 1.0 / cut, epsabs=1e-14, epsrel=1e-12)[0]
     return total
 
 
-def _h_column(zc: complex, x: float, y: float, r: float, m: int,
-              n_cap: int) -> complex:
+def _h_column(z: float, x: float, y: float, r: float, m: int) -> float:
     """One m column of the direct sum: n head plus integral tail.
 
-    The head terms are evaluated directly; the tail is the normalized
-    kernel integral times the column scale y^{1-z} e^{rm(3-z)/2} / x,
-    computed in that factored form so no astronomically large or small
-    intermediate appears.
+    Both run on the factored term y^{-z} e^{rm(2-z)/2} (1 + u^2)^{-z/2}
+    with u = x n e^{-rm/2} / y, and the tail is the normalized kernel
+    integral times the column scale y^{1-z} e^{rm(3-z)/2} / x.  No
+    positive exponential of r m is formed, so the far columns that z
+    near 3 needs cannot overflow.
     """
-    weight = math.exp(r * m)
-    base = y * y * weight
-    n = np.arange(1, n_cap + 1, dtype=float)
-    head_terms = weight * (x * x * n * n + base) ** (-0.5 * zc)
-    head = complex(math.fsum(head_terms.real.tolist()),
-                   math.fsum(head_terms.imag.tolist()))
+    scale = y ** (-z) * math.exp(r * m * 0.5 * (2.0 - z))
+    shrink = x * math.exp(-0.5 * r * m) / y
 
-    sqb = y * math.exp(0.5 * r * m)
-    a = float(n_cap + 1)
-    alpha = a * x / sqb
-    tail_scale = y ** (1.0 - zc) / x * np.exp(r * m * 0.5 * (3.0 - zc))
-    tail = complex(tail_scale) * _j_tail(alpha, zc)
+    def f_em(t):
+        u = shrink * t
+        return scale * (1.0 + u * u) ** (-0.5 * z)
 
-    def f_em(t: float) -> complex:
-        u = x * t / sqb
-        return complex(y ** (-zc) * np.exp(r * m * 0.5 * (2.0 - zc))
-                       * (1.0 + u * u) ** (-0.5 * zc))
-
-    f_pa = f_em(a + 0.5) - f_em(a - 0.5)
-    return head + tail + 0.5 * f_em(a) - f_pa / 12.0
+    a = float(N_CAP + 1)
+    head = math.fsum(f_em(np.arange(1, N_CAP + 1, dtype=float)).tolist())
+    tail = (y ** (1.0 - z) / x * math.exp(r * m * 0.5 * (3.0 - z))
+            * _j_tail(shrink * a, z))
+    return _em_close(head + tail, f_em, a)
 
 
-def h_direct(z: Number, x: float, y: float, r: float, w: int, *,
-             n_cap: int = 3000) -> Number:
+def h_direct(z: float, x: float, y: float, r: float, w: int) -> float:
     """The template double sum evaluated directly (no gamma identity).
 
     Columns are accumulated until the geometric column estimate certifies
-    the remaining tail below 1e-9; requires Re z > 3 for the sum
-    to converge at all.
+    the remaining tail below 1e-9; requires z > 3 for the sum to converge
+    at all.
     """
     _check_h_params(x, y, r, w)
-    zc = complex(z)
-    if zc.real <= 3.0:
-        raise ValueError("direct summation requires Re z > 3")
-    ratio = math.exp(r * 0.5 * (3.0 - zc.real))
-    total = 0.0 + 0.0j
-    m = w
-    while m <= w + 900:
-        col = _h_column(zc, x, y, r, m, n_cap)
+    _check_z(z, 3.0)
+    ratio = math.exp(r * 0.5 * (3.0 - z))
+    total = 0.0
+    for m in range(w, w + 901):
+        col = _h_column(z, x, y, r, m)
         total += col
         if abs(col) * ratio / (1.0 - ratio) < 1e-9:
-            return _as_output(total, z)
-        m += 1
+            return total
     raise NonConvergenceError(
         "direct template sum did not settle below 1.0e-09 "
-        f"within {m - w} columns at z = {z}")
+        f"within {m - w + 1} columns at z = {z}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +157,9 @@ def f_value(z: float, q_value: float) -> float:
 
 def f_residue_formula(q_value: float) -> float:
     """4 q Q^{-2} / ln(q^{-1}) with Q = q/(1 - q^2)."""
-    if not 0.0 < q_value < 1.0:
-        raise ValueError("deformation parameter must satisfy 0 < q < 1")
-    big_q = q_value / (1.0 - q_value * q_value)
-    return 4.0 * q_value / (big_q * big_q * math.log(1.0 / q_value))
+    q = _check_q(q_value)
+    big_q = q / (1.0 - q * q)
+    return 4.0 * q / (big_q * big_q * math.log(1.0 / q))
 
 
 def f_residue(q_value: float) -> Dict[str, float]:
@@ -205,13 +178,8 @@ def f_residue(q_value: float) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Holomorphic remainder pieces.
 
-def _lattice_powers(z: float, q: float, m: int, n_top: int) -> np.ndarray:
-    c_m, d_m = _lattice_cd(q, m)
-    n = np.arange(0, n_top + 1, dtype=float)
-    return n, (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
-
-
-def _remainder_partial(z: float, q: float, lmax: int, second: bool) -> float:
+def _remainder_partial(z: float, q_value: float, lmax: int,
+                       second: bool) -> float:
     """Triangle partial sum n + m <= lmax shared by the two remainders.
 
     Columns die off geometrically in m, so the loop stops as soon as
@@ -219,12 +187,9 @@ def _remainder_partial(z: float, q: float, lmax: int, second: bool) -> float:
     coefficients could overflow); inside a column the pairwise numpy sum
     is deterministic and precise far beyond the Cauchy margins checked.
     """
-    if z <= 2.0:
-        raise ValueError("remainder sums are summed for z > 2")
-    if lmax < 1:
-        raise ValueError("cutoff must be at least 1")
-    if not 0.0 < q < 1.0:
-        raise ValueError("deformation parameter must satisfy 0 < q < 1")
+    _check_z(z, 2.0)
+    _check_cutoff(lmax)
+    q = _check_q(q_value)
     log_inv_q = math.log(1.0 / q)
     pieces = []
     total = 0.0
@@ -232,7 +197,8 @@ def _remainder_partial(z: float, q: float, lmax: int, second: bool) -> float:
     for m in range(1, lmax + 1, 2):
         if (m + 2) * log_inv_q > 690.0:
             break
-        n, powers = _lattice_powers(z, q, m, lmax - m)
+        n = np.arange(0, lmax - m + 1, dtype=float)
+        powers = _column_powers(z, q, m, n)
         if second:
             w = (n + m + 1.0) * q ** m
         else:
@@ -264,7 +230,7 @@ def f2_partial(z: float, q_value: float, lmax: int) -> float:
 # ---------------------------------------------------------------------------
 # Bundled entry point.
 
-def mero_reference(which: str, z: Number, *, q_value: Optional[float] = None,
+def mero_reference(which: str, z: float, *, q_value: Optional[float] = None,
                    x: Optional[float] = None, y: Optional[float] = None,
                    r: Optional[float] = None, w: Optional[int] = None,
                    lmax: int = 64000) -> Dict[str, object]:
@@ -292,7 +258,7 @@ def mero_reference(which: str, z: Number, *, q_value: Optional[float] = None,
             raise ValueError("lattice sum needs q_value")
         return {
             "which": "f", "z": z, "q": q_value,
-            "value": f_value(float(z), q_value),
+            "value": f_value(z, q_value),
             "residue_formula": f_residue_formula(q_value),
         }
     if which in ("f1", "f2"):
@@ -301,8 +267,8 @@ def mero_reference(which: str, z: Number, *, q_value: Optional[float] = None,
         fn = f1_partial if which == "f1" else f2_partial
         return {
             "which": which, "z": z, "q": q_value, "lmax": lmax,
-            "partial": fn(float(z), q_value, lmax),
-            "partial_half": fn(float(z), q_value, lmax // 2),
+            "partial": fn(z, q_value, lmax),
+            "partial_half": fn(z, q_value, lmax // 2),
         }
     raise ValueError(f"unknown reference member {which!r}; "
                      "choose from h, f, f1, f2")

@@ -36,7 +36,7 @@ weakened by it.  Three levels:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -79,6 +79,18 @@ def _check_q(q_value: float) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"deformation parameter must lie in (0, 1), got {q_value}")
     return q
+
+
+def _check_z(z: float, floor: float) -> None:
+    """Reject a non-finite z and one at or below ``floor``; a complex z
+    fails the comparison itself with ``TypeError``."""
+    if not floor < z < math.inf:
+        raise ValueError(f"trace sums are only defined for finite z > {floor:g}")
+
+
+def _check_cutoff(lmax: int) -> None:
+    if lmax < 1:
+        raise ValueError("cutoff must be at least 1")
 
 
 def _fbracket(t2: int, q: float) -> float:
@@ -379,10 +391,8 @@ def upsilon_value(omega: str, z: float, q_value: float, lmax: int) -> float:
     """Partial trace sum at cutoff lmax (plain scan, exactly rounded merge)."""
     _check_omega(omega)
     q = _check_q(q_value)
-    if not 2.0 < z < math.inf:
-        raise ValueError("trace sums are only defined for finite z > 2")
-    if lmax < 1:
-        raise ValueError("cutoff must be at least 1")
+    _check_z(z, 2.0)
+    _check_cutoff(lmax)
     return math.fsum(_scan_terms(omega, z, q, lmax))
 
 
@@ -413,8 +423,8 @@ def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
     mode bookkeeping to machine precision.
     """
     q = _check_q(q_value)
-    if not 2.0 < z < math.inf:
-        raise ValueError("trace sums are only defined for finite z > 2")
+    _check_z(z, 2.0)
+    _check_cutoff(lmax)
     terms: List[float] = []
     for l2 in range(1, lmax + 1):
         for j2 in range(-l2 + 2, l2 + 1, 2):
@@ -458,9 +468,7 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
     """Certified upper bound on the part of the trace sum beyond lmax."""
     _check_omega(omega)
     q = _check_q(q_value)
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"tail bounds need a finite z, got {z}")
+    _check_z(z, -math.inf)
     if omega == "gamma":
         return 0.0
     z_floor = 3.0 if omega in _DELTA_TAGS else 2.0
@@ -543,14 +551,26 @@ def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     return c_m, d_m
 
 
-def _lattice_inner_direct(z: float, q: float, m: int, c_m: float, d_m: float,
+def _column_powers(z: float, q: float, m: int, n: np.ndarray) -> np.ndarray:
+    """The column power (n^2/4 + c_m - d_m q^{2n})^{-z/2} over an array of n."""
+    c_m, d_m = _lattice_cd(q, m)
+    return (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
+
+
+def _em_close(s: float, f, a: float) -> float:
+    """Euler-Maclaurin close of a head-plus-tail sum ``s`` cut at ``a``:
+    half the endpoint term minus f'(a)/12, the derivative taken as the
+    centred unit difference."""
+    return s + 0.5 * f(a) - (f(a + 0.5) - f(a - 0.5)) / 12.0
+
+
+def _lattice_inner_direct(z: float, q: float, m: int, c_m: float,
                           haar_weight: bool) -> float:
     """Near-exact n sum for small m: direct terms plus an integral tail."""
     n_cut = 4000
     n = np.arange(0, n_cut + 1, dtype=float)
-    val = 0.25 * n * n + c_m - d_m * q ** (2.0 * n)
     w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
-    head = math.fsum((w * val ** (-0.5 * z)).tolist())
+    head = math.fsum((w * _column_powers(z, q, m, n)).tolist())
 
     def f(t: float) -> float:
         return (0.25 * t * t + c_m) ** (-0.5 * z)
@@ -591,8 +611,7 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     stays accurate for every z > 3; at and below 3 the sum diverges.
     """
     q = _check_q(q_value)
-    if not 3.0 < z < math.inf:
-        raise ValueError("pole-resolved evaluation requires finite z > 3")
+    _check_z(z, 3.0)
     big_q = q / (1.0 - q * q)
     ghalf = _gamma_half_ratio(z)
     x = q ** (0.5 * (z - 3.0))
@@ -605,7 +624,7 @@ def eigen_lattice_sum(z: float, q_value: float, *,
         c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m <= 5:
-            inner = _lattice_inner_direct(z, q, m, c_m, d_m, admitted)
+            inner = _lattice_inner_direct(z, q, m, c_m, admitted)
         else:
             inner = _lattice_inner_model(z, q, m, c_m, d_m, admitted)
         corr = q ** (-m) * (inner - lead)
@@ -643,12 +662,13 @@ def _cstarc_weight(n, m: int, q: float):
     return a_part + b_part
 
 
-def _cstarc_inner(z: float, q: float, m: int, c_m: float, d_m: float) -> float:
+def _cstarc_inner(z: float, q: float, m: int) -> float:
     """Near-exact weighted n sum for one m column of the c*c trace."""
     n_cut = 4000
     n = np.arange(0, n_cut + 1, dtype=float)
-    val = 0.25 * n * n + c_m - d_m * q ** (2.0 * n)
-    head = math.fsum((_cstarc_weight(n, m, q) * val ** (-0.5 * z)).tolist())
+    head = math.fsum((_cstarc_weight(n, m, q)
+                      * _column_powers(z, q, m, n)).tolist())
+    c_m = _lattice_cd(q, m)[0]
 
     def f(t: float) -> float:
         return _cstarc_weight(t, m, q) * (0.25 * t * t + c_m) ** (-0.5 * z)
@@ -660,8 +680,7 @@ def _cstarc_inner(z: float, q: float, m: int, c_m: float, d_m: float) -> float:
 
     a = float(n_cut + 1)
     tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
-    fp_a = f(a + 0.5) - f(a - 0.5)
-    return head + tail_int + 0.5 * f(a) - fp_a / 12.0
+    return _em_close(head + tail_int, f, a)
 
 
 def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
@@ -674,13 +693,11 @@ def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     cutoff scans would need astronomically many sectors.
     """
     q = _check_q(q_value)
-    if not 2.0 < z < math.inf:
-        raise ValueError("trace sums are only defined for finite z > 2")
+    _check_z(z, 2.0)
     total = 0.0
     quiet = 0
     for m in range(1, 2002, 2):
-        c_m, d_m = _lattice_cd(q, m)
-        term = _cstarc_inner(z, q, m, c_m, d_m)
+        term = _cstarc_inner(z, q, m)
         total += term
         if abs(term) < 1e-12 * abs(total):
             quiet += 1
@@ -698,7 +715,7 @@ class NonConvergenceError(RuntimeError):
     """The extrapolation schedule did not settle within the requested bar."""
 
 
-class ResidueReport:
+class ResidueReport(NamedTuple):
     """Residue estimate with its cross-checks.
 
     ``estimate`` is the Richardson value; ``least_squares`` the constant
@@ -707,35 +724,18 @@ class ResidueReport:
     (for cutoff scans) the certified truncation contribution.
     """
 
-    __slots__ = ("omega", "q", "estimate", "error_bar", "method",
-                 "richardson", "least_squares", "schedule", "lmax_used")
-
-    def __init__(self, omega: str, q: float, estimate: float, error_bar: float,
-                 method: str, richardson: float, least_squares: float,
-                 schedule: Tuple[float, ...], lmax_used: Optional[int]):
-        self.omega = omega
-        self.q = q
-        self.estimate = estimate
-        self.error_bar = error_bar
-        self.method = method
-        self.richardson = richardson
-        self.least_squares = least_squares
-        self.schedule = schedule
-        self.lmax_used = lmax_used
+    omega: str
+    q: float
+    estimate: float
+    error_bar: float
+    method: str
+    least_squares: float
+    schedule: Tuple[float, ...]
+    lmax_used: Optional[int]
 
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "omega": self.omega,
-            "q": self.q,
-            "estimate": self.estimate,
-            "error_bar": self.error_bar,
-            "method": self.method,
-        }
-
-    def __repr__(self) -> str:
-        return (f"ResidueReport(omega={self.omega!r}, q={self.q}, "
-                f"estimate={self.estimate!r}, error_bar={self.error_bar!r}, "
-                f"method={self.method!r})")
+        """The five leading fields, omega through method, in order."""
+        return dict(zip(self._fields[:5], self))
 
 
 def _richardson_to_zero(points: Sequence[Tuple[float, float]]
@@ -790,7 +790,7 @@ def residue_extract(omega: str, q_value: float, *,
                          "positive finite offsets")
     if omega == "gamma":
         return ResidueReport(omega, q, 0.0, 0.0, "identically-zero",
-                             0.0, 0.0, sched, None)
+                             0.0, sched, None)
 
     trunc_bar = 0.0
     lmax_used: Optional[int] = None
@@ -830,8 +830,7 @@ def residue_extract(omega: str, q_value: float, *,
         raise NonConvergenceError(
             f"residue extrapolation for {omega} at q={q} did not converge: "
             f"error bar {bar:.3e} exceeds {max_error_bar:.3e}")
-    return ResidueReport(omega, q, rich, bar, method, rich, lsq, sched,
-                         lmax_used)
+    return ResidueReport(omega, q, rich, bar, method, lsq, sched, lmax_used)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,7 @@ def test_holomorphy_check_rejects_a_small_pole(monkeypatch):
 
     def with_small_pole(omega, q, **kw):
         rep = real(omega, q, **kw)
-        rep.estimate += 5e-4
-        return rep
+        return rep._replace(estimate=rep.estimate + 5e-4)
 
     monkeypatch.setattr(acceptance, "residue_extract", with_small_pole)
     res = acceptance.check_holomorphy_cstarc()

@@ -59,18 +59,6 @@ def test_direct_sum_matches_closed_form_within_bound(q):
             f"z={z}: |{direct} - {closed}| > {bound}")
 
 
-def test_template_identity_at_complex_argument():
-    p = PROFILES[0.5]
-    z = 3.6 + 0.7j
-    direct = h_direct(z, **p)
-    closed = h_closed(z, **p)
-    assert isinstance(direct, complex) and isinstance(closed, complex)
-    assert abs(direct - closed) <= h_err_bound(z, **p)
-    # Real input comes back as a plain float on every route.
-    assert isinstance(h_direct(3.6, **p), float)
-    assert isinstance(h_closed(3.6, **p), float)
-
-
 @given(
     z=st.floats(min_value=3.05, max_value=5.0),
     w=st.integers(min_value=3, max_value=6),
@@ -88,7 +76,7 @@ def test_closed_form_telescopes_by_column_shift(z, w):
     p = PROFILES[0.5]
     lhs = (h_closed(z, p["x"], p["y"], p["r"], w)
            - h_closed(z, p["x"], p["y"], p["r"], w + 1))
-    col = _h_column(complex(z), p["x"], p["y"], p["r"], w, 3000).real
+    col = _h_column(z, p["x"], p["y"], p["r"], w)
     assert abs(lhs - col) < 5e-9 * (1.0 + abs(lhs) + abs(col))
 
 
@@ -100,7 +88,7 @@ def test_column_shift_discrepancy_stays_within_certified_bounds():
     for z in (3.3, 4.0, 4.7):
         lhs = (h_closed(z, p["x"], p["y"], p["r"], 0)
                - h_closed(z, p["x"], p["y"], p["r"], 1))
-        col = _h_column(complex(z), p["x"], p["y"], p["r"], 0, 3000).real
+        col = _h_column(z, p["x"], p["y"], p["r"], 0)
         gap = abs(lhs - col)
         cap = (h_err_bound(z, p["x"], p["y"], p["r"], 0)
                + h_err_bound(z, p["x"], p["y"], p["r"], 1))
@@ -135,7 +123,45 @@ def test_template_parameter_validation():
 def test_direct_sum_reports_nonconvergence_near_pole():
     p = PROFILES[0.5]
     with pytest.raises(NonConvergenceError):
-        h_direct(3.0008, n_cap=300, **p)
+        h_direct(3.0008, **p)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.1, 0.01])
+def test_direct_sum_near_pole_at_small_q(q):
+    # The columns needed this close to the pole reach r*m beyond 700; a
+    # column head that formed e^{rm} overflowed there.
+    p = template_profile(q, 2)
+    direct = h_direct(3.05, **p)
+    assert abs(direct - h_closed(3.05, **p)) <= h_err_bound(3.05, **p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_z_rejected(bad):
+    # A bare "z <= 2" guard is False for NaN and lets it into the sums.
+    p = PROFILES[0.5]
+    calls = [
+        lambda: h_closed(bad, **p),
+        lambda: h_err_bound(bad, **p),
+        lambda: h_direct(bad, **p),
+        lambda: f1_partial(bad, 0.5, 100),
+        lambda: f2_partial(bad, 0.5, 100),
+        lambda: mero_reference("h", bad, **p),
+        lambda: mero_reference("f1", bad, q_value=0.5, lmax=20),
+        lambda: mero_reference("f2", bad, q_value=0.5, lmax=20),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_complex_z_rejected():
+    p = PROFILES[0.5]
+    z = 3.6 + 0.7j
+    for call in (lambda: h_closed(z, **p), lambda: h_err_bound(z, **p),
+                 lambda: h_direct(z, **p), lambda: f1_partial(z, 0.5, 100),
+                 lambda: mero_reference("f", z, q_value=0.5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------------------

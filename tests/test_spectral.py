@@ -441,6 +441,16 @@ def test_non_finite_z_rejected(bad):
             call()
 
 
+@pytest.mark.parametrize("lmax", [0, -3])
+def test_pairblocks_cutoff_below_one_rejected(lmax):
+    # The oracle takes the cutoff of the scan it checks, and that scan
+    # rejects a cutoff below 1.
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        upsilon_value("identity", 4.0, 0.5, lmax)
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        upsilon_identity_pairblocks(4.0, 0.5, lmax)
+
+
 @pytest.mark.parametrize("omega", ["gamma", "deltaL2-e11", "cstarc"])
 def test_residue_rejects_non_finite_offsets_and_bad_bar(omega):
     for sched in ((math.nan, 0.2, 0.1), (math.inf, 0.2, 0.1),
