@@ -64,12 +64,18 @@ def h_closed(z: float, x: float, y: float, r: float, w: int) -> float:
         sqrt(pi)/(2 x y^{z-1}) * Gamma((z-1)/2)/Gamma(z/2)
             * e^{-rw(z-3)/2} / (1 - e^{-r(z-3)/2})
         - 1/(2 y^z) * e^{-rw(z-2)/2} / (1 - e^{-r(z-2)/2})
+
+    A z whose pole denominator 1 - e^{-r(z-3)/2} rounds to zero, z = 3
+    among them, raises ``ValueError``.
     """
     _check_h_params(x, y, r, w)
     _check_z(z, 2.0)
+    pole = 1.0 - math.exp(-r * 0.5 * (z - 3.0))
+    if pole == 0.0:
+        raise ValueError("the closed form has a simple pole at z = 3; "
+                         f"z = {z!r} lies on it to double precision")
     first = (_gamma_half_ratio(z) / (2.0 * x) * y ** (1.0 - z)
-             * math.exp(-r * w * 0.5 * (z - 3.0))
-             / (1.0 - math.exp(-r * 0.5 * (z - 3.0))))
+             * math.exp(-r * w * 0.5 * (z - 3.0)) / pole)
     return first - _geometric_term(z, y, r, w)
 
 
@@ -198,7 +204,7 @@ def _remainder_partial(z: float, q_value: float, lmax: int,
         if (m + 2) * log_inv_q > 690.0:
             break
         n = np.arange(0, lmax - m + 1, dtype=float)
-        powers = _column_powers(z, q, m, n)
+        powers = _column_powers(z, q, m, n, q ** (2.0 * n))
         if second:
             w = (n + m + 1.0) * q ** m
         else:

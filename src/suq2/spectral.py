@@ -25,12 +25,21 @@ weakened by it.  Three levels:
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
   used by the residue functional in a fixed (n outer, l inner) order with
-  correctly rounded merging, together with certified tail bounds.
-  ``eigen_lattice_sum`` evaluates the same sums arbitrarily close to the
-  abscissa z = 3 by resumming the leading geometric part of the (n, m)
-  lattice in closed form, which a plain cutoff scan cannot reach.
-  ``residue_extract`` drives either evaluator through a Richardson
-  schedule in z - 3 and cross-checks with a least-squares pole fit.
+  correctly rounded merging, together with certified tail bounds.  The
+  terms are evaluated as arrays over blocks of the (n, l) triangle:
+  one-index tables (powers of q, q-integers, column sums) built by scalar
+  Python arithmetic are gathered by integer indices and combined with
+  correctly rounded numpy arithmetic, while the per-term power
+  (1 + lambda^2)^{-z/2} stays Python's pow, since numpy's vectorized power
+  rounds differently from libm on some CPUs.  Each term thus has the bits
+  of the plain per-term loop, and a scan's output does not depend on the
+  host.  ``eigen_lattice_sum`` evaluates the same sums arbitrarily close
+  to the abscissa z = 3 by resumming the leading geometric part of the
+  (n, m) lattice in closed form, which a plain cutoff scan cannot reach;
+  it and ``upsilon_cstarc_lattice`` gather every array power q^k of their
+  columns from one table built per call.  ``residue_extract`` drives
+  either evaluator through a Richardson schedule in z - 3 and
+  cross-checks with a least-squares pole fit.
 """
 
 from __future__ import annotations
@@ -347,43 +356,78 @@ def _check_omega(omega: str) -> str:
     return omega
 
 
+#: Terms per array block of a scan: blocks this small keep the temporaries
+#: of a scan far below its returned list of terms.
+_SCAN_BLOCK = 4096
+
+
+def _scan_triangle(lmax: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (n, l2) of the admitted states up to the cutoff, n
+    outer and l2 inner: l2 = n + 1, n + 3, ... <= lmax for n < lmax.
+    They are int32, half the memory of the default integer."""
+    counts = (lmax - np.arange(lmax) + 1) // 2
+    n = np.repeat(np.arange(lmax), counts)
+    starts = np.cumsum(counts) - counts
+    l2 = n + 1 + 2 * (np.arange(n.size) - np.repeat(starts, counts))
+    return n.astype(np.int32), l2.astype(np.int32)
+
+
 def _scan_terms(omega: str, z: float, q: float, lmax: int) -> List[float]:
     """Per-(n, l2) contributions in the fixed (n outer, l2 inner) order.
 
     Every contribution carries its exact geometric column sum over the
     right index i, so individual terms are O(1) and the whole scan is
-    O(lmax^2).
+    O(lmax^2).  Each one-index factor (q^k, q^{-n}, [t2/2], the column
+    sums) is tabulated once by scalar Python arithmetic over exactly the
+    indices the triangle uses, so an overflowing power raises
+    ``OverflowError``; numpy gathers the tables onto blocks of the
+    triangle and combines them with + - * / and sqrt, which are correctly
+    rounded, in the order a per-term loop would use.  The one per-term
+    power (1 + lambda^2)^{-z/2} stays Python's pow, because numpy's
+    vectorized ``power`` does not round like libm's on every CPU; every
+    term is therefore bit-identical to the per-term loop.
     """
+    if omega == "gamma":
+        return []
     q2 = q * q
     Qc = q / (1.0 - q2)
+    # Brackets [t2/2] enter at even t2 = 2..2 lmax, indexed by t2 // 2.
+    fbr = np.array([_fbracket(t2, q) for t2 in range(0, 2 * lmax + 1, 2)])
+    qp = np.array([q ** k for k in range(2 * lmax + 3)])
+    # Column sums over the right index, by l2 (l2 = 0 is never used).
+    s_geo = np.array([0.0] + [q ** (-l2) * (1.0 - q ** (2 * l2 + 2))
+                              / (1.0 - q2) for l2 in range(1, lmax + 1)])
+    if omega == "cstarc":
+        # The factors that depend on l2 alone are combined per l2.
+        eps = np.array([Qc * (1.0 - q ** t2) for t2 in range(2 * lmax + 5)])
+        qm = np.array([q ** (-k) for k in range(lmax)])
+        ls = np.arange(lmax + 1)
+        sum_eps_up = Qc * (s_geo - (ls + 1) * qp[ls + 2])
+        sum_eps_down = Qc * ((ls + 1) - (1.0 - qp[2 * ls + 2]) / (1.0 - q2))
+        den_mid = eps[2 * ls + 2]
+        den_up = den_mid * eps[2 * ls + 4]
+        den_down = eps[2 * ls] * den_mid
+    p = -0.5 * z
+    all_n, all_l2 = _scan_triangle(lmax)
     terms: List[float] = []
-    if omega == "gamma":
-        return terms
-
-    def eps(t2: int) -> float:
-        return Qc * (1.0 - q ** t2)
-
-    for n in range(0, lmax):
-        for l2 in range(n + 1, lmax + 1, 2):
-            lam = lambda_eigen(l2, n, q)
-            X = (1.0 + lam * lam) ** (-0.5 * z)
-            s_geo = q ** (-l2) * (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2)
-            if omega == "identity":
-                terms.append(2.0 * (l2 + 1) * X)
-            elif omega in _DELTA_TAGS:
-                terms.append(q ** n * s_geo * X)
-            else:  # cstarc
-                sum_eps_up = Qc * (s_geo - (l2 + 1) * q ** (l2 + 2))
-                sum_eps_down = Qc * ((l2 + 1)
-                                     - (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2))
-                den_mid = eps(2 * l2 + 2)
-                acc = 0.0
-                for j2 in (n + 1, n - 1):
-                    acc += (q ** (l2 + n + 1) * eps(l2 - j2 + 2)
-                            / (den_mid * eps(2 * l2 + 4)) * sum_eps_up)
-                    acc += (q ** l2 * eps(l2 + j2)
-                            / (eps(2 * l2) * den_mid) * sum_eps_down)
-                terms.append(q ** (-n) * X * acc)
+    for at in range(0, all_n.size, _SCAN_BLOCK):
+        n = all_n[at:at + _SCAN_BLOCK]
+        l2 = all_l2[at:at + _SCAN_BLOCK]
+        lam = np.sqrt(0.25 * n * n + qp[n] * (fbr[(l2 + 1 + n) // 2]
+                                              * fbr[(l2 + 1 - n) // 2]))
+        X = np.array([b ** p for b in (1.0 + lam * lam).tolist()])
+        if omega == "identity":
+            block = 2.0 * (l2 + 1) * X
+        elif omega in _DELTA_TAGS:
+            block = qp[n] * s_geo[l2] * X
+        else:  # cstarc
+            acc = np.zeros(n.size)
+            for j2 in (n + 1, n - 1):
+                acc += (qp[l2 + n + 1] * eps[l2 - j2 + 2] / den_up[l2]
+                        * sum_eps_up[l2])
+                acc += qp[l2] * eps[l2 + j2] / den_down[l2] * sum_eps_down[l2]
+            block = qm[n] * X * acc
+        terms += block.tolist()
     return terms
 
 
@@ -551,10 +595,23 @@ def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     return c_m, d_m
 
 
-def _column_powers(z: float, q: float, m: int, n: np.ndarray) -> np.ndarray:
-    """The column power (n^2/4 + c_m - d_m q^{2n})^{-z/2} over an array of n."""
+#: Head length of the near-exact column sums; the integral tail starts
+#: one past it.
+_N_CUT = 4000
+
+#: The last column either m series may reach.
+_M_CAP = 2001
+
+#: Columns of ``eigen_lattice_sum`` summed directly rather than modelled.
+_M_DIRECT = 5
+
+
+def _column_powers(z: float, q: float, m: int, n: np.ndarray,
+                   q2n: np.ndarray) -> np.ndarray:
+    """The column power (n^2/4 + c_m - d_m q^{2n})^{-z/2} over an array of
+    n, given q^{2n} over the same array."""
     c_m, d_m = _lattice_cd(q, m)
-    return (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
+    return (0.25 * n * n + c_m - d_m * q2n) ** (-0.5 * z)
 
 
 def _em_close(s: float, f, a: float) -> float:
@@ -565,17 +622,17 @@ def _em_close(s: float, f, a: float) -> float:
 
 
 def _lattice_inner_direct(z: float, q: float, m: int, c_m: float,
-                          haar_weight: bool) -> float:
-    """Near-exact n sum for small m: direct terms plus an integral tail."""
-    n_cut = 4000
-    n = np.arange(0, n_cut + 1, dtype=float)
-    w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
-    head = math.fsum((w * _column_powers(z, q, m, n)).tolist())
+                          haar_weight: bool, qt: np.ndarray) -> float:
+    """Near-exact n sum for small m: direct terms plus an integral tail.
+    ``qt`` is the call's power table, qt[k] = q^k."""
+    n = np.arange(0, _N_CUT + 1)
+    w = 1.0 - qt[2 * (n + m + 1)] if haar_weight else 1.0
+    head = math.fsum((w * _column_powers(z, q, m, n, qt[2 * n])).tolist())
 
     def f(t: float) -> float:
         return (0.25 * t * t + c_m) ** (-0.5 * z)
 
-    a = float(n_cut + 1)
+    a = float(_N_CUT + 1)
     tail_int, _ = quad(f, a, np.inf, epsabs=1e-16, epsrel=1e-13)
     f_a = f(a)
     fp_a = -0.5 * z * (0.5 * a) * (0.25 * a * a + c_m) ** (-0.5 * z - 1.0)
@@ -612,6 +669,7 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     """
     q = _check_q(q_value)
     _check_z(z, 3.0)
+    qt = q ** np.arange(2 * (_N_CUT + _M_DIRECT + 1) + 1, dtype=float)
     big_q = q / (1.0 - q * q)
     ghalf = _gamma_half_ratio(z)
     x = q ** (0.5 * (z - 3.0))
@@ -620,11 +678,11 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     step = 2 if admitted else 1
     quiet = 0
     m = 1
-    while m <= 2001:
+    while m <= _M_CAP:
         c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
-        if m <= 5:
-            inner = _lattice_inner_direct(z, q, m, c_m, admitted)
+        if m <= _M_DIRECT:
+            inner = _lattice_inner_direct(z, q, m, c_m, admitted, qt)
         else:
             inner = _lattice_inner_model(z, q, m, c_m, d_m, admitted)
         corr = q ** (-m) * (inner - lead)
@@ -639,46 +697,48 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     return total
 
 
-def _cstarc_weight(n, m: int, q: float):
+def _cstarc_weight(n, m: int, q: float, q_pow):
     """Exact per-mode c*c diagonal weight times q^{-n} on the (n, m) lattice.
 
     Regrouped so every power of q is nonnegative: the q^{-n} damping of
     the trace formula cancels against matching factors in the
     Clebsch-Gordan products, leaving an O(1) piece plus a q^m-damped
-    piece growing linearly in n.  Accepts a numpy array or a float for n
-    (the continuous extension feeds the integral tail).
+    piece growing linearly in n.  Accepts an integer array or a float for
+    n (the continuous extension feeds the integral tail); ``q_pow(k)``
+    is q^k for the exponents that depend on n: a gather from the power
+    table for an array, Python's pow for a float.
     """
     q2 = q * q
     l2 = n + m
-    q_top = q ** (2.0 * l2 + 2.0)
+    q_top = q_pow(2 * l2 + 2)
     geo = (1.0 - q_top) / (1.0 - q2)
     eps_up = (1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))
-    a_part = (eps_up * (q * geo - (l2 + 1.0) * q ** (2.0 * l2 + 3.0))
-              / ((1.0 - q_top) * (1.0 - q ** (2.0 * l2 + 4.0))))
-    eps_down = ((1.0 - q ** (2.0 * n + m + 1.0))
-                + (1.0 - q ** (2.0 * n + m - 1.0)))
+    a_part = (eps_up * (q * geo - (l2 + 1.0) * q_pow(2 * l2 + 3))
+              / ((1.0 - q_top) * (1.0 - q_pow(2 * l2 + 4))))
+    eps_down = (1.0 - q_pow(2 * n + m + 1)) + (1.0 - q_pow(2 * n + m - 1))
     b_part = (eps_down * q ** m * ((l2 + 1.0) - geo)
-              / ((1.0 - q ** (2.0 * l2)) * (1.0 - q_top)))
+              / ((1.0 - q_pow(2 * l2)) * (1.0 - q_top)))
     return a_part + b_part
 
 
-def _cstarc_inner(z: float, q: float, m: int) -> float:
-    """Near-exact weighted n sum for one m column of the c*c trace."""
-    n_cut = 4000
-    n = np.arange(0, n_cut + 1, dtype=float)
-    head = math.fsum((_cstarc_weight(n, m, q)
-                      * _column_powers(z, q, m, n)).tolist())
+def _cstarc_inner(z: float, q: float, m: int, qt: np.ndarray) -> float:
+    """Near-exact weighted n sum for one m column of the c*c trace;
+    ``qt`` is the call's power table, qt[k] = q^k."""
+    n = np.arange(0, _N_CUT + 1)
+    head = math.fsum((_cstarc_weight(n, m, q, qt.__getitem__)
+                      * _column_powers(z, q, m, n, qt[2 * n])).tolist())
     c_m = _lattice_cd(q, m)[0]
 
     def f(t: float) -> float:
-        return _cstarc_weight(t, m, q) * (0.25 * t * t + c_m) ** (-0.5 * z)
+        return (_cstarc_weight(t, m, q, lambda k: q ** k)
+                * (0.25 * t * t + c_m) ** (-0.5 * z))
 
     def f_inv(u: float) -> float:
         # u = 1/t flattens the slowly decaying tail onto a finite window.
         t = 1.0 / u
         return f(t) * t * t
 
-    a = float(n_cut + 1)
+    a = float(_N_CUT + 1)
     tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
     return _em_close(head + tail_int, f, a)
 
@@ -694,10 +754,11 @@ def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     """
     q = _check_q(q_value)
     _check_z(z, 2.0)
+    qt = q ** np.arange(2 * (_N_CUT + _M_CAP) + 5, dtype=float)
     total = 0.0
     quiet = 0
-    for m in range(1, 2002, 2):
-        term = _cstarc_inner(z, q, m)
+    for m in range(1, _M_CAP + 1, 2):
+        term = _cstarc_inner(z, q, m, qt)
         total += term
         if abs(term) < 1e-12 * abs(total):
             quiet += 1

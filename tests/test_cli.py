@@ -215,6 +215,38 @@ def test_upsilon_scan_csv_and_determinism(tmp_path):
     assert lines[1].startswith("identity,0.5,3.5,40,")
 
 
+# Scans only: their terms use libm's pow, which is the same on every host.
+# Lattice residues go through numpy's vectorized power, whose last bit
+# depends on the CPU, so they get no golden bytes.
+UPSILON_SCAN_CSV_BYTES = {
+    "identity": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
+identity,0.5,3.2,60,13.24422428055627,1.570976109686763
+identity,0.5,3.6,60,8.357261639782251,0.29492476165142395
+identity,0.5,4.0,60,5.661220978187634,0.06009904036784009
+""",
+    "deltaL2-e11": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
+deltaL2-e11,0.5,3.2,60,11.163950273423296,20.939314309338776
+deltaL2-e11,0.5,3.6,60,5.584583555909964,1.7667615093176867
+deltaL2-e11,0.5,4.0,60,3.3044104760932105,0.2899657135855378
+""",
+    "cstarc": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
+cstarc,0.5,3.2,60,4.26985940646591,0.18234115504902582
+cstarc,0.5,3.6,60,2.9039254808712447,0.03595974055267433
+cstarc,0.5,4.0,60,2.073276856337285,0.007546122213760629
+""",
+}
+
+
+@pytest.mark.parametrize("omega", sorted(UPSILON_SCAN_CSV_BYTES))
+def test_upsilon_scan_golden_bytes(omega, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_command(["upsilon-scan", "--omega", omega, "--q", "0.5",
+                        "--lmax", "60", "--z-from", "3.2", "--z-to", "4.0",
+                        "--z-steps", "3", "--format", "csv",
+                        "--out", str(out)]) == 0
+    assert out.read_bytes() == UPSILON_SCAN_CSV_BYTES[omega]
+
+
 def test_upsilon_scan_rejects_unknown_weight(capsys):
     assert run_command(["upsilon-scan", "--omega", "bogus"]) == 2
     assert "weight tag" in capsys.readouterr().err

@@ -120,6 +120,15 @@ def test_template_parameter_validation():
         h_closed(3.5, p["x"], p["y"], p["r"], 1.5)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.3])
+def test_closed_form_rejects_the_pole(q):
+    # 1 - e^{-r(z-3)/2} vanishes at z = 3: a ValueError naming the pole,
+    # not a bare ZeroDivisionError from inside the formula.
+    with pytest.raises(ValueError, match="pole at z = 3"):
+        h_closed(3.0, **PROFILES[q])
+    assert math.isfinite(h_closed(math.nextafter(3.0, 4.0), **PROFILES[q]))
+
+
 def test_direct_sum_reports_nonconvergence_near_pole():
     p = PROFILES[0.5]
     with pytest.raises(NonConvergenceError):

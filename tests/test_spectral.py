@@ -364,6 +364,151 @@ def test_pole_evaluator_within_certified_window():
 
 
 # ---------------------------------------------------------------------------
+# Bit identity of the table-driven scans and lattice columns.
+#
+# The references are the plain forms of what the power tables compute: a
+# scan that evaluates one term at a time, and lattice columns that take
+# numpy's power over the n array.  The column references accept the table
+# argument of the helper they stand in for and ignore it.  Every
+# comparison is exact: the scan terms feed an exactly rounded sum, and the
+# CLI promises byte-stable output files.
+
+def _ref_scan_terms(omega, z, q, lmax):
+    q2 = q * q
+    Qc = q / (1.0 - q2)
+    terms = []
+    if omega == "gamma":
+        return terms
+
+    def eps(t2):
+        return Qc * (1.0 - q ** t2)
+
+    for n in range(0, lmax):
+        for l2 in range(n + 1, lmax + 1, 2):
+            lam = lambda_eigen(l2, n, q)
+            X = (1.0 + lam * lam) ** (-0.5 * z)
+            s_geo = q ** (-l2) * (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2)
+            if omega == "identity":
+                terms.append(2.0 * (l2 + 1) * X)
+            elif omega in ("deltaL2-e11", "deltaL2-e22"):
+                terms.append(q ** n * s_geo * X)
+            else:  # cstarc
+                sum_eps_up = Qc * (s_geo - (l2 + 1) * q ** (l2 + 2))
+                sum_eps_down = Qc * ((l2 + 1)
+                                     - (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2))
+                den_mid = eps(2 * l2 + 2)
+                acc = 0.0
+                for j2 in (n + 1, n - 1):
+                    acc += (q ** (l2 + n + 1) * eps(l2 - j2 + 2)
+                            / (den_mid * eps(2 * l2 + 4)) * sum_eps_up)
+                    acc += (q ** l2 * eps(l2 + j2)
+                            / (eps(2 * l2) * den_mid) * sum_eps_down)
+                terms.append(q ** (-n) * X * acc)
+    return terms
+
+
+def _ref_column_powers(z, q, m, n):
+    from suq2.spectral import _lattice_cd
+
+    c_m, d_m = _lattice_cd(q, m)
+    return (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
+
+
+def _ref_cstarc_weight(n, m, q):
+    q2 = q * q
+    l2 = n + m
+    q_top = q ** (2.0 * l2 + 2.0)
+    geo = (1.0 - q_top) / (1.0 - q2)
+    eps_up = (1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))
+    a_part = (eps_up * (q * geo - (l2 + 1.0) * q ** (2.0 * l2 + 3.0))
+              / ((1.0 - q_top) * (1.0 - q ** (2.0 * l2 + 4.0))))
+    eps_down = ((1.0 - q ** (2.0 * n + m + 1.0))
+                + (1.0 - q ** (2.0 * n + m - 1.0)))
+    b_part = (eps_down * q ** m * ((l2 + 1.0) - geo)
+              / ((1.0 - q ** (2.0 * l2)) * (1.0 - q_top)))
+    return a_part + b_part
+
+
+def _ref_cstarc_inner(z, q, m, qt):
+    from scipy.integrate import quad
+
+    from suq2.spectral import _em_close, _lattice_cd
+
+    n = np.arange(0, 4001, dtype=float)
+    head = math.fsum((_ref_cstarc_weight(n, m, q)
+                      * _ref_column_powers(z, q, m, n)).tolist())
+    c_m = _lattice_cd(q, m)[0]
+
+    def f(t):
+        return _ref_cstarc_weight(t, m, q) * (0.25 * t * t + c_m) ** (-0.5 * z)
+
+    def f_inv(u):
+        t = 1.0 / u
+        return f(t) * t * t
+
+    a = 4001.0
+    tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
+    return _em_close(head + tail_int, f, a)
+
+
+def _ref_lattice_inner_direct(z, q, m, c_m, haar_weight, qt):
+    from scipy.integrate import quad
+
+    n = np.arange(0, 4001, dtype=float)
+    w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
+    head = math.fsum((w * _ref_column_powers(z, q, m, n)).tolist())
+
+    def f(t):
+        return (0.25 * t * t + c_m) ** (-0.5 * z)
+
+    a = 4001.0
+    tail_int, _ = quad(f, a, np.inf, epsabs=1e-16, epsrel=1e-13)
+    f_a = f(a)
+    fp_a = -0.5 * z * (0.5 * a) * (0.25 * a * a + c_m) ** (-0.5 * z - 1.0)
+    return head + tail_int + 0.5 * f_a - fp_a / 12.0
+
+
+@pytest.mark.parametrize("omega", ("identity", "deltaL2-e11", "deltaL2-e22",
+                                   "cstarc"))
+@pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.8, 0.95))
+def test_scan_terms_bit_identical_to_per_term_loop(omega, q):
+    from suq2.spectral import _scan_terms
+
+    z = 3.3
+    for lmax in (1, 2, 3, 9, 60, 400):
+        try:
+            want = _ref_scan_terms(omega, z, q, lmax)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _scan_terms(omega, z, q, lmax)
+            continue
+        assert _scan_terms(omega, z, q, lmax) == want
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
+def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
+    from suq2 import spectral
+
+    zs = (3.05, 3.4, 4.0)
+    got = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
+            eigen_lattice_sum(z, q, admitted=False)) for z in zs]
+    monkeypatch.setattr(spectral, "_cstarc_inner", _ref_cstarc_inner)
+    monkeypatch.setattr(spectral, "_lattice_inner_direct",
+                        _ref_lattice_inner_direct)
+    want = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
+             eigen_lattice_sum(z, q, admitted=False)) for z in zs]
+    assert got == want
+
+
+@pytest.mark.parametrize("q, lmax", [(0.1, 400), (0.5, 1100)])
+def test_identity_scan_overflow_still_raises(q, lmax):
+    # q^{-lmax} exceeds the float range; the power tables cover exactly
+    # the brackets the scan uses, so the overflow surfaces as before.
+    with pytest.raises(OverflowError):
+        upsilon_value("identity", 3.5, q, lmax)
+
+
+# ---------------------------------------------------------------------------
 # Residue extraction.
 
 @pytest.mark.parametrize("q", Q_GRID)
