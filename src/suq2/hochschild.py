@@ -15,6 +15,10 @@ With k^t = act_k(., t), cup(order) = a0 D1(k^t1 a1) D2(k^t2 a2) D3(k^t3 a3),
 where a slot's t is 2 per earlier ladder, plus 1 if it holds a ladder, and
 phi_order = sign(order) q^{-2 if e precedes f, else 0} int(cup(order)),
 with sign +1 on the rotations hef, efh, fhe and -1 on the other orders.
+The residue cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R is the plain signed
+sum of sign(order) int(cup(order)) over the same six orders, that is
+q^2 (phi + phi_213 + phi_231) + (phi_132 + phi_312 + phi_321): q^2 times
+the e-first cocycles plus the f-first ones (``modular.phi_res_over_r``).
 Two explicit 2-cochains psi_* realize the cohomologies between phi and
 its transposition partners.
 
@@ -30,7 +34,7 @@ from typing import Callable, List, Tuple
 from .actions import act_e, act_f, act_h, act_k, theta_inv
 from .algebra import AlgebraElement, normalize_word
 from .functionals import int_one
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class Cochain:
@@ -49,31 +53,6 @@ class Cochain:
             raise TypeError(f"{self.name} takes {self.degree + 1} arguments, "
                             f"got {len(args)}")
         return self._fn(*args)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if not isinstance(other, Cochain) or other.degree != self.degree:
-            return NotImplemented
-        return Cochain(self.degree,
-                       lambda *a: self(*a) + other(*a),
-                       f"({self.name} + {other.name})")
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        if not isinstance(other, Cochain) or other.degree != self.degree:
-            return NotImplemented
-        return Cochain(self.degree,
-                       lambda *a: self(*a) - other(*a),
-                       f"({self.name} - {other.name})")
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.degree, lambda *a: -self(*a), f"-{self.name}")
-
-    def scale(self, coeff) -> "Cochain":
-        c = as_scalar(coeff)
-        return Cochain(self.degree, lambda *a: c * self(*a),
-                       f"({coeff})*{self.name}")
-
-    __rmul__ = scale
-    __mul__ = scale
 
     def pair_chain(self, chain: "Chain") -> Scalar:
         """Evaluate against a formal sum of elementary tensors."""

@@ -25,7 +25,9 @@ Every evaluator rejects a non-finite z, or one at or below its abscissa,
 with ``ValueError``, and a complex z with ``TypeError``.
 """
 
+import itertools
 import math
+import sys
 from typing import Dict, Optional
 
 import numpy as np
@@ -136,20 +138,27 @@ def h_direct(z: float, x: float, y: float, r: float, w: int) -> float:
 
     Columns are accumulated until the geometric column estimate certifies
     the remaining tail below 1e-9; requires z > 3 for the sum to converge
-    at all.
+    at all.  Columns shrink by about the ratio e^{r(3-z)/2} each, so the
+    sum is near |first column| / (1 - ratio), and every column added
+    rounds it by up to machine epsilon of that.  Once the columns summed
+    could have rounded the sum by 1e-9, the target is out of reach and
+    ``NonConvergenceError`` is raised.
     """
     _check_h_params(x, y, r, w)
     _check_z(z, 3.0)
     ratio = math.exp(r * 0.5 * (3.0 - z))
     total = 0.0
-    for m in range(w, w + 901):
+    for k, m in enumerate(itertools.count(w), 1):
         col = _h_column(z, x, y, r, m)
         total += col
-        if abs(col) * ratio / (1.0 - ratio) < 1e-9:
+        if abs(col) * ratio < 1e-9 * (1.0 - ratio):
             return total
-    raise NonConvergenceError(
-        "direct template sum did not settle below 1.0e-09 "
-        f"within {m - w + 1} columns at z = {z}")
+        if k == 1:
+            first = abs(col)
+        if k * sys.float_info.epsilon * first >= 1e-9 * (1.0 - ratio):
+            raise NonConvergenceError(
+                "direct template sum did not settle below 1.0e-09 "
+                f"within {k} columns at z = {z}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,18 @@ three rules (off-diagonal terms vanish, grading-diagonal terms at modular
 power zero vanish, and full diagonals at modular power two integrate against
 the unit-coefficient functional).  Dividing out the overall residue constant
 R keeps every value inside the exact scalar field; `tau_over_R` implements
-exactly that normalized functional, and `phi_res_over_r` the resulting
-residue 3-cochain, `PHI_RES_OVER_R`.  `pi_split` gives the same diagonal
-as signed sums of `hochschild.cup`; this route is its reference.
+exactly that normalized functional.
+
+This matrix calculus is the reference, not the working route.  The residue
+3-cochain `phi_res_over_r` (shared as `PHI_RES_OVER_R`) is the signed sum
+of the cup products of `hochschild.ORDERS`, split by `pi_split` into its
+two diagonal entries; `phi_res_via_commutators` evaluates the same value
+by multiplying the commutators here, as the independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .actions import act_e, act_f, act_h, act_k
 from .algebra import AlgebraElement
@@ -47,6 +51,7 @@ __all__ = [
     "commutator_d",
     "mm_mul",
     "tau_over_R",
+    "phi_res_via_commutators",
     "phi_res_over_r",
     "PHI_RES_OVER_R",
     "pi_split",
@@ -54,6 +59,7 @@ __all__ = [
 
 Matrix2 = Tuple[Tuple[AlgebraElement, AlgebraElement],
                 Tuple[AlgebraElement, AlgebraElement]]
+Key = Tuple[int, int, int]  # (modular power, row, column)
 
 _ZERO_EL = AlgebraElement.zero()
 
@@ -64,20 +70,6 @@ class OutsideEvaluatedDomainError(ValueError):
     two that is not proportional to the grading)."""
 
 
-def _as_matrix(rows: Iterable[Iterable[AlgebraElement]]) -> Matrix2:
-    (m11, m12), (m21, m22) = ((tuple(r)) for r in rows)
-    return ((m11, m12), (m21, m22))
-
-
-def _is_zero_matrix(m: Matrix2) -> bool:
-    return all(entry.is_zero() for row in m for entry in row)
-
-
-def _mat_add(x: Matrix2, y: Matrix2) -> Matrix2:
-    return _as_matrix(
-        (x[i][0] + y[i][0], x[i][1] + y[i][1]) for i in range(2))
-
-
 def _conjugate_entry(x: AlgebraElement, power: int, i: int, j: int) -> AlgebraElement:
     """Entry (i, j) (0-indexed) of DeltaL_hat**power * M * DeltaL_hat**-power.
 
@@ -86,7 +78,7 @@ def _conjugate_entry(x: AlgebraElement, power: int, i: int, j: int) -> AlgebraEl
     the sign of the q-power only depends on the difference, so 0-indexing is
     equivalent.
     """
-    if x.is_zero() or power == 0:
+    if power == 0:
         return x
     shifted = act_k(x, 2 * power)  # inverse modular automorphism, iterated
     return shifted.scale(Scalar.q_pow(2 * power * (i - j)))
@@ -94,20 +86,26 @@ def _conjugate_entry(x: AlgebraElement, power: int, i: int, j: int) -> AlgebraEl
 
 class ModularMatrix:
     """A formal sum of 2x2 algebra-valued matrices times powers of the
-    (component-rescaled) left modular operator."""
+    (component-rescaled) left modular operator, stored sparsely as
+    ``(power, row, col) -> nonzero entry``."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_entries",)
 
     def __init__(self, parts: Mapping[int, Matrix2] | None = None):
-        cleaned: Dict[int, Matrix2] = {}
-        if parts:
-            for power, mat in parts.items():
-                if power < 0:
-                    raise ValueError("modular power must be nonnegative")
-                m = _as_matrix(mat)
-                if not _is_zero_matrix(m):
-                    cleaned[power] = m
-        self._parts = cleaned
+        entries: Dict[Key, AlgebraElement] = {}
+        for power, rows in (parts or {}).items():
+            if power < 0:
+                raise ValueError("modular power must be nonnegative")
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    entries[power, i, j] = entry
+        self._entries = _nonzero(entries)
+
+    @classmethod
+    def _of(cls, entries: Dict[Key, AlgebraElement]) -> "ModularMatrix":
+        out = cls.__new__(cls)
+        out._entries = _nonzero(entries)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -139,47 +137,33 @@ class ModularMatrix:
 
     @property
     def powers(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._parts))
+        return tuple(sorted({power for power, _, _ in self._entries}))
 
     def part(self, power: int) -> Matrix2:
-        zero_row = (_ZERO_EL, _ZERO_EL)
-        return self._parts.get(power, (zero_row, zero_row))
+        get = self._entries.get
+        return ((get((power, 0, 0), _ZERO_EL), get((power, 0, 1), _ZERO_EL)),
+                (get((power, 1, 0), _ZERO_EL), get((power, 1, 1), _ZERO_EL)))
 
     def is_zero(self) -> bool:
-        return not self._parts
+        return not self._entries
 
     # -- linear structure -----------------------------------------------
 
     def __add__(self, other: "ModularMatrix") -> "ModularMatrix":
         if not isinstance(other, ModularMatrix):
             return NotImplemented
-        parts = dict(self._parts)
-        for power, mat in other._parts.items():
-            if power in parts:
-                parts[power] = _mat_add(parts[power], mat)
-            else:
-                parts[power] = mat
-        return ModularMatrix(parts)
+        entries = dict(self._entries)
+        for key, entry in other._entries.items():
+            entries[key] = entries.get(key, _ZERO_EL) + entry
+        return ModularMatrix._of(entries)
 
     def __neg__(self) -> "ModularMatrix":
-        return ModularMatrix({
-            p: _as_matrix((-e for e in row) for row in m)
-            for p, m in self._parts.items()})
+        return ModularMatrix._of({k: -e for k, e in self._entries.items()})
 
     def __sub__(self, other: "ModularMatrix") -> "ModularMatrix":
         if not isinstance(other, ModularMatrix):
             return NotImplemented
         return self + (-other)
-
-    def scale(self, coeff) -> "ModularMatrix":
-        return ModularMatrix({
-            p: _as_matrix((e.scale(coeff) for e in row) for row in m)
-            for p, m in self._parts.items()})
-
-    def __mul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if not isinstance(other, ModularMatrix):
-            return NotImplemented
-        return mm_mul(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModularMatrix):
@@ -189,39 +173,32 @@ class ModularMatrix:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if not self._parts:
+        if not self._entries:
             return "ModularMatrix(0)"
         chunks = []
         for power in self.powers:
-            m = self._parts[power]
             rows = "; ".join(
-                ", ".join(str(e) for e in row) for row in m)
+                ", ".join(str(e) for e in row) for row in self.part(power))
             chunks.append(f"power {power}: [{rows}]")
         return "ModularMatrix(" + " + ".join(chunks) + ")"
 
 
+def _nonzero(entries: Dict[Key, AlgebraElement]) -> Dict[Key, AlgebraElement]:
+    return {key: e for key, e in entries.items() if not e.is_zero()}
+
+
 def mm_mul(x: ModularMatrix, y: ModularMatrix) -> ModularMatrix:
-    """Product, normalized so every modular-operator power sits rightmost."""
-    parts: Dict[int, Matrix2] = {}
-    for p, left in x._parts.items():
-        for r, right in y._parts.items():
-            shifted = _as_matrix(
-                (_conjugate_entry(right[i][j], p, i, j) for j in range(2))
-                for i in range(2))
-            prod_rows = []
-            for i in range(2):
-                row = []
-                for j in range(2):
-                    row.append(left[i][0] * shifted[0][j]
-                               + left[i][1] * shifted[1][j])
-                prod_rows.append(tuple(row))
-            mat = (prod_rows[0], prod_rows[1])
-            key = p + r
-            if key in parts:
-                parts[key] = _mat_add(parts[key], mat)
-            else:
-                parts[key] = mat
-    return ModularMatrix(parts)
+    """Product, normalized so every modular-operator power sits rightmost:
+    only nonzero entries meet, and an entry of y moved left of
+    DeltaL_hat**p is conjugated by it."""
+    entries: Dict[Key, AlgebraElement] = {}
+    for (p, i, k), left in x._entries.items():
+        for (r, k2, j), right in y._entries.items():
+            if k2 == k:
+                key = (p + r, i, j)
+                entries[key] = (entries.get(key, _ZERO_EL)
+                                + left * _conjugate_entry(right, p, k, j))
+    return ModularMatrix._of(entries)
 
 
 def stilde(alpha: AlgebraElement) -> ModularMatrix:
@@ -270,14 +247,29 @@ def tau_over_R(m: ModularMatrix) -> Scalar:
     return total
 
 
-def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
-                   a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """The residue 3-cochain, normalized by R: evaluate
-    tau(a0 [D,a1] [D,a2] [D,a3]) through the symbolic rules."""
+def phi_res_via_commutators(a0: AlgebraElement, a1: AlgebraElement,
+                            a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
+    """Reference for `phi_res_over_r`: tau(a0 [D,a1] [D,a2] [D,a3]) / R
+    evaluated literally, by multiplying the commutators as modular
+    matrices and applying `tau_over_R`.
+
+    This route shares no code with the cup products of `pi_split`; it is
+    the independent oracle that the `pi-split` and `volume-pairings`
+    checks compare the residue cochain against.
+    """
     prod = ModularMatrix.from_element(a0)
     for arg in (a1, a2, a3):
         prod = mm_mul(prod, commutator_d(arg))
     return tau_over_R(prod)
+
+
+def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
+                   a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
+    """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the
+    unit-coefficient integral of the two entries of `pi_split`, that is
+    the sum of sign(order) * int(cup(order, ...)) over the six orders."""
+    p1, p2 = pi_split(a0, a1, a2, a3)
+    return int_one(p1 + p2)
 
 
 # The lambda looks `phi_res_over_r` up at call time.
@@ -290,9 +282,10 @@ def pi_split(a0: AlgebraElement, a1: AlgebraElement,
     """The two diagonal entries of the reduced commutator product.
 
     Collapsing a0 [D,a1] [D,a2] [D,a3] to its modular-power-two diagonal and
-    pulling the modular twists into the arguments leaves the signed sums of
-    sign(order) * cup(order, ...) over the orders with e before f and with
-    f before e; their unit-coefficient integrals add up to `phi_res_over_r`.
+    pulling the modular twists into the arguments leaves, in each diagonal
+    entry, a signed sum sign(order) * cup(order, ...) over the slot orders
+    of `hochschild.ORDERS`: the orders with e before f in the first entry,
+    those with f before e in the second.
     """
     pi = {True: AlgebraElement.zero(), False: AlgebraElement.zero()}
     for order in ORDERS.values():

@@ -9,7 +9,8 @@ measured; their diagnostics pin the discrepancy precisely, and the unit
 suites freeze the corresponding machine-exact identities.
 """
 
-from suq2 import acceptance
+from suq2 import acceptance, modular
+from suq2.hochschild import Cochain
 
 
 def _run(check_id, budget=None):
@@ -84,7 +85,9 @@ def test_meromorphic_reference_family():
 def test_comparison_check_rejects_the_plus_sign(monkeypatch):
     # Negating the named phi_132 turns the checked minus into the plus
     # form, which holds only where phi_132 vanishes.
-    monkeypatch.setattr(acceptance, "PHI_132", -acceptance.PHI_132)
+    phi_132 = acceptance.PHI_132
+    monkeypatch.setattr(acceptance, "PHI_132",
+                        Cochain(3, lambda *a: -phi_132(*a), "-phi_132"))
     res = acceptance.check_comparison_identities()
     assert not res.passed
     assert "fails on 2/256 tuples" in res.detail
@@ -99,6 +102,15 @@ def test_comparison_check_rejects_a_vacuous_sweep(monkeypatch):
     assert not res.passed
     assert "fails on 0/81 tuples" in res.detail
     assert "phi_132 nonzero on 0/81" in res.detail
+
+
+def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):
+    # One sign for every slot order changes the split and the residue
+    # cochain alike; only the modular-matrix reference can catch it.
+    monkeypatch.setattr(modular, "sign", lambda order: 1)
+    res = acceptance.check_pi_split()
+    assert not res.passed
+    assert "break the ladder split identity" in res.detail
 
 
 def test_holomorphy_check_rejects_a_pole(monkeypatch):

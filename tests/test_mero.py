@@ -144,6 +144,23 @@ def test_direct_sum_near_pole_at_small_q(q):
     assert abs(direct - h_closed(3.05, **p)) <= h_err_bound(3.05, **p)
 
 
+def test_direct_sum_reports_nonconvergence_where_the_ratio_rounds_to_one():
+    # At q = 0.99 the column ratio e^{r(3-z)/2} is exactly 1.0 just above
+    # z = 3, so the geometric tail estimate has no finite value.
+    p = template_profile(0.99, 2)
+    with pytest.raises(NonConvergenceError):
+        h_direct(math.nextafter(3.0, 4.0), **p)
+
+
+@pytest.mark.parametrize("q, z", [(0.8, 3.2), (0.5, 3.05)])
+def test_direct_sum_runs_as_many_columns_as_it_needs(q, z):
+    # These take about 1040 and 1480 columns to settle, more than a fixed
+    # cap of 901 columns allowed.
+    p = template_profile(q, 2)
+    direct = h_direct(z, **p)
+    assert abs(direct - h_closed(z, **p)) <= h_err_bound(z, **p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_z_rejected(bad):
     # A bare "z <= 2" guard is False for NaN and lets it into the sums.
