@@ -24,20 +24,26 @@ weakened by it.  Three levels:
   truncated.
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
-  used by the residue functional in a fixed (n outer, l inner) order with
-  correctly rounded merging, together with certified tail bounds.  The
-  terms are evaluated as arrays over blocks of the (n, l) triangle:
-  one-index tables (powers of q, q-integers, column sums) built by scalar
-  Python arithmetic are gathered by integer indices and combined with
-  correctly rounded numpy arithmetic, while the per-term power
-  (1 + lambda^2)^{-z/2} stays Python's pow, since numpy's vectorized power
-  rounds differently from libm on some CPUs.  Each term thus has the bits
-  of the plain per-term loop, and a scan's output does not depend on the
+  used by the residue functional in a fixed (n outer, l inner) order,
+  together with certified tail bounds.  The z-independent part of a scan
+  is prepared once per call: one-index tables (powers of q, q-integers,
+  column sums) built by scalar Python arithmetic are gathered by integer
+  indices onto blocks of the (n, l) triangle and combined with correctly
+  rounded numpy arithmetic into the bases 1 + lambda^2 and the weight
+  factors.  Each z then costs the per-term power (1 + lambda^2)^{-z/2},
+  which stays Python's pow since numpy's vectorized power rounds
+  differently from libm on some CPUs, the products in the per-term
+  loop's order, and one exact sum: the terms are binned by binary
+  exponent and the sum is rounded once, which gives ``math.fsum``'s bits
+  at a fraction of its cost.  A scan's output thus has the bits of the
+  plain per-term loop under ``math.fsum``, and does not depend on the
   host.  ``eigen_lattice_sum`` evaluates the same sums arbitrarily close
   to the abscissa z = 3 by resumming the leading geometric part of the
   (n, m) lattice in closed form, which a plain cutoff scan cannot reach;
   it and ``upsilon_cstarc_lattice`` gather every array power q^k of their
-  columns from one table built per call.  ``residue_extract`` drives
+  columns from one table built per call, and where every t-dependent
+  power of q rounds away in the integral tail of a c*c column, that tail
+  integrates the weight's exact float form.  ``residue_extract`` drives
   either evaluator through a Richardson schedule in z - 3 and
   cross-checks with a least-squares pole fit.
 """
@@ -45,6 +51,7 @@ weakened by it.  Three levels:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,6 +105,8 @@ def _check_z(z: float, floor: float) -> None:
 
 
 def _check_cutoff(lmax: int) -> None:
+    if not isinstance(lmax, numbers.Integral):
+        raise ValueError("cutoff must be a positive integer (doubled spin)")
     if lmax < 1:
         raise ValueError("cutoff must be at least 1")
 
@@ -357,8 +366,55 @@ def _check_omega(omega: str) -> str:
 
 
 #: Terms per array block of a scan: blocks this small keep the temporaries
-#: of a scan far below its returned list of terms.
+#: of a scan far below its prepared tables.
 _SCAN_BLOCK = 4096
+
+#: ``_exact_sum`` files a term M 2^(e - 53), M its 53-bit integer mantissa,
+#: under bin e + _SUM_OFFSET: frexp's e runs from -1073 (the smallest
+#: subnormal) to 1024, so every bin index is nonnegative, and bin k counts
+#: units of 2^(k - _SUM_OFFSET - 53).
+_SUM_OFFSET = 1126
+_SUM_BINS = _SUM_OFFSET + 1025
+
+
+def _exact_sum(blocks: Sequence[np.ndarray]) -> float:
+    """Correctly rounded sum of float64 blocks, bit for bit ``math.fsum``.
+
+    Each term is an integer mantissa |M| < 2^53 times 2^(e - 53)
+    (``np.frexp``).  The two 26-bit halves of the mantissas are summed per
+    exponent by ``np.bincount``; with fewer than 2^26 terms every bin sum
+    stays below 2^53 and is exact.  The bins are combined into one Python
+    integer, and one correctly rounded integer division returns the float.
+    ``math.fsum`` itself takes the cases where its result could differ
+    from the exact path or raise: a non-finite term, 2^26 terms or more, a
+    sum large enough for fsum's intermediate overflow, and an exact zero,
+    whose sign is fsum's to fix.
+    """
+    hi = np.zeros(_SUM_BINS)
+    lo = np.zeros(_SUM_BINS)
+    count = 0
+    top = -1074  # every |term| < 2^top
+    for x in blocks:
+        if not np.isfinite(x).all():
+            break
+        m, e = np.frexp(x)
+        mant = m * 2.0 ** 53
+        mant_hi = np.floor(mant * 2.0 ** -26)
+        k = e + _SUM_OFFSET
+        hi += np.bincount(k, weights=mant_hi, minlength=_SUM_BINS)
+        lo += np.bincount(k, weights=mant - mant_hi * 2.0 ** 26,
+                          minlength=_SUM_BINS)
+        count += x.size
+        top = max(top, int(e.max(initial=top)))
+    else:
+        if count < 2 ** 26 and top + count.bit_length() <= 1022:
+            used = np.flatnonzero(np.logical_or(hi, lo))
+            total = sum(((h << 26) + l) << k for k, h, l in zip(
+                used.tolist(), hi[used].astype(np.int64).tolist(),
+                lo[used].astype(np.int64).tolist()))
+            if total:
+                return total / (1 << (_SUM_OFFSET + 53))
+    return math.fsum(v for x in blocks for v in x.tolist())
 
 
 def _scan_triangle(lmax: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -372,8 +428,14 @@ def _scan_triangle(lmax: int) -> Tuple[np.ndarray, np.ndarray]:
     return n.astype(np.int32), l2.astype(np.int32)
 
 
-def _scan_terms(omega: str, z: float, q: float, lmax: int) -> List[float]:
-    """Per-(n, l2) contributions in the fixed (n outer, l2 inner) order.
+#: One block of a prepared scan: the bases 1 + lambda^2 of the per-term
+#: power and the weight factors w and (c*c only) acc of its terms.
+_ScanBlock = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+
+def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
+    """The z-independent part of a scan, block by block of the (n, l2)
+    triangle in the fixed (n outer, l2 inner) order.
 
     Every contribution carries its exact geometric column sum over the
     right index i, so individual terms are O(1) and the whole scan is
@@ -382,10 +444,8 @@ def _scan_terms(omega: str, z: float, q: float, lmax: int) -> List[float]:
     indices the triangle uses, so an overflowing power raises
     ``OverflowError``; numpy gathers the tables onto blocks of the
     triangle and combines them with + - * / and sqrt, which are correctly
-    rounded, in the order a per-term loop would use.  The one per-term
-    power (1 + lambda^2)^{-z/2} stays Python's pow, because numpy's
-    vectorized ``power`` does not round like libm's on every CPU; every
-    term is therefore bit-identical to the per-term loop.
+    rounded, in the order a per-term loop would use.  ``_scan_terms``
+    evaluates the prepared blocks at one z.
     """
     if omega == "gamma":
         return []
@@ -407,55 +467,75 @@ def _scan_terms(omega: str, z: float, q: float, lmax: int) -> List[float]:
         den_mid = eps[2 * ls + 2]
         den_up = den_mid * eps[2 * ls + 4]
         den_down = eps[2 * ls] * den_mid
-    p = -0.5 * z
     all_n, all_l2 = _scan_triangle(lmax)
-    terms: List[float] = []
+    blocks: List[_ScanBlock] = []
     for at in range(0, all_n.size, _SCAN_BLOCK):
         n = all_n[at:at + _SCAN_BLOCK]
         l2 = all_l2[at:at + _SCAN_BLOCK]
         lam = np.sqrt(0.25 * n * n + qp[n] * (fbr[(l2 + 1 + n) // 2]
                                               * fbr[(l2 + 1 - n) // 2]))
-        X = np.array([b ** p for b in (1.0 + lam * lam).tolist()])
+        base = 1.0 + lam * lam
         if omega == "identity":
-            block = 2.0 * (l2 + 1) * X
+            blocks.append((base, 2.0 * (l2 + 1), None))
         elif omega in _DELTA_TAGS:
-            block = qp[n] * s_geo[l2] * X
+            blocks.append((base, qp[n] * s_geo[l2], None))
         else:  # cstarc
             acc = np.zeros(n.size)
             for j2 in (n + 1, n - 1):
                 acc += (qp[l2 + n + 1] * eps[l2 - j2 + 2] / den_up[l2]
                         * sum_eps_up[l2])
                 acc += qp[l2] * eps[l2 + j2] / den_down[l2] * sum_eps_down[l2]
-            block = qm[n] * X * acc
-        terms += block.tolist()
-    return terms
+            blocks.append((base, qm[n], acc))
+    return blocks
+
+
+def _scan_terms(blocks: List[_ScanBlock], z: float) -> List[np.ndarray]:
+    """Per-(n, l2) contributions of a prepared scan at z, one array per
+    block: (w * (1 + lambda^2)^{-z/2}) * acc, in that order.  The power
+    stays Python's pow, because numpy's vectorized ``power`` does not
+    round like libm's on every CPU; every term is therefore bit-identical
+    to the per-term loop."""
+    p = -0.5 * z
+    out = []
+    for base, w, acc in blocks:
+        terms = w * np.array([b ** p for b in base.tolist()])
+        out.append(terms if acc is None else terms * acc)
+    return out
 
 
 def upsilon_value(omega: str, z: float, q_value: float, lmax: int) -> float:
-    """Partial trace sum at cutoff lmax (plain scan, exactly rounded merge)."""
+    """Partial trace sum at cutoff lmax.
+
+    The plain scan's terms are merged by one correctly rounded sum
+    (``_exact_sum``), so the value is bit for bit ``math.fsum`` of the
+    per-term loop."""
     _check_omega(omega)
     q = _check_q(q_value)
     _check_z(z, 2.0)
     _check_cutoff(lmax)
-    return math.fsum(_scan_terms(omega, z, q, lmax))
+    return _exact_sum(_scan_terms(_scan_prepare(omega, q, lmax), z))
 
 
 def upsilon_scan(omega: str, q_value: float, z_values: Sequence[float],
                  lmax: int) -> List[Dict[str, float]]:
-    """Scan rows (one per z) with partial sums and certified tail bounds."""
+    """Scan rows (one per z) with partial sums and certified tail bounds.
+
+    Every argument is checked before any row is computed.  The scan is
+    prepared once and evaluated at each z; each partial sum is the value
+    ``upsilon_value`` gives at that z."""
     _check_omega(omega)
     q = _check_q(q_value)
-    rows = []
-    for z in z_values:
-        rows.append({
-            "omega_tag": omega,
-            "q": q,
-            "z": float(z),
-            "lmax": lmax,
-            "partial_sum": upsilon_value(omega, z, q, lmax),
-            "tail_bound": tail_bound(omega, lmax, z, q),
-        })
-    return rows
+    _check_cutoff(lmax)
+    zs = list(z_values)
+    for z in zs:
+        _check_z(z, 2.0)
+    scan = _scan_prepare(omega, q, lmax)
+    return [{"omega_tag": omega,
+             "q": q,
+             "z": float(z),
+             "lmax": lmax,
+             "partial_sum": _exact_sum(_scan_terms(scan, z)),
+             "tail_bound": tail_bound(omega, lmax, z, q)} for z in zs]
 
 
 def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
@@ -723,22 +803,47 @@ def _cstarc_weight(n, m: int, q: float, q_pow):
 
 def _cstarc_inner(z: float, q: float, m: int, qt: np.ndarray) -> float:
     """Near-exact weighted n sum for one m column of the c*c trace;
-    ``qt`` is the call's power table, qt[k] = q^k."""
+    ``qt`` is the call's power table, qt[k] = q^k.
+
+    The integral tail runs over t >= a = _N_CUT + 1.  Where the column's
+    guard holds there -- q^{2a+m-1} and q^{2(a+m)} at most 2^-54, so
+    every 1 - q^k of the weight rounds to 1, and (a+m+1) q^{2(a+m)+3}
+    below a quarter ulp of q geo -- the weight rounds, term by term, to
+    a_part + 2 q^m ((t + m + 1) - geo) with geo = 1/(1 - q^2), and
+    ``quad`` gets that form with its column constants computed once.
+    Otherwise ``quad`` gets the full weight, as the Euler-Maclaurin close
+    always does; the two agree bit for bit wherever the guard holds.
+    """
     n = np.arange(0, _N_CUT + 1)
     head = math.fsum((_cstarc_weight(n, m, q, qt.__getitem__)
                       * _column_powers(z, q, m, n, qt[2 * n])).tolist())
     c_m = _lattice_cd(q, m)[0]
+    p = -0.5 * z
 
     def f(t: float) -> float:
         return (_cstarc_weight(t, m, q, lambda k: q ** k)
-                * (0.25 * t * t + c_m) ** (-0.5 * z))
+                * (0.25 * t * t + c_m) ** p)
+
+    a = float(_N_CUT + 1)
+    geo = 1.0 / (1.0 - q * q)
+    tiny = 2.0 ** -54  # the largest x with 1.0 - x == 1.0
+    if (q ** (2 * a + m - 1) <= tiny and q ** (2 * (a + m)) <= tiny
+            and (a + m + 1.0) * q ** (2 * (a + m) + 3)
+            < 0.25 * math.ulp(q * geo)):
+        a_part = ((1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))) * (q * geo)
+        two_qm = 2.0 * q ** m
+
+        def f_tail(t: float) -> float:
+            return ((a_part + two_qm * ((t + m + 1.0) - geo))
+                    * (0.25 * t * t + c_m) ** p)
+    else:
+        f_tail = f
 
     def f_inv(u: float) -> float:
         # u = 1/t flattens the slowly decaying tail onto a finite window.
         t = 1.0 / u
-        return f(t) * t * t
+        return f_tail(t) * t * t
 
-    a = float(_N_CUT + 1)
     tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
     return _em_close(head + tail_int, f, a)
 
@@ -840,8 +945,11 @@ def residue_extract(omega: str, q_value: float, *,
     if lmax is not None and omega != "identity":
         raise ValueError(f"lmax applies only to the identity weight's "
                          f"cutoff scan, not to {omega}")
-    if lmax is not None and lmax > ceiling:
-        raise ValueError(f"lmax {lmax} is above the cutoff ceiling {ceiling}")
+    if lmax is not None:
+        _check_cutoff(lmax)
+        if lmax > ceiling:
+            raise ValueError(f"lmax {lmax} is above the cutoff ceiling "
+                             f"{ceiling}")
     if max_error_bar is not None and not max_error_bar >= 0.0:
         raise ValueError(f"max_error_bar must be >= 0, got {max_error_bar}")
     sched = tuple(float(e) for e in schedule)
@@ -870,10 +978,11 @@ def residue_extract(omega: str, q_value: float, *,
     else:
         method = "direct-scan/richardson+least-squares"
         lmax_used = ceiling if lmax is None else lmax
+        scan = _scan_prepare(omega, q, lmax_used)
         at_target = True
         for eps in sched:
             z = 3.0 + eps
-            partial = upsilon_value(omega, z, q, lmax_used)
+            partial = _exact_sum(_scan_terms(scan, z))
             tb = tail_bound(omega, lmax_used, z, q)
             if tb > 1e-6 * abs(partial):
                 at_target = False

@@ -18,8 +18,9 @@ from suq2.algebra import gens
 from suq2.functionals import gns_inner
 from suq2.peterweyl import pw_orthobasis
 from suq2.scalars import Scalar, big_q
-from suq2.spectral import (NonConvergenceError, SpectralGrid, c_ratio,
-                           clebsch_minus, clebsch_plus, commutator_growth,
+from suq2.spectral import (OMEGA_TAGS, NonConvergenceError, SpectralGrid,
+                           c_ratio, clebsch_minus, clebsch_plus,
+                           commutator_growth,
                            dirac_matrix, dirac_sector_matrix,
                            eigen_lattice_sum, jset, lambda_eigen,
                            mult_op_matrix, residue_extract,
@@ -235,11 +236,17 @@ def test_cstarc_diagonal_matches_eps_display_exactly():
 # ---------------------------------------------------------------------------
 # Trace scans.
 
+def _scan_term_list(omega, z, q, lmax):
+    """The terms of a prepared scan at z, as one list in scan order."""
+    from suq2.spectral import _scan_prepare, _scan_terms
+
+    return [t for block in _scan_terms(_scan_prepare(omega, q, lmax), z)
+            for t in block.tolist()]
+
+
 def test_scan_closed_i_sums_match_explicit_loops():
     """The O(1) per-(n, l2) scan terms agree with brute-force sums over
     the right index i and the two ladder columns."""
-    from suq2.spectral import _scan_terms
-
     z = 3.3
     for q in Q_GRID:
         qc = q / (1.0 - q * q)
@@ -249,7 +256,7 @@ def test_scan_closed_i_sums_match_explicit_loops():
 
         for omega in ("deltaL2-e11", "cstarc"):
             lmax = 9
-            terms = iter(_scan_terms(omega, z, q, lmax))
+            terms = iter(_scan_term_list(omega, z, q, lmax))
             for n in range(0, lmax):
                 for l2 in range(n + 1, lmax + 1, 2):
                     lam = lambda_eigen(l2, n, q)
@@ -472,17 +479,15 @@ def _ref_lattice_inner_direct(z, q, m, c_m, haar_weight, qt):
                                    "cstarc"))
 @pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.8, 0.95))
 def test_scan_terms_bit_identical_to_per_term_loop(omega, q):
-    from suq2.spectral import _scan_terms
-
     z = 3.3
     for lmax in (1, 2, 3, 9, 60, 400):
         try:
             want = _ref_scan_terms(omega, z, q, lmax)
         except OverflowError:
             with pytest.raises(OverflowError):
-                _scan_terms(omega, z, q, lmax)
+                _scan_term_list(omega, z, q, lmax)
             continue
-        assert _scan_terms(omega, z, q, lmax) == want
+        assert _scan_term_list(omega, z, q, lmax) == want
 
 
 @pytest.mark.parametrize("q", (0.3, 0.5, 0.8))
@@ -506,6 +511,189 @@ def test_identity_scan_overflow_still_raises(q, lmax):
     # the brackets the scan uses, so the overflow surfaces as before.
     with pytest.raises(OverflowError):
         upsilon_value("identity", 3.5, q, lmax)
+
+
+@pytest.mark.parametrize("omega", OMEGA_TAGS)
+@pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.8, 0.95))
+def test_upsilon_value_is_fsum_of_per_term_loop(omega, q):
+    z = 3.3
+    for lmax in (1, 9, 60, 400):
+        try:
+            want = math.fsum(_ref_scan_terms(omega, z, q, lmax))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                upsilon_value(omega, z, q, lmax)
+            continue
+        assert upsilon_value(omega, z, q, lmax) == want
+
+
+@pytest.mark.parametrize("omega", OMEGA_TAGS)
+def test_upsilon_scan_matches_one_z_at_a_time(omega):
+    q, lmax, zs = 0.5, 60, [3.2, 3.6, 4.0, 7.5]
+    rows = upsilon_scan(omega, q, zs, lmax)
+    assert [r["partial_sum"] for r in rows] == [
+        upsilon_value(omega, z, q, lmax) for z in zs]
+    assert [r["tail_bound"] for r in rows] == [
+        tail_bound(omega, lmax, z, q) for z in zs]
+
+
+@pytest.mark.parametrize("q", (0.3, 0.8))
+def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
+    from suq2 import spectral
+
+    lmax = 60
+    got = residue_extract("identity", q, lmax=lmax)
+
+    # Each point of the schedule from its own per-term loop at that z.
+    def one_z(scan, z):
+        omega, q_scan, lmax_scan = scan
+        return [np.array([math.fsum(
+            _ref_scan_terms(omega, z, q_scan, lmax_scan))])]
+
+    monkeypatch.setattr(spectral, "_scan_prepare", lambda *scan: scan)
+    monkeypatch.setattr(spectral, "_scan_terms", one_z)
+    assert residue_extract("identity", q, lmax=lmax) == got
+
+
+@pytest.mark.parametrize("q, m, exact_form", [(0.999, 1, False),
+                                              (0.99, 1, True),
+                                              (0.5, 1, True),
+                                              (0.5, 41, True)])
+def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
+                                                  monkeypatch):
+    """Both tails of ``_cstarc_inner`` against the plain column: where the
+    guard holds, ``quad`` never calls the full weight, and the three
+    scalar weights left are the Euler-Maclaurin close's."""
+    from suq2 import spectral
+
+    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
+                        dtype=float)
+    weight = spectral._cstarc_weight
+    scalar_calls = []
+
+    def counted(n, *args):
+        if isinstance(n, float):
+            scalar_calls.append(n)
+        return weight(n, *args)
+
+    monkeypatch.setattr(spectral, "_cstarc_weight", counted)
+    for z in (3.05, 4.0):
+        scalar_calls.clear()
+        assert (spectral._cstarc_inner(z, q, m, qt)
+                == _ref_cstarc_inner(z, q, m, qt))
+        assert (len(scalar_calls) == 3) == exact_form
+
+
+def test_upsilon_scan_checks_every_argument_before_any_row(monkeypatch):
+    from suq2 import spectral
+
+    def no_scan(*args):
+        raise AssertionError("a scan ran before the arguments were checked")
+
+    monkeypatch.setattr(spectral, "_scan_prepare", no_scan)
+    for call in (lambda: upsilon_scan("identity", 0.5, [3.5, 1.0], 50),
+                 lambda: upsilon_scan("identity", 0.5, [], 0),
+                 lambda: upsilon_scan("identity", 0.5, [3.5], 10.5),
+                 lambda: upsilon_scan("identity", 1.5, [3.5], 50),
+                 lambda: upsilon_scan("nope", 0.5, [3.5], 50)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_non_integer_cutoff_rejected():
+    for call in (lambda: upsilon_value("identity", 3.5, 0.5, 10.5),
+                 lambda: upsilon_scan("identity", 0.5, [3.5], 10.5),
+                 lambda: residue_extract("identity", 0.5, lmax=10.5),
+                 lambda: upsilon_identity_pairblocks(3.5, 0.5, 10.5)):
+        with pytest.raises(ValueError, match="cutoff must be a positive "
+                                             "integer"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# The exact sum behind the scans: bit for bit math.fsum, sign of zero and
+# exceptions included.
+
+def _assert_sums_like_fsum(values, blocks):
+    from suq2.spectral import _exact_sum
+
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_sum(blocks)
+        return
+    got = _exact_sum(blocks)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+#: Finite floats from 2^-1074 to 2^1000: integer mantissas at every
+#: binary exponent, subnormals and signed zeros.
+_WIDE_FLOATS = st.one_of(
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
+              st.integers(-1074, 1000 - 53)),
+    st.floats(min_value=-2.0 ** -1022, max_value=2.0 ** -1022),
+    st.sampled_from((0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1074))))
+
+
+@st.composite
+def _cancelling_blocks(draw, elements=_WIDE_FLOATS):
+    """A list whose sum mostly cancels (values and their negations, some
+    an ulp off) and its split into blocks at drawn cut points."""
+    xs = draw(st.lists(elements, max_size=30))
+    twins = draw(st.lists(st.sampled_from(xs), max_size=len(xs))
+                 if xs else st.just([]))
+    nudge = draw(st.lists(st.booleans(), min_size=len(twins),
+                          max_size=len(twins)))
+    values = draw(st.permutations(
+        xs + [-(math.nextafter(t, math.inf) if bump else t)
+              for t, bump in zip(twins, nudge)]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=3)))
+    blocks = [np.array(values[a:b], dtype=float)
+              for a, b in zip([0] + cuts, cuts + [len(values)])]
+    return values, blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cancelling_blocks())
+def test_exact_sum_is_fsum(case):
+    _assert_sums_like_fsum(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cancelling_blocks(st.one_of(
+    _WIDE_FLOATS, st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((math.inf, -math.inf, math.nan)))))
+def test_exact_sum_non_finite_and_huge_terms_follow_fsum(case):
+    _assert_sums_like_fsum(*case)
+
+
+def test_exact_sum_overflow_raises():
+    from suq2.spectral import _exact_sum
+
+    big = np.finfo(float).max
+    for values in ([big, big], [big, big, -big], [2.0 ** 1023] * 2,
+                   [-big] * 3 + [big]):
+        with pytest.raises(OverflowError):
+            _exact_sum([np.array(values)])
+
+
+def test_exact_sum_is_fsum_over_many_blocks():
+    from suq2.spectral import _SCAN_BLOCK
+
+    rng = np.random.default_rng(7)
+    size = 3 * _SCAN_BLOCK + 17
+    x = rng.standard_normal(size) * np.exp2(rng.integers(-1074, 990, size))
+    x = np.concatenate([x, -x[:5000], rng.standard_normal(300)])
+    rng.shuffle(x)
+    values = x.tolist()
+    _assert_sums_like_fsum(values, [x])
+    _assert_sums_like_fsum(values, [x[i:i + _SCAN_BLOCK]
+                                    for i in range(0, x.size, _SCAN_BLOCK)])
 
 
 # ---------------------------------------------------------------------------
