@@ -25,33 +25,35 @@ weakened by it.  Three levels:
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
   used by the residue functional in a fixed (n outer, l inner) order,
-  together with certified tail bounds.  The z-independent part of a scan
-  is prepared once per call: one-index tables (powers of q, q-integers,
-  column sums) built by scalar Python arithmetic are gathered by integer
-  indices onto blocks of the (n, l) triangle and combined with correctly
-  rounded numpy arithmetic into the bases 1 + lambda^2 and the weight
-  factors.  Each z then costs the per-term power (1 + lambda^2)^{-z/2},
-  which stays Python's pow since numpy's vectorized power rounds
-  differently from libm on some CPUs, the products in the per-term
-  loop's order, and one exact sum: the terms are binned by binary
-  exponent and the sum is rounded once, which gives ``math.fsum``'s bits
-  at a fraction of its cost.  A scan's output thus has the bits of the
-  plain per-term loop under ``math.fsum``, and does not depend on the
-  host.  ``eigen_lattice_sum`` evaluates the same sums arbitrarily close
-  to the abscissa z = 3 by resumming the leading geometric part of the
-  (n, m) lattice in closed form, which a plain cutoff scan cannot reach;
-  it and ``upsilon_cstarc_lattice`` gather every array power q^k of their
-  columns from one table built per call, and where every t-dependent
-  power of q rounds away in the integral tail of a c*c column, that tail
-  integrates the weight's exact float form.  ``residue_extract`` drives
-  either evaluator through a Richardson schedule in z - 3 and
-  cross-checks with a least-squares pole fit.
+  together with certified tail bounds; each z of a scan is one
+  ``upsilon_value`` call.  A call first prepares the z-independent part:
+  one-index tables (powers of q, q-integers, column sums) built by scalar
+  Python arithmetic are gathered by integer indices onto blocks of the
+  (n, l) triangle and combined with correctly rounded numpy arithmetic
+  into the bases 1 + lambda^2 and the weight factors.  The z then costs
+  the per-term power (1 + lambda^2)^{-z/2}, which stays Python's pow since
+  numpy's vectorized power rounds differently from libm on some CPUs, the
+  products in the per-term loop's order, and one exact sum: the terms are
+  binned by binary exponent and the sum is rounded once, which gives
+  ``math.fsum``'s bits at a fraction of its cost.  A scan's output thus
+  has the bits of the plain per-term loop under ``math.fsum``, and does
+  not depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
+  arbitrarily close to the abscissa z = 3 by resumming the leading
+  geometric part of the (n, m) lattice in closed form, which a plain
+  cutoff scan cannot reach; it and ``upsilon_cstarc_lattice`` gather
+  every array power q^k of their columns from one table built per call
+  and merge each column head by the same exact sum, and where every
+  t-dependent power of q rounds away in the integral tail of a c*c
+  column, that tail integrates the weight's exact float form.
+  ``residue_extract`` drives either evaluator through a Richardson
+  schedule in z - 3 and cross-checks with a least-squares pole fit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -498,7 +500,7 @@ def _scan_terms(blocks: List[_ScanBlock], z: float) -> List[np.ndarray]:
     p = -0.5 * z
     out = []
     for base, w, acc in blocks:
-        terms = w * np.array([b ** p for b in base.tolist()])
+        terms = w * np.array(list(map(pow, base.tolist(), repeat(p))))
         out.append(terms if acc is None else terms * acc)
     return out
 
@@ -520,21 +522,19 @@ def upsilon_scan(omega: str, q_value: float, z_values: Sequence[float],
                  lmax: int) -> List[Dict[str, float]]:
     """Scan rows (one per z) with partial sums and certified tail bounds.
 
-    Every argument is checked before any row is computed.  The scan is
-    prepared once and evaluated at each z; each partial sum is the value
-    ``upsilon_value`` gives at that z."""
+    Every argument is checked before any row is computed; each partial
+    sum is then one ``upsilon_value`` call at that z."""
     _check_omega(omega)
     q = _check_q(q_value)
     _check_cutoff(lmax)
     zs = list(z_values)
     for z in zs:
         _check_z(z, 2.0)
-    scan = _scan_prepare(omega, q, lmax)
     return [{"omega_tag": omega,
              "q": q,
              "z": float(z),
              "lmax": lmax,
-             "partial_sum": _exact_sum(_scan_terms(scan, z)),
+             "partial_sum": upsilon_value(omega, z, q, lmax),
              "tail_bound": tail_bound(omega, lmax, z, q)} for z in zs]
 
 
@@ -707,7 +707,7 @@ def _lattice_inner_direct(z: float, q: float, m: int, c_m: float,
     ``qt`` is the call's power table, qt[k] = q^k."""
     n = np.arange(0, _N_CUT + 1)
     w = 1.0 - qt[2 * (n + m + 1)] if haar_weight else 1.0
-    head = math.fsum((w * _column_powers(z, q, m, n, qt[2 * n])).tolist())
+    head = _exact_sum([w * _column_powers(z, q, m, n, qt[2 * n])])
 
     def f(t: float) -> float:
         return (0.25 * t * t + c_m) ** (-0.5 * z)
@@ -801,49 +801,63 @@ def _cstarc_weight(n, m: int, q: float, q_pow):
     return a_part + b_part
 
 
+def _cstarc_tail_weight(m: int, q: float):
+    """The exact float form of ``_cstarc_weight`` on the integral tail
+    t >= a = _N_CUT + 1 of column m, or None where it does not hold.
+
+    It holds under the column's guard: q^{2a+m-1} and q^{2(a+m)} at most
+    2^-54, so every t-dependent 1 - q^k of the weight rounds to 1, and
+    (a+m+1) q^{2(a+m)+3} below a quarter ulp of q geo.  The weight then
+    rounds, term by term, to a_part + 2 q^m ((t + m + 1) - geo) with
+    geo = 1/(1 - q^2), and the column constants are computed once here.
+    Both forms round the same only while ``_cstarc_weight`` keeps its
+    order of operations.
+    """
+    a = float(_N_CUT + 1)
+    geo = 1.0 / (1.0 - q * q)
+    tiny = 2.0 ** -54  # the largest x with 1.0 - x == 1.0
+    if not (q ** (2 * a + m - 1) <= tiny and q ** (2 * (a + m)) <= tiny
+            and (a + m + 1.0) * q ** (2 * (a + m) + 3)
+            < 0.25 * math.ulp(q * geo)):
+        return None
+    a_part = ((1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))) * (q * geo)
+    two_qm = 2.0 * q ** m
+
+    def weight(t: float) -> float:
+        return a_part + two_qm * ((t + m + 1.0) - geo)
+
+    return weight
+
+
 def _cstarc_inner(z: float, q: float, m: int, qt: np.ndarray) -> float:
     """Near-exact weighted n sum for one m column of the c*c trace;
     ``qt`` is the call's power table, qt[k] = q^k.
 
-    The integral tail runs over t >= a = _N_CUT + 1.  Where the column's
-    guard holds there -- q^{2a+m-1} and q^{2(a+m)} at most 2^-54, so
-    every 1 - q^k of the weight rounds to 1, and (a+m+1) q^{2(a+m)+3}
-    below a quarter ulp of q geo -- the weight rounds, term by term, to
-    a_part + 2 q^m ((t + m + 1) - geo) with geo = 1/(1 - q^2), and
-    ``quad`` gets that form with its column constants computed once.
-    Otherwise ``quad`` gets the full weight, as the Euler-Maclaurin close
-    always does; the two agree bit for bit wherever the guard holds.
+    The integral tail runs over t >= a = _N_CUT + 1.  ``quad`` gets the
+    weight's exact float form there where ``_cstarc_tail_weight`` gives
+    one, and the full weight otherwise; the Euler-Maclaurin close always
+    uses the full weight.
     """
     n = np.arange(0, _N_CUT + 1)
-    head = math.fsum((_cstarc_weight(n, m, q, qt.__getitem__)
-                      * _column_powers(z, q, m, n, qt[2 * n])).tolist())
+    head = _exact_sum([_cstarc_weight(n, m, q, qt.__getitem__)
+                       * _column_powers(z, q, m, n, qt[2 * n])])
     c_m = _lattice_cd(q, m)[0]
     p = -0.5 * z
 
-    def f(t: float) -> float:
-        return (_cstarc_weight(t, m, q, lambda k: q ** k)
-                * (0.25 * t * t + c_m) ** p)
+    def full_weight(t: float) -> float:
+        return _cstarc_weight(t, m, q, lambda k: q ** k)
 
-    a = float(_N_CUT + 1)
-    geo = 1.0 / (1.0 - q * q)
-    tiny = 2.0 ** -54  # the largest x with 1.0 - x == 1.0
-    if (q ** (2 * a + m - 1) <= tiny and q ** (2 * (a + m)) <= tiny
-            and (a + m + 1.0) * q ** (2 * (a + m) + 3)
-            < 0.25 * math.ulp(q * geo)):
-        a_part = ((1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))) * (q * geo)
-        two_qm = 2.0 * q ** m
+    tail_weight = _cstarc_tail_weight(m, q) or full_weight
 
-        def f_tail(t: float) -> float:
-            return ((a_part + two_qm * ((t + m + 1.0) - geo))
-                    * (0.25 * t * t + c_m) ** p)
-    else:
-        f_tail = f
+    def f(t: float, weight=full_weight) -> float:
+        return weight(t) * (0.25 * t * t + c_m) ** p
 
     def f_inv(u: float) -> float:
         # u = 1/t flattens the slowly decaying tail onto a finite window.
         t = 1.0 / u
-        return f_tail(t) * t * t
+        return f(t, tail_weight) * t * t
 
+    a = float(_N_CUT + 1)
     tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
     return _em_close(head + tail_int, f, a)
 
@@ -978,11 +992,10 @@ def residue_extract(omega: str, q_value: float, *,
     else:
         method = "direct-scan/richardson+least-squares"
         lmax_used = ceiling if lmax is None else lmax
-        scan = _scan_prepare(omega, q, lmax_used)
         at_target = True
         for eps in sched:
             z = 3.0 + eps
-            partial = _exact_sum(_scan_terms(scan, z))
+            partial = upsilon_value(omega, z, q, lmax_used)
             tb = tail_bound(omega, lmax_used, z, q)
             if tb > 1e-6 * abs(partial):
                 at_target = False

@@ -537,22 +537,39 @@ def test_upsilon_scan_matches_one_z_at_a_time(omega):
         tail_bound(omega, lmax, z, q) for z in zs]
 
 
-@pytest.mark.parametrize("q", (0.3, 0.8))
-def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
+def _record_upsilon_value(monkeypatch):
+    """Replace ``upsilon_value`` by the per-term loop under ``math.fsum``
+    and return the list of its calls.  Each z of a scan and of the
+    identity residue must be one such call: the benchmark's tracer
+    (``perfbench/tracer.py``) counts and times scans on those calls."""
     from suq2 import spectral
 
+    calls = []
+
+    def one_z(omega, z, q, lmax):
+        calls.append((omega, z, q, lmax))
+        return math.fsum(_ref_scan_terms(omega, z, q, lmax))
+
+    monkeypatch.setattr(spectral, "upsilon_value", one_z)
+    return calls
+
+
+def test_upsilon_scan_is_one_upsilon_value_call_per_z(monkeypatch):
+    zs = [3.2, 3.6, 4.0]
+    got = upsilon_scan("cstarc", 0.5, zs, 30)
+    calls = _record_upsilon_value(monkeypatch)
+    assert upsilon_scan("cstarc", 0.5, zs, 30) == got
+    assert calls == [("cstarc", z, 0.5, 30) for z in zs]
+
+
+@pytest.mark.parametrize("q", (0.3, 0.8))
+def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
     lmax = 60
     got = residue_extract("identity", q, lmax=lmax)
-
-    # Each point of the schedule from its own per-term loop at that z.
-    def one_z(scan, z):
-        omega, q_scan, lmax_scan = scan
-        return [np.array([math.fsum(
-            _ref_scan_terms(omega, z, q_scan, lmax_scan))])]
-
-    monkeypatch.setattr(spectral, "_scan_prepare", lambda *scan: scan)
-    monkeypatch.setattr(spectral, "_scan_terms", one_z)
+    calls = _record_upsilon_value(monkeypatch)
     assert residue_extract("identity", q, lmax=lmax) == got
+    assert calls == [("identity", 3.0 + eps, q, lmax)
+                     for eps in got.schedule]
 
 
 @pytest.mark.parametrize("q, m, exact_form", [(0.999, 1, False),
@@ -563,9 +580,18 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
                                                   monkeypatch):
     """Both tails of ``_cstarc_inner`` against the plain column: where the
     guard holds, ``quad`` never calls the full weight, and the three
-    scalar weights left are the Euler-Maclaurin close's."""
+    scalar weights left are the Euler-Maclaurin close's.  The tail form
+    itself equals the full weight at every t of the tail, since one ulp
+    of the integrand rarely reaches the column's sum."""
     from suq2 import spectral
 
+    tail_weight = spectral._cstarc_tail_weight(m, q)
+    assert (tail_weight is not None) == exact_form
+    if exact_form:
+        a = spectral._N_CUT + 1.0
+        ts = [1.0 / u for u in np.linspace(1.0 / a, 1e-12, 5001).tolist()]
+        assert [tail_weight(t) for t in ts] == [
+            spectral._cstarc_weight(t, m, q, lambda k: q ** k) for t in ts]
     qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
                         dtype=float)
     weight = spectral._cstarc_weight
