@@ -42,7 +42,12 @@ from .hochschild import (
     boundary,
 )
 from .mero import f_residue, h_closed, h_direct, h_err_bound
-from .modular import PHI_RES_OVER_R, phi_res_via_commutators, pi_split
+from .modular import (
+    _CLOSED_COCHAINS,
+    PHI_RES_OVER_R,
+    phi_res_via_commutators,
+    pi_split,
+)
 from .peterweyl import pw_orthobasis
 from .rewrite import rewrite_normal_form
 from .sampling import make_rng, random_element
@@ -188,9 +193,7 @@ def check_cocycle_closure() -> CheckResult:
     and the residue cochain vanishes on all generator 5-tuples and on
     random 5-tuples."""
     t0 = time.perf_counter()
-    cochains = dict(COCYCLES)
-    cochains["phi_res_over_R"] = PHI_RES_OVER_R
-    bounds = {name: boundary(c) for name, c in cochains.items()}
+    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
     bad = 0
     first = ""
     for tup in itertools.product(gens(), repeat=5):

@@ -15,6 +15,9 @@ computed structurally: the only nontrivial step is normal-ordering the
 inner block d^s a^n (or a^n d^s), which is done by a cached two-term
 recursion, after which b/c blocks commute past powers of a and d at the
 cost of explicit q-powers.
+
+Elements, the coproduct's tensors and the modular matrices of `modular`
+share one sparse container, `_SparseSum`, and one accumulate step.
 """
 
 from __future__ import annotations
@@ -153,33 +156,105 @@ def _mono_mul(x: Monomial, y: Monomial) -> Tuple:
     return tuple(sorted(acc.items()))
 
 
-def _accumulate(acc: Dict, key, coeff: Scalar) -> None:
-    """Add coeff at key in a sparse term map, dropping keys that cancel."""
-    tot = acc.get(key, ZERO) + coeff
-    if tot.is_zero():
-        acc.pop(key, None)
-    else:
+def _accumulate(acc: Dict, key, coeff) -> None:
+    """Add coeff at key in a sparse term map, dropping keys that cancel.
+
+    A new key takes coeff as it is, so any coefficient with ``+`` and
+    ``is_zero`` works: Scalars, and the algebra-element entries of the
+    modular matrices.
+    """
+    old = acc.get(key)
+    tot = coeff if old is None else old + coeff
+    if not tot.is_zero():
         acc[key] = tot
+    elif old is not None:
+        del acc[key]
 
 
 # ---------------------------------------------------------------------------
 # Elements.
 
-class AlgebraElement:
-    """A finite Q(v)-linear combination of basis monomials."""
+class _SparseSum:
+    """A finite formal sum, stored as a dict from key to nonzero coefficient.
+
+    The constructor drops zero coefficients; a result that can hold none
+    (a sum through `_accumulate`, a negation, a scaling by a nonzero
+    scalar, a product) is wrapped by `_wrap` as it is.  Each type coerces
+    only its own instances, so sums of different types never mix.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] = ()):
-        self._terms = {m: c for m, c in dict(terms).items() if not c.is_zero()}
+    def __init__(self, terms: Mapping = ()):
+        self._terms = {k: c for k, c in dict(terms).items() if not c.is_zero()}
+
+    @classmethod
+    def _wrap(cls, terms: Dict):
+        """A sum holding ``terms`` itself, which must have no zero."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def _coerce(cls, other):
+        return other if isinstance(other, cls) else None
 
     @property
-    def terms(self) -> Dict[Monomial, Scalar]:
+    def terms(self) -> Dict:
         return dict(self._terms)
 
     @classmethod
-    def zero(cls) -> "AlgebraElement":
+    def zero(cls):
         return cls()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in o._terms.items():
+            _accumulate(out, k, c)
+        return self._wrap(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def scale(self, coeff):
+        c = as_scalar(coeff)
+        if c.is_zero():
+            return self._wrap({})
+        return self._wrap({k: x * c for k, x in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._terms == o._terms
+
+    __hash__ = None
+
+
+class AlgebraElement(_SparseSum):
+    """A finite Q(v)-linear combination of basis monomials."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "AlgebraElement":
@@ -191,9 +266,6 @@ class AlgebraElement:
         m = mono(*m)
         return cls({m: as_scalar(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, m: Monomial) -> Scalar:
         return self._terms.get(m, ZERO)
 
@@ -204,7 +276,7 @@ class AlgebraElement:
     def monomials(self) -> Tuple[Monomial, ...]:
         return tuple(sorted(self._terms))
 
-    # -- linear structure ---------------------------------------------
+    # -- products -------------------------------------------------------
 
     @staticmethod
     def _coerce(other) -> "AlgebraElement":
@@ -213,38 +285,6 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction, Scalar)):
             return AlgebraElement({UNIT_MONO: as_scalar(other)})
         return None
-
-    def __add__(self, other) -> "AlgebraElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in o._terms.items():
-            _accumulate(out, m, c)
-        return AlgebraElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other) -> "AlgebraElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "AlgebraElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scale(self, coeff) -> "AlgebraElement":
-        c = as_scalar(coeff)
-        if c.is_zero():
-            return AlgebraElement()
-        return AlgebraElement({m: k * c for m, k in self._terms.items()})
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -257,7 +297,7 @@ class AlgebraElement:
                 c12 = c1 * c2
                 for m, c in _mono_mul(m1, m2):
                     _accumulate(out, m, c12 * c)
-        return AlgebraElement(out)
+        return AlgebraElement._wrap(out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -272,14 +312,6 @@ class AlgebraElement:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
-
-    __hash__ = None
-
     # -- star structure -----------------------------------------------
 
     def star(self) -> "AlgebraElement":
@@ -289,7 +321,7 @@ class AlgebraElement:
             sign = -1 if (m + r) % 2 else 1
             coeff = c * Scalar.q_pow(m - r) * sign
             _accumulate(out, Monomial(s, r, m, n), coeff)
-        return AlgebraElement(out)
+        return AlgebraElement._wrap(out)
 
     # -- serialization / display --------------------------------------
 
@@ -352,42 +384,10 @@ def normalize_word(word: Union[str, Iterable[str]]) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # Coproduct, counit, weights.
 
-class TensorElement:
+class TensorElement(_SparseSum):
     """A finite sum of two-fold tensors of basis monomials."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Tuple[Monomial, Monomial], Scalar] = ()):
-        self._terms = {k: c for k, c in dict(terms).items() if not c.is_zero()}
-
-    @property
-    def terms(self) -> Dict[Tuple[Monomial, Monomial], Scalar]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other) -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            _accumulate(out, k, c)
-        return TensorElement(out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "TensorElement":
-        c = as_scalar(coeff)
-        if c.is_zero():
-            return TensorElement()
-        return TensorElement({k: x * c for k, x in self._terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other) -> "TensorElement":
         if isinstance(other, (int, Fraction, Scalar)):
@@ -401,16 +401,9 @@ class TensorElement:
                 for m1, d1 in _mono_mul(x1, y1):
                     for m2, d2 in _mono_mul(x2, y2):
                         _accumulate(out, (m1, m2), c12 * d1 * d2)
-        return TensorElement(out)
+        return TensorElement._wrap(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
 
     def __str__(self) -> str:
         if not self._terms:

@@ -31,8 +31,8 @@ from .acceptance import CHECK_IDS, run_checks
 from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_weight
 from .algebra import AlgebraElement, normalize_word
 from .functionals import haar
-from .hochschild import COCYCLES, PSI_132, PSI_213, VOLUME_CHAIN, Cochain, boundary
-from .modular import PHI_RES_OVER_R
+from .hochschild import PSI_132, PSI_213, VOLUME_CHAIN, boundary
+from .modular import _CLOSED_COCHAINS
 from .sampling import make_rng, random_monomial
 from .scalars import Scalar
 from .spectral import (
@@ -179,14 +179,6 @@ def _scalar_payload(command: str, inputs: Sequence[str],
     }
 
 
-def _named_cochains() -> Dict[str, Cochain]:
-    table: Dict[str, Cochain] = dict(COCYCLES)
-    table["psi_132"] = PSI_132
-    table["psi_213"] = PSI_213
-    table["phi_res_over_R"] = PHI_RES_OVER_R
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: return the exit code.
 
@@ -232,7 +224,7 @@ def _cmd_haar(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
-    table = _named_cochains()
+    table = {**_CLOSED_COCHAINS, "psi_132": PSI_132, "psi_213": PSI_213}
     name = ns.cocycle
     if name not in table:
         raise UsageError(f"unknown cocycle {name!r}; choose from "
@@ -252,7 +244,7 @@ def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_pair_dvol(ns: argparse.Namespace) -> int:
-    table = {n: c for n, c in _named_cochains().items() if c.degree == 3}
+    table = _CLOSED_COCHAINS
     name = ns.cocycle
     if name not in table:
         raise UsageError(f"unknown 3-cochain {name!r}; choose from "
@@ -269,9 +261,7 @@ def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
     if tuples < 1:
         raise UsageError("tuple count must be positive")
     rng = make_rng(seed)
-    cochains = _named_cochains()
-    cochains = {n: c for n, c in cochains.items() if c.degree == 3}
-    bounds = {name: boundary(c) for name, c in cochains.items()}
+    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
     nonzero = {name: 0 for name in bounds}
     for _ in range(tuples):
         tup = tuple(AlgebraElement.from_mono(random_monomial(rng, 3))

@@ -33,9 +33,10 @@ from typing import Dict, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .spectral import (NonConvergenceError, _check_cutoff, _check_q, _check_z,
-                       _column_powers, _em_close, _gamma_half_ratio,
-                       _richardson_to_zero, eigen_lattice_sum)
+from .spectral import (_STANDARD_SCHEDULE, NonConvergenceError, _check_cutoff,
+                       _check_q, _check_z, _column_powers, _em_close,
+                       _exact_sum, _gamma_half_ratio, _richardson_to_zero,
+                       eigen_lattice_sum)
 
 __all__ = [
     "h_closed", "h_direct", "h_err_bound", "f_value", "f_residue",
@@ -127,7 +128,7 @@ def _h_column(z: float, x: float, y: float, r: float, m: int) -> float:
         return scale * (1.0 + u * u) ** (-0.5 * z)
 
     a = float(N_CAP + 1)
-    head = math.fsum(f_em(np.arange(1, N_CAP + 1, dtype=float)).tolist())
+    head = _exact_sum([f_em(np.arange(1, N_CAP + 1, dtype=float))])
     tail = (y ** (1.0 - z) / x * math.exp(r * m * 0.5 * (3.0 - z))
             * _j_tail(shrink * a, z))
     return _em_close(head + tail, f_em, a)
@@ -181,7 +182,7 @@ def f_residue(q_value: float) -> Dict[str, float]:
     """Richardson estimate of lim (z-3) f(z) with its target formula, on
     the standard schedule eps = 0.4, 0.2, 0.1, 0.05."""
     points = [(eps, eps * f_value(3.0 + eps, q_value))
-              for eps in (0.4, 0.2, 0.1, 0.05)]
+              for eps in _STANDARD_SCHEDULE]
     rich, last_corr = _richardson_to_zero(points)
     return {
         "estimate": rich,

@@ -13,11 +13,12 @@ formal sums
 
     sum_p  M_p * DeltaL_hat**p
 
-with ``M_p`` a 2x2 matrix of algebra elements.  Moving a power of
-``DeltaL_hat`` across a matrix twists each entry by a power of the left
-modular automorphism together with a component-dependent power of q; this is
-the only commutation rule needed, and it keeps the whole calculus exact over
-the scalar field.
+with ``M_p`` a 2x2 matrix of algebra elements, kept as one sparse sum over
+(power, row, column) in the container that algebra elements and tensors
+share.  Moving a power of ``DeltaL_hat`` across a matrix twists each entry
+by a power of the left modular automorphism together with a
+component-dependent power of q; this is the only commutation rule needed,
+and it keeps the whole calculus exact over the scalar field.
 
 The residue functional of the spectral triple evaluates such formal sums via
 three rules (off-diagonal terms vanish, grading-diagonal terms at modular
@@ -38,9 +39,9 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 from .actions import act_e, act_f, act_h, act_k
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _accumulate, _SparseSum
 from .functionals import int_one
-from .hochschild import ORDERS, Cochain, cup, e_first, sign
+from .hochschild import COCYCLES, ORDERS, Cochain, cup, e_first, sign
 from .scalars import Scalar
 
 __all__ = [
@@ -84,12 +85,13 @@ def _conjugate_entry(x: AlgebraElement, power: int, i: int, j: int) -> AlgebraEl
     return shifted.scale(Scalar.q_pow(2 * power * (i - j)))
 
 
-class ModularMatrix:
+class ModularMatrix(_SparseSum):
     """A formal sum of 2x2 algebra-valued matrices times powers of the
     (component-rescaled) left modular operator, stored sparsely as
-    ``(power, row, col) -> nonzero entry``."""
+    ``(power, row, col) -> nonzero entry`` in the shared sparse-sum
+    container of `algebra`."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, parts: Mapping[int, Matrix2] | None = None):
         entries: Dict[Key, AlgebraElement] = {}
@@ -99,19 +101,9 @@ class ModularMatrix:
             for i, row in enumerate(rows):
                 for j, entry in enumerate(row):
                     entries[power, i, j] = entry
-        self._entries = _nonzero(entries)
-
-    @classmethod
-    def _of(cls, entries: Dict[Key, AlgebraElement]) -> "ModularMatrix":
-        out = cls.__new__(cls)
-        out._entries = _nonzero(entries)
-        return out
+        super().__init__(entries)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ModularMatrix":
-        return cls()
 
     @classmethod
     def identity(cls) -> "ModularMatrix":
@@ -137,43 +129,15 @@ class ModularMatrix:
 
     @property
     def powers(self) -> Tuple[int, ...]:
-        return tuple(sorted({power for power, _, _ in self._entries}))
+        return tuple(sorted({power for power, _, _ in self._terms}))
 
     def part(self, power: int) -> Matrix2:
-        get = self._entries.get
+        get = self._terms.get
         return ((get((power, 0, 0), _ZERO_EL), get((power, 0, 1), _ZERO_EL)),
                 (get((power, 1, 0), _ZERO_EL), get((power, 1, 1), _ZERO_EL)))
 
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    # -- linear structure -----------------------------------------------
-
-    def __add__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if not isinstance(other, ModularMatrix):
-            return NotImplemented
-        entries = dict(self._entries)
-        for key, entry in other._entries.items():
-            entries[key] = entries.get(key, _ZERO_EL) + entry
-        return ModularMatrix._of(entries)
-
-    def __neg__(self) -> "ModularMatrix":
-        return ModularMatrix._of({k: -e for k, e in self._entries.items()})
-
-    def __sub__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if not isinstance(other, ModularMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModularMatrix):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
-        if not self._entries:
+        if not self._terms:
             return "ModularMatrix(0)"
         chunks = []
         for power in self.powers:
@@ -183,22 +147,17 @@ class ModularMatrix:
         return "ModularMatrix(" + " + ".join(chunks) + ")"
 
 
-def _nonzero(entries: Dict[Key, AlgebraElement]) -> Dict[Key, AlgebraElement]:
-    return {key: e for key, e in entries.items() if not e.is_zero()}
-
-
 def mm_mul(x: ModularMatrix, y: ModularMatrix) -> ModularMatrix:
     """Product, normalized so every modular-operator power sits rightmost:
     only nonzero entries meet, and an entry of y moved left of
     DeltaL_hat**p is conjugated by it."""
     entries: Dict[Key, AlgebraElement] = {}
-    for (p, i, k), left in x._entries.items():
-        for (r, k2, j), right in y._entries.items():
+    for (p, i, k), left in x._terms.items():
+        for (r, k2, j), right in y._terms.items():
             if k2 == k:
-                key = (p + r, i, j)
-                entries[key] = (entries.get(key, _ZERO_EL)
-                                + left * _conjugate_entry(right, p, k, j))
-    return ModularMatrix._of(entries)
+                _accumulate(entries, (p + r, i, j),
+                            left * _conjugate_entry(right, p, k, j))
+    return ModularMatrix._wrap(entries)
 
 
 def stilde(alpha: AlgebraElement) -> ModularMatrix:
@@ -274,6 +233,10 @@ def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
 
 # The lambda looks `phi_res_over_r` up at call time.
 PHI_RES_OVER_R = Cochain(3, lambda *a: phi_res_over_r(*a), "phi_res_over_R")
+
+#: The seven closed 3-cochains by name: the six cup cocycles and the
+#: residue cochain.
+_CLOSED_COCHAINS = {**COCYCLES, "phi_res_over_R": PHI_RES_OVER_R}
 
 
 def pi_split(a0: AlgebraElement, a1: AlgebraElement,

@@ -162,8 +162,7 @@ class SpectralGrid:
 
     def __init__(self, q_value: float, lmax: int):
         self.q = _check_q(q_value)
-        if not isinstance(lmax, int) or lmax < 1:
-            raise ValueError("cutoff must be a positive integer (doubled spin)")
+        _check_cutoff(lmax)
         self.lmax = lmax
 
     def sectors(self) -> range:
@@ -593,6 +592,7 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
     _check_omega(omega)
     q = _check_q(q_value)
     _check_z(z, -math.inf)
+    _check_cutoff(lmax)
     if omega == "gamma":
         return 0.0
     z_floor = 3.0 if omega in _DELTA_TAGS else 2.0
@@ -935,8 +935,12 @@ def _richardson_to_zero(points: Sequence[Tuple[float, float]]
     return tops[-1], abs(tops[-1] - tops[-2])
 
 
+#: The standard Richardson schedule of offsets eps = z - 3.
+_STANDARD_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
+
+
 def residue_extract(omega: str, q_value: float, *,
-                    schedule: Sequence[float] = (0.4, 0.2, 0.1, 0.05),
+                    schedule: Sequence[float] = _STANDARD_SCHEDULE,
                     lmax: Optional[int] = None,
                     max_error_bar: Optional[float] = None) -> ResidueReport:
     """Estimate the residue at z = 3 of the weighted trace sum.

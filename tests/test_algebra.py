@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from suq2.algebra import (
     UNIT_MONO,
     AlgebraElement,
+    _accumulate,
     Monomial,
     TensorElement,
     coproduct,
@@ -205,6 +206,46 @@ class TestWeights:
             total = total + piece
         assert total == x
         assert parts[(0, 0)] == 2 * B * C
+
+
+class TestSparseSums:
+    """The container that elements, tensors and modular matrices share."""
+
+    def test_sum_types_never_mix(self):
+        assert (AlgebraElement.zero() == TensorElement()) is False
+        assert (TensorElement() == AlgebraElement.zero()) is False
+        with pytest.raises(TypeError):
+            AlgebraElement.unit() + TensorElement()
+        with pytest.raises(TypeError):
+            TensorElement() - AlgebraElement.unit()
+        with pytest.raises(TypeError):
+            TensorElement() + 1
+
+    def test_scalars_still_coerce(self):
+        two = AlgebraElement.from_mono(UNIT_MONO, 2)
+        assert AlgebraElement.unit() + 1 == two
+        assert 1 + AlgebraElement.unit() == two
+        assert 3 - AlgebraElement.unit() == two
+        assert AlgebraElement.unit() == 1
+
+    def test_results_hold_no_zero(self):
+        x = A * D - D * A
+        for y in (x - x, x + (-x), x.scale(0), coproduct(x) - coproduct(x)):
+            assert y.is_zero() and y.terms == {}
+        assert all(not c.is_zero() for c in (x * x).terms.values())
+
+    @pytest.mark.parametrize("coeff", [Q - 1, B + Q * C],
+                             ids=["scalar", "element"])
+    def test_accumulate_drops_zeros(self, coeff):
+        acc = {}
+        _accumulate(acc, "k", coeff - coeff)
+        assert acc == {}
+        _accumulate(acc, "k", coeff)
+        assert acc["k"] is coeff
+        _accumulate(acc, "k", coeff)
+        assert acc == {"k": coeff + coeff}
+        _accumulate(acc, "k", -(coeff + coeff))
+        assert acc == {}
 
 
 class TestSerialization:

@@ -64,6 +64,34 @@ class TestModularMatrix:
         assert m.is_zero()
         assert m.powers == ()
 
+    def test_cancelling_entries_dropped(self):
+        rng = make_rng(737)
+        for _ in range(4):
+            x = random_element(rng, max_degree=2, max_terms=2)
+            diff = commutator_d(x) - commutator_d(x)
+            assert diff.is_zero() and diff.powers == ()
+        # Row (1, 1) against column (1, -1), once at power zero and once
+        # across one modular power, whose push rescales the lower entry
+        # by q^2.
+        row = ModularMatrix({0: ((UNIT, UNIT), (ZEL, ZEL))})
+        col = ModularMatrix({0: ((B, ZEL), (-B, ZEL))})
+        row1 = ModularMatrix({1: ((UNIT, UNIT), (ZEL, ZEL))})
+        col1 = ModularMatrix({0: ((B, ZEL), (-B.scale(Scalar.q_pow(-2)),
+                                               ZEL))})
+        for prod in (mm_mul(row, col), mm_mul(row1, col1)):
+            assert prod.is_zero() and prod.powers == ()
+        assert not mm_mul(row1, col).is_zero()
+
+    def test_sums_of_other_types_do_not_mix(self):
+        with pytest.raises(TypeError):
+            ModularMatrix() + AlgebraElement.unit()
+        with pytest.raises(TypeError):
+            AlgebraElement.unit() - ModularMatrix.identity()
+        with pytest.raises(TypeError):
+            ModularMatrix.identity() + 1
+        assert (ModularMatrix.zero() == AlgebraElement.zero()) is False
+        assert (ModularMatrix.identity() == 1) is False
+
     def test_from_element_multiplicative(self):
         rng = make_rng(731)
         for _ in range(5):

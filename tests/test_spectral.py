@@ -630,10 +630,25 @@ def test_non_integer_cutoff_rejected():
     for call in (lambda: upsilon_value("identity", 3.5, 0.5, 10.5),
                  lambda: upsilon_scan("identity", 0.5, [3.5], 10.5),
                  lambda: residue_extract("identity", 0.5, lmax=10.5),
-                 lambda: upsilon_identity_pairblocks(3.5, 0.5, 10.5)):
+                 lambda: upsilon_identity_pairblocks(3.5, 0.5, 10.5),
+                 lambda: tail_bound("identity", 2.5, 3.5, 0.5),
+                 lambda: tail_bound("gamma", 2.5, 3.5, 0.5),
+                 lambda: SpectralGrid(0.5, 2.5)):
         with pytest.raises(ValueError, match="cutoff must be a positive "
                                              "integer"):
             call()
+
+
+def test_numpy_integer_cutoff_accepted():
+    # Every entry point takes the integral cutoffs the scans take.
+    grid = SpectralGrid(0.5, np.int64(3))
+    mat, labels = dirac_matrix(grid)
+    ref, ref_labels = dirac_matrix(SpectralGrid(0.5, 3))
+    assert np.array_equal(mat, ref) and labels == ref_labels
+    assert (tail_bound("identity", np.int64(40), 3.5, 0.5)
+            == tail_bound("identity", 40, 3.5, 0.5))
+    assert (upsilon_value("identity", 3.5, 0.5, np.int64(3))
+            == upsilon_value("identity", 3.5, 0.5, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +823,11 @@ def test_pairblocks_cutoff_below_one_rejected(lmax):
         upsilon_value("identity", 4.0, 0.5, lmax)
     with pytest.raises(ValueError, match="cutoff must be at least 1"):
         upsilon_identity_pairblocks(4.0, 0.5, lmax)
+    # A tail bound is certified only for a cutoff some scan accepts.
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        tail_bound("identity", lmax, 3.5, 0.5)
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        SpectralGrid(0.5, lmax)
 
 
 @pytest.mark.parametrize("omega", ["gamma", "deltaL2-e11", "cstarc"])
