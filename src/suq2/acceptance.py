@@ -3,17 +3,19 @@ and the acceptance test suite.
 
 Each check covers one headline guarantee of the stack, from the exact
 rewriting layer through the twisted Hochschild calculus to the spectral
-residue numerics.  A check never raises on a verification failure: it
-returns a CheckResult whose diagnostic line states exactly what was
-measured against what target, so the whole battery always runs to the
-end and a failing line documents the discrepancy instead of hiding it.
+residue numerics.  A check returns only its verdict, a ``(passed,
+detail)`` pair whose detail line states exactly what was measured
+against what target; `run_checks` times each check and names it by its
+id in `ALL_CHECKS`.  A check never raises on a verification failure, so
+the battery always runs to the end and a failing line documents the
+discrepancy instead of hiding it.
 """
 
 import itertools
 import math
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .algebra import AlgebraElement, gens, mono, normalize_word
 from .functionals import gns_inner, gns_norm_sq, haar, int_one
 from .hochschild import (
     COCYCLES,
+    ORDERS,
     PHI,
     PHI_132,
     PHI_213,
@@ -40,6 +43,7 @@ from .hochschild import (
     PSI_213,
     VOLUME_CHAIN,
     boundary,
+    e_first,
 )
 from .mero import f_residue, h_closed, h_direct, h_err_bound
 from .modular import (
@@ -53,6 +57,7 @@ from .rewrite import rewrite_normal_form
 from .sampling import make_rng, random_element
 from .scalars import ONE, ZERO, Scalar, big_q
 from .spectral import (
+    _STANDARD_SCHEDULE,
     SpectralGrid,
     c_ratio,
     clebsch_minus,
@@ -81,17 +86,22 @@ def format_result(res: CheckResult) -> str:
     return f"{flag}  {res.check_id:<20} ({res.seconds:7.2f}s)  {res.detail}"
 
 
-def _done(check_id: str, passed: bool, detail: str, t0: float) -> CheckResult:
-    return CheckResult(check_id, passed, detail, time.perf_counter() - t0)
+Verdict = Tuple[bool, str]
+
+
+def _random_tuples(seed: int, arity: int) -> List[Tuple[AlgebraElement, ...]]:
+    """200 seeded tuples of random elements of degree at most 2."""
+    rng = make_rng(seed)
+    return [tuple(random_element(rng, 2, 2) for _ in range(arity))
+            for _ in range(200)]
 
 
 # ---------------------------------------------------------------------------
 # 1. Exact algebra layer.
 
-def check_algebra_suite() -> CheckResult:
+def check_algebra_suite() -> Verdict:
     """Normal forms are confluent, multiplication associates, and star
     reverses products -- all as exact identities."""
-    t0 = time.perf_counter()
     rng = make_rng(101)
     bad: List[str] = []
     for _ in range(1000):
@@ -118,7 +128,7 @@ def check_algebra_suite() -> CheckResult:
               "200 star pairs, all exact")
     if bad:
         detail = f"{len(bad)} failures, first: {bad[0]}"
-    return _done("algebra-suite", not bad, detail, t0)
+    return not bad, detail
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +144,9 @@ def _monomials_up_to(max_degree: int):
                     yield mono(n, m, r, s)
 
 
-def check_action_oracle() -> CheckResult:
+def check_action_oracle() -> Verdict:
     """Left and right ladder and weight actions agree with the
     Sweedler-form oracles on every basis monomial of degree at most 4."""
-    t0 = time.perf_counter()
     bad = 0
     total = 0
     first = ""
@@ -160,16 +169,15 @@ def check_action_oracle() -> CheckResult:
     detail = f"{total} monomials x {len(pairs)} actions, all exact"
     if bad:
         detail = f"{bad}/{total} monomials disagree, first: {first}"
-    return _done("action-oracle", bad == 0, detail, t0)
+    return bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
 # 3. Twisted trace laws of the invariant functionals.
 
-def check_twisted_traces() -> CheckResult:
+def check_twisted_traces() -> Verdict:
     """h(xy) = h(theta(y) x) and the unit-component integral obeys the
     sigma_L^2 . theta^{-1} twist, on seeded random pairs, exactly."""
-    t0 = time.perf_counter()
     rng = make_rng(103)
     bad = 0
     for _ in range(500):
@@ -182,42 +190,42 @@ def check_twisted_traces() -> CheckResult:
     detail = "500 random pairs, both trace laws exact"
     if bad:
         detail = f"{bad} twisted-trace violations in 500 pairs"
-    return _done("twisted-traces", bad == 0, detail, t0)
+    return bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
 # 4. Cocycle closure under the twisted coboundary.
 
-def check_cocycle_closure() -> CheckResult:
+def coboundary_sweep(tuples: Iterable[Tuple[AlgebraElement, ...]]
+                     ) -> Dict[str, int]:
+    """For each closed 3-cochain of `modular._CLOSED_COCHAINS`, the number
+    of the given 5-tuples on which its twisted coboundary is nonzero."""
+    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
+    nonzero = dict.fromkeys(bounds, 0)
+    for tup in tuples:
+        for name, bf in bounds.items():
+            if not bf(*tup).is_zero():
+                nonzero[name] += 1
+    return nonzero
+
+
+def check_cocycle_closure() -> Verdict:
     """The coboundary of the volume cocycle, its five permuted variants
     and the residue cochain vanishes on all generator 5-tuples and on
     random 5-tuples."""
-    t0 = time.perf_counter()
-    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
-    bad = 0
-    first = ""
-    for tup in itertools.product(gens(), repeat=5):
-        for name, bf in bounds.items():
-            if bf(*tup) != ZERO:
-                bad += 1
-                first = first or name
-    rng = make_rng(104)
-    for _ in range(200):
-        tup = tuple(random_element(rng, 2, 2) for _ in range(5))
-        for name, bf in bounds.items():
-            if bf(*tup) != ZERO:
-                bad += 1
-                first = first or f"random:{name}"
+    nonzero = coboundary_sweep(list(itertools.product(gens(), repeat=5))
+                               + _random_tuples(104, 5))
+    bad = sum(nonzero.values())
     detail = "7 cochains closed on 1024 generator + 200 random 5-tuples"
     if bad:
-        detail = f"{bad} nonzero coboundary values, first: {first}"
-    return _done("cocycle-closure", bad == 0, detail, t0)
+        detail = f"{bad} nonzero coboundary values by cochain: {nonzero}"
+    return bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
 # 5. The two comparison-cochain identities.
 
-def check_comparison_identities() -> CheckResult:
+def check_comparison_identities() -> Verdict:
     """b(psi_132) = phi - phi_132 and b(psi_213) = phi - phi_213 on all
     256 generator 4-tuples, with phi_132 nonzero on at least one of them
     so that the sign is actually tested.
@@ -229,7 +237,6 @@ def check_comparison_identities() -> CheckResult:
     cocycles pair equally to it, so a plus would force pair(phi, dvol)
     to vanish.
     """
-    t0 = time.perf_counter()
     b132 = boundary(PSI_132)
     b213 = boundary(PSI_213)
     first_bad = second_bad = nonzero_132 = total = 0
@@ -251,13 +258,13 @@ def check_comparison_identities() -> CheckResult:
     if passed:
         detail = (f"both comparison identities exact on all {total} tuples "
                   f"(phi_132 nonzero on {nonzero_132})")
-    return _done("comparison-identities", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 6. Volume pairings and the residue combination identity.
 
-def check_volume_pairings() -> CheckResult:
+def check_volume_pairings() -> Verdict:
     """pair(phi, dvol) = 1, the residue cochain pairs to 3(q^{-1}+q),
     and the residue cochain, evaluated by the modular-matrix reference,
     equals its six-cocycle combination.
@@ -274,26 +281,21 @@ def check_volume_pairings() -> CheckResult:
     of the cocycle twists, the volume chain or the targets is at fault.
     The check keeps the stated targets.
     """
-    t0 = time.perf_counter()
     got_phi = PHI.pair_chain(VOLUME_CHAIN)
-    want_phi = ONE
     got_res = PHI_RES_OVER_R.pair_chain(VOLUME_CHAIN)
     three = Scalar.from_fraction(Fraction(3))
     want_res = three * (Scalar.q_pow(-1) + Scalar.q_pow(1))
     equal_bad = sum(1 for c in COCYCLES.values()
                     if c.pair_chain(VOLUME_CHAIN) != got_phi)
-    rng = make_rng(106)
     comb_bad = 0
     q2 = Scalar.q_pow(2)
-    for _ in range(200):
-        tup = tuple(random_element(rng, 2, 2) for _ in range(4))
-        head = (COCYCLES["phi"](*tup) + COCYCLES["phi_213"](*tup)
-                + COCYCLES["phi_231"](*tup))
-        tail = (COCYCLES["phi_132"](*tup) + COCYCLES["phi_312"](*tup)
-                + COCYCLES["phi_321"](*tup))
-        if phi_res_via_commutators(*tup) != q2 * head + tail:
+    for tup in _random_tuples(106, 4):
+        part = {True: ZERO, False: ZERO}  # e-first and f-first cocycles
+        for name, c in COCYCLES.items():
+            part[e_first(ORDERS[name])] += c(*tup)
+        if phi_res_via_commutators(*tup) != q2 * part[True] + part[False]:
             comb_bad += 1
-    passed = (got_phi == want_phi and got_res == want_res
+    passed = (got_phi == ONE and got_res == want_res
               and comb_bad == 0 and equal_bad == 0)
     half = Scalar.from_fraction(Fraction(1, 2))
     phi_is_half_qinv = got_phi == half * Scalar.q_pow(-1)
@@ -311,21 +313,18 @@ def check_volume_pairings() -> CheckResult:
               f"six pairings equal: {equal_bad == 0}; "
               f"combination identity exact on 200/200 random tuples: "
               f"{comb_bad == 0}")
-    return _done("volume-pairings", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 7. The ladder split of the residue cochain.
 
-def check_pi_split() -> CheckResult:
+def check_pi_split() -> Verdict:
     """int(pi_1) + int(pi_2) reproduces the residue cochain, as evaluated
     by the modular-matrix reference, on all generator 4-tuples and on
     random 4-tuples, exactly."""
-    t0 = time.perf_counter()
-    rng = make_rng(107)
     generator = list(itertools.product(gens(), repeat=4))
-    random_tuples = [tuple(random_element(rng, 2, 2) for _ in range(4))
-                     for _ in range(200)]
+    random_tuples = _random_tuples(107, 4)
     bad = 0
     for tup in generator + random_tuples:
         p1, p2 = pi_split(*tup)
@@ -335,13 +334,13 @@ def check_pi_split() -> CheckResult:
     detail = f"ladder split reproduces the residue cochain on {counts}"
     if bad:
         detail = f"{bad} of {counts} break the ladder split identity"
-    return _done("pi-split", bad == 0, detail, t0)
+    return bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
 # 8. Orthogonalized matrix-coefficient norms.
 
-def check_peterweyl_norms() -> CheckResult:
+def check_peterweyl_norms() -> Verdict:
     """Gram-Schmidt squared norms against q^{-2i} [2l+1]^{-1}: every
     stored norm is re-derived by direct Haar integration, the squared
     rescale factor onto the target is exact, and the anchor vectors
@@ -349,7 +348,6 @@ def check_peterweyl_norms() -> CheckResult:
     norm on the nose.  Exactly normalized representatives for the rest
     live in a quadratic extension, so the squared-factor web is the full
     exact content of the norm formula."""
-    t0 = time.perf_counter()
     bad = 0
     anchors = 0
     total = 0
@@ -371,17 +369,16 @@ def check_peterweyl_norms() -> CheckResult:
               f"on the target exactly")
     if not passed:
         detail = f"{bad} norm identities broke across {total} vectors"
-    return _done("peterweyl-norms", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 9. Dirac spectrum against the closed eigenvalue formulas.
 
-def check_dirac_spectrum() -> CheckResult:
+def check_dirac_spectrum() -> Verdict:
     """Truncated eigenvalues match {-(l+1/2), +-lambda_{l,2j-1}} to
     1e-9 and the eigenvector component ratios solve the sector
     eigen-equations to 1e-8, for q in {0.3, 0.5, 0.8}, 2l <= 6."""
-    t0 = time.perf_counter()
     worst_ev = 0.0
     worst_ratio = 0.0
     for q in Q_GRID:
@@ -411,17 +408,16 @@ def check_dirac_spectrum() -> CheckResult:
     detail = (f"eigenvalue dev {worst_ev:.2e} (tol 1e-9), ratio residual "
               f"{worst_ratio:.2e} (tol 1e-8), assembled-matrix dev "
               f"{worst_full:.2e}, q in {{0.3, 0.5, 0.8}}")
-    return _done("dirac-spectrum", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 10. Ladder coefficients of the multiplication operator.
 
-def check_clebsch_forms() -> CheckResult:
+def check_clebsch_forms() -> Verdict:
     """mult_op_matrix(c) matches the two-term ladder closed forms to
     1e-10 for 2l <= 4, and the (c* c) diagonal matches the epsilon-ratio
     display as an exact identity in the coefficient field."""
-    t0 = time.perf_counter()
     q = 0.5
     _, _, c_gen, _ = gens()
     mm = mult_op_matrix(c_gen, SpectralGrid(q, 5))
@@ -481,13 +477,13 @@ def check_clebsch_forms() -> CheckResult:
     if support_bad or diag_bad:
         detail = (f"{support_bad} support mismatches, {diag_bad} diagonal "
                   f"mismatches, coefficient dev {worst:.2e}")
-    return _done("clebsch-forms", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 11. Residue of the modularly weighted trace.
 
-def check_residue_deltaL2() -> CheckResult:
+def check_residue_deltaL2() -> Verdict:
     """residue_extract on the Delta_L^2 E_11 weight against
     R = 4(q^{-1}-q)/ln(q^{-1}) within 1%, for q in {0.3, 0.5, 0.8}.
 
@@ -502,7 +498,6 @@ def check_residue_deltaL2() -> CheckResult:
     other parity, or whether R refers to the E_11 + E_22 weight, which
     would give R exactly.  The check keeps R.
     """
-    t0 = time.perf_counter()
     lines = []
     passed = True
     for q in Q_GRID:
@@ -519,13 +514,13 @@ def check_residue_deltaL2() -> CheckResult:
                      f"vs target {target:.4f} (rel {rel:.3f}; vs half-target "
                      f"{rel_half:.1e}, half-target inside est +- bar: "
                      f"{half_inside}) in {dt:.1f}s")
-    return _done("residue-deltaL2", passed, "; ".join(lines), t0)
+    return passed, "; ".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # 12. Holomorphy of the (c* c)-weighted trace at the residue point.
 
-def check_holomorphy_cstarc() -> CheckResult:
+def check_holomorphy_cstarc() -> Verdict:
     """|extrapolated (z-3) Upsilon_z(c*c)| <= 1e-3 on the refined 6-point
     epsilon schedule at q = 0.5 and q = 0.3, and at q = 0.5 the refined
     estimate at most 1/50 of the standard 4-point one.
@@ -542,8 +537,7 @@ def check_holomorphy_cstarc() -> CheckResult:
     condition has to be revisited, since it would then fail on a weight
     that is holomorphic.
     """
-    t0 = time.perf_counter()
-    refined = (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125)
+    refined = _STANDARD_SCHEDULE + (0.025, 0.0125)
     std = residue_extract("cstarc", 0.5)
     fine = residue_extract("cstarc", 0.5, schedule=refined)
     fine_other = residue_extract("cstarc", 0.3, schedule=refined)
@@ -558,38 +552,33 @@ def check_holomorphy_cstarc() -> CheckResult:
               f"standard 4-point {abs(std.estimate):.2e} +- "
               f"{std.error_bar:.1e} at q=0.5, refined/standard {ratio} "
               f"(gate 1/50)")
-    return _done("holomorphy-cstarc", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # 13. The grading operator drops out of every trace.
 
-def check_gamma_vanishes() -> CheckResult:
+def check_gamma_vanishes() -> Verdict:
     """Upsilon_z(Gamma) is exactly zero at every truncation and z."""
-    t0 = time.perf_counter()
-    bad = 0
-    for q in Q_GRID:
-        for z in (3.05, 3.5, 4.0, 6.0):
-            for lmax in (1, 10, 100, 400):
-                if upsilon_value("gamma", z, q, lmax) != 0.0:
-                    bad += 1
+    grid = itertools.product(Q_GRID, (3.05, 3.5, 4.0, 6.0), (1, 10, 100, 400))
+    bad = sum(upsilon_value("gamma", z, q, lmax) != 0.0
+              for q, z, lmax in grid)
     rep = residue_extract("gamma", 0.5)
     if rep.estimate != 0.0 or rep.error_bar != 0.0:
         bad += 1
     detail = "48 scan points and the residue report identically zero"
     if bad:
         detail = f"{bad} nonzero values for the grading weight"
-    return _done("gamma-vanishes", bad == 0, detail, t0)
+    return bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
 # 14. Meromorphic reference family.
 
-def check_mero_reference() -> CheckResult:
+def check_mero_reference() -> Verdict:
     """|h_direct - h_closed| within the printed bound on a 20-point
     grid for both parameter profiles, and the lattice-sum residue within
     1% of 4 q Q^{-2} / ln(q^{-1})."""
-    t0 = time.perf_counter()
     margins = []
     for q, w in ((0.5, 3), (0.3, 2)):
         bigq = q / (1.0 - q * q)
@@ -607,13 +596,13 @@ def check_mero_reference() -> CheckResult:
     passed = min(margins) > 0.0 and max(res_rels) < 0.01
     detail = (f"40 grid points, min bound margin {min(margins):.3f}; "
               f"lattice residue rel err {max(res_rels):.1e} (gate 1%)")
-    return _done("mero-reference", passed, detail, t0)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
 # Registry and runner.
 
-ALL_CHECKS: Tuple[Tuple[str, Callable[[], CheckResult]], ...] = (
+ALL_CHECKS: Tuple[Tuple[str, Callable[[], Verdict]], ...] = (
     ("algebra-suite", check_algebra_suite),
     ("action-oracle", check_action_oracle),
     ("twisted-traces", check_twisted_traces),
@@ -633,22 +622,24 @@ ALL_CHECKS: Tuple[Tuple[str, Callable[[], CheckResult]], ...] = (
 CHECK_IDS = tuple(name for name, _ in ALL_CHECKS)
 
 
-def run_checks(ids: Optional[Sequence[str]] = None,
+def run_checks(ids: Optional[Iterable[str]] = None,
                report: Optional[Callable[[str], None]] = None
                ) -> List[CheckResult]:
-    """Run the selected checks (all of them by default) in order,
-    emitting one formatted line per check through ``report``."""
-    table: Dict[str, Callable[[], CheckResult]] = dict(ALL_CHECKS)
-    if ids is None:
-        selected = list(CHECK_IDS)
-    else:
-        unknown = [i for i in ids if i not in table]
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-        selected = list(ids)
+    """Run the selected checks (all of them by default) in order, timing
+    each and emitting one formatted line per check through ``report``.
+    A selection must name at least one check, and each at most once."""
+    table = dict(ALL_CHECKS)
+    selected = CHECK_IDS if ids is None else tuple(ids)
+    unknown = [i for i in selected if i not in table]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    if not selected or len(set(selected)) < len(selected):
+        raise ValueError("select at least one check, naming each id once")
     results = []
     for name in selected:
-        res = table[name]()
+        t0 = time.perf_counter()
+        passed, detail = table[name]()
+        res = CheckResult(name, passed, detail, time.perf_counter() - t0)
         if report is not None:
             report(format_result(res))
         results.append(res)

@@ -27,11 +27,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from .acceptance import CHECK_IDS, run_checks
+from .acceptance import CHECK_IDS, coboundary_sweep, run_checks
 from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_weight
 from .algebra import AlgebraElement, normalize_word
 from .functionals import haar
-from .hochschild import PSI_132, PSI_213, VOLUME_CHAIN, boundary
+from .hochschild import PSI_132, PSI_213, VOLUME_CHAIN
 from .modular import _CLOSED_COCHAINS
 from .sampling import make_rng, random_monomial
 from .scalars import Scalar
@@ -261,17 +261,12 @@ def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
     if tuples < 1:
         raise UsageError("tuple count must be positive")
     rng = make_rng(seed)
-    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
-    nonzero = {name: 0 for name in bounds}
-    for _ in range(tuples):
-        tup = tuple(AlgebraElement.from_mono(random_monomial(rng, 3))
-                    for _ in range(5))
-        for name, bf in bounds.items():
-            if not bf(*tup).is_zero():
-                nonzero[name] += 1
+    nonzero = coboundary_sweep(
+        tuple(AlgebraElement.from_mono(random_monomial(rng, 3))
+              for _ in range(5)) for _ in range(tuples))
     all_zero = not any(nonzero.values())
     human = [f"coboundary sweep: {tuples} seeded 5-tuples (seed {seed})"]
-    for name in sorted(bounds):
+    for name in sorted(nonzero):
         human.append(f"  b({name}): {nonzero[name]} nonzero")
     human.append("all coboundaries vanish"
                  if all_zero else "NONZERO COBOUNDARY FOUND")
@@ -348,9 +343,7 @@ def _cmd_residue(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(ns: argparse.Namespace) -> int:
-    ids = None
-    if ns.only:
-        ids = ns.only.replace(",", " ").split()
+    ids = None if ns.only is None else ns.only.replace(",", " ").split()
     results = run_checks(ids, report=print)
     passed = sum(r.passed for r in results)
     _emit(ns, [f"{passed}/{len(results)} checks passed"], _render_json([

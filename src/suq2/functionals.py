@@ -15,7 +15,7 @@ laws that the tests pin down term by term.
 from __future__ import annotations
 
 from .algebra import UNIT_MONO, AlgebraElement
-from .scalars import ONE, ZERO, Scalar, q_number
+from .scalars import ZERO, Scalar, q_number
 
 
 def haar(x: AlgebraElement) -> Scalar:

@@ -27,6 +27,7 @@ with ``ValueError``, and a complex z with ``TypeError``.
 
 import itertools
 import math
+import numbers
 import sys
 from typing import Dict, Optional
 
@@ -50,7 +51,7 @@ N_CAP = 3000
 def _check_h_params(x: float, y: float, r: float, w: int) -> None:
     if not (x > 0.0 and y > 0.0 and r > 0.0):
         raise ValueError("scale parameters x, y, r must be positive")
-    if not isinstance(w, int) or w < 0:
+    if not isinstance(w, numbers.Integral) or w < 0:
         raise ValueError("column offset w must be a non-negative integer")
 
 

@@ -10,7 +10,7 @@ two implementations cross-check each other term by term.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .algebra import AlgebraElement, Monomial
 from .scalars import ONE, ZERO, Scalar

@@ -14,8 +14,7 @@ from suq2.hochschild import Cochain
 
 
 def _run(check_id, budget=None):
-    res = dict(acceptance.ALL_CHECKS)[check_id]()
-    print(acceptance.format_result(res))
+    (res,) = acceptance.run_checks([check_id], report=print)
     if budget is not None:
         assert res.seconds < budget, (
             f"{check_id} took {res.seconds:.1f}s, budget {budget}s")
@@ -88,9 +87,9 @@ def test_comparison_check_rejects_the_plus_sign(monkeypatch):
     phi_132 = acceptance.PHI_132
     monkeypatch.setattr(acceptance, "PHI_132",
                         Cochain(3, lambda *a: -phi_132(*a), "-phi_132"))
-    res = acceptance.check_comparison_identities()
-    assert not res.passed
-    assert "fails on 2/256 tuples" in res.detail
+    passed, detail = acceptance.check_comparison_identities()
+    assert not passed
+    assert "fails on 2/256 tuples" in detail
 
 
 def test_comparison_check_rejects_a_vacuous_sweep(monkeypatch):
@@ -98,19 +97,19 @@ def test_comparison_check_rejects_a_vacuous_sweep(monkeypatch):
     # hold, but the sign is untested, so the check must fail.
     a, b, c, _ = acceptance.gens()
     monkeypatch.setattr(acceptance, "gens", lambda: (a, b, c))
-    res = acceptance.check_comparison_identities()
-    assert not res.passed
-    assert "fails on 0/81 tuples" in res.detail
-    assert "phi_132 nonzero on 0/81" in res.detail
+    passed, detail = acceptance.check_comparison_identities()
+    assert not passed
+    assert "fails on 0/81 tuples" in detail
+    assert "phi_132 nonzero on 0/81" in detail
 
 
 def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):
     # One sign for every slot order changes the split and the residue
     # cochain alike; only the modular-matrix reference can catch it.
     monkeypatch.setattr(modular, "sign", lambda order: 1)
-    res = acceptance.check_pi_split()
-    assert not res.passed
-    assert "break the ladder split identity" in res.detail
+    passed, detail = acceptance.check_pi_split()
+    assert not passed
+    assert "break the ladder split identity" in detail
 
 
 def test_holomorphy_check_rejects_a_pole(monkeypatch):
@@ -118,8 +117,8 @@ def test_holomorphy_check_rejects_a_pole(monkeypatch):
     real = acceptance.residue_extract
     monkeypatch.setattr(acceptance, "residue_extract",
                         lambda omega, q, **kw: real("deltaL2-e11", q, **kw))
-    res = acceptance.check_holomorphy_cstarc()
-    assert not res.passed, res.detail
+    passed, detail = acceptance.check_holomorphy_cstarc()
+    assert not passed, detail
 
 
 def test_holomorphy_check_rejects_a_small_pole(monkeypatch):
@@ -132,6 +131,6 @@ def test_holomorphy_check_rejects_a_small_pole(monkeypatch):
         return rep._replace(estimate=rep.estimate + 5e-4)
 
     monkeypatch.setattr(acceptance, "residue_extract", with_small_pole)
-    res = acceptance.check_holomorphy_cstarc()
-    assert not res.passed, res.detail
-    assert "= 5.0e-04 at q=0.5 and 5.0e-04 at q=0.3 (gate 1e-3)" in res.detail
+    passed, detail = acceptance.check_holomorphy_cstarc()
+    assert not passed, detail
+    assert "= 5.0e-04 at q=0.5 and 5.0e-04 at q=0.3 (gate 1e-3)" in detail

@@ -424,8 +424,7 @@ def test_verify_all_reports_failure_exit(monkeypatch, capsys):
     # The exit code must not depend on which real checks happen to be red,
     # so the registry entry is swapped for one that fails by construction.
     def always_fails():
-        return acceptance.CheckResult("volume-pairings", False,
-                                      "fails by construction", 0.0)
+        return False, "fails by construction"
 
     monkeypatch.setattr(acceptance, "ALL_CHECKS", tuple(
         (name, always_fails if name == "volume-pairings" else fn)
@@ -437,3 +436,13 @@ def test_verify_all_reports_failure_exit(monkeypatch, capsys):
 
 def test_verify_all_unknown_id(capsys):
     assert run_command(["verify-all", "--only", "not-a-check"]) == 2
+
+
+@pytest.mark.parametrize("only", [",", "", "gamma-vanishes,gamma-vanishes"])
+def test_verify_all_rejects_empty_or_repeated_selection(only, capsys):
+    # A run that verified nothing, or one check twice, is a usage error,
+    # not a pass.
+    assert run_command(["verify-all", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "checks passed" not in captured.out
+    assert "naming each id once" in captured.err

@@ -118,6 +118,10 @@ def test_template_parameter_validation():
         h_closed(3.5, p["x"], p["y"], p["r"], -1)
     with pytest.raises(ValueError):
         h_closed(3.5, p["x"], p["y"], p["r"], 1.5)
+    # Any integral column offset is accepted, numpy integers included.
+    args = (3.5, p["x"], p["y"], p["r"])
+    for fn in (h_closed, h_err_bound, h_direct):
+        assert fn(*args, np.int64(2)) == fn(*args, 2)
 
 
 @pytest.mark.parametrize("q", [0.5, 0.3])
