@@ -13,8 +13,8 @@ have no cutoff scan and reject it.  Outputs are deterministic: a fixed
 configuration -- including the recorded random seed for the property
 sweeps -- reproduces the output files byte for byte.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 numeric
-non-convergence or overflow.
+Exit codes: 0 success, 1 failed verification, 2 usage error (an
+unwritable ``--out`` path included), 3 numeric non-convergence or overflow.
 """
 
 import argparse
@@ -155,7 +155,10 @@ def _emit(ns: argparse.Namespace, human: List[str], payload: str) -> None:
     for line in human:
         print(line)
     if ns.out is not None:
-        Path(ns.out).write_text(payload)
+        try:
+            Path(ns.out).write_text(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {ns.out}: {exc.strerror or exc}")
         print(f"wrote {ns.out}")
 
 

@@ -6,7 +6,8 @@ Working with v rather than q keeps half-integer q-powers (which appear in
 the k-pairing and the spin-half Clebsch--Gordan data) exact.
 
 A :class:`Scalar` is a reduced fraction of Laurent polynomials in v with
-rational coefficients.  The canonical form is unique:
+rational coefficients.  Its canonical form -- what ``num_terms``,
+``den_terms``, ``str`` and ``to_json`` show -- is unique:
 
 * numerator and denominator share no polynomial factor (after shifting
   out powers of v, which are units);
@@ -14,20 +15,19 @@ rational coefficients.  The canonical form is unique:
 * the denominator's lowest-degree coefficient is exactly 1;
 * zero is represented as 0/1.
 
-Equality is therefore plain structural equality, and Scalars are hashable
-and usable as dict values throughout the algebra layer.
-
-Each coefficient is stored as a Python ``int`` when it is integral and as
-a non-integral `fractions.Fraction` otherwise.  This is storage only: the
-canonical form is the one above, and an ``int`` compares, hashes and
-prints exactly like the equal ``Fraction``, so ``==``, ``hash``, ``str``
-and ``to_json`` do not depend on it.  A denominator that is a single
-monomial -- every denominator the cochain layer produces -- is
-canonicalised by an exponent shift and at most one exact division.  A
-genuine rational function is reduced by a gcd over Z[v]: a primitive
-pseudo-remainder sequence with ``math.gcd`` content removal and exact
-integer division.  No float ever enters a coefficient: inputs other than
-``int`` and ``Fraction`` raise ``TypeError``.
+It is stored as ``num/den``, two Laurent polynomials with ``int``
+coefficients that are coprime as polynomials and share no integer
+factor; ``den`` has lowest exponent 0 and a positive lowest coefficient.
+The canonical form is this pair divided by that coefficient, so the pair
+is unique too: equality is plain structural equality, and Scalars are
+hashable and usable as dict values throughout the algebra layer.  A
+denominator that is a single monomial -- every denominator the cochain
+layer produces -- is canonicalised by an exponent shift and one
+``math.gcd`` over the numerator.  A genuine rational function is reduced
+by a gcd over Z[v]: a primitive pseudo-remainder sequence with
+``math.gcd`` content removal and exact integer division.  No float ever
+enters a coefficient: inputs other than ``int`` and ``Fraction`` raise
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import numbers
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import List, Mapping, Optional, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -46,54 +46,30 @@ class EvaluationSingularityError(ZeroDivisionError):
     """Raised when a Scalar is evaluated at a q where its denominator vanishes."""
 
 
-#: Sparse Laurent polynomial: v-exponent -> coefficient.  Zero coeffs absent.
+#: Sparse Laurent polynomial: v-exponent -> int coefficient.  Zero
+#: coefficients are absent.
 _Poly = dict
 
 #: The polynomial 1.  Stored dicts are never mutated, so it is shared.
 _ONE_POLY: _Poly = {0: 1}
 
 
-def _exact(c) -> Coeff:
-    """``c`` as a stored coefficient: ``int`` when integral, else Fraction."""
+def _ratio(c, lead: str) -> Tuple[int, int]:
+    """``c`` as (numerator, positive denominator); TypeError unless
+    ``c`` is an int or a Fraction, with ``lead`` opening the message."""
     if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError("Scalar coefficients must be int or Fraction, "
-                    f"not {type(c).__name__}")
+        return c, 1
+    if isinstance(c, (int, Fraction)):
+        return int(c.numerator), int(c.denominator)
+    raise TypeError(f"{lead} int or Fraction, not {type(c).__name__}")
 
 
-def _stored(p: Mapping[int, Coeff]) -> _Poly:
-    """A caller's polynomial with int exponents and stored coefficients."""
-    out = {operator.index(e): _exact(c) for e, c in dict(p).items()}
-    return {e: c for e, c in out.items() if c}
-
-
-def _ints(p: _Poly) -> _Poly:
-    """Store every integral Fraction coefficient of ``p`` as ``int``, in place.
-
-    ``p`` is either a new dict or one a Scalar already holds, and a held
-    dict has no integral Fraction, so a held dict is never written to.
-    """
-    for e, c in p.items():
-        if type(c) is not int and c.denominator == 1:
-            p[e] = c.numerator
-    return p
-
-
-def _q(n: int, d: int) -> Coeff:
-    """The exact quotient n / d of two ints (d nonzero)."""
-    quo, rem = divmod(n, d)
-    return Fraction(n, d) if rem else quo
-
-
-def _div(c: Coeff, s: Coeff) -> Coeff:
-    """The exact quotient c / s of two stored coefficients (s nonzero)."""
-    if type(c) is int and type(s) is int:
-        return _q(c, s)
-    return _exact(Fraction(c) / s)
+def _integral(p: Mapping[int, Coeff]) -> Tuple[_Poly, int]:
+    """A caller's polynomial as (L * p, L), L the coefficients' lcm denominator."""
+    terms = [(operator.index(e), _ratio(c, "Scalar coefficients must be"))
+             for e, c in dict(p).items()]
+    lcd = lcm(*(d for _, (_, d) in terms))
+    return {e: n * (lcd // d) for e, (n, d) in terms if n}, lcd
 
 
 def _padd(p: _Poly, q: _Poly) -> _Poly:
@@ -134,26 +110,17 @@ def _pmul(p: _Poly, q: _Poly) -> _Poly:
 # Dense integer polynomials: lists of ints, lowest degree first, with a
 # nonzero last entry.
 
-def _primitive(p: _Poly) -> Tuple[int, int, int, List[int]]:
-    """Split ``p`` as v**lo * (g/L) * P with P a primitive integer list.
+def _primitive(p: _Poly) -> Tuple[int, int, List[int]]:
+    """Split ``p`` as v**lo * g * P with P a primitive integer list.
 
-    ``P[0]`` is nonzero, ``g`` is the content (positive) and ``L`` the
-    least common denominator of the coefficients, so gcd(g, L) == 1.
+    ``P[0]`` is nonzero and ``g`` is the content (positive).
     """
-    lo, hi = min(p), max(p)
-    lcd = 1
-    for c in p.values():
-        if type(c) is not int:
-            d = c.denominator
-            lcd = lcd // gcd(lcd, d) * d
-    ints = [0] * (hi - lo + 1)
+    lo = min(p)
+    ints = [0] * (max(p) - lo + 1)
     for e, c in p.items():
-        ints[e - lo] = (c * lcd if type(c) is int
-                        else c.numerator * (lcd // c.denominator))
+        ints[e - lo] = c
     g = gcd(*ints)
-    if g != 1:
-        ints = [c // g for c in ints]
-    return lo, g, lcd, ints
+    return lo, g, [c // g for c in ints] if g != 1 else ints
 
 
 def _primitive_part(a: List[int]) -> List[int]:
@@ -213,7 +180,12 @@ class Scalar:
 
     def __init__(self, num: Mapping[int, Coeff] = (),
                  den: Mapping[int, Coeff] = _ONE_POLY):
-        self._num, self._den = _canonical(_stored(num), _stored(den))
+        n, ln = _integral(num)
+        d, ld = _integral(den)
+        if ln != ld:
+            n = {e: c * ld for e, c in n.items()}
+            d = {e: c * ln for e, c in d.items()}
+        self._num, self._den = _canonical(n, d)
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -226,12 +198,13 @@ class Scalar:
         return out
 
     @classmethod
-    def _const(cls, c: Coeff) -> "Scalar":
-        """The constant ``c``, already a stored coefficient."""
-        if not c:
+    def _const(cls, n: int, d: int) -> "Scalar":
+        """The constant n/d, for coprime ints n and d > 0."""
+        if not n:
             return _ZERO
         out = object.__new__(cls)
-        out._num, out._den, out._hash = {0: c}, _ONE_POLY, None
+        out._num, out._hash = {0: n}, None
+        out._den = _ONE_POLY if d == 1 else {0: d}
         return out
 
     @classmethod
@@ -246,11 +219,11 @@ class Scalar:
     def from_int(cls, k: int) -> "Scalar":
         if not isinstance(k, int):
             raise TypeError(f"from_int takes an int, not {type(k).__name__}")
-        return cls._const(int(k))
+        return cls._const(int(k), 1)
 
     @classmethod
     def from_fraction(cls, fr: Coeff) -> "Scalar":
-        return cls._const(_exact(fr))
+        return cls._const(*_ratio(fr, "Scalar coefficients must be"))
 
     @classmethod
     def v_pow(cls, k: int) -> "Scalar":
@@ -268,11 +241,11 @@ class Scalar:
 
     @property
     def num_terms(self) -> Tuple[Tuple[int, Coeff], ...]:
-        return tuple(sorted(self._num.items()))
+        return _shown(self._num, self._den[0])
 
     @property
     def den_terms(self) -> Tuple[Tuple[int, Coeff], ...]:
-        return tuple(sorted(self._den.items()))
+        return _shown(self._den, self._den[0])
 
     def is_zero(self) -> bool:
         return not self._num
@@ -281,8 +254,8 @@ class Scalar:
         return self._num == _ONE_POLY and self._den == _ONE_POLY
 
     def is_polynomial(self) -> bool:
-        """True when the denominator is 1 (a Laurent polynomial in v)."""
-        return self._den == _ONE_POLY
+        """True when the denominator is a constant (a Laurent polynomial in v)."""
+        return len(self._den) == 1
 
     # -- ring / field operations --------------------------------------
 
@@ -295,12 +268,9 @@ class Scalar:
         """
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar._const(_exact(other))
-        if isinstance(other, numbers.Number):
-            raise TypeError("Scalar arithmetic takes int or Fraction, "
-                            f"not {type(other).__name__}")
-        return None
+        if not isinstance(other, numbers.Number):
+            return None
+        return Scalar._const(*_ratio(other, "Scalar arithmetic takes"))
 
     def __add__(self, other) -> "Scalar":
         o = self._coerce(other)
@@ -335,8 +305,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = (_ONE_POLY if self._den is _ONE_POLY and o._den is _ONE_POLY
-               else _pmul(self._den, o._den))
+        sd, od = self._den, o._den
+        den = sd if od is _ONE_POLY else od if sd is _ONE_POLY else _pmul(sd, od)
         return Scalar._raw(_pmul(self._num, o._num), den)
 
     __rmul__ = __mul__
@@ -397,14 +367,16 @@ class Scalar:
     def eval_at_q(self, q_value: float) -> float:
         """Evaluate at a numeric q > 0.
 
-        The even and odd v-parts of numerator and denominator are
-        evaluated exactly over Fraction, so the only floating-point steps
-        are one square root and the final combine/divide.
+        The even and odd v-parts of numerator and denominator, each
+        divided by the denominator's lowest coefficient, are evaluated
+        exactly over Fraction, so the only floating-point steps are one
+        square root and the final combine/divide.
         """
         if q_value <= 0:
             raise ValueError("q must be positive")
         qf = Fraction(q_value)
         sv = float(q_value) ** 0.5
+        d0 = self._den[0]
 
         def eval_poly(p: _Poly) -> float:
             even = Fraction(0)
@@ -414,6 +386,8 @@ class Scalar:
                     even += c * qf ** (e // 2)
                 else:
                     odd += c * qf ** ((e - 1) // 2)
+            if d0 != 1:
+                even, odd = even / d0, odd / d0
             return float(even) + sv * float(odd)
 
         den = eval_poly(self._den)
@@ -426,8 +400,8 @@ class Scalar:
 
     def to_json(self) -> dict:
         return {
-            "num": [[e, str(c)] for e, c in sorted(self._num.items())],
-            "den": [[e, str(c)] for e, c in sorted(self._den.items())],
+            "num": [[e, str(c)] for e, c in self.num_terms],
+            "den": [[e, str(c)] for e, c in self.den_terms],
         }
 
     @classmethod
@@ -448,11 +422,11 @@ class Scalar:
     # -- display -------------------------------------------------------
 
     @staticmethod
-    def _poly_str(p: _Poly) -> str:
-        if not p:
+    def _poly_str(terms: Tuple[Tuple[int, Coeff], ...]) -> str:
+        if not terms:
             return "0"
         parts = []
-        for e, c in sorted(p.items()):
+        for e, c in terms:
             if e == 0:
                 term = str(c)
             else:
@@ -470,10 +444,10 @@ class Scalar:
         return out
 
     def __str__(self) -> str:
-        ns = self._poly_str(self._num)
-        if self._den == _ONE_POLY:
+        ns = self._poly_str(self.num_terms)
+        if self.is_polynomial():
             return ns
-        return f"({ns}) / ({self._poly_str(self._den)})"
+        return f"({ns}) / ({self._poly_str(self.den_terms)})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -486,33 +460,36 @@ def _canonical(num: _Poly, den: _Poly) -> Tuple[_Poly, _Poly]:
     if not num:
         return {}, _ONE_POLY
     if den is _ONE_POLY:
-        return _ints(num), _ONE_POLY
+        return num, _ONE_POLY
     if len(den) == 1:
         # A monomial denominator is a unit times a scale: shift and divide.
         (dlo, s), = den.items()
-        if s == 1:
-            if dlo:
-                num = {e - dlo: c for e, c in num.items()}
-        elif s == -1:
-            num = {e - dlo: -c for e, c in num.items()}
-        else:
-            return {e - dlo: _div(c, s) for e, c in num.items()}, _ONE_POLY
-        return _ints(num), _ONE_POLY
-    nlo, ng, nl, ncoeffs = _primitive(num)
-    dlo, dg, dl, dcoeffs = _primitive(den)
+        g = 1 if s == 1 else gcd(s, *num.values())
+        if s < 0:
+            g = -g
+        if g != 1 or dlo:
+            num = {e - dlo: c // g for e, c in num.items()}
+        return num, (_ONE_POLY if s == g else {0: s // g})
+    nlo, ng, ncoeffs = _primitive(num)
+    dlo, dg, dcoeffs = _primitive(den)
     if len(ncoeffs) > 1:
         g = _zgcd(ncoeffs, dcoeffs)
         if len(g) > 1:
             ncoeffs = _zdivexact(ncoeffs, g)
             dcoeffs = _zdivexact(dcoeffs, g)
-    # num/den = (ng/nl) / (dg/dl) * ncoeffs/dcoeffs.  Denominator: lowest
-    # coefficient 1; v-shift moved to numerator.
-    d0 = dcoeffs[0]
-    rn, rd = ng * dl, nl * dg * d0
-    num_out = {nlo - dlo + i: _q(rn * c, rd) for i, c in enumerate(ncoeffs) if c}
-    if len(dcoeffs) == 1:
-        return num_out, _ONE_POLY
-    return num_out, {i: _q(c, d0) for i, c in enumerate(dcoeffs) if c}
+    # Cancel the common content; the v-shift moves to the numerator and
+    # the sign makes the denominator's lowest coefficient positive.
+    g = gcd(ng, dg) if dcoeffs[0] > 0 else -gcd(ng, dg)
+    ng, dg = ng // g, dg // g
+    num_out = {nlo - dlo + i: ng * c for i, c in enumerate(ncoeffs) if c}
+    den_out = {i: dg * c for i, c in enumerate(dcoeffs) if c}
+    return num_out, (_ONE_POLY if den_out == _ONE_POLY else den_out)
+
+
+def _shown(p: _Poly, d0: int) -> Tuple[Tuple[int, Coeff], ...]:
+    """The terms of p / d0 by exponent, each an int where it is integral."""
+    return tuple((e, c // d0 if c % d0 == 0 else Fraction(c, d0))
+                 for e, c in sorted(p.items()))
 
 
 _ZERO = object.__new__(Scalar)
@@ -563,26 +540,25 @@ def scalar_sqrt(x: Scalar) -> Optional[Scalar]:
 def _poly_sqrt(p: _Poly) -> Optional[_Poly]:
     """The square root of ``p`` with positive lowest coefficient, or None.
 
-    With p = v**lo * (g/L) * P and P primitive, Gauss's lemma makes any
-    rational root (sqrt(g)/sqrt(L)) * v**(lo/2) * R with R**2 == P over Z,
-    so the root exists only if g and L are squares and R's coefficients,
-    solved for from the lowest one up, are all exact integers.
+    By Gauss's lemma a rational root of an integer polynomial has integer
+    coefficients, so the root exists only if they, solved for from the
+    lowest one up, are all exact integers.
     """
-    lo, g, lcd, coeffs = _primitive(p)
-    if lo % 2 or (len(coeffs) - 1) % 2 or coeffs[0] < 0:
+    lo, hi = min(p), max(p)
+    c0 = p[lo]
+    if lo % 2 or hi % 2 or c0 < 0:
         return None
-    rg, rl, r0 = isqrt(g), isqrt(lcd), isqrt(coeffs[0])
-    if rg * rg != g or rl * rl != lcd or r0 * r0 != coeffs[0]:
+    r0 = isqrt(c0)
+    if r0 * r0 != c0:
         return None
-    half = (len(coeffs) - 1) // 2
     root = [r0]
-    for i in range(1, half + 1):
-        acc = coeffs[i] - sum(root[j] * root[i - j] for j in range(1, i))
+    for i in range(1, (hi - lo) // 2 + 1):
+        acc = p.get(lo + i, 0) - sum(root[j] * root[i - j] for j in range(1, i))
         c, rem = divmod(acc, 2 * r0)
         if rem:
             return None
         root.append(c)
-    cand = {lo // 2 + i: _q(rg * c, rl) for i, c in enumerate(root) if c}
+    cand = {lo // 2 + i: c for i, c in enumerate(root) if c}
     return cand if _pmul(cand, cand) == p else None
 
 

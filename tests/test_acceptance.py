@@ -50,6 +50,16 @@ def test_ladder_split_of_residue_cochain():
     _run("pi-split")
 
 
+def test_residue_details_count_nonzero_tuples():
+    # The residue cochain vanishes on every random 4-tuple of both checks,
+    # so their random halves compare zeros; the detail lines say so.
+    _, detail = acceptance.check_pi_split()
+    assert detail.endswith("; residue cochain nonzero on 12/256 generator "
+                           "and 0/200 random tuples"), detail
+    _, detail = acceptance.check_volume_pairings()
+    assert detail.endswith("(residue cochain nonzero on 0/200)"), detail
+
+
 def test_peterweyl_norm_formula():
     _run("peterweyl-norms")
 

@@ -67,6 +67,23 @@ def test_zero_denominator_is_usage_error(argv, token, capsys):
     assert err.startswith("error: ") and token in err
 
 
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    assert run_command(["normalize", "d a", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_verify_all_out_to_a_directory_is_usage_error(tmp_path, capsys):
+    # The battery passes; only the write fails, and that is not exit 1.
+    argv = ["verify-all", "--only", "gamma-vanishes", "--out", str(tmp_path)]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "1/1 checks passed" in captured.out
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_command([]) == 2
 

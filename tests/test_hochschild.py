@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from suq2.actions import act_k, theta_inv
+from suq2.actions import (
+    act_e,
+    act_e_right,
+    act_f,
+    act_f_right,
+    act_h,
+    act_k,
+    theta_inv,
+)
 from suq2.algebra import AlgebraElement, Monomial, gens, normalize_word
 from suq2.functionals import haar, int_one
 from suq2.modular import PHI_RES_OVER_R, phi_res_via_commutators
@@ -26,7 +34,7 @@ from suq2.hochschild import (
     Cochain,
     boundary,
 )
-from suq2.sampling import make_rng, random_element
+from suq2.sampling import make_rng, random_element, random_monomial
 from suq2.scalars import ONE, ZERO, Scalar
 
 A, B, C, D = gens()
@@ -271,3 +279,52 @@ class TestCocycleGolden:
             want = self.RESIDUE_NONZERO.get(word, "0")
             assert str(PHI_RES_OVER_R(*tup)) == want, word
             assert str(phi_res_via_commutators(*tup)) == want, word
+
+
+# ---------------------------------------------------------------------------
+# The bi-grading lemma: h, k and theta^-1 keep a monomial's doubled
+# (left, right) weight and the ladders shift it, so each cochain here,
+# which has one e and one f, vanishes on a tuple of nonzero total weight.
+
+def _biweight(m: Monomial):
+    return m.left_weight2, m.right_weight2
+
+
+#: Every monomial a^n b^m c^r d^s (n*s == 0) of degree at most 3.
+SMALL_MONOMIALS = [Monomial(*e) for e in itertools.product(range(4), repeat=4)
+                   if sum(e) <= 3 and e[0] * e[3] == 0]
+
+
+class TestBiGrading:
+    @pytest.mark.parametrize("action, shift", [
+        (act_h, (0, 0)),
+        (act_k, (0, 0)),
+        (lambda x: act_k(x, -3), (0, 0)),
+        (theta_inv, (0, 0)),
+        (act_e, (2, 0)),
+        (act_f, (-2, 0)),
+        (act_e_right, (0, -2)),
+        (act_f_right, (0, 2)),
+    ], ids=["h", "k", "k^-3", "theta_inv", "e", "f", "e_right", "f_right"])
+    def test_action_shifts_the_biweight(self, action, shift):
+        images = 0
+        for m in SMALL_MONOMIALS:
+            left, right = _biweight(m)
+            for image in action(AlgebraElement.from_mono(m)).monomials():
+                assert _biweight(image) == (left + shift[0], right + shift[1])
+                images += 1
+        assert images >= len(SMALL_MONOMIALS) // 2
+
+    def test_cochains_vanish_on_unbalanced_tuples(self):
+        rng = make_rng(431)
+        closed = [*COCYCLES.values(), PHI_RES_OVER_R]
+        for cochains, arity in ((closed, 4), ((PSI_132, PSI_213), 3)):
+            drawn = 0
+            while drawn < 30:
+                monos = [random_monomial(rng, 3) for _ in range(arity)]
+                if all(sum(w) == 0 for w in zip(*map(_biweight, monos))):
+                    continue
+                drawn += 1
+                tup = [AlgebraElement.from_mono(m) for m in monos]
+                for c in cochains:
+                    assert c(*tup) == ZERO, (c.name, monos)

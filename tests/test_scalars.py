@@ -293,8 +293,10 @@ class TestInexactInput:
 
 
 # ---------------------------------------------------------------------------
-# Representation invariants: integral coefficients are stored as int, the
-# rest as non-integral Fractions, and the storage never shows.
+# Representation invariants: a Scalar stores a pair of coprime integer
+# Laurent polynomials, unique for its value, and shows each coefficient
+# of its canonical form as an int when integral and as a non-integral
+# Fraction otherwise; the storage never shows.
 
 def _stored_coefficients(x):
     return [c for _, c in x.num_terms + x.den_terms]
@@ -334,3 +336,30 @@ def test_storage_does_not_show(as_int, as_fraction):
     for z in (x, y):
         _assert_stored_exactly(z)
         _assert_stored_exactly(Scalar.from_json(z.to_json()))
+
+
+def _assert_integer_storage(x):
+    for c in [*x._num.values(), *x._den.values()]:
+        assert type(c) is int, f"{c!r} stored in {x!r}"
+    assert min(x._den) == 0 and x._den[0] > 0, f"denominator of {x!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars(allow_zero=False), st.integers(-3, 3))
+def test_storage_is_a_unique_pair_of_integer_polynomials(x, y, k):
+    results = [x, y, x + y, x - y, y - 1, 2 - x, x * y, 3 * x,
+               Fraction(1, 2) * x, x / y, Fraction(3, 2) / y, -x,
+               y.inverse(), y ** k, Scalar.from_json(x.to_json()),
+               Scalar.loads(y.dumps()), scalar_sqrt(x * x), q_number(k),
+               big_q() * x]
+    for r in results:
+        _assert_integer_storage(r)
+    # Equal values, reached by different routes, store identical pairs.
+    twins = [(x * y / y, x), ((x + y) - y, x), (y.inverse().inverse(), y),
+             (y ** k * y ** -k, ONE), (x / 3 * 3, x),
+             (Scalar.from_json(x.to_json()), x),
+             (Scalar({e: 6 * c for e, c in y.num_terms},
+                     {e: 6 * c for e, c in y.den_terms}), y)]
+    for a, b in twins:
+        assert a == b
+        assert (a._num, a._den) == (b._num, b._den)
