@@ -349,10 +349,10 @@ def check_pi_split() -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# 8. Orthogonalized matrix-coefficient norms.
+# 8. Ladder-transported matrix-coefficient norms.
 
 def check_peterweyl_norms() -> Verdict:
-    """Gram-Schmidt squared norms against q^{-2i} [2l+1]^{-1}: every
+    """Ladder-transport squared norms against q^{-2i} [2l+1]^{-1}: every
     stored norm is re-derived by direct Haar integration, the squared
     rescale factor onto the target is exact, and the anchor vectors
     (spin 1/2, the a-power corners, the central column) carry the target
@@ -467,8 +467,10 @@ def check_clebsch_forms() -> Verdict:
         return bigq * (ONE - Scalar.q_pow(t2))
 
     diag_bad = 0
+    diag_checked = 0
     for block in pw_orthobasis(4).values():
         for v in block:
+            diag_checked += 1
             l2, i2, j2 = v.l2, v.i2, v.j2
             image = c_gen * v.monic
             lhs = gns_inner(image, image) / v.norm_sq
@@ -484,7 +486,7 @@ def check_clebsch_forms() -> Verdict:
     passed = worst < 1e-10 and support_bad == 0 and diag_bad == 0
     detail = (f"ladder coefficients dev {worst:.2e} (tol 1e-10), "
               f"support exact on all unflagged columns, "
-              f"(c* c) diagonal exact on 55 vectors")
+              f"(c* c) diagonal exact on {diag_checked} vectors")
     if support_bad or diag_bad:
         detail = (f"{support_bad} support mismatches, {diag_bad} diagonal "
                   f"mismatches, coefficient dev {worst:.2e}")

@@ -20,12 +20,11 @@ independent route used by the verification suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
 from .algebra import AlgebraElement, Monomial, _accumulate, coproduct
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar
 
 _A = Monomial(1, 0, 0, 0)
 _B = Monomial(0, 1, 0, 0)
@@ -185,13 +184,15 @@ def act_f_right(x: AlgebraElement) -> AlgebraElement:
     return _apply_ladder(x, "f", _ladder_right_cached)
 
 
+_HALF = ONE / 2
+
+
 def act_h(x: AlgebraElement) -> AlgebraElement:
     """The left Cartan generator: multiply weight-2j components by j."""
     out: Dict[Monomial, Scalar] = {}
     for m, c in x.terms.items():
-        j = Fraction(m.left_weight2, 2)
-        if j:
-            out[m] = c * as_scalar(j)
+        if m.left_weight2:
+            out[m] = c * m.left_weight2 * _HALF
     return AlgebraElement(out)
 
 

@@ -22,6 +22,15 @@ the e-first cocycles plus the f-first ones (``modular.phi_res_over_r``).
 Two explicit 2-cochains psi_* realize the cohomologies between phi and
 its transposition partners.
 
+Bi-grading.  Every monomial carries a doubled (left, right) weight, and
+products add weights.  ``act_h``, ``act_k`` and ``theta_inv`` keep the
+bi-weight of each component, while ``act_e`` and ``act_f`` shift the left
+weight oppositely, by +2 and -2; every cochain here applies one e and one
+f, so the shifts cancel, and ``int_one`` reads only the weight-(0, 0)
+unit.  Hence every cochain, and every coboundary (its terms multiply
+neighbours and apply ``theta_inv``), vanishes on a tuple of nonzero total
+bi-weight.
+
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
 master consistency check.

@@ -7,21 +7,22 @@ one block the monomials with those weights form a ladder
 
     base, base*(bc), base*(bc)^2, ...
 
-ordered by total degree, and Gram-Schmidt against the Haar inner product
-produces the matrix coefficients up to normalization.  We keep the vectors
-in monic form (unit coefficient on the newly entering monomial) together
-with their exact squared norms; the conventional normalization, with
-squared norm q^(-2i) [2l+1]^-1, differs from the monic one by a scalar
-whose square is exact even when the scalar itself leaves the coefficient
-field, so only that square is stored.
+ordered by total degree.  Ladder transport builds the basis: e and the
+right f carry the corner a^2l to every t^l_{ij}, the Haar-orthogonal step
+bringing in the next ladder monomial, and the transport coefficients carry
+its squared norm along.  Vectors are kept in monic form (unit coefficient
+on the newly entering monomial) with their exact squared norms; the
+conventional normalization, squared norm q^(-2i) [2l+1]^-1, differs from
+the monic one by a scalar whose square is exact even when the scalar
+itself leaves the coefficient field, so only that square is stored.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from .actions import act_e, act_f_right
 from .algebra import AlgebraElement, Monomial
-from .functionals import gns_inner, gns_norm_sq
 from .scalars import Scalar, q_number
 
 __all__ = [
@@ -111,41 +112,40 @@ def block_monomials(i2: int, j2: int, count: int) -> List[Monomial]:
     return [Monomial(n, m0 + t, r0 + t, s) for t in range(count)]
 
 
-def _gram_schmidt(i2: int, j2: int, count: int) -> List[PWVector]:
-    l2_min = max(abs(i2), abs(j2))
-    done: List[PWVector] = []
-    for t, mono in enumerate(block_monomials(i2, j2, count)):
-        v = AlgebraElement.from_mono(mono)
-        for prev in done:
-            coeff = gns_inner(prev.monic, v) / prev.norm_sq
-            v = v - prev.monic.scale(coeff)
-        norm_sq = gns_norm_sq(v)
-        if norm_sq.is_zero():
-            raise ArithmeticError(
-                f"degenerate Gram matrix in block ({i2}, {j2}) at step {t}")
-        done.append(PWVector(l2_min + 2 * t, i2, j2, v, norm_sq))
-    return done
-
-
 def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], PWBasisBlock]:
     """Exact orthogonal bases for every weight block with 2l <= l2max.
 
-    Cost grows quickly with the cutoff; the exact mode is limited to
-    l2max <= 8.
+    Spin l starts from the corner anchor a^2l, block (-2l, -2l); e raises
+    j along that row, then the right f raises i down each column.  An image
+    w = gamma * monic, gamma its coefficient on the block's newest ladder
+    monomial, has squared norm n^2 |v|^2 / gamma^2, n^2 = [l+j+1][l-j]
+    (left) or [l+i+1][l-i] q^-2 (right).  Exact mode bound: l2max <= 8.
     """
     if l2max < 1:
         raise ValueError("cutoff must be at least 1")
     if l2max > 8:
         raise ValueError("exact mode is limited to doubled spin <= 8")
-    blocks: Dict[Tuple[int, int], PWBasisBlock] = {}
-    for i2 in range(-l2max, l2max + 1):
-        for j2 in range(-l2max, l2max + 1):
-            if (i2 + j2) % 2:
-                continue
-            l2_min = max(abs(i2), abs(j2))
-            count = (l2max - l2_min) // 2 + 1
-            if count <= 0:
-                continue
-            blocks[(i2, j2)] = PWBasisBlock(
-                i2, j2, _gram_schmidt(i2, j2, count))
-    return blocks
+    found: Dict[Tuple[int, int], List[PWVector]] = {}
+
+    def put(l2: int, i2: int, j2: int, w: AlgebraElement,
+            n_sq_norm_sq: Scalar) -> PWVector:
+        k = (l2 - max(abs(i2), abs(j2))) // 2
+        gamma = w.coefficient(block_monomials(i2, j2, k + 1)[k])
+        vec = PWVector(l2, i2, j2, w.scale(gamma.inverse()),
+                       n_sq_norm_sq / (gamma * gamma))
+        found.setdefault((i2, j2), []).append(vec)
+        return vec
+
+    for l2 in range(l2max + 1):
+        corner = AlgebraElement.from_mono(Monomial(l2, 0, 0, 0))
+        row = [put(l2, -l2, -l2, corner, target_norm_sq(l2, -l2))]
+        for j2 in range(-l2, l2, 2):
+            row.append(put(l2, -l2, j2 + 2, act_e(row[-1].monic),
+                           bracket_difference(l2 + 1, j2 + 1)
+                           * row[-1].norm_sq))
+        for v in row:
+            for i2 in range(-l2, l2, 2):
+                v = put(l2, i2 + 2, v.j2, act_f_right(v.monic),
+                        bracket_difference(l2 + 1, i2 + 1)
+                        * Scalar.q_pow(-2) * v.norm_sq)
+    return {key: PWBasisBlock(*key, found[key]) for key in sorted(found)}

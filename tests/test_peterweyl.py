@@ -4,7 +4,10 @@ The conventional normalization of a matrix coefficient involves square
 roots that generally leave the coefficient field, so the substantive
 claims are verified in squared/exact form:
 
-* Gram-Schmidt orthogonality inside each weight block;
+* the ladder-transport basis is the orthogonal one of each weight block:
+  every monic vector lies in the span of the block's first ladder
+  monomials, carries coefficient 1 on the newest, is Haar-orthogonal to
+  the earlier vectors and stores its own Haar norm, which singles it out;
 * the spin-1/2 vectors are exactly the four generators, already carrying
   the conventional squared norm q^(-2i) [2l+1]^-1;
 * the highest-monomial vectors a^2l are conventionally normalized as-is;
@@ -21,7 +24,7 @@ import pytest
 
 from suq2.actions import act_e, act_f, act_f_right
 from suq2.algebra import AlgebraElement, Monomial, gens
-from suq2.functionals import gns_inner
+from suq2.functionals import gns_inner, gns_norm_sq
 from suq2.peterweyl import (PWBasisBlock, block_monomials, pw_orthobasis,
                             target_norm_sq)
 from suq2.scalars import Scalar, q_number, scalar_sqrt
@@ -83,6 +86,22 @@ class TestOrthogonality:
                 for j in range(i + 1, len(vs)):
                     assert gns_inner(vs[i].monic, vs[j].monic) == ZERO
 
+    def test_monic_ladder_form_at_spin_three(self):
+        # Support in the first k+1 ladder monomials, unit coefficient on
+        # the k-th and orthogonality to the earlier vectors determine the
+        # k-th vector uniquely; its stored norm is its Haar norm.
+        checked = 0
+        for (i2, j2), block in pw_orthobasis(6).items():
+            ladder = block_monomials(i2, j2, len(block))
+            for k, v in enumerate(block):
+                assert set(v.monic.monomials()) <= set(ladder[:k + 1])
+                assert v.monic.coefficient(ladder[k]) == ONE
+                for prev in block.vectors[:k]:
+                    assert gns_inner(prev.monic, v.monic) == ZERO
+                assert v.norm_sq == gns_norm_sq(v.monic)
+                checked += 1
+        assert checked == 140
+
     def test_across_blocks_is_automatic(self):
         # Different weight pairs are orthogonal by the grading; one spot
         # check that the inner product agrees.
@@ -128,7 +147,6 @@ class TestNormAnchors:
         assert scalar_sqrt(v.rescale_sq) is not None
 
     def test_normalized_vectors_hit_target(self):
-        from suq2.functionals import gns_norm_sq
         for v in all_vectors():
             root = scalar_sqrt(v.rescale_sq)
             if root is not None:
