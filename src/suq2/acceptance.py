@@ -320,32 +320,50 @@ def check_volume_pairings() -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# 7. The ladder split of the residue cochain.
+# 7. The ladder split and the torus route of the residue cochain.
+
+def _zero_weight_monomial_tuples(max_degree: int, arity: int,
+                                 ) -> List[Tuple[AlgebraElement, ...]]:
+    """Every tuple of basis monomials of degree at most ``max_degree``
+    whose doubled (left, right) weights add up to (0, 0), as elements."""
+    monos = list(_monomials_up_to(max_degree))
+    return [tuple(AlgebraElement.from_mono(m) for m in tup)
+            for tup in itertools.product(monos, repeat=arity)
+            if sum(m.left_weight2 for m in tup) == 0
+            and sum(m.right_weight2 for m in tup) == 0]
+
 
 def check_pi_split() -> Verdict:
-    """int(pi_1) + int(pi_2) reproduces the residue cochain, as evaluated
-    by the modular-matrix reference, on all generator 4-tuples and on
-    random 4-tuples, exactly.  The detail line counts the tuples of each
-    kind on which the residue cochain is nonzero: an identity between
-    zeros tests nothing."""
-    generator = list(itertools.product(gens(), repeat=4))
-    random_tuples = _random_tuples(107, 4)
-    bad = 0
-    nonzero = {"generator": 0, "random": 0}
-    for kind, tuples in (("generator", generator), ("random", random_tuples)):
+    """Two routes reproduce the residue cochain, as evaluated by the
+    modular-matrix reference, exactly: int(pi_1) + int(pi_2) of the
+    ladder split, and `phi_res_over_r` read off the torus restriction.
+    The tuples are all generator 4-tuples, every zero-weight 4-tuple of
+    monomials of degree at most 2, and random 4-tuples.  The detail line
+    counts the tuples of each kind on which the residue cochain is
+    nonzero: an identity between zeros tests nothing."""
+    kinds = {"generator": list(itertools.product(gens(), repeat=4)),
+             "zero-weight monomial": _zero_weight_monomial_tuples(2, 4),
+             "random": _random_tuples(107, 4)}
+    bad = {"ladder split": 0, "torus route": 0}
+    nonzero = dict.fromkeys(kinds, 0)
+    for kind, tuples in kinds.items():
         for tup in tuples:
-            p1, p2 = pi_split(*tup)
             res = phi_res_via_commutators(*tup)
-            bad += int_one(p1) + int_one(p2) != res
+            p1, p2 = pi_split(*tup)
+            bad["ladder split"] += int_one(p1) + int_one(p2) != res
+            bad["torus route"] += PHI_RES_OVER_R(*tup) != res
             nonzero[kind] += not res.is_zero()
-    counts = f"{len(generator)} generator + {len(random_tuples)} random tuples"
-    detail = f"ladder split reproduces the residue cochain on {counts}"
-    if bad:
-        detail = f"{bad} of {counts} break the ladder split identity"
-    detail += (f"; residue cochain nonzero on {nonzero['generator']}/"
-               f"{len(generator)} generator and {nonzero['random']}/"
-               f"{len(random_tuples)} random tuples")
-    return bad == 0, detail
+    counts = " + ".join(f"{len(t)} {kind}" for kind, t in kinds.items())
+    counts += " tuples"
+    detail = ("ladder split and torus route reproduce the residue cochain "
+              f"on {counts}")
+    if any(bad.values()):
+        detail = "; ".join(f"{n} of {counts} break the {route} identity"
+                           for route, n in bad.items() if n)
+    shown = [f"{nonzero[kind]}/{len(t)} {kind}" for kind, t in kinds.items()]
+    detail += (f"; residue cochain nonzero on {', '.join(shown[:-1])} and "
+               f"{shown[-1]} tuples")
+    return not any(bad.values()), detail
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,22 @@ h-integral composed with the projection killing all non-unit monomials;
 it shows up as the outer integral of every cocycle in this package.
 Both functionals are exactly sigma-invariant and satisfy twisted trace
 laws that the tests pin down term by term.
+
+``int_one`` factors through the torus restriction ``torus``: the algebra
+homomorphism a -> t, d -> t^-1, b, c -> 0 onto the Laurent polynomials
+Q(v)[t, t^-1] (every relation with b or c becomes 0 = 0, and ad = 1 + q bc,
+da = 1 + q^-1 bc both become t t^-1 = 1).  It sends a^n b^m c^r d^s to
+t^(n-s) when m = r = 0 and to 0 otherwise, so int_one(x) is the t^0
+coefficient of torus(x), and ``int_one_product`` evaluates int_one of a
+product of elements without forming it.
 """
 
 from __future__ import annotations
 
-from .algebra import UNIT_MONO, AlgebraElement
-from .scalars import ZERO, Scalar, q_number
+from typing import Dict
+
+from .algebra import UNIT_MONO, AlgebraElement, _accumulate
+from .scalars import ONE, ZERO, Scalar, q_number
 
 
 def haar(x: AlgebraElement) -> Scalar:
@@ -31,8 +41,31 @@ def haar(x: AlgebraElement) -> Scalar:
 
 
 def int_one(x: AlgebraElement) -> Scalar:
-    """The coefficient of the unit monomial (the [1]-integral)."""
+    """The coefficient of the unit monomial (the [1]-integral), which is
+    also the t^0 coefficient of ``torus(x)``."""
     return x.coefficient(UNIT_MONO)
+
+
+def torus(x: AlgebraElement) -> Dict[int, Scalar]:
+    """The torus restriction of x as {power of t: nonzero coefficient}:
+    a^n -> t^n and d^s -> t^-s, every monomial with b or c -> 0."""
+    return {m.n - m.s: c for m, c in x.terms.items() if not (m.m or m.r)}
+
+
+def int_one_product(*factors: AlgebraElement) -> Scalar:
+    """int_one(x0 x1 ... xk), read off as the t^0 coefficient of the
+    product of the torus restrictions, without forming the product."""
+    acc = {0: ONE}
+    for x in factors:
+        image = torus(x)
+        out: Dict[int, Scalar] = {}
+        for e1, c1 in acc.items():
+            for e2, c2 in image.items():
+                _accumulate(out, e1 + e2, c1 * c2)
+        if not out:
+            return ZERO
+        acc = out
+    return acc.get(0, ZERO)
 
 
 def gns_inner(x: AlgebraElement, y: AlgebraElement) -> Scalar:

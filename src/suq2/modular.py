@@ -29,9 +29,11 @@ exactly that normalized functional.
 
 This matrix calculus is the reference, not the working route.  The residue
 3-cochain `phi_res_over_r` (shared as `PHI_RES_OVER_R`) is the signed sum
-of the cup products of `hochschild.ORDERS`, split by `pi_split` into its
-two diagonal entries; `phi_res_via_commutators` evaluates the same value
-by multiplying the commutators here, as the independent oracle.
+of the integrated cup products of `hochschild.ORDERS`, each read off the
+torus restriction (`hochschild.int_one_cup`); `pi_split` forms the same
+cup products as elements, in its two diagonal entries, and
+`phi_res_via_commutators` evaluates the value by multiplying the
+commutators here, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import Dict, Mapping, Tuple
 from .actions import act_e, act_f, act_h, act_k
 from .algebra import AlgebraElement, _accumulate, _SparseSum
 from .functionals import int_one
-from .hochschild import COCYCLES, ORDERS, Cochain, cup, e_first, sign
-from .scalars import Scalar
+from .hochschild import (COCYCLES, ORDERS, Cochain, cup, e_first,
+                         int_one_cup, sign)
+from .scalars import ZERO, Scalar
 
 __all__ = [
     "OutsideEvaluatedDomainError",
@@ -224,11 +227,14 @@ def phi_res_via_commutators(a0: AlgebraElement, a1: AlgebraElement,
 
 def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
                    a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the
-    unit-coefficient integral of the two entries of `pi_split`, that is
-    the sum of sign(order) * int(cup(order, ...)) over the six orders."""
-    p1, p2 = pi_split(a0, a1, a2, a3)
-    return int_one(p1 + p2)
+    """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
+    sign(order) * int(cup(order, ...)) over the six orders, each read off
+    the torus restriction by `hochschild.int_one_cup`.  It equals the
+    unit-coefficient integral of the two entries of `pi_split`."""
+    out = ZERO
+    for order in ORDERS.values():
+        out = out + sign(order) * int_one_cup(order, a0, a1, a2, a3)
+    return out
 
 
 # The lambda looks `phi_res_over_r` up at call time.

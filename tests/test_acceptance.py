@@ -9,7 +9,7 @@ measured; their diagnostics pin the discrepancy precisely, and the unit
 suites freeze the corresponding machine-exact identities.
 """
 
-from suq2 import acceptance, modular
+from suq2 import acceptance, hochschild, modular
 from suq2.hochschild import Cochain
 
 
@@ -52,10 +52,12 @@ def test_ladder_split_of_residue_cochain():
 
 def test_residue_details_count_nonzero_tuples():
     # The residue cochain vanishes on every random 4-tuple of both checks,
-    # so their random halves compare zeros; the detail lines say so.
+    # so their random halves compare zeros; the detail lines say so.  The
+    # zero-weight monomial tuples of pi-split are where it is nonzero.
     _, detail = acceptance.check_pi_split()
-    assert detail.endswith("; residue cochain nonzero on 12/256 generator "
-                           "and 0/200 random tuples"), detail
+    assert detail.endswith("; residue cochain nonzero on 12/256 generator, "
+                           "168/1468 zero-weight monomial and 0/200 random "
+                           "tuples"), detail
     _, detail = acceptance.check_volume_pairings()
     assert detail.endswith("(residue cochain nonzero on 0/200)"), detail
 
@@ -120,6 +122,19 @@ def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):
     passed, detail = acceptance.check_pi_split()
     assert not passed
     assert "break the ladder split identity" in detail
+
+
+def test_pi_split_check_rejects_swapped_weight_shifts(monkeypatch):
+    # Swapping the e and f shifts makes the torus route keep exactly the
+    # components that the ladders move off the diagonal, so it reads zero
+    # on all 180 tuples where the residue cochain is nonzero; the ladder
+    # split does not use the shifts and still holds.
+    monkeypatch.setattr(hochschild, "SHIFTS", {"h": 0, "e": -2, "f": 2})
+    passed, detail = acceptance.check_pi_split()
+    assert not passed
+    assert detail.startswith("180 of "), detail
+    assert "break the torus route identity" in detail
+    assert "ladder split identity" not in detail
 
 
 def test_holomorphy_check_rejects_a_pole(monkeypatch):

@@ -18,9 +18,10 @@ from suq2.algebra import (
     normalize_word,
     weight_decompose,
 )
+from suq2.functionals import int_one, int_one_product, torus
 from suq2.rewrite import rewrite_normal_form
-from suq2.sampling import random_element, random_monomial
-from suq2.scalars import ONE, Scalar, q_number
+from suq2.sampling import make_rng, random_element, random_monomial
+from suq2.scalars import ONE, ZERO, Scalar, q_number
 
 A, B, C, D = gens()
 Q = Scalar.q_pow(1)
@@ -273,6 +274,38 @@ def test_concatenation_is_multiplication(w1, w2):
 @given(words())
 def test_rewrite_route_agrees(word):
     assert rewrite_normal_form(word) == normalize_word(word)
+
+
+# The torus restriction a -> t, d -> t^-1, b, c -> 0 is an algebra
+# homomorphism, and int_one reads its constant term.
+
+def _laurent_mul(p, q):
+    """Product of two Laurent polynomials in t as {power: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, ZERO) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+#: Normal forms of generator words and seeded random elements.
+elements = st.one_of(
+    words().map(normalize_word),
+    st.integers(0, 10 ** 6).map(
+        lambda seed: random_element(make_rng(seed), 4, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements)
+def test_torus_restriction_is_multiplicative(x, y):
+    assert torus(x * y) == _laurent_mul(torus(x), torus(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements)
+def test_int_one_is_the_constant_term_on_the_torus(x):
+    assert int_one(x) == torus(x).get(0, ZERO)
+    assert int_one_product(x) == int_one(x)
 
 
 def test_bracket_identity_in_algebra():

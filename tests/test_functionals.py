@@ -1,11 +1,19 @@
-"""Haar-state tests: values, invariance, trace twists, GNS norms."""
+"""Haar-state tests: values, invariance, trace twists, GNS norms, and the
+torus restriction behind int_one."""
 
 import random
 
 from suq2.actions import sigma_left, sigma_right, theta, theta_inv
 from suq2.algebra import AlgebraElement, gens, normalize_word
-from suq2.functionals import gns_inner, gns_norm_sq, haar, int_one
-from suq2.sampling import random_element
+from suq2.functionals import (
+    gns_inner,
+    gns_norm_sq,
+    haar,
+    int_one,
+    int_one_product,
+    torus,
+)
+from suq2.sampling import make_rng, random_element
 from suq2.scalars import ONE, ZERO, Scalar, q_number
 
 A, B, C, D = gens()
@@ -103,3 +111,27 @@ def test_int_one_examples():
     assert int_one(normalize_word("da")) == ONE
     assert int_one(B * C).is_zero()
     assert int_one(AlgebraElement.unit()) == ONE
+
+
+# ---------------------------------------------------------------------------
+# The torus restriction a -> t, d -> t^-1, b, c -> 0.
+
+def test_torus_examples():
+    assert torus(normalize_word("aab")) == {}
+    assert torus(A * A) == {2: ONE}
+    assert torus(D) == {-1: ONE}
+    assert torus(normalize_word("da") - 1) == {}  # da - 1 = q^-1 bc
+
+
+def test_int_one_product_matches_the_formed_product():
+    rng = make_rng(97)
+    nonzero = 0
+    for _ in range(60):
+        factors = [random_element(rng, 2, 6)
+                   for _ in range(rng.randint(2, 4))]
+        formed = factors[0]
+        for x in factors[1:]:
+            formed = formed * x
+        assert int_one_product(*factors) == int_one(formed)
+        nonzero += not int_one(formed).is_zero()
+    assert nonzero >= 10

@@ -16,6 +16,7 @@ from suq2.actions import (
     act_k,
     theta_inv,
 )
+from suq2.acceptance import _zero_weight_monomial_tuples
 from suq2.algebra import AlgebraElement, Monomial, gens, normalize_word
 from suq2.functionals import haar, int_one
 from suq2.modular import PHI_RES_OVER_R, phi_res_via_commutators
@@ -28,11 +29,15 @@ from suq2.hochschild import (
     PHI_312,
     PHI_321,
     PSI_132,
+    ORDERS,
     PSI_213,
     VOLUME_CHAIN,
     Chain,
     Cochain,
     boundary,
+    cup,
+    e_first,
+    sign,
 )
 from suq2.sampling import make_rng, random_element, random_monomial
 from suq2.scalars import ONE, ZERO, Scalar
@@ -328,3 +333,34 @@ class TestBiGrading:
                 tup = [AlgebraElement.from_mono(m) for m in monos]
                 for c in cochains:
                     assert c(*tup) == ZERO, (c.name, monos)
+
+
+# ---------------------------------------------------------------------------
+# The torus route: each cochain reads int_one of its product off the torus
+# restriction; the formed product (``cup`` for the cocycles) is the oracle.
+
+class TestTorusRoute:
+    def test_cocycles_match_the_formed_cup_product(self):
+        tuples = _zero_weight_monomial_tuples(2, 4)
+        assert len(tuples) == 1468
+        nonzero = 0
+        for name, order in ORDERS.items():
+            coeff = q_pow(-2 if e_first(order) else 0) * sign(order)
+            for tup in tuples:
+                want = coeff * int_one(cup(order, *tup))
+                assert COCYCLES[name](*tup) == want, (name, tup)
+                nonzero += not want.is_zero()
+        assert nonzero == 6 * 28
+
+    def test_psi_match_the_formed_product(self):
+        nonzero = 0
+        for a0, a1, a2 in _zero_weight_monomial_tuples(2, 3):
+            want_132 = int_one(act_k(a0, -4) * act_k(act_h(a1), -4)
+                               * act_k(act_e(act_k(act_f(a2), 1)), -3))
+            want_213 = -int_one(act_k(a0, -4)
+                                * act_k(act_h(act_k(act_e(a1), 1)), -4)
+                                * act_k(act_f(a2), -1))
+            assert PSI_132(a0, a1, a2) == want_132
+            assert PSI_213(a0, a1, a2) == want_213
+            nonzero += (not want_132.is_zero()) + (not want_213.is_zero())
+        assert nonzero == 9 + 6
