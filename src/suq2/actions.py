@@ -8,14 +8,17 @@ weights attached to basis monomials:
   the common engine behind the group-likes k**h, the modular
   automorphism, and its partial powers,
 * ``act_e`` / ``act_f`` -- the left ladder operators, extended from the
-  generator table by the twisted Leibniz rule
-  e(xy) = e(x) k(y) + k^-1(x) e(y),
+  generator table by the twisted Leibniz rule e(xy) = e(x) k(y) +
+  k^-1(x) e(y), applied as one sum over the letters of a monomial's word
+  (``act_e_right`` / ``act_f_right`` likewise on the right),
 * ``act_h``        -- the left Cartan action, multiplication by the left
   weight j on a weight-2j component.
 
-``sweedler_oracle`` recomputes any of these actions through the
-coproduct and the dual pairing, g . x = sum x_(1) <g, x_(2)>, giving an
-independent route used by the verification suite.
+The dual pairing has a closed form on basis monomials: k**±1 kill b and
+c and give v**±(s-n) on a^n d^s, while e pairs only with a^n c d^s and f
+only with a^n b d^s, both to v**(n+s).  ``sweedler_oracle`` recomputes
+the actions through the coproduct and that pairing, g . x = sum x_(1)
+<g, x_(2)>, giving an independent route used by the verification suite.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
-from .algebra import AlgebraElement, Monomial, _accumulate, coproduct
+from .algebra import (AlgebraElement, Monomial, _accumulate, _mono_mul,
+                      coproduct)
 from .scalars import ONE, ZERO, Scalar
 
 _A = Monomial(1, 0, 0, 0)
@@ -88,71 +92,51 @@ def theta_inv(x: AlgebraElement) -> AlgebraElement:
 # action, x . g = sum x_(2) <g, x_(1)>, pairs against the first leg and
 # shifts the right (row) weight: e lowers it (c -> a, d -> b) and f raises
 # it (a -> c, b -> d).  Both extend from their generator tables by the same
-# twisted Leibniz rule, with the twist read off the weight of their side:
-# e(xy) = e(x) k(y) + k^-1(x) e(y) and (xy) . e = (x . e)(y . k) +
-# (x . k^-1)(y . e).
+# twisted Leibniz rule, with the twist k read off the weight of their side.
+# Over the letters x_1 ... x_N of a monomial's word it reads
+#
+#     g(x_1 ... x_N) = sum_i k^-1(x_1 ... x_(i-1)) g(x_i) k(x_(i+1) ... x_N),
+#
+# and k scales a monomial of doubled weight w by v**w.
 
 _LADDER_TABLES = {
-    "left": {"e": {_A: (_B, ONE), _C: (_D, ONE)},
-             "f": {_B: (_A, ONE), _D: (_C, ONE)}},
-    "right": {"e": {_C: (_A, ONE), _D: (_B, ONE)},
-              "f": {_A: (_C, ONE), _B: (_D, ONE)}},
+    "left": {"e": {"a": _B, "c": _D}, "f": {"b": _A, "d": _C}},
+    "right": {"e": {"c": _A, "d": _B}, "f": {"a": _C, "b": _D}},
 }
 
 
-def _split_first(m: Monomial) -> Tuple[Monomial, Monomial]:
-    """(first letter, rest) of a basis monomial of positive degree."""
-    n, mm, r, s = m
-    if n:
-        return _A, Monomial(n - 1, mm, r, s)
-    if mm:
-        return _B, Monomial(0, mm - 1, r, s)
-    if r:
-        return _C, Monomial(0, 0, r - 1, s)
-    return _D, Monomial(0, 0, 0, s - 1)
+def _word_mono(word: str) -> Monomial:
+    return Monomial(*(word.count(letter) for letter in "abcd"))
 
 
-def _ladder(m: Monomial, which: str, side: str, cached: Callable,
+def _ladder(m: Monomial, which: str, side: str,
             ) -> Tuple[Tuple[Monomial, Scalar], ...]:
-    """Ladder ``which`` of ``side`` on one monomial, by the twisted Leibniz
-    rule; ``cached`` is the memoized entry point of that side, used for
-    the action on the tail."""
+    """Ladder ``which`` of ``side`` on one monomial: letter i contributes
+    head * g(x_i) * tail, scaled by v**(w(tail) - w(head))."""
     table = _LADDER_TABLES[side][which]
-    if m.degree == 0:
-        return ()
-    if m.degree == 1:
-        hit = table.get(m)
-        return (hit,) if hit else ()
-    head, rest = _split_first(m)
+    word = m.word()
     acc: Dict[Monomial, Scalar] = {}
-    hit = table.get(head)
-    if hit:
-        # e(head) * k(rest): rest is a single monomial, k scales it.
-        img, coeff = hit
-        kfac = Scalar.v_pow(_weight2(rest, side))
-        prod = AlgebraElement.from_mono(img, coeff * kfac) \
-            * AlgebraElement.from_mono(rest)
-        for mm, cc in prod.terms.items():
-            _accumulate(acc, mm, cc)
-    sub = cached(rest, which)
-    if sub:
-        head_el = AlgebraElement.from_mono(
-            head, Scalar.v_pow(-_weight2(head, side)))
-        tail = AlgebraElement(dict(sub))
-        for mm, cc in (head_el * tail).terms.items():
-            _accumulate(acc, mm, cc)
+    for i, letter in enumerate(word):
+        img = table.get(letter)
+        if img is None:
+            continue
+        head, tail = _word_mono(word[:i]), _word_mono(word[i + 1:])
+        twist = Scalar.v_pow(_weight2(tail, side) - _weight2(head, side))
+        for hm, hc in _mono_mul(head, img):
+            for mm, cc in _mono_mul(hm, tail):
+                _accumulate(acc, mm, twist * hc * cc)
     return tuple(sorted(acc.items()))
 
 
 @lru_cache(maxsize=None)
 def _ladder_cached(m: Monomial, which: str) -> Tuple[Tuple[Monomial, Scalar], ...]:
-    return _ladder(m, which, "left", _ladder_cached)
+    return _ladder(m, which, "left")
 
 
 @lru_cache(maxsize=None)
 def _ladder_right_cached(m: Monomial, which: str,
                          ) -> Tuple[Tuple[Monomial, Scalar], ...]:
-    return _ladder(m, which, "right", _ladder_right_cached)
+    return _ladder(m, which, "right")
 
 
 def _apply_ladder(x: AlgebraElement, which: str,
@@ -209,30 +193,23 @@ def pairing(g: str, x: AlgebraElement) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _pair_mono(g: str, m: Monomial) -> Scalar:
+    """<g, a^n b^m c^r d^s> in the closed form of the module docstring;
+    the e and f values follow from <g, xy> = <g,x><k,y> + <k^-1,x><g,y>."""
+    n, nb, nc, s = m
     if g in ("k", "kinv"):
-        # Group-like: multiplicative along letters; kills b and c.
-        if m.m or m.r:
+        if nb or nc:
             return ZERO
-        exp = m.s - m.n
-        return Scalar.v_pow(exp if g == "k" else -exp)
+        return Scalar.v_pow(s - n if g == "k" else n - s)
     if g in ("e", "f"):
-        if m.degree == 0:
-            return ZERO
-        if m.degree == 1:
-            if g == "e":
-                return ONE if m == _C else ZERO
-            return ONE if m == _B else ZERO
-        head, rest = _split_first(m)
-        # <e, xy> = <e,x><k,y> + <k^-1,x><e,y>, and the same shape for f.
-        return (_pair_mono(g, head) * _pair_mono("k", rest)
-                + _pair_mono("kinv", head) * _pair_mono(g, rest))
+        one_letter = (0, 1) if g == "e" else (1, 0)
+        return Scalar.v_pow(n + s) if (nb, nc) == one_letter else ZERO
     raise ValueError(f"unknown dual generator {g!r}")
 
 
 def sweedler_oracle(g: str, x: AlgebraElement) -> AlgebraElement:
     """g . x computed as sum x_(1) <g, x_(2)> through the coproduct.
 
-    Independent of the ladder recursion; used to cross-validate act_e,
+    Independent of the ladders' letter sum; used to cross-validate act_e,
     act_f and act_k on a sample of monomials.
     """
     out: Dict[Monomial, Scalar] = {}

@@ -9,6 +9,8 @@ measured; their diagnostics pin the discrepancy precisely, and the unit
 suites freeze the corresponding machine-exact identities.
 """
 
+import pytest
+
 from suq2 import acceptance, hochschild, modular
 from suq2.hochschild import Cochain
 
@@ -46,15 +48,22 @@ def test_volume_pairings_and_combination():
     _run("volume-pairings")
 
 
-def test_ladder_split_of_residue_cochain():
-    _run("pi-split")
+@pytest.fixture(scope="module")
+def pi_split_result():
+    """One unmutated pi-split run, shared by the tests that read it."""
+    (res,) = acceptance.run_checks(["pi-split"], report=print)
+    return res
 
 
-def test_residue_details_count_nonzero_tuples():
+def test_ladder_split_of_residue_cochain(pi_split_result):
+    assert pi_split_result.passed, pi_split_result.detail
+
+
+def test_residue_details_count_nonzero_tuples(pi_split_result):
     # The residue cochain vanishes on every random 4-tuple of both checks,
     # so their random halves compare zeros; the detail lines say so.  The
     # zero-weight monomial tuples of pi-split are where it is nonzero.
-    _, detail = acceptance.check_pi_split()
+    detail = pi_split_result.detail
     assert detail.endswith("; residue cochain nonzero on 12/256 generator, "
                            "168/1468 zero-weight monomial and 0/200 random "
                            "tuples"), detail
@@ -113,6 +122,18 @@ def test_comparison_check_rejects_a_vacuous_sweep(monkeypatch):
     assert not passed
     assert "fails on 0/81 tuples" in detail
     assert "phi_132 nonzero on 0/81" in detail
+
+
+def test_cocycle_closure_rejects_an_untwisted_wrap(monkeypatch):
+    # A coboundary whose wrap drops theta^-1 vanishes on every generator
+    # and random 5-tuple; only the zero-weight monomial tuples catch it.
+    monkeypatch.setattr(hochschild, "theta_inv", lambda x: x)
+    passed, detail = acceptance.check_cocycle_closure()
+    assert not passed
+    assert detail == (
+        "24 nonzero coboundary values by cochain: {'phi': 2, "
+        "'phi_132': 2, 'phi_213': 2, 'phi_312': 2, 'phi_231': 2, "
+        "'phi_321': 2, 'phi_res_over_R': 12}"), detail
 
 
 def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):

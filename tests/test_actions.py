@@ -7,7 +7,9 @@ import pytest
 
 from suq2.actions import (
     act_e,
+    act_e_right,
     act_f,
+    act_f_right,
     act_h,
     act_k,
     act_weight,
@@ -15,10 +17,12 @@ from suq2.actions import (
     sigma_left,
     sigma_right,
     sweedler_oracle,
+    sweedler_oracle_right,
     theta,
     theta_inv,
 )
-from suq2.algebra import AlgebraElement, gens, normalize_word, weight_decompose
+from suq2.algebra import (AlgebraElement, Monomial, gens, normalize_word,
+                          weight_decompose)
 from suq2.sampling import random_element, random_monomial
 from suq2.scalars import Scalar, q_number
 
@@ -47,6 +51,15 @@ class TestLadderGenerators:
     def test_f_on_cd(self):
         # f(cd) = f(c)k(d) + k^-1(c)f(d) = q^(1/2) c^2.
         assert act_f(C * D) == V * C * C
+
+    def test_e_on_a_power_far_past_the_recursion_limit(self):
+        # e(a^N) = v^(1-N) [N] a^(N-1) b: the ladder is a sum over the
+        # letters of the word, so no stack grows with N.
+        n = 1200
+        x = AlgebraElement.from_mono(Monomial(n, 0, 0, 0))
+        want = AlgebraElement.from_mono(Monomial(n - 1, 1, 0, 0),
+                                        Scalar.v_pow(1 - n) * q_number(2 * n))
+        assert act_e(x) == want
 
     def test_leibniz_on_random_products(self):
         rng = random.Random(41)
@@ -129,6 +142,21 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing("g", A)
 
+    def test_ladder_pairings_obey_the_twisted_leibniz_rule(self):
+        # <g, xy> = <g, x><k, y> + <k^-1, x><g, y> for g in {e, f}: the
+        # defining law of the closed form, checked on products.
+        rng = random.Random(71)
+        nonzero = 0
+        for _ in range(300):
+            x = AlgebraElement.from_mono(random_monomial(rng, 5))
+            y = AlgebraElement.from_mono(random_monomial(rng, 5))
+            for g in ("e", "f"):
+                lhs = pairing(g, x * y)
+                assert lhs == (pairing(g, x) * pairing("k", y)
+                               + pairing("kinv", x) * pairing(g, y))
+                nonzero += not lhs.is_zero()
+        assert nonzero >= 20  # the law is tested beyond 0 = 0
+
     def test_pairing_respects_products(self):
         # <k, xy> = <k, x><k, y> on monomials (k is group-like).
         assert pairing("k", normalize_word("aa")) == V ** -2
@@ -146,6 +174,18 @@ class TestSweedlerOracle:
             assert sweedler_oracle("k", x) == act_k(x, 1)
             assert sweedler_oracle("kinv", x) == act_k(x, -1)
 
+    def test_matches_all_four_ladders_past_degree_four(self):
+        rng = random.Random(73)
+        drawn = (random_monomial(rng, 8) for _ in range(60))
+        monos = [m for m in drawn if m.degree >= 5]
+        assert len(monos) >= 20
+        for m in monos:
+            x = AlgebraElement.from_mono(m)
+            assert sweedler_oracle("e", x) == act_e(x)
+            assert sweedler_oracle("f", x) == act_f(x)
+            assert sweedler_oracle_right("e", x) == act_e_right(x)
+            assert sweedler_oracle_right("f", x) == act_f_right(x)
+
     def test_matches_on_elements(self):
         rng = random.Random(67)
         for _ in range(10):
@@ -156,7 +196,6 @@ class TestSweedlerOracle:
 
 class TestRightLadders:
     def test_generator_table(self):
-        from suq2.actions import act_e_right, act_f_right
         assert act_e_right(C) == A
         assert act_e_right(D) == B
         assert act_e_right(A).is_zero()
@@ -167,7 +206,6 @@ class TestRightLadders:
         assert act_f_right(D).is_zero()
 
     def test_weight_shift(self):
-        from suq2.actions import act_e_right, act_f_right
         rng = random.Random(61)
         for _ in range(10):
             m = random_monomial(rng, max_degree=4)
@@ -180,8 +218,6 @@ class TestRightLadders:
                 assert mono.left_weight2 == m.left_weight2
 
     def test_matches_sweedler_route(self):
-        from suq2.actions import (act_e_right, act_f_right,
-                                  sweedler_oracle_right)
         rng = random.Random(62)
         for _ in range(12):
             x = random_element(rng, max_degree=4, max_terms=3)
@@ -190,7 +226,6 @@ class TestRightLadders:
             assert act_weight(x, "right", 1) == sweedler_oracle_right("k", x)
 
     def test_left_and_right_actions_commute(self):
-        from suq2.actions import act_e_right, act_f_right
         rng = random.Random(63)
         for _ in range(8):
             x = random_element(rng, max_degree=4, max_terms=3)
@@ -199,7 +234,6 @@ class TestRightLadders:
             assert act_e(act_e_right(x)) == act_e_right(act_e(x))
 
     def test_right_leibniz(self):
-        from suq2.actions import act_e_right
         rng = random.Random(64)
         right_k = lambda y, h: act_weight(y, "right", h)
         for _ in range(8):

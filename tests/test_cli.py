@@ -95,6 +95,19 @@ def test_act_matches_library(capsys):
     assert run_command(["act", "--which", "h", "--side", "right", "a"]) == 2
 
 
+@pytest.mark.parametrize("argv, result", [
+    (["act", "--which", "e", "a^1200"], "a^1199 b"),
+    (["act", "--which", "f", "--side", "right", "b^1500"], "b^1499 d"),
+    (["cocycle-eval", "--cocycle", "phi", "1", "1", "b^600 c^601", "b"],
+     "=  0"),
+])
+def test_high_degree_monomials(argv, result, capsys):
+    # The ladders sum over a monomial's letters and the pairing is a
+    # closed form, so no stack depth grows with the degree.
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith(result)
+
+
 def test_haar_value(capsys):
     assert run_command(["haar", "b c"]) == 0
     assert str(haar(B * C)) in capsys.readouterr().out
