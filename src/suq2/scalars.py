@@ -367,28 +367,50 @@ class Scalar:
     def eval_at_q(self, q_value: float) -> float:
         """Evaluate at a numeric q > 0.
 
-        The even and odd v-parts of numerator and denominator, each
-        divided by the denominator's lowest coefficient, are evaluated
-        exactly over Fraction, so the only floating-point steps are one
-        square root and the final combine/divide.
+        q is taken as its exact ratio N/D of integers (N/2^s for a float).
+        Each of the four parts -- the even and the odd v-part of numerator
+        and denominator, divided by the denominator's lowest coefficient
+        -- is an exact rational A / B of integers, found by one integer
+        Horner pass, and is rounded to float by one correctly rounded
+        ``int / int`` division.  The only other floating-point steps are
+        one square root and the final combine/divide.
         """
         if q_value <= 0:
             raise ValueError("q must be positive")
-        qf = Fraction(q_value)
+        qn, qd = Fraction(q_value).as_integer_ratio()
         sv = float(q_value) ** 0.5
         d0 = self._den[0]
 
+        def eval_part(part: _Poly) -> float:
+            # part maps a power of q to its coefficient; its value is
+            # sum c_k (qn/qd)^k = acc qn^lo / qd^hi, acc an integer.
+            if not part:
+                return 0.0
+            lo, hi = min(part), max(part)
+            acc, scale = 0, 1
+            for k in range(hi, lo - 1, -1):
+                acc = acc * qn + part.get(k, 0) * scale
+                scale *= qd
+            num, den = acc, d0
+            if lo >= 0:
+                num *= qn ** lo
+            else:
+                den *= qn ** -lo
+            if hi >= 0:
+                den *= qd ** hi
+            else:
+                num *= qd ** -hi
+            return num / den
+
         def eval_poly(p: _Poly) -> float:
-            even = Fraction(0)
-            odd = Fraction(0)
+            even: _Poly = {}
+            odd: _Poly = {}
             for e, c in p.items():
                 if e % 2 == 0:
-                    even += c * qf ** (e // 2)
+                    even[e // 2] = c
                 else:
-                    odd += c * qf ** ((e - 1) // 2)
-            if d0 != 1:
-                even, odd = even / d0, odd / d0
-            return float(even) + sv * float(odd)
+                    odd[(e - 1) // 2] = c
+            return eval_part(even) + sv * eval_part(odd)
 
         den = eval_poly(self._den)
         if abs(den) < 1e-300:
@@ -506,11 +528,26 @@ def q_number(twice_a: int) -> Scalar:
 
     ``twice_a`` is 2a, so half-integer spins stay in integer arithmetic:
     q_number(2) == 1, q_number(4) == q^-1 + q, q_number(0) == 0.
+
+    The canonical pair is written down directly.  For t = |2a| = 2n it is
+    the Laurent polynomial v^(2n-2) + v^(2n-6) + ... + v^(2-2n).  For odd
+    t it is v^(2-t) (1 + v^2 + ... + v^(2t-2)) / (1 + v^2): the numerator
+    sums to 1 at v = +-i, the roots of the denominator, so the two are
+    coprime.  The sign is the sign of 2a.
     """
-    t = twice_a
+    t = abs(twice_a)
     if t == 0:
         return _ZERO
-    return Scalar._raw({-t: 1, t: -1}, {-2: 1, 2: -1})
+    sign = 1 if twice_a > 0 else -1
+    out = object.__new__(Scalar)
+    if t % 2 == 0:
+        out._num = {t - 2 - 4 * j: sign for j in range(t // 2)}
+        out._den = _ONE_POLY
+    else:
+        out._num = {2 - t + 2 * k: sign for k in range(t)}
+        out._den = {0: 1, 2: 1}
+    out._hash = None
+    return out
 
 
 def big_q() -> Scalar:

@@ -315,8 +315,18 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
 
     Projections onto the exact orthogonal basis are computed in the
     coefficient field; only the final rescaling ratios (whose squares are
-    exact) pass through floating point.  Requires the exact-mode cutoff
-    ``grid.lmax <= 8``.
+    exact) pass through floating point.  The basis vectors of a weight
+    block are orthogonal, so each coordinate is the projection
+    mu = <v, comp> / <v, v> of the product's weight component itself, and
+    no residual is needed to find it.  A degree-d element times t^l lies
+    in the spins from l - d/2 (the Clebsch-Gordan rule) to l + d/2 (the
+    degree filtration), so only rows of doubled spin within d of the
+    column's are projected; every other mu is zero.  The basis spans
+    every spin <= lmax of a block, so only a column with 2l + d > 2 lmax
+    can leak past the cutoff: for those columns alone the residual
+    comp - sum mu v is formed, and the column is flagged when it is
+    nonzero or when a component falls in a block the basis lacks.
+    Requires the exact-mode cutoff ``grid.lmax <= 8``.
     """
     blocks = pw_orthobasis(grid.lmax)
     vectors = sorted((v for blk in blocks.values() for v in blk),
@@ -327,8 +337,11 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     dim = len(vectors)
     mat = np.zeros((dim, dim))
     flagged: List[Tuple[int, int, int]] = []
+    degree = x.degree
     for cidx, vcol in enumerate(vectors):
         prod = x * vcol.monic
+        low, high = vcol.l2 - degree, vcol.l2 + degree
+        may_leak = high > grid.lmax
         leaked = False
         for (lw2, rw2), comp in weight_decompose(prod).items():
             block = blocks.get((rw2, lw2))
@@ -337,14 +350,17 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
                 continue
             residual = comp
             for v in block.vectors:
-                mu = gns_inner(v.monic, residual) / v.norm_sq
+                if v.l2 < low or v.l2 > high:
+                    continue
+                mu = gns_inner(v.monic, comp) / v.norm_sq
                 if mu.is_zero():
                     continue
-                residual = residual - v.monic.scale(mu)
+                if may_leak:
+                    residual = residual - v.monic.scale(mu)
                 ridx = pos[(v.l2, v.i2, v.j2)]
                 mat[ridx, cidx] = (mu.eval_at_q(grid.q)
                                    * math.sqrt(resc[cidx] / resc[ridx]))
-            if not residual.is_zero():
+            if may_leak and not residual.is_zero():
                 leaked = True
         if leaked:
             flagged.append(labels[cidx])

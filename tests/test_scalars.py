@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,15 @@ class TestQNumbers:
                 rhs = q_number(tx + ty) * q_number(tx - ty)
                 assert lhs == rhs
 
+    def test_closed_form_is_the_generic_canonical_pair(self):
+        # The oracle is the generic construction, cancelled by the gcd.
+        for t in range(-400, 401):
+            generic = (ZERO if t == 0 else
+                       Scalar._raw({-t: 1, t: -1}, {-2: 1, 2: -1}))
+            closed = q_number(t)
+            assert closed._num == generic._num, t
+            assert closed._den == generic._den, t
+
     def test_big_q_matches_bracket_two(self):
         # Q = 1/(q^-1 - q) and [2] = q^-1 + q give Q*[2]*(q^-1 - q) == [2]... ;
         # more simply Q * (q^-1 - q) == 1.
@@ -140,6 +150,112 @@ class TestEvaluation:
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):
             ONE.eval_at_q(0.0)
+
+
+def _eval_over_fractions(x, q_value):
+    """Evaluation as it was done before the integer route: each v-part
+    summed exactly over Fraction, then converted by Fraction.__float__."""
+    if q_value <= 0:
+        raise ValueError("q must be positive")
+    qf = Fraction(q_value)
+    sv = float(q_value) ** 0.5
+    d0 = x._den[0]
+
+    def eval_poly(p):
+        even = Fraction(0)
+        odd = Fraction(0)
+        for e, c in p.items():
+            if e % 2 == 0:
+                even += c * qf ** (e // 2)
+            else:
+                odd += c * qf ** ((e - 1) // 2)
+        if d0 != 1:
+            even, odd = even / d0, odd / d0
+        return float(even) + sv * float(odd)
+
+    den = eval_poly(x._den)
+    if abs(den) < 1e-300:
+        raise EvaluationSingularityError(
+            f"denominator vanishes at q={q_value!r}")
+    return eval_poly(x._num) / den
+
+
+def _outcome(fn, *args):
+    """The float's bits, or the exception type raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+@st.composite
+def _laurent(draw, exponents):
+    """A sparse integer Laurent polynomial: all parities, even or odd
+    exponents only, or shifted wholly below zero."""
+    parity = draw(st.sampled_from(("all", "even", "odd")))
+    shift = draw(st.sampled_from((0, 0, -24)))
+    keys = draw(st.lists(exponents, max_size=5))
+    if parity != "all":
+        keys = [2 * k + (parity == "odd") for k in keys]
+    return {k + shift: draw(st.integers(-10 ** 6, 10 ** 6)) for k in keys}
+
+
+@st.composite
+def _eval_scalars(draw):
+    num = draw(_laurent(st.integers(-12, 12)))
+    den = draw(_laurent(st.integers(-6, 6)))
+    if not any(den.values()):
+        den = {0: draw(st.integers(1, 9))}
+    return Scalar(num, den)
+
+
+_EVAL_Q = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+              exclude_max=True),
+    st.floats(min_value=1.0, allow_infinity=False),
+    st.floats(max_value=0.0, allow_infinity=False),
+    st.fractions(min_value=Fraction(-2), max_value=Fraction(50),
+                 max_denominator=1000),
+    st.integers(-3, 10 ** 6),
+)
+
+
+class TestEvaluationBits:
+    @settings(max_examples=400, deadline=None)
+    @given(_eval_scalars(), _EVAL_Q)
+    def test_integer_route_matches_fraction_route(self, x, q):
+        assert _outcome(x.eval_at_q, q) == _outcome(_eval_over_fractions,
+                                                     x, q)
+
+    def test_drawn_classes(self):
+        # The classes the property draws reach, each pinned once: a
+        # denominator with lowest coefficient 3, even-only and odd-only
+        # parts, a part with negative highest exponent, q as Fraction and
+        # int, and the three raising cases.
+        cases = [
+            (Scalar({-5: 2, 3: -7}, {0: 3, 2: 1, 5: 4}), 0.37),
+            (Scalar({-4: 5, 6: 1}), 0.61),
+            (Scalar({-3: 1, 7: -2}, {1: 1, 3: 1}), 1.7),
+            (Scalar({-23: 3, -9: -1}, {0: 1, 2: 1}), 0.1),
+            (Scalar({-23: 3, -10: -1}, {0: 3, 1: 1}), Fraction(2, 3)),
+            (Scalar({1: 1, 4: 1}, {0: 2, 3: 1}), 7),
+        ]
+        for x, q in cases:
+            got = _outcome(x.eval_at_q, q)
+            assert isinstance(got, bytes)
+            assert got == _outcome(_eval_over_fractions, x, q)
+        raising = [
+            (ONE, 0.0, ValueError),
+            (ONE, -3, ValueError),
+            (ONE / (Scalar.q_pow(1) - frac(1, 2)), 0.5,
+             EvaluationSingularityError),
+            (Scalar.q_pow(4), 1e200, OverflowError),
+            (Scalar.q_pow(-4), 1e-200, OverflowError),
+            (Scalar.v_pow(-5), 1e-250, OverflowError),
+        ]
+        for x, q, exc in raising:
+            assert _outcome(x.eval_at_q, q) is exc
+            assert _outcome(_eval_over_fractions, x, q) is exc
 
 
 class TestSerialization:

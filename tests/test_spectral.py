@@ -8,15 +8,20 @@ diagonalized 2x2 pairing route, and the cutoff-free lattice evaluators.
 Certified tail bounds are checked to actually dominate measured tails.
 """
 
+import hashlib
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suq2.algebra import gens
+from suq2.algebra import AlgebraElement, gens, weight_decompose
 from suq2.functionals import gns_inner
 from suq2.peterweyl import pw_orthobasis
+from suq2.sampling import random_element
 from suq2.scalars import Scalar, big_q
 from suq2.spectral import (OMEGA_TAGS, NonConvergenceError, SpectralGrid,
                            c_ratio, clebsch_minus, clebsch_plus,
@@ -163,8 +168,6 @@ def test_dirac_matrix_multiplicities():
 # Truncated multiplication operators.
 
 def test_mult_op_unit_is_identity():
-    from suq2.algebra import AlgebraElement
-
     grid = SpectralGrid(0.5, 3)
     mm = mult_op_matrix(AlgebraElement.unit(), grid)
     assert not mm.flagged
@@ -202,6 +205,84 @@ def test_mult_op_c_matches_ladder_closed_forms():
         assert support == expect
         checked += 1
     assert checked == sum((l2 + 1) ** 2 for l2 in range(0, 5))
+
+
+def _ref_mult_op_matrices(x, l2max, qs):
+    """``mult_op_matrix`` at each q by residual projection: each block
+    vector is projected against what the earlier ones left over, and a
+    column is flagged when anything is left at the end.  The projections
+    are exact and independent of q, so they are formed once."""
+    blocks = pw_orthobasis(l2max)
+    vectors = sorted((v for blk in blocks.values() for v in blk),
+                     key=lambda v: (v.l2, v.i2, v.j2))
+    labels = [(v.l2, v.i2, v.j2) for v in vectors]
+    pos = {lab: k for k, lab in enumerate(labels)}
+    entries, flagged = [], []
+    for cidx, vcol in enumerate(vectors):
+        leaked = False
+        for (lw2, rw2), comp in weight_decompose(x * vcol.monic).items():
+            block = blocks.get((rw2, lw2))
+            if block is None:
+                leaked = True
+                continue
+            residual = comp
+            for v in block.vectors:
+                mu = gns_inner(v.monic, residual) / v.norm_sq
+                if mu.is_zero():
+                    continue
+                residual = residual - v.monic.scale(mu)
+                entries.append((pos[(v.l2, v.i2, v.j2)], cidx, mu))
+            if not residual.is_zero():
+                leaked = True
+        if leaked:
+            flagged.append(labels[cidx])
+    out = []
+    for q in qs:
+        resc = [v.rescale_sq.eval_at_q(q) for v in vectors]
+        mat = np.zeros((len(vectors), len(vectors)))
+        for ridx, cidx, mu in entries:
+            mat[ridx, cidx] = (mu.eval_at_q(q)
+                               * math.sqrt(resc[cidx] / resc[ridx]))
+        out.append((mat, labels, flagged))
+    return out
+
+
+def _mult_op_elements():
+    """The unit, the generators, their 16 products and seeded elements
+    with fractional coefficients."""
+    named = [("1", AlgebraElement.unit())] + list(zip("abcd", (A, B, C, D)))
+    named += [(f"{f}{g}", x * y) for (f, x), (g, y)
+              in itertools.product(named[1:], repeat=2)]
+    rng = random.Random(23)
+    drawn = [random_element(rng, max_degree=2, max_terms=3)
+             for _ in range(4)]
+    assert any(isinstance(k, Fraction) for x in drawn
+               for c in x.terms.values() for _, k in c.num_terms)
+    return named + [(f"r{k}", x) for k, x in enumerate(drawn)]
+
+
+@pytest.mark.parametrize("l2max", [1, 2, 3, 4])
+def test_mult_op_projection_matches_residual_projection(l2max):
+    elements = _mult_op_elements()
+    for name, x in elements:
+        refs = _ref_mult_op_matrices(x, l2max, Q_GRID)
+        for q, (mat, labels, flagged) in zip(Q_GRID, refs):
+            mm = mult_op_matrix(x, SpectralGrid(q, l2max))
+            assert np.array_equal(mm.matrix, mat), (name, q)
+            assert mm.labels == labels and mm.flagged == flagged, (name, q)
+
+
+def test_mult_op_generator_matrices_golden_digest():
+    # sha256 of the a, b, c and d matrices at 2l <= 3, q = 0.5, as little-
+    # endian float64, computed by residual projection over Fraction
+    # evaluation.  Every float step is correctly rounded, so the digest
+    # holds on every host.
+    h = hashlib.sha256()
+    for x in (A, B, C, D):
+        h.update(mult_op_matrix(x, SpectralGrid(0.5, 3)).matrix
+                 .astype("<f8").tobytes())
+    assert h.hexdigest() == ("0cb5608caedacc58d6292302139d3fbb"
+                             "1a659bd6d8e9d28e40309bb5a7064724")
 
 
 def test_cstarc_diagonal_matches_eps_display_exactly():
