@@ -31,6 +31,17 @@ unit.  Hence every cochain, and every coboundary (its terms multiply
 neighbours and apply ``theta_inv``), vanishes on a tuple of nonzero total
 bi-weight.
 
+Restricted coboundary.  A cochain may declare, per slot, the doubled
+weight offsets (left - right) at which it reads its argument
+(``Cochain.reads``).  A cocycle reads a0 at offset 0 and slot i at
+-SHIFTS[letter], the offset its derivation moves onto the diagonal; the
+residue cochain reads slots 1-3 at all three.  ``boundary`` then splits
+each argument and theta^-1(a_{n+1}) by offset once per call, and forms each
+neighbour product only from the pairs of parts whose offsets add up to an
+offset its slot reads, since both weights add under multiplication.  A term
+with a slot that gets no part is zero by multilinearity, and the cochain
+is not called for it.  An undeclared cochain gets every term in full.
+
 Torus restriction.  The map a -> t, d -> t^-1, b, c -> 0 is an algebra
 homomorphism onto the Laurent polynomials Q(v)[t, t^-1]
 (``functionals.torus``), and int(x) is the t^0 coefficient of its image,
@@ -50,24 +61,37 @@ master consistency check.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .actions import act_e, act_f, act_h, act_k, theta_inv
-from .algebra import AlgebraElement, normalize_word
+from .algebra import AlgebraElement, Monomial, normalize_word
 from .functionals import int_one_product
 from .scalars import ONE, ZERO, Scalar
 
 
 class Cochain:
-    """A multilinear functional on ``degree + 1`` algebra arguments."""
+    """A multilinear functional on ``degree + 1`` algebra arguments.
 
-    __slots__ = ("degree", "_fn", "name")
+    ``reads`` declares, per slot, the doubled weight offsets (left weight
+    minus right weight) of the argument components that the functional
+    reads: the value is unchanged when each argument is restricted to the
+    components at its slot's offsets.  ``None`` means every offset.
+    `boundary` uses the declaration to form only the parts of neighbour
+    products that are read (module docstring, "Restricted coboundary").
+    """
 
-    def __init__(self, degree: int,
-                 fn: Callable[..., Scalar], name: str = "cochain"):
+    __slots__ = ("degree", "_fn", "name", "reads")
+
+    def __init__(self, degree: int, fn: Callable[..., Scalar],
+                 name: str = "cochain",
+                 reads: Optional[Tuple[Tuple[int, ...], ...]] = None):
+        if reads is not None and len(reads) != degree + 1:
+            raise ValueError(f"{name} declares reads for {len(reads)} slots, "
+                             f"but takes {degree + 1} arguments")
         self.degree = degree
         self._fn = fn
         self.name = name
+        self.reads = reads
 
     def __call__(self, *args: AlgebraElement) -> Scalar:
         if len(args) != self.degree + 1:
@@ -92,7 +116,9 @@ Chain = List[Tuple[Scalar, Tuple[AlgebraElement, ...]]]
 
 
 def boundary(f: Cochain) -> Cochain:
-    """The twisted Hochschild coboundary of ``f``."""
+    """The twisted Hochschild coboundary of ``f``.  When ``f`` declares
+    ``reads``, each term is formed only from the weight parts that ``f``
+    reads (module docstring, "Restricted coboundary")."""
     n = f.degree
 
     def bf(*args: AlgebraElement) -> Scalar:
@@ -106,7 +132,78 @@ def boundary(f: Cochain) -> Cochain:
         wrap = f(theta_inv(args[n + 1]) * args[0], *args[1:n + 1])
         return (out + wrap) if sign > 0 else (out - wrap)
 
-    return Cochain(n + 1, bf, f"b({f.name})")
+    if f.reads is None:
+        return Cochain(n + 1, bf, f"b({f.name})")
+    reads = f.reads
+    # Factor n + 2 is theta^-1(a_{n+1}).  Term i multiplies factors i and
+    # i + 1 into slot i and moves each later factor down one slot; the wrap
+    # term (i = n + 1) multiplies factors n + 2 and 0 into slot 0.  Each
+    # entry is the product slot, its two factors and the (slot, factor)
+    # pairs of the other slots.
+    layout = []
+    for i in range(n + 2):
+        slot, pair = (i, (i, i + 1)) if i <= n else (0, (n + 2, 0))
+        rest = [k for k in range(n + 2) if k not in pair]
+        others = list(zip([j for j in range(n + 1) if j != slot], rest))
+        layout.append((slot, pair, others))
+
+    def restricted(*args: AlgebraElement) -> Scalar:
+        # theta^-1 keeps weights, so it splits like a_{n+1}.
+        parts = [_by_offset(a) for a in args]
+        parts.append(_by_offset(theta_inv(args[n + 1])))
+        pieces: Dict[Tuple[int, int], Optional[AlgebraElement]] = {}
+        out = ZERO
+        for i, (slot, (left, right), others) in enumerate(layout):
+            inner: List[Optional[AlgebraElement]] = [None] * (n + 1)
+            for j, k in others:
+                if (k, j) not in pieces:
+                    pieces[k, j] = _restrict(parts[k], reads[j])
+                inner[j] = pieces[k, j]
+                if inner[j] is None:
+                    break  # an empty slot: the term is zero
+            else:
+                inner[slot] = _restricted_product(parts[left], parts[right],
+                                                  reads[slot])
+                if inner[slot] is not None:
+                    term = f(*inner)
+                    out = (out - term) if i % 2 else (out + term)
+        return out
+
+    return Cochain(n + 1, restricted, f"b({f.name})")
+
+
+def _by_offset(x: AlgebraElement) -> Dict[int, AlgebraElement]:
+    """Split ``x`` into its components by doubled weight offset, left
+    minus right weight."""
+    blocks: Dict[int, Dict[Monomial, Scalar]] = {}
+    for m, c in x.terms.items():
+        blocks.setdefault(m.left_weight2 - m.right_weight2, {})[m] = c
+    return {o: AlgebraElement._wrap(t) for o, t in blocks.items()}
+
+
+def _restrict(parts: Dict[int, AlgebraElement], offsets: Tuple[int, ...]
+              ) -> Optional[AlgebraElement]:
+    """The sum of the parts at the given offsets, None if there is none."""
+    out = None
+    for o in offsets:
+        if o in parts:
+            out = parts[o] if out is None else out + parts[o]
+    return out
+
+
+def _restricted_product(left: Dict[int, AlgebraElement],
+                        right: Dict[int, AlgebraElement],
+                        offsets: Tuple[int, ...]) -> Optional[AlgebraElement]:
+    """The components at the given offsets of the product of two split
+    factors, None if no part pair reaches one.  Offsets add under
+    multiplication, so only pairs of parts whose offsets add up to one of
+    them are multiplied."""
+    out = None
+    for o1, x in left.items():
+        for o2, y in right.items():
+            if o1 + o2 in offsets:
+                out = x * y if out is None else out + x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +265,10 @@ def int_one_cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
 
 def _cocycle(name: str, order: str) -> Cochain:
     coeff = Scalar.q_pow(-2 if e_first(order) else 0) * sign(order)
-    return Cochain(3, lambda *a: coeff * int_one_cup(order, *a), name)
+    # int_one_cup keeps of slot i only what its derivation moves onto the
+    # diagonal, and of a0 only the diagonal.
+    reads = ((0,), *((-SHIFTS[letter],) for letter in order))
+    return Cochain(3, lambda *a: coeff * int_one_cup(order, *a), name, reads)
 
 
 COCYCLES = {name: _cocycle(name, order) for name, order in ORDERS.items()}

@@ -230,15 +230,22 @@ def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
     """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
     sign(order) * int(cup(order, ...)) over the six orders, each read off
     the torus restriction by `hochschild.int_one_cup`.  It equals the
-    unit-coefficient integral of the two entries of `pi_split`."""
+    unit-coefficient integral of the two entries of `pi_split`.
+
+    Every order reads only the diagonal of a0 (left weight = right
+    weight), so an a0 without one gives zero at once."""
+    if all(m.left_weight2 != m.right_weight2 for m in a0.terms):
+        return ZERO
     out = ZERO
     for order in ORDERS.values():
         out = out + sign(order) * int_one_cup(order, a0, a1, a2, a3)
     return out
 
 
-# The lambda looks `phi_res_over_r` up at call time.
-PHI_RES_OVER_R = Cochain(3, lambda *a: phi_res_over_r(*a), "phi_res_over_R")
+# The lambda looks `phi_res_over_r` up at call time.  Slots 1-3 read what
+# any of h, e and f moves onto the diagonal (`hochschild._cocycle`).
+PHI_RES_OVER_R = Cochain(3, lambda *a: phi_res_over_r(*a), "phi_res_over_R",
+                         ((0,), (0, -2, 2), (0, -2, 2), (0, -2, 2)))
 
 #: The seven closed 3-cochains by name: the six cup cocycles and the
 #: residue cochain.

@@ -16,10 +16,11 @@ from suq2.actions import (
     act_k,
     theta_inv,
 )
-from suq2.acceptance import _zero_weight_monomial_tuples
+from suq2.acceptance import _random_tuples, _zero_weight_monomial_tuples
 from suq2.algebra import AlgebraElement, Monomial, gens, normalize_word
-from suq2.functionals import haar, int_one
-from suq2.modular import PHI_RES_OVER_R, phi_res_via_commutators
+from suq2.functionals import haar, int_one, int_one_product
+from suq2.modular import (_CLOSED_COCHAINS, PHI_RES_OVER_R,
+                          phi_res_via_commutators)
 from suq2.hochschild import (
     COCYCLES,
     PHI,
@@ -364,3 +365,79 @@ class TestTorusRoute:
             assert PSI_213(a0, a1, a2) == want_213
             nonzero += (not want_132.is_zero()) + (not want_213.is_zero())
         assert nonzero == 9 + 6
+
+
+# ---------------------------------------------------------------------------
+# Declared reads: each closed cochain reads of every slot only the weight
+# offsets it declares, and the coboundary restricted to them is the
+# coboundary of the definition.
+
+def _restricted(x: AlgebraElement, offsets) -> AlgebraElement:
+    return AlgebraElement({m: c for m, c in x.terms.items()
+                           if m.left_weight2 - m.right_weight2 in offsets})
+
+
+def _misread_tuples(c: Cochain, tuples) -> int:
+    """The number of tuples on which ``c`` changes when each argument is
+    restricted to its slot's declared offsets."""
+    return sum(c(*tup) != c(*map(_restricted, tup, c.reads))
+               for tup in tuples)
+
+
+class TestDeclaredReads:
+    TUPLES = _zero_weight_monomial_tuples(2, 4) + _random_tuples(106, 4)
+
+    def test_declarations(self):
+        assert len(self.TUPLES) == 1468 + 200
+        for name, order in ORDERS.items():
+            assert COCYCLES[name].reads == (
+                (0,), *(({"h": 0, "e": -2, "f": 2}[x],) for x in order))
+        assert PHI_RES_OVER_R.reads == ((0,),) + ((0, -2, 2),) * 3
+        assert PSI_132.reads is None and PSI_213.reads is None
+
+    def test_reads_must_cover_every_slot(self):
+        with pytest.raises(ValueError):
+            Cochain(3, PHI, "phi", ((0,),) * 3)
+
+    @pytest.mark.parametrize("name", list(_CLOSED_COCHAINS))
+    def test_closed_cochains_read_only_their_offsets(self, name):
+        assert _misread_tuples(_CLOSED_COCHAINS[name], self.TUPLES) == 0
+
+    def test_swapped_ladder_offsets_misread(self):
+        # phi = hef reads e at -2 and f at +2; the swapped declaration
+        # drops every component that phi reads in those slots.
+        swapped = Cochain(3, PHI, "phi", ((0,), (0,), (2,), (-2,)))
+        assert _misread_tuples(swapped, self.TUPLES) > 0
+
+
+def _hef_product(a0, a1, a2, a3):
+    return int_one_product(a0, act_h(a1), act_e(a2), act_f(a3))
+
+
+#: A declared cochain that is not closed, so that its restricted and plain
+#: coboundaries are compared on nonzero values too.
+HEF_PRODUCT = Cochain(3, _hef_product, "hef_product",
+                      ((0,), (0,), (-2,), (2,)))
+
+
+class TestRestrictedBoundary:
+    TUPLES = (list(itertools.product(GENS, repeat=5))
+              + _zero_weight_monomial_tuples(1, 5) + _random_tuples(432, 5))
+
+    @pytest.mark.parametrize("name", list(_CLOSED_COCHAINS))
+    def test_closed_cochains(self, name):
+        c = _CLOSED_COCHAINS[name]
+        restricted, plain = boundary(c), boundary(Cochain(c.degree, c, name))
+        for tup in self.TUPLES:
+            assert restricted(*tup) == plain(*tup), (name, tup)
+
+    def test_a_cochain_that_is_not_closed(self):
+        assert len(self.TUPLES) == 1024 + 221 + 200
+        restricted = boundary(HEF_PRODUCT)
+        plain = boundary(Cochain(3, _hef_product, "hef_product"))
+        nonzero = 0
+        for tup in self.TUPLES:
+            want = plain(*tup)
+            assert restricted(*tup) == want, tup
+            nonzero += not want.is_zero()
+        assert nonzero == 6

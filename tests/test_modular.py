@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from suq2 import modular
 from suq2.actions import act_e, act_f, act_h, act_k, theta_inv
 from suq2.algebra import AlgebraElement, gens
 from suq2.functionals import int_one
@@ -219,6 +220,22 @@ class TestResidueFunctional:
 class TestResidueCochain:
     def test_units_vanish(self):
         assert phi_res_over_r(UNIT, UNIT, UNIT, UNIT) == ZERO
+
+    def test_off_diagonal_a0_reads_no_cup(self, monkeypatch):
+        # Every order reads only the diagonal of a0, so an a0 without one
+        # gives zero before any cup is read off the torus.
+        calls = []
+        real = modular.int_one_cup
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modular, "int_one_cup", counted)
+        assert phi_res_over_r(B + A * B, D, A, C) == ZERO
+        assert calls == []
+        assert phi_res_over_r(A + B, D, A, C) == phi_res_over_r(A, D, A, C)
+        assert len(calls) == 12
 
     def test_no_domain_errors_on_algebra_inputs(self):
         rng = make_rng(738)
