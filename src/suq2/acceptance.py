@@ -107,6 +107,18 @@ def _zero_weight_monomial_tuples(max_degree: int, arity: int,
             and sum(m.right_weight2 for m in tup) == 0]
 
 
+def _counts(kinds: Dict[str, list]) -> str:
+    """The sizes of named tuple sets: "256 generator + 200 random"."""
+    return " + ".join(f"{len(t)} {kind}" for kind, t in kinds.items())
+
+
+def _per_kind(hits: Dict[str, int], kinds: Dict[str, list]) -> str:
+    """Hits out of each named tuple set: "12/256 generator and 0/200
+    random tuples", the kinds in order."""
+    shown = [f"{hits[kind]}/{len(t)} {kind}" for kind, t in kinds.items()]
+    return f"{', '.join(shown[:-1])} and {shown[-1]} tuples"
+
+
 # ---------------------------------------------------------------------------
 # 1. Exact algebra layer.
 
@@ -232,8 +244,8 @@ def check_cocycle_closure() -> Verdict:
     nonzero = coboundary_sweep(tup for tuples in kinds.values()
                                for tup in tuples)
     bad = sum(nonzero.values())
-    counts = " + ".join(f"{len(t)} {kind}" for kind, t in kinds.items())
-    detail = f"{len(nonzero)} cochains closed on {counts} 5-tuples"
+    detail = (f"{len(nonzero)} cochains closed on {_counts(kinds)} "
+              "5-tuples")
     if bad:
         detail = f"{bad} nonzero coboundary values by cochain: {nonzero}"
     return bad == 0, detail
@@ -296,8 +308,13 @@ def check_volume_pairings() -> Verdict:
     would hold only if every cocycle were q times its present value and
     both values were then doubled; nothing in the package settles which
     of the cocycle twists, the volume chain or the targets is at fault.
-    The check keeps the stated targets.  The detail line also counts the
-    random tuples on which the residue cochain is nonzero.
+    The check keeps the stated targets.
+
+    The identity is tried on every zero-weight 4-tuple of monomials of
+    degree at most 1, where the residue cochain is nonzero on some, and on
+    random 4-tuples, where it vanishes.  The detail line counts the tuples
+    of each kind that break the identity and those on which the residue
+    cochain is nonzero.
     """
     got_phi = PHI.pair_chain(VOLUME_CHAIN)
     got_res = PHI_RES_OVER_R.pair_chain(VOLUME_CHAIN)
@@ -305,17 +322,22 @@ def check_volume_pairings() -> Verdict:
     want_res = three * (Scalar.q_pow(-1) + Scalar.q_pow(1))
     equal_bad = sum(1 for c in COCYCLES.values()
                     if c.pair_chain(VOLUME_CHAIN) != got_phi)
-    comb_bad = res_nonzero = 0
+    kinds = {"zero-weight monomial": _zero_weight_monomial_tuples(1, 4),
+             "random": _random_tuples(106, 4)}
+    comb_bad = dict.fromkeys(kinds, 0)
+    res_nonzero = dict.fromkeys(kinds, 0)
     q2 = Scalar.q_pow(2)
-    for tup in _random_tuples(106, 4):
-        part = {True: ZERO, False: ZERO}  # e-first and f-first cocycles
-        for name, c in COCYCLES.items():
-            part[e_first(ORDERS[name])] += c(*tup)
-        res = phi_res_via_commutators(*tup)
-        comb_bad += res != q2 * part[True] + part[False]
-        res_nonzero += not res.is_zero()
+    for kind, tuples in kinds.items():
+        for tup in tuples:
+            part = {True: ZERO, False: ZERO}  # e-first and f-first cocycles
+            for name, c in COCYCLES.items():
+                part[e_first(ORDERS[name])] += c(*tup)
+            res = phi_res_via_commutators(*tup)
+            comb_bad[kind] += res != q2 * part[True] + part[False]
+            res_nonzero[kind] += not res.is_zero()
+    comb_ok = not any(comb_bad.values())
     passed = (got_phi == ONE and got_res == want_res
-              and comb_bad == 0 and equal_bad == 0)
+              and comb_ok and equal_bad == 0)
     half = Scalar.from_fraction(Fraction(1, 2))
     phi_is_half_qinv = got_phi == half * Scalar.q_pow(-1)
     half_res = got_res + got_res == want_res
@@ -330,9 +352,12 @@ def check_volume_pairings() -> Verdict:
               f"ratio residue/phi = {ratio}{ratio_note} "
               f"(targets imply 3(q^-1+q)); "
               f"six pairings equal: {equal_bad == 0}; "
-              f"combination identity exact on 200/200 random tuples: "
-              f"{comb_bad == 0} (residue cochain nonzero on "
-              f"{res_nonzero}/200)")
+              f"combination identity exact on {_counts(kinds)} tuples: "
+              f"{comb_ok}")
+    if not comb_ok:
+        detail += f", broken on {_per_kind(comb_bad, kinds)}"
+    detail += (f" (residue cochain nonzero on "
+               f"{_per_kind(res_nonzero, kinds)})")
     return passed, detail
 
 
@@ -359,16 +384,13 @@ def check_pi_split() -> Verdict:
             bad["ladder split"] += int_one(p1) + int_one(p2) != res
             bad["torus route"] += PHI_RES_OVER_R(*tup) != res
             nonzero[kind] += not res.is_zero()
-    counts = " + ".join(f"{len(t)} {kind}" for kind, t in kinds.items())
-    counts += " tuples"
+    counts = f"{_counts(kinds)} tuples"
     detail = ("ladder split and torus route reproduce the residue cochain "
               f"on {counts}")
     if any(bad.values()):
         detail = "; ".join(f"{n} of {counts} break the {route} identity"
                            for route, n in bad.items() if n)
-    shown = [f"{nonzero[kind]}/{len(t)} {kind}" for kind, t in kinds.items()]
-    detail += (f"; residue cochain nonzero on {', '.join(shown[:-1])} and "
-               f"{shown[-1]} tuples")
+    detail += f"; residue cochain nonzero on {_per_kind(nonzero, kinds)}"
     return not any(bad.values()), detail
 
 
@@ -418,10 +440,10 @@ def check_dirac_spectrum() -> Verdict:
     worst_ratio = 0.0
     for q in Q_GRID:
         for l2 in range(0, 7):
-            ev = np.sort(np.linalg.eigvalsh(dirac_sector_matrix(l2, q)))
+            mat = dirac_sector_matrix(l2, q)
+            ev = np.sort(np.linalg.eigvalsh(mat))
             closed = np.array(sector_spectrum_closed(l2, q))
             worst_ev = max(worst_ev, float(np.max(np.abs(ev - closed))))
-            mat = dirac_sector_matrix(l2, q)
             for j2 in range(-l2 + 2, l2 + 1, 2):
                 up = (j2 + l2) // 2
                 down = (l2 + 1) + (j2 - 2 + l2) // 2

@@ -12,9 +12,11 @@ Elements are stored on the linear basis of ordered monomials
 a^n b^m c^r d^s with n*s = 0 (a and d never both present), coefficients
 in the exact field Q(v), v^2 = q.  Products of basis monomials are
 computed structurally: the only nontrivial step is normal-ordering the
-inner block d^s a^n (or a^n d^s), which is done by a cached two-term
-recursion, after which b/c blocks commute past powers of a and d at the
-cost of explicit q-powers.
+inner block d^s a^n (or a^n d^s), which has a closed form: with t = bc,
+a^k d^k = prod_{j=1..k} (1 + q^(2j-1) t) = sum_i q^(ik) [k choose i] t^i
+and d^k a^k is the same sum with q^(-ik), [k choose i] the symmetric
+q-binomial.  After it the b/c blocks commute past powers of a and d at
+the cost of explicit q-powers.
 
 Elements, the coproduct's tensors and the modular matrices of `modular`
 share one sparse container, `_SparseSum`, and one accumulate step.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Tuple, Union
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -82,51 +84,47 @@ def mono(n: int, m: int, r: int, s: int) -> Monomial:
 # Structured monomial multiplication.
 #
 # _inner(s, n) normal-orders d^s a^n;  _outer(n, s) normal-orders a^n d^s.
-# Both return tuples of ((alpha, k, delta), Scalar) meaning
-# coeff * a^alpha (bc)^k d^delta, and every term has alpha*delta == 0.
+# Both return tuples of ((alpha, i, delta), Scalar) meaning
+# coeff * a^alpha (bc)^i d^delta, and every term has alpha*delta == 0.
+# With k = min(n, s), the block a^k d^k or d^k a^k is the closed form of
+# the module docstring, from ad = 1 + q bc, da = 1 + q^-1 bc and
+# a bc = q^2 bc a, d bc = q^-2 bc d.  The spare a^(n-k) or d^(s-k) of
+# a^n d^s already stands where the basis puts it; that of d^s a^n moves
+# past (bc)^i at q^-2 per letter.
 
-def _bc_right(terms, power_shift):
-    """Multiply each a^al (bc)^k d^dl term by bc on the right.
+def _bc_coefficients(k: int) -> List[Scalar]:
+    """q^(ik) [k choose i] for i = 0..k: the (bc)^i coefficients of a^k d^k.
 
-    Moving bc left past d^dl costs q^(-2*dl); the caller supplies the
-    constant q-power picked up before the push (as a v-exponent shift).
+    Expands the product one factor at a time by shifted sums of Laurent
+    polynomials, so no Scalar is divided and no gcd is taken.
     """
-    out = []
-    for (al, k, dl), coeff in terms:
-        out.append(((al, k + 1, dl), coeff * Scalar.v_pow(power_shift - 4 * dl)))
-    return out
+    coeffs = [ONE]
+    for j in range(1, k + 1):
+        step = Scalar.q_pow(2 * j - 1)
+        coeffs = ([ONE] + [c + prev * step
+                           for prev, c in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1] * step])
+    return coeffs
 
 
 @lru_cache(maxsize=None)
 def _inner(s: int, n: int) -> Tuple:
-    """Normal form of d^s a^n (uses da = 1 + q^-1 bc)."""
-    if s == 0:
-        return (((n, 0, 0), ONE),)
-    if n == 0:
-        return (((0, 0, s), ONE),)
-    prev = _inner(s - 1, n - 1)
-    extra = _bc_right(prev, 2 * (1 - 2 * n))
-    return _merge(prev, extra)
+    """Normal form of d^s a^n.
+
+    The (bc)^i coefficient is that of a^k d^k times q^(-2ik), which turns
+    q^(ik) into q^(-ik), and times q^(-2i(n+s-2k)) for the spare letters.
+    """
+    k = min(s, n)
+    return tuple(((n - k, i, s - k), c * Scalar.q_pow(-2 * i * (n + s - k)))
+                 for i, c in enumerate(_bc_coefficients(k)))
 
 
 @lru_cache(maxsize=None)
 def _outer(n: int, s: int) -> Tuple:
-    """Normal form of a^n d^s (uses ad = 1 + q bc)."""
-    if n == 0:
-        return (((0, 0, s), ONE),)
-    if s == 0:
-        return (((n, 0, 0), ONE),)
-    prev = _outer(n - 1, s - 1)
-    extra = _bc_right(prev, 2 * (2 * s - 1))
-    return _merge(prev, extra)
-
-
-def _merge(*term_lists) -> Tuple:
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
-    for terms in term_lists:
-        for key, coeff in terms:
-            _accumulate(acc, key, coeff)
-    return tuple(sorted(acc.items()))
+    """Normal form of a^n d^s."""
+    k = min(n, s)
+    return tuple(((n - k, i, s - k), c)
+                 for i, c in enumerate(_bc_coefficients(k)))
 
 
 @lru_cache(maxsize=None)

@@ -62,13 +62,14 @@ def test_ladder_split_of_residue_cochain(pi_split_result):
 def test_residue_details_count_nonzero_tuples(pi_split_result):
     # The residue cochain vanishes on every random 4-tuple of both checks,
     # so their random halves compare zeros; the detail lines say so.  The
-    # zero-weight monomial tuples of pi-split are where it is nonzero.
+    # zero-weight monomial tuples of both checks are where it is nonzero.
     detail = pi_split_result.detail
     assert detail.endswith("; residue cochain nonzero on 12/256 generator, "
                            "168/1468 zero-weight monomial and 0/200 random "
                            "tuples"), detail
     _, detail = acceptance.check_volume_pairings()
-    assert detail.endswith("(residue cochain nonzero on 0/200)"), detail
+    assert detail.endswith("(residue cochain nonzero on 12/61 zero-weight "
+                           "monomial and 0/200 random tuples)"), detail
 
 
 def test_peterweyl_norm_formula():
@@ -134,6 +135,18 @@ def test_cocycle_closure_rejects_an_untwisted_wrap(monkeypatch):
         "24 nonzero coboundary values by cochain: {'phi': 2, "
         "'phi_132': 2, 'phi_213': 2, 'phi_312': 2, 'phi_231': 2, "
         "'phi_321': 2, 'phi_res_over_R': 12}"), detail
+
+
+def test_volume_check_rejects_a_one_sided_combination(monkeypatch):
+    # Weighting every cocycle by q^2 breaks the combination identity
+    # where the f-first cocycles sum to nonzero: on 6 of the zero-weight
+    # monomial tuples and on none of the random ones.
+    monkeypatch.setattr(acceptance, "e_first", lambda order: True)
+    passed, detail = acceptance.check_volume_pairings()
+    assert not passed
+    assert ("combination identity exact on 61 zero-weight monomial + 200 "
+            "random tuples: False, broken on 6/61 zero-weight monomial and "
+            "0/200 random tuples") in detail, detail
 
 
 def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):

@@ -11,6 +11,8 @@ from suq2.algebra import (
     _accumulate,
     Monomial,
     TensorElement,
+    _inner,
+    _outer,
     coproduct,
     counit,
     gens,
@@ -104,6 +106,40 @@ class TestRewriteOracle:
                               * AlgebraElement.from_mono(y))
             via_rewrite = rewrite_normal_form(x.word() + y.word())
             assert via_structured == via_rewrite
+
+
+class TestNormalOrdering:
+    """The closed forms of d^s a^n and a^n d^s behind every product."""
+
+    @staticmethod
+    def _element(table):
+        return AlgebraElement({Monomial(al, i, i, dl): c
+                               for (al, i, dl), c in table})
+
+    def test_blocks_match_the_rewrite_oracle(self):
+        for s in range(7):
+            for n in range(7):
+                assert (self._element(_inner(s, n))
+                        == rewrite_normal_form("d" * s + "a" * n))
+                assert (self._element(_outer(n, s))
+                        == rewrite_normal_form("a" * n + "d" * s))
+
+    def test_coefficients_are_q_binomials(self):
+        # q^(+-ik) [k choose i], the q-binomial as a product of q-numbers.
+        for k in range(11):
+            binomials = [ONE]
+            for i in range(1, k + 1):
+                binomials.append(binomials[-1] * q_number(2 * (k - i + 1))
+                                 / q_number(2 * i))
+            assert [c for _, c in _outer(k, k)] == [
+                b * Scalar.q_pow(i * k) for i, b in enumerate(binomials)]
+            assert [c for _, c in _inner(k, k)] == [
+                b * Scalar.q_pow(-i * k) for i, b in enumerate(binomials)]
+
+    def test_one_cache_entry_per_block(self):
+        _inner.cache_clear()
+        _inner(6, 6)
+        assert _inner.cache_info().currsize == 1
 
 
 class TestAssociativity:
