@@ -465,8 +465,13 @@ def run_command(argv: Sequence[str]) -> int:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: input too large for memory: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

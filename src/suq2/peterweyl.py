@@ -10,10 +10,10 @@ one block the monomials with those weights form a ladder
 ordered by total degree.  Ladder transport builds the basis: e and the
 right f carry the corner a^2l to every t^l_{ij}, the Haar-orthogonal step
 bringing in the next ladder monomial, and the transport coefficients carry
-its squared norm along.  Vectors are kept in monic form (unit coefficient
-on the newly entering monomial) with their exact squared norms; the
-conventional normalization, squared norm q^(-2i) [2l+1]^-1, differs from
-the monic one by a scalar whose square is exact even when the scalar
+its squared norm along.  Vectors are kept in monic form (coefficient 1 on
+the top-degree monomial, the newly entering one) with exact squared norms;
+the conventional normalization, squared norm q^(-2i) [2l+1]^-1, differs
+from the monic one by a scalar whose square is exact even when the scalar
 itself leaves the coefficient field, so only that square is stored.
 """
 
@@ -117,9 +117,9 @@ def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], PWBasisBlock]:
 
     Spin l starts from the corner anchor a^2l, block (-2l, -2l); e raises
     j along that row, then the right f raises i down each column.  An image
-    w = gamma * monic, gamma its coefficient on the block's newest ladder
-    monomial, has squared norm n^2 |v|^2 / gamma^2, n^2 = [l+j+1][l-j]
-    (left) or [l+i+1][l-i] q^-2 (right).  Exact mode bound: l2max <= 8.
+    w = gamma * monic, gamma its coefficient on its top-degree monomial,
+    has squared norm n^2 |v|^2 / gamma^2, n^2 = [l+j+1][l-j] (left) or
+    [l+i+1][l-i] q^-2 (right).  Exact mode bound: l2max <= 8.
     """
     if l2max < 1:
         raise ValueError("cutoff must be at least 1")
@@ -129,8 +129,7 @@ def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], PWBasisBlock]:
 
     def put(l2: int, i2: int, j2: int, w: AlgebraElement,
             n_sq_norm_sq: Scalar) -> PWVector:
-        k = (l2 - max(abs(i2), abs(j2))) // 2
-        gamma = w.coefficient(block_monomials(i2, j2, k + 1)[k])
+        gamma = max(w.terms.items(), key=lambda mc: mc[0].degree)[1]
         vec = PWVector(l2, i2, j2, w.scale(gamma.inverse()),
                        n_sq_norm_sq / (gamma * gamma))
         found.setdefault((i2, j2), []).append(vec)

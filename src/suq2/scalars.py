@@ -176,7 +176,7 @@ def _zdivexact(a: List[int], b: List[int]) -> List[int]:
 class Scalar:
     """An element of Q(v), stored as a canonical fraction of Laurent polynomials."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num: Mapping[int, Coeff] = (),
                  den: Mapping[int, Coeff] = _ONE_POLY):
@@ -186,7 +186,6 @@ class Scalar:
             n = {e: c * ld for e, c in n.items()}
             d = {e: c * ln for e, c in d.items()}
         self._num, self._den = _canonical(n, d)
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -194,7 +193,6 @@ class Scalar:
     def _raw(cls, num: _Poly, den: _Poly) -> "Scalar":
         out = object.__new__(cls)
         out._num, out._den = _canonical(num, den)
-        out._hash = None
         return out
 
     @classmethod
@@ -203,7 +201,7 @@ class Scalar:
         if not n:
             return _ZERO
         out = object.__new__(cls)
-        out._num, out._hash = {0: n}, None
+        out._num = {0: n}
         out._den = _ONE_POLY if d == 1 else {0: d}
         return out
 
@@ -229,7 +227,7 @@ class Scalar:
     def v_pow(cls, k: int) -> "Scalar":
         """v**k (so q**(k/2))."""
         out = object.__new__(cls)
-        out._num, out._den, out._hash = {operator.index(k): 1}, _ONE_POLY, None
+        out._num, out._den = {operator.index(k): 1}, _ONE_POLY
         return out
 
     @classmethod
@@ -286,7 +284,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         out = object.__new__(Scalar)
         out._num, out._den = _pneg(self._num), self._den
-        out._hash = None
         return out
 
     def __sub__(self, other) -> "Scalar":
@@ -354,10 +351,8 @@ class Scalar:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((frozenset(self._num.items()),
-                               frozenset(self._den.items())))
-        return self._hash
+        return hash((frozenset(self._num.items()),
+                     frozenset(self._den.items())))
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -515,9 +510,9 @@ def _shown(p: _Poly, d0: int) -> Tuple[Tuple[int, Coeff], ...]:
 
 
 _ZERO = object.__new__(Scalar)
-_ZERO._num, _ZERO._den, _ZERO._hash = {}, _ONE_POLY, None
+_ZERO._num, _ZERO._den = {}, _ONE_POLY
 _ONE = object.__new__(Scalar)
-_ONE._num, _ONE._den, _ONE._hash = dict(_ONE_POLY), _ONE_POLY, None
+_ONE._num, _ONE._den = dict(_ONE_POLY), _ONE_POLY
 
 ZERO = _ZERO
 ONE = _ONE
@@ -546,7 +541,6 @@ def q_number(twice_a: int) -> Scalar:
     else:
         out._num = {2 - t + 2 * k: sign for k in range(t)}
         out._den = {0: 1, 2: 1}
-    out._hash = None
     return out
 
 

@@ -317,15 +317,17 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     coefficient field; only the final rescaling ratios (whose squares are
     exact) pass through floating point.  The basis vectors of a weight
     block are orthogonal, so each coordinate is the projection
-    mu = <v, comp> / <v, v> of the product's weight component itself, and
-    no residual is needed to find it.  A degree-d element times t^l lies
-    in the spins from l - d/2 (the Clebsch-Gordan rule) to l + d/2 (the
-    degree filtration), so only rows of doubled spin within d of the
-    column's are projected; every other mu is zero.  The basis spans
-    every spin <= lmax of a block, so only a column with 2l + d > 2 lmax
-    can leak past the cutoff: for those columns alone the residual
-    comp - sum mu v is formed, and the column is flagged when it is
-    nonzero or when a component falls in a block the basis lacks.
+    mu = <v, comp> / <v, v> of the product's weight component itself.
+    Everything else is read off the ladder form: the monic vector of
+    doubled spin 2l has coefficient 1 on its block's ladder monomial of
+    degree 2l and no support beyond it, so a block's first k+1 vectors
+    span exactly its first k+1 ladder monomials.  A component therefore
+    leaks past the cutoff exactly when its block is missing or its top
+    degree exceeds the doubled spin of the block's last vector, and a
+    vector of doubled spin above the component's top degree is
+    orthogonal to it (mu = 0).  A degree-d element times t^l has no spin
+    below l - d/2 (the Clebsch-Gordan rule), so rows of doubled spin
+    below 2l - d are not projected either.
     Requires the exact-mode cutoff ``grid.lmax <= 8``.
     """
     blocks = pw_orthobasis(grid.lmax)
@@ -339,29 +341,23 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     flagged: List[Tuple[int, int, int]] = []
     degree = x.degree
     for cidx, vcol in enumerate(vectors):
-        prod = x * vcol.monic
-        low, high = vcol.l2 - degree, vcol.l2 + degree
-        may_leak = high > grid.lmax
+        low = vcol.l2 - degree
         leaked = False
-        for (lw2, rw2), comp in weight_decompose(prod).items():
-            block = blocks.get((rw2, lw2))
-            if block is None:
-                leaked = True
-                continue
-            residual = comp
-            for v in block.vectors:
-                if v.l2 < low or v.l2 > high:
+        for (lw2, rw2), comp in weight_decompose(x * vcol.monic).items():
+            block = blocks.get((rw2, lw2), ())
+            top = comp.degree
+            leaked = leaked or not block or top > block.vectors[-1].l2
+            for v in block:
+                if v.l2 > top:
+                    break
+                if v.l2 < low:
                     continue
                 mu = gns_inner(v.monic, comp) / v.norm_sq
                 if mu.is_zero():
                     continue
-                if may_leak:
-                    residual = residual - v.monic.scale(mu)
                 ridx = pos[(v.l2, v.i2, v.j2)]
                 mat[ridx, cidx] = (mu.eval_at_q(grid.q)
                                    * math.sqrt(resc[cidx] / resc[ridx]))
-            if may_leak and not residual.is_zero():
-                leaked = True
         if leaked:
             flagged.append(labels[cidx])
     return MultOpMatrix(mat, labels, flagged, grid.q)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from suq2 import acceptance
+from suq2 import acceptance, cli
 from suq2.actions import act_e
 from suq2.algebra import gens
 from suq2.cli import (_DEFAULTS, UsageError, _build_parser, parse_element,
@@ -410,7 +410,22 @@ def test_numeric_overflow_exits_3(argv, capsys):
     assert run_command(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ")
+    assert "OverflowError" in err
     assert err.count("\n") == 1
+
+
+def test_memory_error_is_usage_error(monkeypatch, capsys):
+    # An input too large for memory is the caller's to shrink: exit 2 with
+    # one line, not a traceback and not exit 1 (a failed verification).
+    def too_large(ns):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "upsilon-scan", too_large)
+    argv = ["upsilon-scan", "--omega", "identity", "--q", "0.5"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: input too large for memory: "
+                   "Unable to allocate 298. GiB for an array\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ norm in the truncation, which is the content of the norm formula.
 
 import pytest
 
+from suq2 import peterweyl
 from suq2.actions import act_e, act_f, act_f_right
 from suq2.algebra import AlgebraElement, Monomial, gens
 from suq2.functionals import gns_inner, gns_norm_sq
@@ -101,6 +102,35 @@ class TestOrthogonality:
                 assert v.norm_sq == gns_norm_sq(v.monic)
                 checked += 1
         assert checked == 140
+
+    def test_top_monomial_is_the_ladder_pivot_at_spin_four(self):
+        # The fact mult_op_matrix reads leakage and its row range off, at
+        # its largest cutoff: along a block, each vector's top-degree
+        # monomial is unique, carries coefficient 1, is the block's k-th
+        # ladder monomial and has degree 2l, rising from vector to vector.
+        # No Haar state is evaluated.
+        checked = 0
+        for (i2, j2), block in pw_orthobasis(8).items():
+            last = -1
+            for k, v in enumerate(block):
+                terms = v.monic.terms
+                top = max(m.degree for m in terms)
+                tops = [m for m in terms if m.degree == top]
+                assert tops == [block_monomials(i2, j2, k + 1)[k]]
+                assert terms[tops[0]] == ONE
+                assert top == v.l2 > last
+                last = top
+                checked += 1
+        assert checked == sum((l2 + 1) ** 2 for l2 in range(9))
+
+    def test_pivot_needs_no_ladder_list(self, monkeypatch):
+        # put reads each pivot off the image's top-degree monomial.
+        def no_ladder(*args):
+            raise AssertionError("pw_orthobasis built a ladder list")
+
+        monkeypatch.setattr(peterweyl, "block_monomials", no_ladder)
+        blocks = peterweyl.pw_orthobasis(4)
+        assert sum(len(b) for b in blocks.values()) == 55
 
     def test_across_blocks_is_automatic(self):
         # Different weight pairs are orthogonal by the grading; one spot

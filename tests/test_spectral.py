@@ -285,6 +285,21 @@ def test_mult_op_generator_matrices_golden_digest():
                              "1a659bd6d8e9d28e40309bb5a7064724")
 
 
+def test_mult_op_forms_no_residual(monkeypatch):
+    # Leakage and the row range are read off the ladder form, so no
+    # element is subtracted; the flags still come out.
+    x_ab = A * B
+
+    def no_sub(self, other):
+        raise AssertionError("mult_op_matrix subtracted an element")
+
+    monkeypatch.setattr(AlgebraElement, "__sub__", no_sub)
+    for x in (A, B, C, D, x_ab):
+        mm = mult_op_matrix(x, SpectralGrid(0.5, 3))
+        assert mm.flagged
+        assert all(l2 + x.degree > 3 for l2, _, _ in mm.flagged)
+
+
 def test_cstarc_diagonal_matches_eps_display_exactly():
     """The (c* c) diagonal equals q^{2l} (q^{2j} C1 + q^{2i} C2) with the
     epsilon-ratio coefficients, as an exact identity in the coefficient
