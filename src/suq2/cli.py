@@ -350,7 +350,8 @@ def _cmd_verify_all(ns: argparse.Namespace) -> int:
     results = run_checks(ids, report=print)
     passed = sum(r.passed for r in results)
     _emit(ns, [f"{passed}/{len(results)} checks passed"], _render_json([
-        {"check_id": r.check_id, "passed": r.passed} for r in results]))
+        {"check_id": r.check_id, "passed": r.passed, "detail": r.detail}
+        for r in results]))
     return 0 if passed == len(results) else 1
 
 

@@ -17,7 +17,10 @@ Q(v)[t, t^-1] (every relation with b or c becomes 0 = 0, and ad = 1 + q bc,
 da = 1 + q^-1 bc both become t t^-1 = 1).  It sends a^n b^m c^r d^s to
 t^(n-s) when m = r = 0 and to 0 otherwise, so int_one(x) is the t^0
 coefficient of torus(x), and ``int_one_product`` evaluates int_one of a
-product of elements without forming it.
+product of elements without forming it.  Its two steps, ``laurent_product``
+and ``constant_term`` (which forms only the t^0 coefficient of the last
+product), are shared with the cochains, which read their factors' images
+off in closed form (``hochschild.slot_image``).
 """
 
 from __future__ import annotations
@@ -52,20 +55,37 @@ def torus(x: AlgebraElement) -> Dict[int, Scalar]:
     return {m.n - m.s: c for m, c in x.terms.items() if not (m.m or m.r)}
 
 
+def laurent_product(x: Dict[int, Scalar], y: Dict[int, Scalar]
+                    ) -> Dict[int, Scalar]:
+    """The product of two Laurent polynomials in t, each given as
+    {power of t: nonzero coefficient} (the form ``torus`` returns)."""
+    out: Dict[int, Scalar] = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            _accumulate(out, e1 + e2, c1 * c2)
+    return out
+
+
+def constant_term(x: Dict[int, Scalar], y: Dict[int, Scalar]) -> Scalar:
+    """The t^0 coefficient of the product x y of two Laurent polynomials,
+    without forming the product's other coefficients."""
+    out = ZERO
+    for e, c in x.items():
+        other = y.get(-e)
+        if other is not None:
+            out = out + c * other
+    return out
+
+
 def int_one_product(*factors: AlgebraElement) -> Scalar:
     """int_one(x0 x1 ... xk), read off as the t^0 coefficient of the
     product of the torus restrictions, without forming the product."""
+    if not factors:
+        return ONE
     acc = {0: ONE}
-    for x in factors:
-        image = torus(x)
-        out: Dict[int, Scalar] = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in image.items():
-                _accumulate(out, e1 + e2, c1 * c2)
-        if not out:
-            return ZERO
-        acc = out
-    return acc.get(0, ZERO)
+    for x in factors[:-1]:
+        acc = laurent_product(acc, torus(x))
+    return constant_term(acc, torus(factors[-1]))
 
 
 def gns_inner(x: AlgebraElement, y: AlgebraElement) -> Scalar:

@@ -46,13 +46,23 @@ Torus restriction.  The map a -> t, d -> t^-1, b, c -> 0 is an algebra
 homomorphism onto the Laurent polynomials Q(v)[t, t^-1]
 (``functionals.torus``), and int(x) is the t^0 coefficient of its image,
 so int(x0 x1 x2 x3) is the constant term of the product of four Laurent
-polynomials (``functionals.int_one_product``).  A monomial survives the
-map only on the diagonal, left weight = right weight, so before a
-derivation ``int_one_cup`` keeps just the components of its argument that
-the derivation's left shift (``SHIFTS``) moves onto the diagonal.  The six
-cocycles and the residue cochain are evaluated this way and never form the
-cup product; ``cup`` stays as the element-valued route, which ``pi_split``
-and the tests use as the oracle.  The two psi use ``int_one_product`` too.
+polynomials (``functionals.laurent_product`` and ``constant_term``).
+Each cup slot's image torus(D(k^t x)) has a closed form on the monomials
+of x (``slot_image``), so neither k^t x nor D(k^t x) is formed.  A
+monomial survives the map only on the diagonal, left weight = right
+weight, so only components that the derivation's left shift (``SHIFTS``)
+moves onto the diagonal can survive.  Of those, with w the doubled left
+weight, the letter sum of ``actions`` leaves a b,c-free word only from
+
+    h:  a^n d^s,    to j v^(tw) t^(n-s), with 2j = w = s - n;
+    e:  a^n c d^s,  by its c -> d letter, to v^(tw+n+s) t^(n-s-1);
+    f:  a^n b d^s,  by its b -> a letter, to v^(tw+n+s) t^(n-s+1).
+
+The ladder twist v^(n+s) is the e and f pairing of ``actions``.  The six
+cocycles (``int_one_cup``) and the residue cochain are evaluated this way
+and never form the cup product; ``cup`` stays as the element-valued route,
+which ``pi_split`` and the tests use as the oracle.  The two psi use
+``int_one_product``, which takes the torus images of formed elements.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
@@ -61,11 +71,13 @@ master consistency check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actions import act_e, act_f, act_h, act_k, theta_inv
 from .algebra import AlgebraElement, Monomial, normalize_word
-from .functionals import int_one_product
+from .functionals import (constant_term, int_one_product, laurent_product,
+                          torus)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -239,34 +251,67 @@ def cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
 SHIFTS = {"h": 0, "e": 2, "f": -2}
 
 
+def _twists(order: str) -> Tuple[Tuple[str, int], ...]:
+    out, t = [], 0
+    for letter in order:
+        ladder = letter != "h"
+        out.append((letter, t + ladder))
+        t += 2 * ladder
+    return tuple(out)
+
+
+#: The (derivation, t) of slots 1-3 of each order: a slot's t is 2 per
+#: earlier ladder, plus 1 if it holds a ladder.
+SLOT_TWISTS = {order: _twists(order) for order in ORDERS.values()}
+
+
+#: Per derivation, the (b, c) exponents of the monomials a^n b^m c^r d^s
+#: whose image keeps a b,c-free word (module docstring, "Torus restriction").
+_TORUS_BC = {"h": (0, 0), "e": (0, 1), "f": (1, 0)}
+
+
+def slot_image(letter: str, x: AlgebraElement, t: int) -> Dict[int, Scalar]:
+    """torus(D(k^t x)) for the derivation D = act_<letter>, read off the
+    monomials of x without forming k^t x or D(k^t x) (module docstring,
+    "Torus restriction")."""
+    shift = SHIFTS[letter]
+    bc = _TORUS_BC[letter]
+    out: Dict[int, Scalar] = {}
+    for m, c in x.terms.items():
+        # Only the monomials of the closed form keep a b,c-free word, and
+        # only components that the derivation moves onto the diagonal, left
+        # weight = right weight, survive the torus.  D keeps the right
+        # weight, and a^n d^s maps to t^(n - s) = t^-(right weight).
+        if (m.m, m.r) != bc or m.left_weight2 + shift != m.right_weight2:
+            continue
+        w = m.left_weight2
+        if shift:  # the single c -> d (e) or b -> a (f) letter
+            coeff = c * Scalar.v_pow(t * w + m.n + m.s)
+        elif w:  # h multiplies by the left weight w/2
+            coeff = c * Scalar.v_pow(t * w) * Fraction(w, 2)
+        else:
+            continue
+        out[-m.right_weight2] = coeff
+    return out
+
+
 def int_one_cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
                 a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """int(cup(order, a0, a1, a2, a3)) on the torus restriction, without
-    forming the cup product (module docstring, "Torus restriction")."""
-    # Built per call, so that a rebound module-level act_* takes effect.
-    derivation = {"h": act_h, "e": act_e, "f": act_f}
-    shifts = [0] + [SHIFTS[letter] for letter in order]
-    factors = []
-    for shift, a in zip(shifts, (a0, a1, a2, a3)):
-        # Only components that the slot's derivation (none for a0) moves
-        # onto the diagonal, left weight = right weight, survive the torus.
-        kept = {m: c for m, c in a.terms.items()
-                if m.left_weight2 + shift == m.right_weight2}
-        if not kept:
-            return ZERO
-        factors.append(AlgebraElement(kept))
-    t = 0
-    for i, letter in enumerate(order, 1):
-        ladder = letter != "h"
-        factors[i] = derivation[letter](act_k(factors[i], t + ladder))
-        t += 2 * ladder
-    return int_one_product(*factors)
+    """int(cup(order, a0, a1, a2, a3)), the constant term of the product of
+    the torus images of its four factors, without forming the factors or
+    the cup product (module docstring, "Torus restriction")."""
+    acc = torus(a0)
+    images = [slot_image(letter, a, t)
+              for (letter, t), a in zip(SLOT_TWISTS[order], (a1, a2, a3))]
+    for image in images[:-1]:
+        acc = laurent_product(acc, image)
+    return constant_term(acc, images[-1])
 
 
 def _cocycle(name: str, order: str) -> Cochain:
     coeff = Scalar.q_pow(-2 if e_first(order) else 0) * sign(order)
-    # int_one_cup keeps of slot i only what its derivation moves onto the
-    # diagonal, and of a0 only the diagonal.
+    # slot_image reads of slot i only what its derivation moves onto the
+    # diagonal, and torus(a0) only the diagonal of a0.
     reads = ((0,), *((-SHIFTS[letter],) for letter in order))
     return Cochain(3, lambda *a: coeff * int_one_cup(order, *a), name, reads)
 

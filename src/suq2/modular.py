@@ -29,9 +29,12 @@ exactly that normalized functional.
 
 This matrix calculus is the reference, not the working route.  The residue
 3-cochain `phi_res_over_r` (shared as `PHI_RES_OVER_R`) is the signed sum
-of the integrated cup products of `hochschild.ORDERS`, each read off the
-torus restriction (`hochschild.int_one_cup`); `pi_split` forms the same
-cup products as elements, in its two diagonal entries, and
+of the integrated cup products of `hochschild.ORDERS`, read off the torus
+restriction in one pass over the orders: each slot's image is the closed
+form `hochschild.slot_image`, read once per distinct (slot, derivation,
+twist), and the product of torus(a0) with the slot-1 image is shared by
+the two orders that begin with the same derivation.  `pi_split` forms the
+same cup products as elements, in its two diagonal entries, and
 `phi_res_via_commutators` evaluates the value by multiplying the
 commutators here, as the independent oracle.
 """
@@ -42,9 +45,9 @@ from typing import Dict, Mapping, Tuple
 
 from .actions import act_e, act_f, act_h, act_k
 from .algebra import AlgebraElement, _accumulate, _SparseSum
-from .functionals import int_one
-from .hochschild import (COCYCLES, ORDERS, Cochain, cup, e_first,
-                         int_one_cup, sign)
+from .functionals import constant_term, int_one, laurent_product, torus
+from .hochschild import (COCYCLES, ORDERS, SLOT_TWISTS, Cochain, cup,
+                         e_first, sign, slot_image)
 from .scalars import ZERO, Scalar
 
 __all__ = [
@@ -228,17 +231,39 @@ def phi_res_via_commutators(a0: AlgebraElement, a1: AlgebraElement,
 def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
                    a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
     """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
-    sign(order) * int(cup(order, ...)) over the six orders, each read off
-    the torus restriction by `hochschild.int_one_cup`.  It equals the
+    sign(order) * int(cup(order, ...)) over the six orders.  It equals the
     unit-coefficient integral of the two entries of `pi_split`.
 
-    Every order reads only the diagonal of a0 (left weight = right
-    weight), so an a0 without one gives zero at once."""
-    if all(m.left_weight2 != m.right_weight2 for m in a0.terms):
+    Each int(cup) is the constant term of the product of torus images
+    (`hochschild.int_one_cup`), and one pass over the orders shares what
+    they have in common: each distinct (slot, derivation, twist) image is
+    read once (11 for the 18 slots), and torus(a0) times the slot-1 image
+    is formed once for the two orders that begin with the same letter.
+    An a0 whose torus image is zero gives zero before any slot is read."""
+    head = torus(a0)
+    if not head:
         return ZERO
+    args = (a1, a2, a3)
+    images: Dict[Tuple[int, str, int], Dict[int, Scalar]] = {}
+
+    def image(slot: int, letter: str, t: int) -> Dict[int, Scalar]:
+        key = (slot, letter, t)
+        if key not in images:
+            images[key] = slot_image(letter, args[slot], t)
+        return images[key]
+
+    firsts: Dict[str, Dict[int, Scalar]] = {}
     out = ZERO
     for order in ORDERS.values():
-        out = out + sign(order) * int_one_cup(order, a0, a1, a2, a3)
+        (l1, t1), (l2, t2), (l3, t3) = SLOT_TWISTS[order]
+        if l1 not in firsts:
+            firsts[l1] = laurent_product(head, image(0, l1, t1))
+        acc = firsts[l1]
+        if acc:
+            acc = laurent_product(acc, image(1, l2, t2))
+        if acc:
+            value = constant_term(acc, image(2, l3, t3))
+            out = (out + value) if sign(order) > 0 else (out - value)
     return out
 
 

@@ -461,8 +461,11 @@ def test_verify_all_subset(tmp_path, capsys):
     assert "PASS  action-oracle" in stdout
     assert "2/2 checks passed" in stdout
     doc = json.loads(out.read_text())
-    assert doc == [{"check_id": "action-oracle", "passed": True},
-                   {"check_id": "gamma-vanishes", "passed": True}]
+    assert doc == [
+        {"check_id": "action-oracle", "passed": True,
+         "detail": "55 monomials x 8 actions, all exact"},
+        {"check_id": "gamma-vanishes", "passed": True,
+         "detail": "48 scan points and the residue report identically zero"}]
 
 
 def test_verify_all_reports_failure_exit(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suq2.actions import (
     act_e,
@@ -16,9 +17,10 @@ from suq2.actions import (
     act_k,
     theta_inv,
 )
-from suq2.acceptance import _random_tuples, _zero_weight_monomial_tuples
+from suq2.acceptance import (_monomials_up_to, _random_tuples,
+                              _zero_weight_monomial_tuples)
 from suq2.algebra import AlgebraElement, Monomial, gens, normalize_word
-from suq2.functionals import haar, int_one, int_one_product
+from suq2.functionals import haar, int_one, int_one_product, torus
 from suq2.modular import (_CLOSED_COCHAINS, PHI_RES_OVER_R,
                           phi_res_via_commutators)
 from suq2.hochschild import (
@@ -39,6 +41,7 @@ from suq2.hochschild import (
     cup,
     e_first,
     sign,
+    slot_image,
 )
 from suq2.sampling import make_rng, random_element, random_monomial
 from suq2.scalars import ONE, ZERO, Scalar
@@ -353,6 +356,22 @@ class TestTorusRoute:
                 nonzero += not want.is_zero()
         assert nonzero == 6 * 28
 
+    @pytest.mark.parametrize("letter, nonzero",
+                             [("h", 8 * 9), ("e", 7 * 9), ("f", 7 * 9)])
+    def test_slot_images_match_the_formed_derivation(self, letter, nonzero):
+        # Every monomial of degree at most 4 at every twist t in -4..4;
+        # the images survive only on a^n d^s (h) or a^n c d^s, a^n b d^s
+        # (e, f) with n + s > 0 for h and n + s < 4 for the ladders.
+        derivation = {"h": act_h, "e": act_e, "f": act_f}[letter]
+        seen = 0
+        for m in _monomials_up_to(4):
+            x = AlgebraElement.from_mono(m)
+            for t in range(-4, 5):
+                want = torus(derivation(act_k(x, t)))
+                assert slot_image(letter, x, t) == want, (letter, m, t)
+                seen += bool(want)
+        assert seen == nonzero
+
     def test_psi_match_the_formed_product(self):
         nonzero = 0
         for a0, a1, a2 in _zero_weight_monomial_tuples(2, 3):
@@ -365,6 +384,23 @@ class TestTorusRoute:
             assert PSI_213(a0, a1, a2) == want_213
             nonzero += (not want_132.is_zero()) + (not want_213.is_zero())
         assert nonzero == 9 + 6
+
+
+#: Elements of up to five monomials of degree at most 4, each with a
+#: fractional coefficient times a power of v.
+fractional_elements = st.dictionaries(
+    st.sampled_from(list(_monomials_up_to(4))),
+    st.builds(lambda fr, k: Scalar.from_fraction(fr) * Scalar.v_pow(k),
+              st.fractions(max_denominator=12).filter(bool),
+              st.integers(-3, 3)),
+    min_size=1, max_size=5).map(AlgebraElement)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from("hef"), fractional_elements, st.integers(-4, 4))
+def test_slot_image_is_the_torus_of_the_derivation(letter, x, t):
+    derivation = {"h": act_h, "e": act_e, "f": act_f}[letter]
+    assert slot_image(letter, x, t) == torus(derivation(act_k(x, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from suq2 import modular
+from suq2.acceptance import _zero_weight_monomial_tuples
 from suq2.actions import act_e, act_f, act_h, act_k, theta_inv
 from suq2.algebra import AlgebraElement, gens
 from suq2.functionals import int_one
 from suq2.hochschild import (
     COCYCLES,
+    ORDERS,
     PHI,
     PHI_132,
     PHI_213,
@@ -20,6 +22,8 @@ from suq2.hochschild import (
     VOLUME_CHAIN,
     Cochain,
     boundary,
+    cup,
+    sign,
 )
 from suq2.modular import (
     ModularMatrix,
@@ -222,20 +226,61 @@ class TestResidueCochain:
         assert phi_res_over_r(UNIT, UNIT, UNIT, UNIT) == ZERO
 
     def test_off_diagonal_a0_reads_no_cup(self, monkeypatch):
-        # Every order reads only the diagonal of a0, so an a0 without one
-        # gives zero before any cup is read off the torus.
+        # Every order reads only the torus image of a0, so an a0 without a
+        # diagonal gives zero before any slot image is read; otherwise one
+        # call reads each (slot, derivation, twist) image at most once.
         calls = []
-        real = modular.int_one_cup
+        real = modular.slot_image
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(letter, x, t):
+            calls.append((letter, id(x), t))
+            return real(letter, x, t)
 
-        monkeypatch.setattr(modular, "int_one_cup", counted)
+        monkeypatch.setattr(modular, "slot_image", counted)
         assert phi_res_over_r(B + A * B, D, A, C) == ZERO
         assert calls == []
-        assert phi_res_over_r(A + B, D, A, C) == phi_res_over_r(A, D, A, C)
-        assert len(calls) == 12
+        want = phi_res_over_r(A, D, A, C)
+        calls.clear()
+        assert phi_res_over_r(A + B, D, A, C) == want
+        assert 0 < len(calls) == len(set(calls)) <= 11
+        calls.clear()
+        # Every slot image of the generator sum is nonzero, so all 11
+        # distinct images of the six orders are read, once each.
+        x1, x2, x3 = (A + B + C + D for _ in range(3))
+        phi_res_over_r(UNIT, x1, x2, x3)
+        assert len(calls) == len(set(calls)) == 11
+
+    def test_matches_the_signed_cup_sum(self):
+        # The one-pass evaluation against sum sign(order) int(cup(order)),
+        # with the cup products formed as elements: on every zero-weight
+        # monomial 4-tuple of degree at most 2, and on seeded two-term
+        # tuples that add a random term to a fractional multiple of each
+        # factor of one where the residue cochain is nonzero.
+        def signed_cup_sum(tup):
+            out = ZERO
+            for order in ORDERS.values():
+                out += sign(order) * int_one(cup(order, *tup))
+            return out
+
+        tuples = _zero_weight_monomial_tuples(2, 4)
+        assert len(tuples) == 1468
+        nonzero = []
+        for tup in tuples:
+            want = signed_cup_sum(tup)
+            assert phi_res_over_r(*tup) == want, tup
+            if not want.is_zero():
+                nonzero.append(tup)
+        assert len(nonzero) == 168
+        rng = make_rng(741)
+        mixed = 0
+        for tup in rng.sample(nonzero, 40):
+            tup = tuple(x.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+                        + random_element(rng, max_degree=2, max_terms=1)
+                        for x in tup)
+            want = signed_cup_sum(tup)
+            assert phi_res_over_r(*tup) == want, tup
+            mixed += not want.is_zero()
+        assert mixed == 40
 
     def test_no_domain_errors_on_algebra_inputs(self):
         rng = make_rng(738)
