@@ -19,6 +19,10 @@ The residue cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R is the plain signed
 sum of sign(order) int(cup(order)) over the same six orders, that is
 q^2 (phi + phi_213 + phi_231) + (phi_132 + phi_312 + phi_321): q^2 times
 the e-first cocycles plus the f-first ones (``modular.phi_res_over_r``).
+Each of the seven is a cup table (``CupTable``) of (coefficient, slots)
+entries with slots = SLOT_TWISTS[order]: a cocycle is the one entry of its
+order, the residue cochain the six entries of sign(order), and
+``cup_cochain`` makes a table a cochain.
 Two explicit 2-cochains psi_* realize the cohomologies between phi and
 its transposition partners.
 
@@ -31,16 +35,18 @@ unit.  Hence every cochain, and every coboundary (its terms multiply
 neighbours and apply ``theta_inv``), vanishes on a tuple of nonzero total
 bi-weight.
 
-Restricted coboundary.  A cochain may declare, per slot, the doubled
+Restricted coboundary.  A cochain may carry, per slot, the doubled
 weight offsets (left - right) at which it reads its argument
-(``Cochain.reads``).  A cocycle reads a0 at offset 0 and slot i at
--SHIFTS[letter], the offset its derivation moves onto the diagonal; the
-residue cochain reads slots 1-3 at all three.  ``boundary`` then splits
-each argument and theta^-1(a_{n+1}) by offset once per call, and forms each
-neighbour product only from the pairs of parts whose offsets add up to an
-offset its slot reads, since both weights add under multiplication.  A term
-with a slot that gets no part is zero by multilinearity, and the cochain
-is not called for it.  An undeclared cochain gets every term in full.
+(``Cochain.reads``).  ``cup_cochain`` derives them from the table: slot 0
+at offset 0, and slot i at -SHIFTS[letter] for each letter an entry
+applies there, the offset that derivation moves onto the diagonal; so a
+cocycle reads one offset per slot and the residue cochain all three.
+``boundary`` then splits each argument and theta^-1(a_{n+1}) by offset
+once per call, and forms each neighbour product only from the pairs of
+parts whose offsets add up to an offset its slot reads, since both weights
+add under multiplication.  A term with a slot that gets no part is zero by
+multilinearity, and the cochain is not called for it.  A cochain without
+``reads`` gets every term in full.
 
 Torus restriction.  The map a -> t, d -> t^-1, b, c -> 0 is an algebra
 homomorphism onto the Laurent polynomials Q(v)[t, t^-1]
@@ -58,11 +64,12 @@ weight, the letter sum of ``actions`` leaves a b,c-free word only from
     e:  a^n c d^s,  by its c -> d letter, to v^(tw+n+s) t^(n-s-1);
     f:  a^n b d^s,  by its b -> a letter, to v^(tw+n+s) t^(n-s+1).
 
-The ladder twist v^(n+s) is the e and f pairing of ``actions``.  The six
-cocycles (``int_one_cup``) and the residue cochain are evaluated this way
-and never form the cup product; ``cup`` stays as the element-valued route,
-which ``pi_split`` and the tests use as the oracle.  The two psi use
-``int_one_product``, which takes the torus images of formed elements.
+The ladder twist v^(n+s) is the e and f pairing of ``actions``.  One
+evaluator, ``int_one_table``, reads every cup table this way in one pass
+over its entries and never forms a cup product; ``cup`` stays as the
+element-valued route, which ``pi_split`` and the tests use as the oracle.
+The two psi use ``int_one_product``, which takes the torus images of
+formed elements.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
@@ -84,26 +91,23 @@ from .scalars import ONE, ZERO, Scalar
 class Cochain:
     """A multilinear functional on ``degree + 1`` algebra arguments.
 
-    ``reads`` declares, per slot, the doubled weight offsets (left weight
+    ``reads`` holds, per slot, the doubled weight offsets (left weight
     minus right weight) of the argument components that the functional
     reads: the value is unchanged when each argument is restricted to the
-    components at its slot's offsets.  ``None`` means every offset.
-    `boundary` uses the declaration to form only the parts of neighbour
-    products that are read (module docstring, "Restricted coboundary").
+    components at its slot's offsets.  It is None, every offset, unless
+    `cup_cochain` derives it from a cup table.  `boundary` uses it to form
+    only the parts of neighbour products that are read (module docstring,
+    "Restricted coboundary").
     """
 
     __slots__ = ("degree", "_fn", "name", "reads")
 
     def __init__(self, degree: int, fn: Callable[..., Scalar],
-                 name: str = "cochain",
-                 reads: Optional[Tuple[Tuple[int, ...], ...]] = None):
-        if reads is not None and len(reads) != degree + 1:
-            raise ValueError(f"{name} declares reads for {len(reads)} slots, "
-                             f"but takes {degree + 1} arguments")
+                 name: str = "cochain"):
         self.degree = degree
         self._fn = fn
         self.name = name
-        self.reads = reads
+        self.reads: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __call__(self, *args: AlgebraElement) -> Scalar:
         if len(args) != self.degree + 1:
@@ -128,7 +132,7 @@ Chain = List[Tuple[Scalar, Tuple[AlgebraElement, ...]]]
 
 
 def boundary(f: Cochain) -> Cochain:
-    """The twisted Hochschild coboundary of ``f``.  When ``f`` declares
+    """The twisted Hochschild coboundary of ``f``.  When ``f`` has
     ``reads``, each term is formed only from the weight parts that ``f``
     reads (module docstring, "Restricted coboundary")."""
     n = f.degree
@@ -295,28 +299,64 @@ def slot_image(letter: str, x: AlgebraElement, t: int) -> Dict[int, Scalar]:
     return out
 
 
-def int_one_cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
-                a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """int(cup(order, a0, a1, a2, a3)), the constant term of the product of
-    the torus images of its four factors, without forming the factors or
-    the cup product (module docstring, "Torus restriction")."""
-    acc = torus(a0)
-    images = [slot_image(letter, a, t)
-              for (letter, t), a in zip(SLOT_TWISTS[order], (a1, a2, a3))]
-    for image in images[:-1]:
-        acc = laurent_product(acc, image)
-    return constant_term(acc, images[-1])
+#: A cup table: (coefficient, slots) entries, each the signed integrated
+#: cup product coefficient * int(a0 D1(k^t1 a1) D2(k^t2 a2) D3(k^t3 a3)),
+#: with slots the (derivation letter, t) of slots 1-3.
+CupTable = Tuple[Tuple[Scalar, Tuple[Tuple[str, int], ...]], ...]
 
 
-def _cocycle(name: str, order: str) -> Cochain:
-    coeff = Scalar.q_pow(-2 if e_first(order) else 0) * sign(order)
-    # slot_image reads of slot i only what its derivation moves onto the
-    # diagonal, and torus(a0) only the diagonal of a0.
-    reads = ((0,), *((-SHIFTS[letter],) for letter in order))
-    return Cochain(3, lambda *a: coeff * int_one_cup(order, *a), name, reads)
+def int_one_table(table: CupTable, a0: AlgebraElement, a1: AlgebraElement,
+                  a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
+    """The value of the cup table on (a0, a1, a2, a3): each entry's
+    integral is the constant term of the product of the torus images of
+    its four factors, and neither a factor nor a product of elements is
+    formed (module docstring, "Torus restriction").  An a0 whose torus
+    image is zero gives zero before any slot is read; each distinct (slot,
+    derivation, t) image is read once, torus(a0) times the slot-1 image is
+    formed once per distinct first (derivation, t), and an entry stops at
+    its first empty product."""
+    head = torus(a0)
+    if not head:
+        return ZERO
+    args = (a1, a2, a3)
+    images: Dict[Tuple[int, str, int], Dict[int, Scalar]] = {}
+
+    def image(slot: int, letter: str, t: int) -> Dict[int, Scalar]:
+        key = (slot, letter, t)
+        if key not in images:
+            images[key] = slot_image(letter, args[slot], t)
+        return images[key]
+
+    firsts: Dict[Tuple[str, int], Dict[int, Scalar]] = {}
+    out = ZERO
+    for coeff, (first, second, third) in table:
+        if first not in firsts:
+            firsts[first] = laurent_product(head, image(0, *first))
+        acc = firsts[first]
+        if acc:
+            acc = laurent_product(acc, image(1, *second))
+        if acc:
+            out = out + coeff * constant_term(acc, image(2, *third))
+    return out
 
 
-COCYCLES = {name: _cocycle(name, order) for name, order in ORDERS.items()}
+def cup_cochain(name: str, table: CupTable) -> Cochain:
+    """The 3-cochain that evaluates ``table``, reading the weight offsets
+    that follow from it: torus(a0) reads only the diagonal of a0, offset 0,
+    and slot_image reads of slot i only what an entry's derivation there
+    moves onto the diagonal, offset -SHIFTS[letter]."""
+    f = Cochain(3, lambda *a: int_one_table(table, *a), name)
+    f.reads = ((0,), *(tuple(sorted({-SHIFTS[slots[i][0]]
+                                     for _, slots in table}))
+                       for i in range(3)))
+    return f
+
+
+#: Each cocycle is the one-entry table of its order.
+COCYCLES = {
+    name: cup_cochain(name, ((Scalar.q_pow(-2 if e_first(order) else 0)
+                              * sign(order), SLOT_TWISTS[order]),))
+    for name, order in ORDERS.items()}
 PHI, PHI_132, PHI_213, PHI_312, PHI_231, PHI_321 = COCYCLES.values()
 
 

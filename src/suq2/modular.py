@@ -29,14 +29,14 @@ exactly that normalized functional.
 
 This matrix calculus is the reference, not the working route.  The residue
 3-cochain `phi_res_over_r` (shared as `PHI_RES_OVER_R`) is the signed sum
-of the integrated cup products of `hochschild.ORDERS`, read off the torus
-restriction in one pass over the orders: each slot's image is the closed
-form `hochschild.slot_image`, read once per distinct (slot, derivation,
-twist), and the product of torus(a0) with the slot-1 image is shared by
-the two orders that begin with the same derivation.  `pi_split` forms the
-same cup products as elements, in its two diagonal entries, and
-`phi_res_via_commutators` evaluates the value by multiplying the
-commutators here, as the independent oracle.
+of the integrated cup products of `hochschild.ORDERS`: a six-entry cup
+table, read off the torus restriction by `hochschild.int_one_table`, the
+evaluator of the cocycles too, and made a cochain by
+`hochschild.cup_cochain`, which derives the read offsets of its
+coboundary from the table.  `pi_split` forms the same cup products as
+elements, in its two diagonal entries, and `phi_res_via_commutators`
+evaluates the value by multiplying the commutators here, as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from typing import Dict, Mapping, Tuple
 
 from .actions import act_e, act_f, act_h, act_k
 from .algebra import AlgebraElement, _accumulate, _SparseSum
-from .functionals import constant_term, int_one, laurent_product, torus
-from .hochschild import (COCYCLES, ORDERS, SLOT_TWISTS, Cochain, cup,
-                         e_first, sign, slot_image)
-from .scalars import ZERO, Scalar
+from .functionals import int_one
+from .hochschild import (COCYCLES, ORDERS, SLOT_TWISTS, cup, cup_cochain,
+                         e_first, int_one_table, sign)
+from .scalars import ONE, Scalar
 
 __all__ = [
     "OutsideEvaluatedDomainError",
@@ -228,49 +228,26 @@ def phi_res_via_commutators(a0: AlgebraElement, a1: AlgebraElement,
     return tau_over_R(prod)
 
 
+#: The residue cochain's cup table: sign(order) for each of the six orders.
+_RESIDUE_TABLE = tuple((ONE * sign(order), SLOT_TWISTS[order])
+                       for order in ORDERS.values())
+
+
 def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
                    a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
     """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
     sign(order) * int(cup(order, ...)) over the six orders.  It equals the
     unit-coefficient integral of the two entries of `pi_split`.
 
-    Each int(cup) is the constant term of the product of torus images
-    (`hochschild.int_one_cup`), and one pass over the orders shares what
-    they have in common: each distinct (slot, derivation, twist) image is
-    read once (11 for the 18 slots), and torus(a0) times the slot-1 image
-    is formed once for the two orders that begin with the same letter.
-    An a0 whose torus image is zero gives zero before any slot is read."""
-    head = torus(a0)
-    if not head:
-        return ZERO
-    args = (a1, a2, a3)
-    images: Dict[Tuple[int, str, int], Dict[int, Scalar]] = {}
-
-    def image(slot: int, letter: str, t: int) -> Dict[int, Scalar]:
-        key = (slot, letter, t)
-        if key not in images:
-            images[key] = slot_image(letter, args[slot], t)
-        return images[key]
-
-    firsts: Dict[str, Dict[int, Scalar]] = {}
-    out = ZERO
-    for order in ORDERS.values():
-        (l1, t1), (l2, t2), (l3, t3) = SLOT_TWISTS[order]
-        if l1 not in firsts:
-            firsts[l1] = laurent_product(head, image(0, l1, t1))
-        acc = firsts[l1]
-        if acc:
-            acc = laurent_product(acc, image(1, l2, t2))
-        if acc:
-            value = constant_term(acc, image(2, l3, t3))
-            out = (out + value) if sign(order) > 0 else (out - value)
-    return out
+    It is the six-entry cup table read by `hochschild.int_one_table`,
+    which shares what the orders have in common: each distinct (slot,
+    derivation, twist) image is read once (11 for the 18 slots), and
+    torus(a0) times the slot-1 image is formed once for the two orders
+    that begin with the same (derivation, twist)."""
+    return int_one_table(_RESIDUE_TABLE, a0, a1, a2, a3)
 
 
-# The lambda looks `phi_res_over_r` up at call time.  Slots 1-3 read what
-# any of h, e and f moves onto the diagonal (`hochschild._cocycle`).
-PHI_RES_OVER_R = Cochain(3, lambda *a: phi_res_over_r(*a), "phi_res_over_R",
-                         ((0,), (0, -2, 2), (0, -2, 2), (0, -2, 2)))
+PHI_RES_OVER_R = cup_cochain("phi_res_over_R", _RESIDUE_TABLE)
 
 #: The seven closed 3-cochains by name: the six cup cocycles and the
 #: residue cochain.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from suq2 import modular
+from suq2 import hochschild
 from suq2.acceptance import _zero_weight_monomial_tuples
 from suq2.actions import act_e, act_f, act_h, act_k, theta_inv
 from suq2.algebra import AlgebraElement, gens
@@ -230,13 +230,13 @@ class TestResidueCochain:
         # diagonal gives zero before any slot image is read; otherwise one
         # call reads each (slot, derivation, twist) image at most once.
         calls = []
-        real = modular.slot_image
+        real = hochschild.slot_image
 
         def counted(letter, x, t):
             calls.append((letter, id(x), t))
             return real(letter, x, t)
 
-        monkeypatch.setattr(modular, "slot_image", counted)
+        monkeypatch.setattr(hochschild, "slot_image", counted)
         assert phi_res_over_r(B + A * B, D, A, C) == ZERO
         assert calls == []
         want = phi_res_over_r(A, D, A, C)

@@ -956,3 +956,11 @@ def test_commutator_growth_unbounded():
     assert len(norms) == 5
     assert all(b > a for a, b in zip(norms, norms[1:]))
     assert norms[-1] > 5.0 * norms[0]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5])
+def test_commutator_growth_ratio_tends_to_inverse_q(q):
+    # The last consecutive ratio at lmax 6: 3.3333 at q = 0.3 and 1.9983
+    # at q = 0.5.
+    norms = [nrm for _, nrm in commutator_growth(q, lmax=6)]
+    assert norms[-1] / norms[-2] == pytest.approx(1.0 / q, rel=0.01)
