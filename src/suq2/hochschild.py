@@ -19,10 +19,11 @@ The residue cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R is the plain signed
 sum of sign(order) int(cup(order)) over the same six orders, that is
 q^2 (phi + phi_213 + phi_231) + (phi_132 + phi_312 + phi_321): q^2 times
 the e-first cocycles plus the f-first ones (``modular.phi_res_over_r``).
-Each of the seven is a cup table (``CupTable``) of (coefficient, slots)
-entries with slots = SLOT_TWISTS[order]: a cocycle is the one entry of its
-order, the residue cochain the six entries of sign(order), and
-``cup_cochain`` makes a table a cochain.
+Each of the seven is a cup table (``CupTable``) of (coefficient, factors)
+entries with factors = SLOT_TWISTS[order], one (letter, t) per slot: ("k",
+0) on a0, then the derivation and twist of slots 1-3.  A cocycle is the
+one entry of its order, the residue cochain the six entries of
+sign(order), and ``cup_cochain`` makes a table a cochain.
 Two explicit 2-cochains psi_* realize the cohomologies between phi and
 its transposition partners.
 
@@ -34,19 +35,6 @@ f, so the shifts cancel, and ``int_one`` reads only the weight-(0, 0)
 unit.  Hence every cochain, and every coboundary (its terms multiply
 neighbours and apply ``theta_inv``), vanishes on a tuple of nonzero total
 bi-weight.
-
-Restricted coboundary.  A cochain may carry, per slot, the doubled
-weight offsets (left - right) at which it reads its argument
-(``Cochain.reads``).  ``cup_cochain`` derives them from the table: slot 0
-at offset 0, and slot i at -SHIFTS[letter] for each letter an entry
-applies there, the offset that derivation moves onto the diagonal; so a
-cocycle reads one offset per slot and the residue cochain all three.
-``boundary`` then splits each argument and theta^-1(a_{n+1}) by offset
-once per call, and forms each neighbour product only from the pairs of
-parts whose offsets add up to an offset its slot reads, since both weights
-add under multiplication.  A term with a slot that gets no part is zero by
-multilinearity, and the cochain is not called for it.  A cochain without
-``reads`` gets every term in full.
 
 Torus restriction.  The map a -> t, d -> t^-1, b, c -> 0 is an algebra
 homomorphism onto the Laurent polynomials Q(v)[t, t^-1]
@@ -64,12 +52,35 @@ weight, the letter sum of ``actions`` leaves a b,c-free word only from
     e:  a^n c d^s,  by its c -> d letter, to v^(tw+n+s) t^(n-s-1);
     f:  a^n b d^s,  by its b -> a letter, to v^(tw+n+s) t^(n-s+1).
 
-The ladder twist v^(n+s) is the e and f pairing of ``actions``.  One
+The ladder twist v^(n+s) is the e and f pairing of ``actions``.  A "k"
+factor is torus(k^t x) itself, read off torus(x): k^t scales a^n d^s,
+of doubled left weight s - n, by v^(t(s-n)) (``factor_image``).  One
 evaluator, ``int_one_table``, reads every cup table this way in one pass
 over its entries and never forms a cup product; ``cup`` stays as the
 element-valued route, which ``pi_split`` and the tests use as the oracle.
 The two psi use ``int_one_product``, which takes the torus images of
 formed elements.
+
+Coboundary of a cup table.  The torus map and every k^t are
+multiplicative, and each derivation obeys the twisted Leibniz rule of
+``actions``,
+
+    D(k^t(xy)) = D(k^t x) k^(t+d)(y) + k^(t-d)(x) D(k^t y),
+
+with d = 0 for h and d = 1 for e and f.  So every term of the coboundary
+of a table cochain is again a sum of table entries, with one factor per
+argument.  Term i splits the factor (letter, t) of slot i over the
+product a_i a_{i+1}: into ("k", t) twice for "k", and into the two pairs
+of the rule for a derivation.  The wrap term splits slot 0's ("k", t)
+over theta^-1(a_{n+1}) a0, and theta^-1 scales a^n d^s by v^(4(s-n)),
+as k^4 does, so on a torus image it is k^4: the factor of a_{n+1} is
+("k", t + 4), with the 4 read off ``theta_inv`` (``_wrap_twist``).
+``boundary`` of a table cochain is the table cochain of this derived
+table, 8 entries for each entry of the seven 3-cochains, so b(b(f)) is
+one more derivation.  The derived terms are evaluated as derived.
+Collected by equal factors, the derived table of each closed cochain
+cancels to nothing, which is its cocycle identity in formal form; the
+closure checks evaluate the terms rather than assume that identity.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
@@ -82,7 +93,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actions import act_e, act_f, act_h, act_k, theta_inv
-from .algebra import AlgebraElement, Monomial, normalize_word
+from .algebra import AlgebraElement, normalize_word
 from .functionals import (constant_term, int_one_product, laurent_product,
                           torus)
 from .scalars import ONE, ZERO, Scalar
@@ -91,23 +102,19 @@ from .scalars import ONE, ZERO, Scalar
 class Cochain:
     """A multilinear functional on ``degree + 1`` algebra arguments.
 
-    ``reads`` holds, per slot, the doubled weight offsets (left weight
-    minus right weight) of the argument components that the functional
-    reads: the value is unchanged when each argument is restricted to the
-    components at its slot's offsets.  It is None, every offset, unless
-    `cup_cochain` derives it from a cup table.  `boundary` uses it to form
-    only the parts of neighbour products that are read (module docstring,
-    "Restricted coboundary").
+    ``table`` is the cup table that the functional evaluates when
+    `cup_cochain` made it, else None; `boundary` derives the coboundary's
+    table from it (module docstring, "Coboundary of a cup table").
     """
 
-    __slots__ = ("degree", "_fn", "name", "reads")
+    __slots__ = ("degree", "_fn", "name", "table")
 
     def __init__(self, degree: int, fn: Callable[..., Scalar],
                  name: str = "cochain"):
         self.degree = degree
         self._fn = fn
         self.name = name
-        self.reads: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self.table: Optional[CupTable] = None
 
     def __call__(self, *args: AlgebraElement) -> Scalar:
         if len(args) != self.degree + 1:
@@ -132,9 +139,12 @@ Chain = List[Tuple[Scalar, Tuple[AlgebraElement, ...]]]
 
 
 def boundary(f: Cochain) -> Cochain:
-    """The twisted Hochschild coboundary of ``f``.  When ``f`` has
-    ``reads``, each term is formed only from the weight parts that ``f``
-    reads (module docstring, "Restricted coboundary")."""
+    """The twisted Hochschild coboundary of ``f``.  Of a cup-table cochain
+    it is the cup-table cochain of the derived table (module docstring,
+    "Coboundary of a cup table"); any other cochain gets the sum of the
+    definition, which is the oracle of the derived tables."""
+    if f.table is not None:
+        return cup_cochain(f"b({f.name})", _derived(f.table))
     n = f.degree
 
     def bf(*args: AlgebraElement) -> Scalar:
@@ -148,78 +158,7 @@ def boundary(f: Cochain) -> Cochain:
         wrap = f(theta_inv(args[n + 1]) * args[0], *args[1:n + 1])
         return (out + wrap) if sign > 0 else (out - wrap)
 
-    if f.reads is None:
-        return Cochain(n + 1, bf, f"b({f.name})")
-    reads = f.reads
-    # Factor n + 2 is theta^-1(a_{n+1}).  Term i multiplies factors i and
-    # i + 1 into slot i and moves each later factor down one slot; the wrap
-    # term (i = n + 1) multiplies factors n + 2 and 0 into slot 0.  Each
-    # entry is the product slot, its two factors and the (slot, factor)
-    # pairs of the other slots.
-    layout = []
-    for i in range(n + 2):
-        slot, pair = (i, (i, i + 1)) if i <= n else (0, (n + 2, 0))
-        rest = [k for k in range(n + 2) if k not in pair]
-        others = list(zip([j for j in range(n + 1) if j != slot], rest))
-        layout.append((slot, pair, others))
-
-    def restricted(*args: AlgebraElement) -> Scalar:
-        # theta^-1 keeps weights, so it splits like a_{n+1}.
-        parts = [_by_offset(a) for a in args]
-        parts.append(_by_offset(theta_inv(args[n + 1])))
-        pieces: Dict[Tuple[int, int], Optional[AlgebraElement]] = {}
-        out = ZERO
-        for i, (slot, (left, right), others) in enumerate(layout):
-            inner: List[Optional[AlgebraElement]] = [None] * (n + 1)
-            for j, k in others:
-                if (k, j) not in pieces:
-                    pieces[k, j] = _restrict(parts[k], reads[j])
-                inner[j] = pieces[k, j]
-                if inner[j] is None:
-                    break  # an empty slot: the term is zero
-            else:
-                inner[slot] = _restricted_product(parts[left], parts[right],
-                                                  reads[slot])
-                if inner[slot] is not None:
-                    term = f(*inner)
-                    out = (out - term) if i % 2 else (out + term)
-        return out
-
-    return Cochain(n + 1, restricted, f"b({f.name})")
-
-
-def _by_offset(x: AlgebraElement) -> Dict[int, AlgebraElement]:
-    """Split ``x`` into its components by doubled weight offset, left
-    minus right weight."""
-    blocks: Dict[int, Dict[Monomial, Scalar]] = {}
-    for m, c in x.terms.items():
-        blocks.setdefault(m.left_weight2 - m.right_weight2, {})[m] = c
-    return {o: AlgebraElement._wrap(t) for o, t in blocks.items()}
-
-
-def _restrict(parts: Dict[int, AlgebraElement], offsets: Tuple[int, ...]
-              ) -> Optional[AlgebraElement]:
-    """The sum of the parts at the given offsets, None if there is none."""
-    out = None
-    for o in offsets:
-        if o in parts:
-            out = parts[o] if out is None else out + parts[o]
-    return out
-
-
-def _restricted_product(left: Dict[int, AlgebraElement],
-                        right: Dict[int, AlgebraElement],
-                        offsets: Tuple[int, ...]) -> Optional[AlgebraElement]:
-    """The components at the given offsets of the product of two split
-    factors, None if no part pair reaches one.  Offsets add under
-    multiplication, so only pairs of parts whose offsets add up to one of
-    them are multiplied."""
-    out = None
-    for o1, x in left.items():
-        for o2, y in right.items():
-            if o1 + o2 in offsets:
-                out = x * y if out is None else out + x * y
-    return out
+    return Cochain(n + 1, bf, f"b({f.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +195,7 @@ SHIFTS = {"h": 0, "e": 2, "f": -2}
 
 
 def _twists(order: str) -> Tuple[Tuple[str, int], ...]:
-    out, t = [], 0
+    out, t = [("k", 0)], 0
     for letter in order:
         ladder = letter != "h"
         out.append((letter, t + ladder))
@@ -264,8 +203,8 @@ def _twists(order: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(out)
 
 
-#: The (derivation, t) of slots 1-3 of each order: a slot's t is 2 per
-#: earlier ladder, plus 1 if it holds a ladder.
+#: The (letter, t) factors of each order: ("k", 0) on a0, then slots 1-3,
+#: where a slot's t is 2 per earlier ladder, plus 1 if it holds a ladder.
 SLOT_TWISTS = {order: _twists(order) for order in ORDERS.values()}
 
 
@@ -299,57 +238,109 @@ def slot_image(letter: str, x: AlgebraElement, t: int) -> Dict[int, Scalar]:
     return out
 
 
-#: A cup table: (coefficient, slots) entries, each the signed integrated
-#: cup product coefficient * int(a0 D1(k^t1 a1) D2(k^t2 a2) D3(k^t3 a3)),
-#: with slots the (derivation letter, t) of slots 1-3.
+def factor_image(letter: str, x: AlgebraElement, t: int
+                 ) -> Dict[int, Scalar]:
+    """The torus image of one table factor: torus(k^t x) for the letter
+    "k", read off torus(x), and `slot_image` for a derivation."""
+    if letter != "k":
+        return slot_image(letter, x, t)
+    image = torus(x)
+    if t:  # k^t scales a^n d^s, of doubled left weight s - n, by v^(t(s-n))
+        image = {p: c * Scalar.v_pow(-t * p) for p, c in image.items()}
+    return image
+
+
+#: A cup table: (coefficient, factors) entries, each the signed integral
+#: coefficient * int(F0(a0) F1(a1) ... Fn(an)) with one (letter, t) factor
+#: per slot, F(x) = k^t x for "k" and D(k^t x) for D = act_<letter>.
 CupTable = Tuple[Tuple[Scalar, Tuple[Tuple[str, int], ...]], ...]
 
 
-def int_one_table(table: CupTable, a0: AlgebraElement, a1: AlgebraElement,
-                  a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """The value of the cup table on (a0, a1, a2, a3): each entry's
-    integral is the constant term of the product of the torus images of
-    its four factors, and neither a factor nor a product of elements is
-    formed (module docstring, "Torus restriction").  An a0 whose torus
-    image is zero gives zero before any slot is read; each distinct (slot,
-    derivation, t) image is read once, torus(a0) times the slot-1 image is
-    formed once per distinct first (derivation, t), and an entry stops at
-    its first empty product."""
-    head = torus(a0)
-    if not head:
-        return ZERO
-    args = (a1, a2, a3)
-    images: Dict[Tuple[int, str, int], Dict[int, Scalar]] = {}
+def int_one_table(table: CupTable, *args: AlgebraElement) -> Scalar:
+    """The value of the cup table on ``args``: each entry's integral is the
+    constant term of the product of its factors' torus images, and neither
+    a factor nor a product of elements is formed (module docstring, "Torus
+    restriction").  Each distinct (slot, factor) image is read once, and
+    the products of the images along a common prefix of factors are formed
+    once for all entries that share it, in a prefix tree grown as the
+    entries are read.  An entry stops at its first empty product, so an a0
+    whose "k" image is zero gives zero before any other slot is read."""
+    last = len(args) - 1
+    images: Dict[Tuple[int, Tuple[str, int]], Dict[int, Scalar]] = {}
 
-    def image(slot: int, letter: str, t: int) -> Dict[int, Scalar]:
-        key = (slot, letter, t)
+    def image(slot: int, factor: Tuple[str, int]) -> Dict[int, Scalar]:
+        key = (slot, factor)
         if key not in images:
-            images[key] = slot_image(letter, args[slot], t)
+            images[key] = factor_image(factor[0], args[slot], factor[1])
         return images[key]
 
-    firsts: Dict[Tuple[str, int], Dict[int, Scalar]] = {}
+    # A node maps the next factor to (product so far, child node).
+    root: Dict = {}
     out = ZERO
-    for coeff, (first, second, third) in table:
-        if first not in firsts:
-            firsts[first] = laurent_product(head, image(0, *first))
-        acc = firsts[first]
-        if acc:
-            acc = laurent_product(acc, image(1, *second))
-        if acc:
-            out = out + coeff * constant_term(acc, image(2, *third))
+    for coeff, factors in table:
+        node, acc = root, None
+        for slot in range(last):
+            factor = factors[slot]
+            if factor not in node:
+                img = image(slot, factor)
+                node[factor] = (img if acc is None
+                                else laurent_product(acc, img), {})
+            acc, node = node[factor]
+            if not acc:
+                break
+        else:
+            out = out + coeff * constant_term(acc, image(last, factors[last]))
     return out
 
 
 def cup_cochain(name: str, table: CupTable) -> Cochain:
-    """The 3-cochain that evaluates ``table``, reading the weight offsets
-    that follow from it: torus(a0) reads only the diagonal of a0, offset 0,
-    and slot_image reads of slot i only what an entry's derivation there
-    moves onto the diagonal, offset -SHIFTS[letter]."""
-    f = Cochain(3, lambda *a: int_one_table(table, *a), name)
-    f.reads = ((0,), *(tuple(sorted({-SHIFTS[slots[i][0]]
-                                     for _, slots in table}))
-                       for i in range(3)))
+    """The cochain that evaluates ``table``, of degree one less than its
+    number of slots, with the table kept for `boundary`."""
+    f = Cochain(len(table[0][1]) - 1, lambda *a: int_one_table(table, *a),
+                name)
+    f.table = table
     return f
+
+
+def _wrap_twist() -> int:
+    """The W with torus(theta^-1(x)) = torus(k^W x) for every x.  theta^-1
+    is an automorphism that keeps both weights, so on the torus it scales
+    a^n d^s as a power of k does, and its image v^-W a of a, of doubled
+    left weight -1, names the power."""
+    ((power, _),) = torus(theta_inv(normalize_word("a")))[1].num_terms
+    return -power
+
+
+def _leibniz(letter: str, t: int
+             ) -> Tuple[Tuple[Tuple[str, int], Tuple[str, int]], ...]:
+    """The factor pairs (of x, of y) whose images sum to the image of the
+    factor (letter, t) on xy: the rule of the module docstring,
+    "Coboundary of a cup table"."""
+    if letter == "k":
+        return ((("k", t), ("k", t)),)
+    d = letter != "h"
+    return (((letter, t), ("k", t + d)), (("k", t - d), (letter, t)))
+
+
+def _derived(table: CupTable) -> CupTable:
+    """The cup table of the coboundary of the cochain of ``table``: term i
+    splits the factor of slot i over a_i a_{i+1}, and the wrap term splits
+    slot 0's ("k", t) over theta^-1(a_{n+1}) a0."""
+    wrap = _wrap_twist()
+    out = []
+    for coeff, factors in table:
+        letter, t = factors[0]
+        if letter != "k":
+            raise ValueError(f"slot 0 of a cup table holds a 'k' factor, "
+                             f"not {letter!r}")
+        for i, factor in enumerate(factors):
+            signed = -coeff if i % 2 else coeff
+            for pair in _leibniz(*factor):
+                out.append((signed, factors[:i] + pair + factors[i + 1:]))
+        # The sign (-1)^(n+1) of the wrap, with n + 1 slots.
+        out.append((-coeff if len(factors) % 2 else coeff,
+                    factors + (("k", t + wrap),)))
+    return tuple(out)
 
 
 #: Each cocycle is the one-entry table of its order.

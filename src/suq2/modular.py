@@ -32,11 +32,11 @@ This matrix calculus is the reference, not the working route.  The residue
 of the integrated cup products of `hochschild.ORDERS`: a six-entry cup
 table, read off the torus restriction by `hochschild.int_one_table`, the
 evaluator of the cocycles too, and made a cochain by
-`hochschild.cup_cochain`, which derives the read offsets of its
-coboundary from the table.  `pi_split` forms the same cup products as
-elements, in its two diagonal entries, and `phi_res_via_commutators`
-evaluates the value by multiplying the commutators here, as the
-independent oracle.
+`hochschild.cup_cochain`; its coboundary is the cochain of the table
+that `hochschild.boundary` derives from it.  `pi_split` forms the same
+cup products as elements, in its two diagonal entries, and
+`phi_res_via_commutators` evaluates the value by multiplying the
+commutators here, as the independent oracle.
 """
 
 from __future__ import annotations

@@ -150,8 +150,10 @@ def test_volume_check_rejects_a_one_sided_combination(monkeypatch):
 
 
 def test_pi_split_check_rejects_a_wrong_cup_sign(monkeypatch):
-    # One sign for every slot order changes the split and the residue
-    # cochain alike; only the modular-matrix reference can catch it.
+    # One sign for every slot order changes the ladder split; the residue
+    # cochain's cup table fixed its signs when modular loaded, so the
+    # patch reaches only pi_split, and the modular-matrix reference
+    # catches it: the check names the ladder split identity.
     monkeypatch.setattr(modular, "sign", lambda order: 1)
     passed, detail = acceptance.check_pi_split()
     assert not passed

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suq2 import hochschild
 from suq2.actions import (
     act_e,
     act_e_right,
@@ -34,6 +35,7 @@ from suq2.hochschild import (
     PSI_132,
     ORDERS,
     PSI_213,
+    SHIFTS,
     VOLUME_CHAIN,
     Chain,
     Cochain,
@@ -41,6 +43,7 @@ from suq2.hochschild import (
     cup,
     cup_cochain,
     e_first,
+    factor_image,
     int_one_table,
     sign,
     slot_image,
@@ -359,19 +362,19 @@ class TestTorusRoute:
         assert nonzero == 6 * 28
 
     def test_table_shares_the_first_product_by_derivation_and_twist(self):
-        # Both entries apply h to a1, at t = 0 and at t = 2: torus(a0)
-        # times the slot-1 image may be shared only between entries whose
-        # first (derivation, t) is the same.  Sharing by the derivation
-        # alone breaks 28 of the 56 nonzero values.
-        table = ((ONE, (("h", 0), ("e", 1), ("f", 3))),
-                 (q_pow(2), (("h", 2), ("f", 1), ("e", 3))))
+        # Both entries apply h to a1, at t = 0 and at t = 2: the product
+        # over a prefix of factors may be shared only between entries whose
+        # prefixes are the same, twists included.  Sharing by the
+        # derivation alone breaks 28 of the 56 nonzero values.
+        table = ((ONE, (("k", 0), ("h", 0), ("e", 1), ("f", 3))),
+                 (q_pow(2), (("k", 0), ("h", 2), ("f", 1), ("e", 3))))
         derivation = {"h": act_h, "e": act_e, "f": act_f}
         nonzero = 0
         for tup in _zero_weight_monomial_tuples(2, 4):
             want = ZERO
             for coeff, slots in table:
                 x = tup[0]
-                for (letter, t), a in zip(slots, tup[1:]):
+                for (letter, t), a in zip(slots[1:], tup[1:]):
                     x = x * derivation[letter](act_k(a, t))
                 want += coeff * int_one(x)
             assert int_one_table(table, *tup) == want, tup
@@ -419,47 +422,50 @@ fractional_elements = st.dictionaries(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from("hef"), fractional_elements, st.integers(-4, 4))
+@given(st.sampled_from("hefk"), fractional_elements, st.integers(-4, 4))
 def test_slot_image_is_the_torus_of_the_derivation(letter, x, t):
-    derivation = {"h": act_h, "e": act_e, "f": act_f}[letter]
-    assert slot_image(letter, x, t) == torus(derivation(act_k(x, t)))
+    derivation = {"h": act_h, "e": act_e, "f": act_f,
+                  "k": lambda y: y}[letter]
+    assert factor_image(letter, x, t) == torus(derivation(act_k(x, t)))
 
 
 # ---------------------------------------------------------------------------
 # Derived reads: each closed cochain reads of every slot only the weight
-# offsets that its cup table gives it, and the coboundary restricted to
-# them is the coboundary of the definition.
+# offsets that its cup table gives it: a0 at 0, and slot i at -SHIFTS[d]
+# for each derivation d that an entry applies there, the offset that d
+# moves onto the diagonal.
 
 def _restricted(x: AlgebraElement, offsets) -> AlgebraElement:
     return AlgebraElement({m: c for m, c in x.terms.items()
                            if m.left_weight2 - m.right_weight2 in offsets})
 
 
+def _reads(c: Cochain):
+    """Per slot, the offsets that the table of ``c`` reads."""
+    return ((0,), *({-SHIFTS[factors[i][0]] for _, factors in c.table}
+                    for i in (1, 2, 3)))
+
+
 def _misread_tuples(c: Cochain, tuples, reads=None) -> int:
     """The number of tuples on which ``c`` changes when each argument is
-    restricted to its slot's offsets in ``reads``, by default ``c.reads``."""
-    return sum(c(*tup) != c(*map(_restricted, tup, reads or c.reads))
+    restricted to its slot's offsets in ``reads``, by default those of
+    its table."""
+    return sum(c(*tup) != c(*map(_restricted, tup, reads or _reads(c)))
                for tup in tuples)
 
 
 class TestDeclaredReads:
     TUPLES = _zero_weight_monomial_tuples(2, 4) + _random_tuples(106, 4)
 
-    def test_declarations(self):
-        assert len(self.TUPLES) == 1468 + 200
-        for name, order in ORDERS.items():
-            assert COCYCLES[name].reads == (
-                (0,), *(({"h": 0, "e": -2, "f": 2}[x],) for x in order))
-        assert PHI_RES_OVER_R.reads == ((0,),) + ((-2, 0, 2),) * 3
-        assert PSI_132.reads is None and PSI_213.reads is None
-
     @pytest.mark.parametrize("name", list(_CLOSED_COCHAINS))
     def test_closed_cochains_read_only_their_offsets(self, name):
+        assert len(self.TUPLES) == 1468 + 200
         assert _misread_tuples(_CLOSED_COCHAINS[name], self.TUPLES) == 0
 
     def test_swapped_ladder_offsets_misread(self):
         # phi = hef reads e at -2 and f at +2; the swapped read set
         # drops every component that phi reads in those slots.
+        assert _reads(PHI) == ((0,), {0}, {-2}, {2})
         swapped = ((0,), (0,), (2,), (-2,))
         assert _misread_tuples(PHI, self.TUPLES, swapped) > 0
 
@@ -469,9 +475,9 @@ def _hef_product(a0, a1, a2, a3):
 
 
 #: A one-entry cup table without twists that is not closed, so that its
-#: restricted and plain coboundaries are compared on nonzero values too.
+#: derived and plain coboundaries are compared on nonzero values too.
 HEF_PRODUCT = cup_cochain("hef_product",
-                          ((ONE, (("h", 0), ("e", 0), ("f", 0))),))
+                          ((ONE, (("k", 0), ("h", 0), ("e", 0), ("f", 0))),))
 
 
 class TestRestrictedBoundary:
@@ -495,3 +501,55 @@ class TestRestrictedBoundary:
             assert restricted(*tup) == want, tup
             nonzero += not want.is_zero()
         assert nonzero == 6
+
+
+def _collected(table):
+    """The table with equal factor tuples summed and zero sums dropped."""
+    sums = {}
+    for coeff, factors in table:
+        sums[factors] = sums.get(factors, ZERO) + coeff
+    return {f: c for f, c in sums.items() if not c.is_zero()}
+
+
+class TestDerivedTables:
+    def test_entry_counts(self):
+        # Per entry of a 3-cochain: one entry for the "k" slot 0 in term 0
+        # and in the wrap, two per derivation slot.
+        for name in ORDERS:
+            table = boundary(COCYCLES[name]).table
+            assert len(table) == 8 and all(len(f) == 5 for _, f in table)
+        assert len(boundary(PHI_RES_OVER_R).table) == 48
+        assert PSI_132.table is None and boundary(PSI_132).table is None
+
+    def test_collected_terms_cancel(self, monkeypatch):
+        # b f = 0 for the seven is a formal identity of their derived
+        # tables: the terms telescope, the wrap's ("k", 4) included.  So it
+        # holds on every tuple; an untwisted wrap (theta^-1 the identity,
+        # wrap twist 0) leaves its terms standing.
+        for name, c in _CLOSED_COCHAINS.items():
+            assert _collected(boundary(c).table) == {}, name
+        monkeypatch.setattr(hochschild, "theta_inv", lambda x: x)
+        for name, c in _CLOSED_COCHAINS.items():
+            assert _collected(boundary(c).table) != {}, name
+
+    def test_slot_zero_holds_a_k_factor(self):
+        # The wrap reads theta^-1 as k^4 only on a "k" factor.
+        c = cup_cochain("h_first",
+                        ((ONE, (("h", 0), ("k", 0), ("e", 1), ("f", 3))),))
+        with pytest.raises(ValueError, match="slot 0"):
+            boundary(c)
+
+    def test_double_coboundary(self):
+        # b(b(HEF_PRODUCT)) through the 6-slot derived table against the
+        # plain double coboundary, on seeded zero-weight monomial and
+        # random 6-tuples.
+        rng = make_rng(433)
+        tuples = (rng.sample(_zero_weight_monomial_tuples(1, 6), 100)
+                  + _random_tuples(434, 6)[:50])
+        derived = boundary(boundary(HEF_PRODUCT))
+        # Each of the 8 entries of b(HEF_PRODUCT) has two "k" factors and
+        # three derivations: 2 + 2 * 3 + 1 entries.
+        assert len(derived.table) == 8 * 9 and derived.degree == 5
+        plain = boundary(boundary(Cochain(3, _hef_product, "hef_product")))
+        for tup in tuples:
+            assert derived(*tup) == plain(*tup), tup
