@@ -43,6 +43,8 @@ from .hochschild import (
     PSI_213,
     VOLUME_CHAIN,
     boundary,
+    coboundary_sum,
+    coboundary_terms,
     e_first,
 )
 from .mero import f_residue, h_closed, h_direct, h_err_bound
@@ -222,12 +224,18 @@ def check_twisted_traces() -> Verdict:
 def coboundary_sweep(tuples: Iterable[Tuple[AlgebraElement, ...]]
                      ) -> Dict[str, int]:
     """For each closed 3-cochain of `modular._CLOSED_COCHAINS`, the number
-    of the given 5-tuples on which its twisted coboundary is nonzero."""
-    bounds = {name: boundary(c) for name, c in _CLOSED_COCHAINS.items()}
-    nonzero = dict.fromkeys(bounds, 0)
+    of the given 5-tuples on which its twisted coboundary is nonzero.
+
+    The coboundary is summed by its definition, on neighbour products
+    formed once per tuple for all seven cochains, and not by `boundary`:
+    the derived table of a closed cochain cancels formally (module
+    docstring of `hochschild`), so only formed products test the closed
+    forms of `hochschild.slot_image` against the algebra."""
+    nonzero = dict.fromkeys(_CLOSED_COCHAINS, 0)
     for tup in tuples:
-        for name, bf in bounds.items():
-            if not bf(*tup).is_zero():
+        terms = coboundary_terms(tup)
+        for name, c in _CLOSED_COCHAINS.items():
+            if not coboundary_sum(c, terms).is_zero():
                 nonzero[name] += 1
     return nonzero
 

@@ -77,10 +77,15 @@ as k^4 does, so on a torus image it is k^4: the factor of a_{n+1} is
 ("k", t + 4), with the 4 read off ``theta_inv`` (``_wrap_twist``).
 ``boundary`` of a table cochain is the table cochain of this derived
 table, 8 entries for each entry of the seven 3-cochains, so b(b(f)) is
-one more derivation.  The derived terms are evaluated as derived.
-Collected by equal factors, the derived table of each closed cochain
-cancels to nothing, which is its cocycle identity in formal form; the
-closure checks evaluate the terms rather than assume that identity.
+one more derivation.  The derived table of each closed cochain cancels
+formally: collected by equal factors it is empty, and evaluated as
+derived its paired terms read the same images, so it is zero on every
+tuple whatever ``slot_image`` computes.  That formal zero assumes the
+Leibniz rule of the images rather than testing it, so the closure checks
+(``acceptance.coboundary_sweep``) sum the definition instead, on
+neighbour products and wrap formed once per tuple (``coboundary_terms``,
+``coboundary_sum``), the plain loop of ``boundary`` for a cochain
+without a table.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
 volume form; pairing any of the cocycles against it is the package's
@@ -142,23 +147,38 @@ def boundary(f: Cochain) -> Cochain:
     """The twisted Hochschild coboundary of ``f``.  Of a cup-table cochain
     it is the cup-table cochain of the derived table (module docstring,
     "Coboundary of a cup table"); any other cochain gets the sum of the
-    definition, which is the oracle of the derived tables."""
+    definition (`coboundary_sum`), the oracle of the derived tables."""
     if f.table is not None:
         return cup_cochain(f"b({f.name})", _derived(f.table))
-    n = f.degree
+    return Cochain(f.degree + 1,
+                   lambda *a: coboundary_sum(f, coboundary_terms(a)),
+                   f"b({f.name})")
 
-    def bf(*args: AlgebraElement) -> Scalar:
-        out = ZERO
-        sign = 1
-        for i in range(n + 1):
-            inner = args[:i] + (args[i] * args[i + 1],) + args[i + 2:]
-            term = f(*inner)
+
+#: The (sign, arguments) of the terms of a coboundary's definition.
+Terms = List[Tuple[int, Tuple[AlgebraElement, ...]]]
+
+
+def coboundary_terms(args: Tuple[AlgebraElement, ...]) -> Terms:
+    """The n + 2 terms of the definition on the n + 2 ``args``: each
+    neighbour product and the wrap theta^-1(a_{n+1}) a0 formed once, so
+    that several cochains can share them."""
+    n = len(args) - 2
+    terms = [((-1) ** i, args[:i] + (args[i] * args[i + 1],) + args[i + 2:])
+             for i in range(n + 1)]
+    terms.append(((-1) ** (n + 1),
+                  (theta_inv(args[n + 1]) * args[0],) + args[1:n + 1]))
+    return terms
+
+
+def coboundary_sum(f: Cochain, terms: Terms) -> Scalar:
+    """(b f)(args) by the definition, from ``coboundary_terms(args)``."""
+    out = ZERO
+    for sign, inner in terms:
+        term = f(*inner)
+        if term:
             out = (out + term) if sign > 0 else (out - term)
-            sign = -sign
-        wrap = f(theta_inv(args[n + 1]) * args[0], *args[1:n + 1])
-        return (out + wrap) if sign > 0 else (out - wrap)
-
-    return Cochain(n + 1, bf, f"b({f.name})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +273,7 @@ def factor_image(letter: str, x: AlgebraElement, t: int
 #: A cup table: (coefficient, factors) entries, each the signed integral
 #: coefficient * int(F0(a0) F1(a1) ... Fn(an)) with one (letter, t) factor
 #: per slot, F(x) = k^t x for "k" and D(k^t x) for D = act_<letter>.
+#: Slot 0 holds a "k" factor, which `cup_cochain` checks.
 CupTable = Tuple[Tuple[Scalar, Tuple[Tuple[str, int], ...]], ...]
 
 
@@ -263,8 +284,8 @@ def int_one_table(table: CupTable, *args: AlgebraElement) -> Scalar:
     restriction").  Each distinct (slot, factor) image is read once, and
     the products of the images along a common prefix of factors are formed
     once for all entries that share it, in a prefix tree grown as the
-    entries are read.  An entry stops at its first empty product, so an a0
-    whose "k" image is zero gives zero before any other slot is read."""
+    entries are read.  An a0 whose image is zero gives zero before any
+    other slot is read, and an entry stops at its first empty product."""
     last = len(args) - 1
     images: Dict[Tuple[int, Tuple[str, int]], Dict[int, Scalar]] = {}
 
@@ -274,6 +295,9 @@ def int_one_table(table: CupTable, *args: AlgebraElement) -> Scalar:
             images[key] = factor_image(factor[0], args[slot], factor[1])
         return images[key]
 
+    # Slot 0 holds a "k" factor, and every k^t keeps an empty image empty.
+    if not image(0, table[0][1][0]):
+        return ZERO
     # A node maps the next factor to (product so far, child node).
     root: Dict = {}
     out = ZERO
@@ -289,13 +313,19 @@ def int_one_table(table: CupTable, *args: AlgebraElement) -> Scalar:
             if not acc:
                 break
         else:
-            out = out + coeff * constant_term(acc, image(last, factors[last]))
+            value = constant_term(acc, image(last, factors[last]))
+            if value:
+                out = out + coeff * value
     return out
 
 
 def cup_cochain(name: str, table: CupTable) -> Cochain:
     """The cochain that evaluates ``table``, of degree one less than its
     number of slots, with the table kept for `boundary`."""
+    for _, factors in table:
+        if factors[0][0] != "k":
+            raise ValueError(f"slot 0 of a cup table holds a 'k' factor, "
+                             f"not {factors[0][0]!r}")
     f = Cochain(len(table[0][1]) - 1, lambda *a: int_one_table(table, *a),
                 name)
     f.table = table
@@ -329,17 +359,13 @@ def _derived(table: CupTable) -> CupTable:
     wrap = _wrap_twist()
     out = []
     for coeff, factors in table:
-        letter, t = factors[0]
-        if letter != "k":
-            raise ValueError(f"slot 0 of a cup table holds a 'k' factor, "
-                             f"not {letter!r}")
         for i, factor in enumerate(factors):
             signed = -coeff if i % 2 else coeff
             for pair in _leibniz(*factor):
                 out.append((signed, factors[:i] + pair + factors[i + 1:]))
         # The sign (-1)^(n+1) of the wrap, with n + 1 slots.
         out.append((-coeff if len(factors) % 2 else coeff,
-                    factors + (("k", t + wrap),)))
+                    factors + (("k", factors[0][1] + wrap),)))
     return tuple(out)
 
 

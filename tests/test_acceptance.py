@@ -137,6 +137,23 @@ def test_cocycle_closure_rejects_an_untwisted_wrap(monkeypatch):
         "'phi_321': 2, 'phi_res_over_R': 12}"), detail
 
 
+def test_cocycle_closure_rejects_a_wrong_ladder_power(monkeypatch):
+    # Reading each ladder slot at twist t + 1 gives its torus image the
+    # power v^((t+1)w) in place of v^(tw).  The derived coboundary tables
+    # still cancel formally; the neighbour products that the sweep forms
+    # catch it.
+    real = hochschild.slot_image
+    monkeypatch.setattr(hochschild, "slot_image",
+                        lambda letter, x, t: real(letter, x,
+                                                  t + (letter != "h")))
+    passed, detail = acceptance.check_cocycle_closure()
+    assert not passed
+    assert detail == (
+        "54 nonzero coboundary values by cochain: {'phi': 4, "
+        "'phi_132': 4, 'phi_213': 7, 'phi_312': 6, 'phi_231': 4, "
+        "'phi_321': 4, 'phi_res_over_R': 25}"), detail
+
+
 def test_volume_check_rejects_a_one_sided_combination(monkeypatch):
     # Weighting every cocycle by q^2 breaks the combination identity
     # where the f-first cocycles sum to nonzero: on 6 of the zero-weight
