@@ -199,14 +199,13 @@ def e_first(order: str) -> bool:
 
 def cup(order: str, a0: AlgebraElement, a1: AlgebraElement,
         a2: AlgebraElement, a3: AlgebraElement) -> AlgebraElement:
-    """The cup product of the module docstring for one slot order."""
+    """The cup product of the module docstring for one slot order, each
+    slot's derivation and twist t read from ``SLOT_TWISTS``."""
     # Built per call, so that a rebound module-level act_* takes effect.
     derivation = {"h": act_h, "e": act_e, "f": act_f}
-    out, t = a0, 0
-    for letter, a in zip(order, (a1, a2, a3)):
-        ladder = letter != "h"
-        out = out * derivation[letter](act_k(a, t + ladder))
-        t += 2 * ladder
+    out = a0
+    for (letter, t), a in zip(SLOT_TWISTS[order][1:], (a1, a2, a3)):
+        out = out * derivation[letter](act_k(a, t))
     return out
 
 

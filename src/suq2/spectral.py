@@ -40,11 +40,13 @@ weakened by it.  Three levels:
   not depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
-  cutoff scan cannot reach; it and ``upsilon_cstarc_lattice`` gather
-  every array power q^k of their columns from one table built per call
-  and merge each column head by the same exact sum, and where every
-  t-dependent power of q rounds away in the integral tail of a c*c
-  column, that tail integrates the weight's exact float form.
+  cutoff scan cannot reach.  Its first columns, and every column of
+  ``upsilon_cstarc_lattice``, are summed directly by one evaluator given
+  the column's weight: a head whose array powers q^k are gathered from
+  one table built per call and merged by the same exact sum, an integral
+  tail over u = 1/t, and an Euler-Maclaurin close.  Where every
+  t-dependent power of q rounds away in the tail of a c*c column, that
+  tail integrates the weight's exact float form.
   ``residue_extract`` drives either evaluator through a Richardson
   schedule in z - 3 and cross-checks with a least-squares pole fit.
 """
@@ -687,14 +689,15 @@ def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     return c_m, d_m
 
 
-#: Head length of the near-exact column sums; the integral tail starts
-#: one past it.
+#: Head length of every directly summed column (``_lattice_column``); the
+#: integral tail starts one past it.
 _N_CUT = 4000
 
 #: The last column either m series may reach.
 _M_CAP = 2001
 
-#: Columns of ``eigen_lattice_sum`` summed directly rather than modelled.
+#: Columns of ``eigen_lattice_sum`` summed directly, by ``_lattice_column``
+#: like every c*c column, rather than modelled.
 _M_DIRECT = 5
 
 
@@ -713,22 +716,42 @@ def _em_close(s: float, f, a: float) -> float:
     return s + 0.5 * f(a) - (f(a + 0.5) - f(a - 0.5)) / 12.0
 
 
-def _lattice_inner_direct(z: float, q: float, m: int, c_m: float,
-                          haar_weight: bool, qt: np.ndarray) -> float:
-    """Near-exact n sum for small m: direct terms plus an integral tail.
-    ``qt`` is the call's power table, qt[k] = q^k."""
+def _lattice_column(z: float, q: float, m: int, qt: np.ndarray, weight,
+                    tail_weight=None) -> float:
+    """Near-exact weighted n sum of column m of the lattice,
+
+        sum over n >= 0 of weight(n) (n^2/4 + c_m - d_m q^{2n})^{-z/2}.
+
+    ``weight(n, q_pow)`` accepts an integer array or a float for n;
+    ``q_pow(k)`` is q^k for the exponents that depend on n: a gather from
+    the call's power table ``qt``, qt[k] = q^k, on the head n <= _N_CUT,
+    Python's pow on the tail.  The head is one exact sum.  The tail
+    t >= a = _N_CUT + 1 integrates weight(t) (t^2/4 + c_m)^{-z/2} over
+    u = 1/t on [0, 1/a], with ``tail_weight(t)`` for the weight where it
+    is given; the Euler-Maclaurin close always uses the full weight.
+    """
     n = np.arange(0, _N_CUT + 1)
-    w = 1.0 - qt[2 * (n + m + 1)] if haar_weight else 1.0
-    head = _exact_sum([w * _column_powers(z, q, m, n, qt[2 * n])])
+    head = _exact_sum([weight(n, qt.__getitem__)
+                       * _column_powers(z, q, m, n, qt[2 * n])])
+    c_m = _lattice_cd(q, m)[0]
+    p = -0.5 * z
+
+    def full_weight(t: float) -> float:
+        return weight(t, q.__pow__)
+
+    tail_weight = tail_weight or full_weight
 
     def f(t: float) -> float:
-        return (0.25 * t * t + c_m) ** (-0.5 * z)
+        return full_weight(t) * (0.25 * t * t + c_m) ** p
+
+    def f_inv(u: float) -> float:
+        # u = 1/t flattens the slowly decaying tail onto a finite window.
+        t = 1.0 / u
+        return tail_weight(t) * (0.25 * t * t + c_m) ** p * t * t
 
     a = float(_N_CUT + 1)
-    tail_int, _ = quad(f, a, np.inf, epsabs=1e-16, epsrel=1e-13)
-    f_a = f(a)
-    fp_a = -0.5 * z * (0.5 * a) * (0.25 * a * a + c_m) ** (-0.5 * z - 1.0)
-    return head + tail_int + 0.5 * f_a - fp_a / 12.0
+    tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
+    return _em_close(head + tail_int, f, a)
 
 
 def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
@@ -773,10 +796,13 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     while m <= _M_CAP:
         c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
-        if m <= _M_DIRECT:
-            inner = _lattice_inner_direct(z, q, m, c_m, admitted, qt)
-        else:
+        if m > _M_DIRECT:
             inner = _lattice_inner_model(z, q, m, c_m, d_m, admitted)
+        elif admitted:
+            inner = _lattice_column(
+                z, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)))
+        else:
+            inner = _lattice_column(z, q, m, qt, lambda n, q_pow: 1.0)
         corr = q ** (-m) * (inner - lead)
         total += corr
         if abs(corr) < 1e-14 * abs(total):
@@ -797,8 +823,7 @@ def _cstarc_weight(n, m: int, q: float, q_pow):
     Clebsch-Gordan products, leaving an O(1) piece plus a q^m-damped
     piece growing linearly in n.  Accepts an integer array or a float for
     n (the continuous extension feeds the integral tail); ``q_pow(k)``
-    is q^k for the exponents that depend on n: a gather from the power
-    table for an array, Python's pow for a float.
+    is q^k for the exponents that depend on n, as in ``_lattice_column``.
     """
     q2 = q * q
     l2 = n + m
@@ -841,43 +866,10 @@ def _cstarc_tail_weight(m: int, q: float):
     return weight
 
 
-def _cstarc_inner(z: float, q: float, m: int, qt: np.ndarray) -> float:
-    """Near-exact weighted n sum for one m column of the c*c trace;
-    ``qt`` is the call's power table, qt[k] = q^k.
-
-    The integral tail runs over t >= a = _N_CUT + 1.  ``quad`` gets the
-    weight's exact float form there where ``_cstarc_tail_weight`` gives
-    one, and the full weight otherwise; the Euler-Maclaurin close always
-    uses the full weight.
-    """
-    n = np.arange(0, _N_CUT + 1)
-    head = _exact_sum([_cstarc_weight(n, m, q, qt.__getitem__)
-                       * _column_powers(z, q, m, n, qt[2 * n])])
-    c_m = _lattice_cd(q, m)[0]
-    p = -0.5 * z
-
-    def full_weight(t: float) -> float:
-        return _cstarc_weight(t, m, q, lambda k: q ** k)
-
-    tail_weight = _cstarc_tail_weight(m, q) or full_weight
-
-    def f(t: float, weight=full_weight) -> float:
-        return weight(t) * (0.25 * t * t + c_m) ** p
-
-    def f_inv(u: float) -> float:
-        # u = 1/t flattens the slowly decaying tail onto a finite window.
-        t = 1.0 / u
-        return f(t, tail_weight) * t * t
-
-    a = float(_N_CUT + 1)
-    tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
-    return _em_close(head + tail_int, f, a)
-
-
 def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice.
 
-    The n sums are evaluated near-exactly (direct head plus integral
+    Each n sum is one ``_lattice_column`` (direct head plus integral
     tail with its endpoint corrections) and the positive m series, damped
     like q^{m(z-1)/2}, is accumulated to a relative 1e-12.  No spin ceiling
     enters, so values stay accurate down toward z = 2 where plain
@@ -889,7 +881,9 @@ def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     total = 0.0
     quiet = 0
     for m in range(1, _M_CAP + 1, 2):
-        term = _cstarc_inner(z, q, m, qt)
+        term = _lattice_column(
+            z, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
+            _cstarc_tail_weight(m, q))
         total += term
         if abs(term) < 1e-12 * abs(total):
             quiet += 1
@@ -1057,14 +1051,14 @@ def commutator_growth(q_value: float, lmax: int = 6) -> List[Tuple[int, float]]:
     pos = {lab: k for k, lab in enumerate(mm.labels)}
     mult_sp = np.kron(mm.matrix, np.eye(2))
     dirac_sp = np.zeros((2 * npw, 2 * npw))
-    for (l2, i2, j2), p in pos.items():
-        dirac_sp[2 * p, 2 * p] = 0.5 * (j2 - 1)
-        dirac_sp[2 * p + 1, 2 * p + 1] = -0.5 * (j2 + 1)
-        partner = pos.get((l2, i2, j2 - 2))
-        if partner is not None:
-            beta = _beta(l2, j2, q)
-            dirac_sp[2 * p, 2 * partner + 1] = beta
-            dirac_sp[2 * partner + 1, 2 * p] = beta
+    # Basis vector p carries the upper spinor slot 2p and the lower 2p + 1;
+    # each (l2, i2) sector takes the sector matrix in its basis order.
+    for l2 in grid.sectors():
+        sector = dirac_sector_matrix(l2, q)
+        for i2 in range(-l2, l2 + 1, 2):
+            up = [2 * pos[(l2, i2, j2)] for j2 in range(-l2, l2 + 1, 2)]
+            slots = up + [s + 1 for s in up]
+            dirac_sp[np.ix_(slots, slots)] = sector
     comm = dirac_sp @ mult_sp - mult_sp @ dirac_sp
     flagged = set(mm.flagged)
     out: List[Tuple[int, float]] = []

@@ -222,6 +222,16 @@ def test_extrapolated_residue_matches_formula(q):
     assert rel < 1e-3
 
 
+@pytest.mark.parametrize("q", [0.001, 0.002, 0.003])
+def test_extrapolated_residue_matches_formula_at_small_q(q):
+    # Here the scale c_m of the directly summed columns reaches 1e12, so
+    # nearly all of a column lies in its integral tail; a tail quadrature
+    # that gives up there misses the formula by several percent.
+    report = f_residue(q)
+    rel = abs(report["estimate"] - report["formula"]) / report["formula"]
+    assert rel < 0.01
+
+
 # ---------------------------------------------------------------------------
 # Holomorphic remainder pieces: Cauchy in the triangle cutoff.
 

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -466,6 +467,86 @@ def test_pole_evaluator_within_certified_window():
         assert 0.0 <= lat - direct <= tb
 
 
+@pytest.mark.parametrize("admitted", (True, False))
+def test_lattice_sum_quadrature_never_gives_up(admitted):
+    # Down to q = 0.001 the direct columns' scale c_m reaches 1e12 and
+    # their integral tails hold nearly all of each column.
+    from scipy.integrate import IntegrationWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for q in np.geomspace(0.001, 0.3, 10).tolist():
+            for z in (3.05, 4.0, 6.0):
+                eigen_lattice_sum(z, q, admitted=admitted)
+
+
+@pytest.mark.parametrize("q, z", [(0.02, 6.0), (0.3, 3.05)])
+def test_direct_lattice_columns_match_high_precision_sums(q, z,
+                                                        monkeypatch):
+    """Each directly summed column of ``eigen_lattice_sum`` against its
+    sum to 30 digits, measured as its share q^-m (column - sum) of the
+    lattice sum.  At q = 0.02 the column scale c_m reaches 6e6, so most
+    of the last column lies in its integral tail."""
+    mp = pytest.importorskip("mpmath")
+    from suq2 import spectral
+
+    columns = {}
+    column = spectral._lattice_column
+
+    def recorded(z, q, m, *args):
+        columns[m] = column(z, q, m, *args)
+        return columns[m]
+
+    monkeypatch.setattr(spectral, "_lattice_column", recorded)
+    total = eigen_lattice_sum(z, q)
+    assert sorted(columns) == list(range(1, spectral._M_DIRECT + 1, 2))
+    with mp.workdps(30):
+        qm, zm = mp.mpf(q), mp.mpf(z)
+        big_q2 = (qm / (1 - qm * qm)) ** 2
+        for m, got in columns.items():
+            c_m = big_q2 * qm ** (-(m + 1)) + 1 - big_q2
+            d_m = big_q2 * (1 - qm ** (m + 1))
+            want = mp.fsum(
+                (1 - qm ** (2 * (n + m + 1)))
+                * (mp.mpf(n * n) / 4 + c_m - d_m * qm ** (2 * n)) ** (-zm / 2)
+                for n in range(0, spectral._N_CUT + 1))
+            # Beyond the head every q^{2n} is below 1e-4000.
+            want += mp.nsum(lambda n: (n * n / 4 + c_m) ** (-zm / 2),
+                            [spectral._N_CUT + 1, mp.inf],
+                            method="euler-maclaurin")
+            assert abs(float(qm ** (-m) * (got - want))) <= 1e-14 * total
+
+
+@pytest.mark.parametrize("q", (0.9, 0.97, 0.99))
+@pytest.mark.parametrize("admitted", (True, False))
+def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
+                                                     monkeypatch):
+    """Near q = 1 the modelled columns' damped differences decay like
+    q^{2n}; against a model that runs them to its own stop rule, with no
+    cap on their number, the lattice sum holds to 1e-12."""
+    from suq2 import spectral
+
+    def uncapped(z, q, m, c_m, d_m, haar_weight):
+        model = (spectral._gamma_half_ratio(z) * c_m ** (0.5 * (1.0 - z))
+                 + 0.5 * c_m ** (-0.5 * z))
+        diffs = []
+        for n in itertools.count():
+            base = 0.25 * n * n + c_m
+            w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
+            d = (w * (base - d_m * q ** (2.0 * n)) ** (-0.5 * z)
+                 - base ** (-0.5 * z))
+            diffs.append(d)
+            if abs(d) < 1e-22 * max(1.0, model):
+                return model + math.fsum(diffs)
+
+    zs = (3.05, 3.5)
+    got = [eigen_lattice_sum(z, q, admitted=admitted) for z in zs]
+    monkeypatch.setattr(spectral, "_lattice_inner_model", uncapped)
+    for z, value in zip(zs, got):
+        want = eigen_lattice_sum(z, q, admitted=admitted)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # Bit identity of the table-driven scans and lattice columns.
 #
@@ -532,18 +613,24 @@ def _ref_cstarc_weight(n, m, q):
     return a_part + b_part
 
 
-def _ref_cstarc_inner(z, q, m, qt):
+def _ref_lattice_column(z, q, m, qt, weight, tail_weight=None):
+    """``_lattice_column`` term by term: the weight of every head term with
+    numpy's array powers q^k, the plain power, one ``math.fsum``, and the
+    full weight on the whole tail."""
     from scipy.integrate import quad
 
     from suq2.spectral import _em_close, _lattice_cd
 
+    def q_pow(k):
+        return q ** k
+
     n = np.arange(0, 4001, dtype=float)
-    head = math.fsum((_ref_cstarc_weight(n, m, q)
+    head = math.fsum((weight(n, q_pow)
                       * _ref_column_powers(z, q, m, n)).tolist())
     c_m = _lattice_cd(q, m)[0]
 
     def f(t):
-        return _ref_cstarc_weight(t, m, q) * (0.25 * t * t + c_m) ** (-0.5 * z)
+        return weight(t, q_pow) * (0.25 * t * t + c_m) ** (-0.5 * z)
 
     def f_inv(u):
         t = 1.0 / u
@@ -554,21 +641,14 @@ def _ref_cstarc_inner(z, q, m, qt):
     return _em_close(head + tail_int, f, a)
 
 
-def _ref_lattice_inner_direct(z, q, m, c_m, haar_weight, qt):
-    from scipy.integrate import quad
+def test_scan_triangle_is_the_admitted_modes():
+    # A scan sums the admitted modes n of jset(l2), l2 <= lmax, n outer.
+    from suq2.spectral import _scan_triangle
 
-    n = np.arange(0, 4001, dtype=float)
-    w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
-    head = math.fsum((w * _ref_column_powers(z, q, m, n)).tolist())
-
-    def f(t):
-        return (0.25 * t * t + c_m) ** (-0.5 * z)
-
-    a = 4001.0
-    tail_int, _ = quad(f, a, np.inf, epsabs=1e-16, epsrel=1e-13)
-    f_a = f(a)
-    fp_a = -0.5 * z * (0.5 * a) * (0.25 * a * a + c_m) ** (-0.5 * z - 1.0)
-    return head + tail_int + 0.5 * f_a - fp_a / 12.0
+    for lmax in range(0, 61):
+        n, l2 = _scan_triangle(lmax)
+        assert list(zip(n.tolist(), l2.tolist())) == sorted(
+            (k, s) for s in range(lmax + 1) for k in jset(s))
 
 
 @pytest.mark.parametrize("omega", ("identity", "deltaL2-e11", "deltaL2-e22",
@@ -593,9 +673,7 @@ def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
     zs = (3.05, 3.4, 4.0)
     got = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
             eigen_lattice_sum(z, q, admitted=False)) for z in zs]
-    monkeypatch.setattr(spectral, "_cstarc_inner", _ref_cstarc_inner)
-    monkeypatch.setattr(spectral, "_lattice_inner_direct",
-                        _ref_lattice_inner_direct)
+    monkeypatch.setattr(spectral, "_lattice_column", _ref_lattice_column)
     want = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
              eigen_lattice_sum(z, q, admitted=False)) for z in zs]
     assert got == want
@@ -674,8 +752,8 @@ def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
                                               (0.5, 41, True)])
 def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
                                                   monkeypatch):
-    """Both tails of ``_cstarc_inner`` against the plain column: where the
-    guard holds, ``quad`` never calls the full weight, and the three
+    """Both tails of a c*c column against the plain column, whose weight
+    is restated with numpy's array powers: where the guard holds, ``quad`` never calls the full weight, and the three
     scalar weights left are the Euler-Maclaurin close's.  The tail form
     itself equals the full weight at every t of the tail, since one ulp
     of the integrand rarely reaches the column's sum."""
@@ -701,8 +779,12 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
     monkeypatch.setattr(spectral, "_cstarc_weight", counted)
     for z in (3.05, 4.0):
         scalar_calls.clear()
-        assert (spectral._cstarc_inner(z, q, m, qt)
-                == _ref_cstarc_inner(z, q, m, qt))
+        got = spectral._lattice_column(
+            z, q, m, qt,
+            lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow),
+            tail_weight)
+        assert got == _ref_lattice_column(
+            z, q, m, qt, lambda n, q_pow: _ref_cstarc_weight(n, m, q))
         assert (len(scalar_calls) == 3) == exact_form
 
 
