@@ -16,7 +16,10 @@ weakened by it.  Three levels:
   enumerates the non-negative mode numbers n admitted by the index
   filters; n and 2l always have opposite parity, so m = 2l - n is odd.
 
-* Truncated operators.  ``mult_op_matrix`` expresses multiplication by an
+* Truncated operators.  ``dirac_matrix`` is the one assembly of the
+  truncated Dirac operator D from its sector matrices; the commutator
+  probe permutes it into its own basis order rather than placing the
+  sectors again.  ``mult_op_matrix`` expresses multiplication by an
   algebra element in the conventionally normalized matrix-coefficient
   basis (squared norms q^{-2i}[2l+1]^{-1}).  The projections are computed
   exactly and only converted to floats at the very end; columns whose
@@ -46,9 +49,14 @@ weakened by it.  Three levels:
   one table built per call and merged by the same exact sum, an integral
   tail over u = 1/t, and an Euler-Maclaurin close.  Where every
   t-dependent power of q rounds away in the tail of a c*c column, that
-  tail integrates the weight's exact float form.
-  ``residue_extract`` drives either evaluator through a Richardson
-  schedule in z - 3 and cross-checks with a least-squares pole fit.
+  tail integrates the weight's exact float form.  Both lattice sums add
+  their columns by one m series, which stops after three terms in a row
+  below a relative tolerance; within about 1e-9 of q = 1 a column's base
+  cancels, and both raise ``FloatingPointError`` rather than return nan.
+  ``residue_extract`` drives either evaluator, or for the identity weight
+  one ``upsilon_scan`` whose rows give its values and truncation bars,
+  through a Richardson schedule in z - 3 and cross-checks with a
+  least-squares pole fit.
 """
 
 from __future__ import annotations
@@ -56,10 +64,11 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 from scipy.special import gammaln
 
 from .algebra import AlgebraElement, gens, weight_decompose
@@ -237,28 +246,19 @@ def dirac_matrix(grid: SpectralGrid
                  ) -> Tuple[np.ndarray, List[Tuple[int, int, str, int]]]:
     """Assemble the full truncated Dirac matrix with its state labels.
 
-    Block diagonal over (l2, i2); the operator never mixes sectors, so a
-    truncation in l2 leaves every included sector intact.  Labels are
-    (l2, i2, slot, j2) with slot "up"/"down" matching the sector basis
-    order.
+    Block diagonal over (l2, i2): ``block_diag`` places the l2 + 1 copies
+    of each ``dirac_sector_matrix`` in turn.  The operator never mixes
+    sectors, so a truncation in l2 leaves every included sector intact.
+    Labels are (l2, i2, slot, j2) with slot "up"/"down" matching the
+    sector basis order.  This is the one assembly of D; the commutator
+    probe permutes it into its own basis order.
     """
-    labels: List[Tuple[int, int, str, int]] = []
-    blocks: List[np.ndarray] = []
-    for l2 in grid.sectors():
-        sector = dirac_sector_matrix(l2, grid.q)
-        for i2 in range(-l2, l2 + 1, 2):
-            for j2 in range(-l2, l2 + 1, 2):
-                labels.append((l2, i2, "up", j2))
-            for j2 in range(-l2, l2 + 1, 2):
-                labels.append((l2, i2, "down", j2))
-            blocks.append(sector)
-    dim = sum(b.shape[0] for b in blocks)
-    mat = np.zeros((dim, dim))
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        mat[at:at + k, at:at + k] = b
-        at += k
+    mat = block_diag(*(sector for l2 in grid.sectors()
+                       for sector in repeat(dirac_sector_matrix(l2, grid.q),
+                                            l2 + 1)))
+    labels = [(l2, i2, slot, j2) for l2 in grid.sectors()
+              for i2 in range(-l2, l2 + 1, 2) for slot in ("up", "down")
+              for j2 in range(-l2, l2 + 1, 2)]
     return mat, labels
 
 
@@ -682,10 +682,21 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
 # gives an evaluator that stays accurate arbitrarily close to the pole.
 
 def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
-    """The column coefficients (c_m, d_m) above."""
+    """The column coefficients (c_m, d_m) above.
+
+    The smallest base n^2/4 + c_m - d_m q^{2n} of a column is its n = 0
+    value c_m - d_m, in floats too: every q^{2n} rounds to at most 1, and
+    rounding is monotone.  Near q = 1 the three terms are of size Q^2, and
+    Q^2 times the unit roundoff exceeds the 1 that c_m - d_m must keep
+    (from about q = 1 - 1e-9 on); where it rounds to <= 0 the column's
+    bases are lost, and ``FloatingPointError`` names q and m.
+    """
     big_q = q / (1.0 - q * q)
     c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
     d_m = big_q * big_q * (1.0 - q ** (m + 1))
+    if not c_m - d_m > 0.0:
+        raise FloatingPointError(f"lattice column m={m} cancels at q={q}: "
+                                 f"its base c_m - d_m rounds to <= 0")
     return c_m, d_m
 
 
@@ -770,6 +781,21 @@ def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
     return model + math.fsum(diffs)
 
 
+def _m_series(total: float, terms: Iterable[Tuple[int, float]],
+              rtol: float, m_min: int) -> float:
+    """The m series of a lattice sum: ``total`` plus the terms of the
+    (m, term) pairs in order, stopping after three terms in a row below
+    ``rtol`` of the running total once m >= m_min.  ``terms`` is consumed
+    lazily, so no column past the stop is evaluated."""
+    quiet = 0
+    for m, term in terms:
+        total += term
+        quiet = quiet + 1 if abs(term) < rtol * abs(total) else 0
+        if quiet >= 3 and m >= m_min:
+            break
+    return total
+
+
 def eigen_lattice_sum(z: float, q_value: float, *,
                       admitted: bool = True) -> float:
     """Sum over the (n, m) eigenvalue lattice of
@@ -790,10 +816,8 @@ def eigen_lattice_sum(z: float, q_value: float, *,
     x = q ** (0.5 * (z - 3.0))
     geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
     total = ghalf * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0)) * geo
-    step = 2 if admitted else 1
-    quiet = 0
-    m = 1
-    while m <= _M_CAP:
+
+    def correction(m: int) -> float:
         c_m, d_m = _lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m > _M_DIRECT:
@@ -803,16 +827,10 @@ def eigen_lattice_sum(z: float, q_value: float, *,
                 z, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)))
         else:
             inner = _lattice_column(z, q, m, qt, lambda n, q_pow: 1.0)
-        corr = q ** (-m) * (inner - lead)
-        total += corr
-        if abs(corr) < 1e-14 * abs(total):
-            quiet += 1
-            if quiet >= 3 and m >= 41:
-                break
-        else:
-            quiet = 0
-        m += step
-    return total
+        return q ** (-m) * (inner - lead)
+
+    ms = range(1, _M_CAP + 1, 2 if admitted else 1)
+    return _m_series(total, ((m, correction(m)) for m in ms), 1e-14, 41)
 
 
 def _cstarc_weight(n, m: int, q: float, q_pow):
@@ -878,20 +896,10 @@ def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
     q = _check_q(q_value)
     _check_z(z, 2.0)
     qt = q ** np.arange(2 * (_N_CUT + _M_CAP) + 5, dtype=float)
-    total = 0.0
-    quiet = 0
-    for m in range(1, _M_CAP + 1, 2):
-        term = _lattice_column(
-            z, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
-            _cstarc_tail_weight(m, q))
-        total += term
-        if abs(term) < 1e-12 * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    return total
+    columns = ((m, _lattice_column(
+        z, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
+        _cstarc_tail_weight(m, q))) for m in range(1, _M_CAP + 1, 2))
+    return _m_series(0.0, columns, 1e-12, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -987,32 +995,24 @@ def residue_extract(omega: str, q_value: float, *,
 
     trunc_bar = 0.0
     lmax_used: Optional[int] = None
-    points: List[Tuple[float, float]] = []
+    zs = [3.0 + eps for eps in sched]
     if omega in _DELTA_TAGS:
         method = "pole-resolved/richardson+least-squares"
         pref = 1.0 / (1.0 - q * q)
-        for eps in sched:
-            ups = pref * eigen_lattice_sum(3.0 + eps, q)
-            points.append((eps, eps * ups))
+        ups = [pref * eigen_lattice_sum(z, q) for z in zs]
     elif omega == "cstarc":
         method = "lattice-resolved/richardson+least-squares"
-        for eps in sched:
-            ups = upsilon_cstarc_lattice(3.0 + eps, q)
-            points.append((eps, eps * ups))
+        ups = [upsilon_cstarc_lattice(z, q) for z in zs]
     else:
         method = "direct-scan/richardson+least-squares"
         lmax_used = ceiling if lmax is None else lmax
-        at_target = True
-        for eps in sched:
-            z = 3.0 + eps
-            partial = upsilon_value(omega, z, q, lmax_used)
-            tb = tail_bound(omega, lmax_used, z, q)
-            if tb > 1e-6 * abs(partial):
-                at_target = False
-            trunc_bar = max(trunc_bar, eps * tb)
-            points.append((eps, eps * partial))
-        if not at_target:
+        rows = upsilon_scan(omega, q, zs, lmax_used)
+        ups = [row["partial_sum"] for row in rows]
+        tails = [row["tail_bound"] for row in rows]
+        trunc_bar = max([0.0] + [eps * tb for eps, tb in zip(sched, tails)])
+        if any(tb > 1e-6 * abs(u) for tb, u in zip(tails, ups)):
             method += "+ceiling-tail"
+    points = [(eps, eps * u) for eps, u in zip(sched, ups)]
 
     rich, last_corr = _richardson_to_zero(points)
     eps_arr = np.array([p[0] for p in points])
@@ -1032,9 +1032,11 @@ def residue_extract(omega: str, q_value: float, *,
 def commutator_growth(q_value: float, lmax: int = 6) -> List[Tuple[int, float]]:
     """Column norms of the plain Dirac commutator with the generator a.
 
-    Assembles [D, pi(a)] on the truncated doubled space and reports, for
-    every doubled spin below the cutoff, the largest Euclidean norm of a
-    commutator column starting there.  The columns are taken in the
+    Forms [D, pi(a)] on the truncated doubled space, D being
+    ``dirac_matrix`` permuted into the spinor-doubled order of the
+    ``mult_op_matrix`` basis, and reports, for every doubled spin below
+    the cutoff, the largest Euclidean norm of a commutator column
+    starting there.  The columns are taken in the
     conventionally normalized basis of `mult_op_matrix`, whose vectors
     have squared norms q^(-2i)/[2l+1], so these are not operator norms.
     The ratio of consecutive values tends to 1/q: at q = 0.5 and lmax 6
@@ -1044,21 +1046,16 @@ def commutator_growth(q_value: float, lmax: int = 6) -> List[Tuple[int, float]]:
     the probe makes that visible on a finite window.
     """
     grid = SpectralGrid(q_value, lmax)
-    q = grid.q
-    a_elem = gens()[0]
-    mm = mult_op_matrix(a_elem, grid)
-    npw = len(mm.labels)
+    mm = mult_op_matrix(gens()[0], grid)
     pos = {lab: k for k, lab in enumerate(mm.labels)}
     mult_sp = np.kron(mm.matrix, np.eye(2))
-    dirac_sp = np.zeros((2 * npw, 2 * npw))
     # Basis vector p carries the upper spinor slot 2p and the lower 2p + 1;
-    # each (l2, i2) sector takes the sector matrix in its basis order.
-    for l2 in grid.sectors():
-        sector = dirac_sector_matrix(l2, q)
-        for i2 in range(-l2, l2 + 1, 2):
-            up = [2 * pos[(l2, i2, j2)] for j2 in range(-l2, l2 + 1, 2)]
-            slots = up + [s + 1 for s in up]
-            dirac_sp[np.ix_(slots, slots)] = sector
+    # D is ``dirac_matrix`` with its labels permuted into that order.
+    dirac, labels = dirac_matrix(grid)
+    at = {lab: k for k, lab in enumerate(labels)}
+    order = [at[(l2, i2, slot, j2)] for l2, i2, j2 in mm.labels
+             for slot in ("up", "down")]
+    dirac_sp = dirac[np.ix_(order, order)]
     comm = dirac_sp @ mult_sp - mult_sp @ dirac_sp
     flagged = set(mm.flagged)
     out: List[Tuple[int, float]] = []

@@ -414,6 +414,30 @@ def test_numeric_overflow_exits_3(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("q", ["0.999999999", "0.999999999999"])
+@pytest.mark.parametrize("omega", ["deltaL2-e11", "deltaL2-e22", "cstarc"])
+def test_lattice_cancellation_near_one_exits_3(omega, q, capsys):
+    # Within about 1e-9 of q = 1 the lattice base n^2/4 + c_m - d_m q^{2n}
+    # rounds to <= 0: a numeric failure with one line, not a traceback
+    # from a complex power and not a nan residue with exit 0.
+    assert run_command(["residue", "--omega", omega, "--q", q]) == 3
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.startswith("numeric failure: FloatingPointError: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 - 1e-12])
+def test_lattice_sums_near_one_raise_arithmetic_error(q):
+    from suq2 import mero
+    from suq2.spectral import eigen_lattice_sum
+
+    with pytest.raises(ArithmeticError):
+        eigen_lattice_sum(3.1, q)
+    with pytest.raises(ArithmeticError):
+        mero.f_residue(q)
+
+
 def test_memory_error_is_usage_error(monkeypatch, capsys):
     # An input too large for memory is the caller's to shrink: exit 2 with
     # one line, not a traceback and not exit 1 (a failed verification).

@@ -679,6 +679,96 @@ def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
     assert got == want
 
 
+def _ref_eigen_lattice_sum(z, q, admitted):
+    """``eigen_lattice_sum`` with its own stopping loop over m."""
+    from suq2 import spectral
+
+    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_DIRECT + 1) + 1,
+                        dtype=float)
+    big_q = q / (1.0 - q * q)
+    ghalf = spectral._gamma_half_ratio(z)
+    x = q ** (0.5 * (z - 3.0))
+    geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
+    total = ghalf * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0)) * geo
+    step = 2 if admitted else 1
+    quiet = 0
+    m = 1
+    while m <= spectral._M_CAP:
+        c_m, d_m = spectral._lattice_cd(q, m)
+        lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
+        if m > spectral._M_DIRECT:
+            inner = spectral._lattice_inner_model(z, q, m, c_m, d_m, admitted)
+        elif admitted:
+            inner = spectral._lattice_column(
+                z, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)))
+        else:
+            inner = spectral._lattice_column(z, q, m, qt,
+                                             lambda n, q_pow: 1.0)
+        corr = q ** (-m) * (inner - lead)
+        total += corr
+        if abs(corr) < 1e-14 * abs(total):
+            quiet += 1
+            if quiet >= 3 and m >= 41:
+                break
+        else:
+            quiet = 0
+        m += step
+    return total
+
+
+def _ref_upsilon_cstarc_lattice(z, q):
+    """``upsilon_cstarc_lattice`` with its own stopping loop over m."""
+    from suq2 import spectral
+
+    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
+                        dtype=float)
+    total = 0.0
+    quiet = 0
+    for m in range(1, spectral._M_CAP + 1, 2):
+        term = spectral._lattice_column(
+            z, q, m, qt,
+            lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow),
+            spectral._cstarc_tail_weight(m, q))
+        total += term
+        if abs(term) < 1e-12 * abs(total):
+            quiet += 1
+            if quiet >= 3:
+                break
+        else:
+            quiet = 0
+    return total
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
+    """Both lattice sums run one m series; each must equal, bit for bit,
+    its own stopping loop, and evaluate the same columns in the same
+    order, so the series stops where the loop stopped."""
+    from suq2 import spectral
+
+    calls = []
+    for name in ("_lattice_column", "_lattice_inner_model"):
+        def recorded(z, q_value, m, *args, helper=getattr(spectral, name)):
+            calls.append(m)
+            return helper(z, q_value, m, *args)
+
+        monkeypatch.setattr(spectral, name, recorded)
+    routes = [(lambda z: eigen_lattice_sum(z, q),
+               lambda z: _ref_eigen_lattice_sum(z, q, True)),
+              (lambda z: eigen_lattice_sum(z, q, admitted=False),
+               lambda z: _ref_eigen_lattice_sum(z, q, False)),
+              (lambda z: upsilon_cstarc_lattice(z, q),
+               lambda z: _ref_upsilon_cstarc_lattice(z, q))]
+    for z in (3.05, 3.4, 4.0):
+        for route, ref in routes:
+            calls.clear()
+            got = route(z)
+            got_ms = list(calls)
+            calls.clear()
+            assert got == ref(z)
+            assert got_ms == calls
+
+
 @pytest.mark.parametrize("q, lmax", [(0.1, 400), (0.5, 1100)])
 def test_identity_scan_overflow_still_raises(q, lmax):
     # q^{-lmax} exceeds the float range; the power tables cover exactly
@@ -1031,6 +1121,68 @@ def test_residue_nonconvergence_is_reported():
 
 # ---------------------------------------------------------------------------
 # Commutator growth probe.
+
+def _ref_dirac_matrix(grid):
+    """``dirac_matrix`` placed block by block into a zero matrix."""
+    labels = []
+    blocks = []
+    for l2 in grid.sectors():
+        sector = dirac_sector_matrix(l2, grid.q)
+        for i2 in range(-l2, l2 + 1, 2):
+            for j2 in range(-l2, l2 + 1, 2):
+                labels.append((l2, i2, "up", j2))
+            for j2 in range(-l2, l2 + 1, 2):
+                labels.append((l2, i2, "down", j2))
+            blocks.append(sector)
+    dim = sum(b.shape[0] for b in blocks)
+    mat = np.zeros((dim, dim))
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        mat[at:at + k, at:at + k] = b
+        at += k
+    return mat, labels
+
+
+def _ref_commutator_growth(q, lmax):
+    """``commutator_growth`` with D assembled a second time, each sector
+    placed at its spinor slots by ``np.ix_``."""
+    grid = SpectralGrid(q, lmax)
+    mm = mult_op_matrix(A, grid)
+    npw = len(mm.labels)
+    pos = {lab: k for k, lab in enumerate(mm.labels)}
+    mult_sp = np.kron(mm.matrix, np.eye(2))
+    dirac_sp = np.zeros((2 * npw, 2 * npw))
+    for l2 in grid.sectors():
+        sector = dirac_sector_matrix(l2, q)
+        for i2 in range(-l2, l2 + 1, 2):
+            up = [2 * pos[(l2, i2, j2)] for j2 in range(-l2, l2 + 1, 2)]
+            slots = up + [s + 1 for s in up]
+            dirac_sp[np.ix_(slots, slots)] = sector
+    comm = dirac_sp @ mult_sp - mult_sp @ dirac_sp
+    flagged = set(mm.flagged)
+    out = []
+    for l2 in range(0, lmax):
+        best = 0.0
+        for lab, p in pos.items():
+            if lab[0] != l2 or lab in flagged:
+                continue
+            for sp in (2 * p, 2 * p + 1):
+                best = max(best, float(np.linalg.norm(comm[:, sp])))
+        out.append((l2, best))
+    return out
+
+
+@pytest.mark.parametrize("lmax", (1, 3, 5))
+@pytest.mark.parametrize("q", Q_GRID)
+def test_one_dirac_assembly_matches_placed_blocks(q, lmax):
+    grid = SpectralGrid(q, lmax)
+    mat, labels = dirac_matrix(grid)
+    ref, ref_labels = _ref_dirac_matrix(grid)
+    assert mat.shape == ref.shape and labels == ref_labels
+    assert mat.tobytes() == ref.tobytes()
+    assert commutator_growth(q, lmax) == _ref_commutator_growth(q, lmax)
+
 
 def test_commutator_growth_unbounded():
     rows = commutator_growth(0.5, lmax=5)
