@@ -43,8 +43,7 @@ from .hochschild import (
     PSI_213,
     VOLUME_CHAIN,
     boundary,
-    coboundary_sum,
-    coboundary_terms,
+    chain_boundary,
     e_first,
 )
 from .mero import f_residue, h_closed, h_direct, h_err_bound
@@ -226,16 +225,17 @@ def coboundary_sweep(tuples: Iterable[Tuple[AlgebraElement, ...]]
     """For each closed 3-cochain of `modular._CLOSED_COCHAINS`, the number
     of the given 5-tuples on which its twisted coboundary is nonzero.
 
-    The coboundary is summed by its definition, on neighbour products
-    formed once per tuple for all seven cochains, and not by `boundary`:
-    the derived table of a closed cochain cancels formally (module
-    docstring of `hochschild`), so only formed products test the closed
-    forms of `hochschild.slot_image` against the algebra."""
+    The coboundary is evaluated by its definition, as the pairing with
+    the `chain_boundary` of the tuple, formed once per tuple for all
+    seven cochains, and not by `boundary`: the derived table of a closed
+    cochain cancels formally (module docstring of `hochschild`), so only
+    formed products test the closed forms of `hochschild.slot_image`
+    against the algebra."""
     nonzero = dict.fromkeys(_CLOSED_COCHAINS, 0)
     for tup in tuples:
-        terms = coboundary_terms(tup)
+        chain = chain_boundary([(ONE, tup)])
         for name, c in _CLOSED_COCHAINS.items():
-            if not coboundary_sum(c, terms).is_zero():
+            if not c.pair_chain(chain).is_zero():
                 nonzero[name] += 1
     return nonzero
 

@@ -34,7 +34,7 @@ from .functionals import haar
 from .hochschild import PSI_132, PSI_213, VOLUME_CHAIN
 from .modular import _CLOSED_COCHAINS
 from .sampling import make_rng, random_monomial
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .spectral import (
     NonConvergenceError,
     residue_extract,
@@ -64,7 +64,7 @@ def parse_element(text: str) -> AlgebraElement:
     if not tokens:
         raise UsageError("empty element; expected generator letters "
                          "a b c d with optional ^k, fractions p/q, v^k")
-    coeff = Scalar.one()
+    coeff = ONE
     letters: List[str] = []
     for tok in tokens:
         m = _LETTER.match(tok)

@@ -82,14 +82,15 @@ formally: collected by equal factors it is empty, and evaluated as
 derived its paired terms read the same images, so it is zero on every
 tuple whatever ``slot_image`` computes.  That formal zero assumes the
 Leibniz rule of the images rather than testing it, so the closure checks
-(``acceptance.coboundary_sweep``) sum the definition instead, on
-neighbour products and wrap formed once per tuple (``coboundary_terms``,
-``coboundary_sum``), the plain loop of ``boundary`` for a cochain
-without a table.
+(``acceptance.coboundary_sweep``) evaluate the definition instead: they
+pair each cochain with the twisted boundary of the tuple
+(``chain_boundary``), formed once per tuple, as ``boundary`` does for a
+cochain without a table.
 
 ``VOLUME_CHAIN`` is the 13-term cyclic 3-chain playing the role of the
-volume form; pairing any of the cocycles against it is the package's
-master consistency check.
+volume form, a twisted cycle: its ``chain_boundary`` cancels exactly over
+monomial triples, so every coboundary pairs with it to zero.  Pairing any
+of the cocycles against it is the package's master consistency check.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ class Cochain:
                 raise ValueError(
                     f"chain term has {len(factors)} factors, but {self.name} "
                     f"pairs with {self.degree + 1}")
-            out = out + coeff * self(*factors)
+            value = self(*factors)
+            if value:
+                out = out + coeff * value
         return out
 
 
@@ -143,42 +146,32 @@ class Cochain:
 Chain = List[Tuple[Scalar, Tuple[AlgebraElement, ...]]]
 
 
+def chain_boundary(chain: Chain) -> Chain:
+    """The twisted Hochschild boundary, the chain that a cochain f pairs
+    with to give b(f): each term c (a0, ..., a_{n+1}) gives its n + 1
+    neighbour products, signed (-1)^i, and the wrap theta^-1(a_{n+1}) a0,
+    a1, ..., a_n, signed (-1)^(n+1)."""
+    out: Chain = []
+    for coeff, args in chain:
+        n = len(args) - 2
+        terms = [args[:i] + (args[i] * args[i + 1],) + args[i + 2:]
+                 for i in range(n + 1)]
+        terms.append((theta_inv(args[n + 1]) * args[0],) + args[1:n + 1])
+        out += [(-coeff if i % 2 else coeff, t) for i, t in enumerate(terms)]
+    return out
+
+
 def boundary(f: Cochain) -> Cochain:
     """The twisted Hochschild coboundary of ``f``.  Of a cup-table cochain
     it is the cup-table cochain of the derived table (module docstring,
-    "Coboundary of a cup table"); any other cochain gets the sum of the
-    definition (`coboundary_sum`), the oracle of the derived tables."""
+    "Coboundary of a cup table"); any other cochain is paired with the
+    `chain_boundary` of the tuple, the definition and the oracle of the
+    derived tables."""
     if f.table is not None:
         return cup_cochain(f"b({f.name})", _derived(f.table))
     return Cochain(f.degree + 1,
-                   lambda *a: coboundary_sum(f, coboundary_terms(a)),
+                   lambda *a: f.pair_chain(chain_boundary([(ONE, a)])),
                    f"b({f.name})")
-
-
-#: The (sign, arguments) of the terms of a coboundary's definition.
-Terms = List[Tuple[int, Tuple[AlgebraElement, ...]]]
-
-
-def coboundary_terms(args: Tuple[AlgebraElement, ...]) -> Terms:
-    """The n + 2 terms of the definition on the n + 2 ``args``: each
-    neighbour product and the wrap theta^-1(a_{n+1}) a0 formed once, so
-    that several cochains can share them."""
-    n = len(args) - 2
-    terms = [((-1) ** i, args[:i] + (args[i] * args[i + 1],) + args[i + 2:])
-             for i in range(n + 1)]
-    terms.append(((-1) ** (n + 1),
-                  (theta_inv(args[n + 1]) * args[0],) + args[1:n + 1]))
-    return terms
-
-
-def coboundary_sum(f: Cochain, terms: Terms) -> Scalar:
-    """(b f)(args) by the definition, from ``coboundary_terms(args)``."""
-    out = ZERO
-    for sign, inner in terms:
-        term = f(*inner)
-        if term:
-            out = (out + term) if sign > 0 else (out - term)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .algebra import AlgebraElement, _accumulate, _SparseSum
 from .functionals import int_one
 from .hochschild import (COCYCLES, ORDERS, SLOT_TWISTS, cup, cup_cochain,
                          e_first, int_one_table, sign)
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "OutsideEvaluatedDomainError",
@@ -196,7 +196,7 @@ def tau_over_R(m: ModularMatrix) -> Scalar:
     unit-coefficient integrals of its entries.  Any other diagonal is outside
     the domain on which the functional is defined and raises.
     """
-    total = Scalar.zero()
+    total = ZERO
     for power in m.powers:
         ((m11, _m12), (_m21, m22)) = m.part(power)
         if power == 2:

@@ -15,6 +15,8 @@ the top-degree monomial, the newly entering one) with exact squared norms;
 the conventional normalization, squared norm q^(-2i) [2l+1]^-1, differs
 from the monic one by a scalar whose square is exact even when the scalar
 itself leaves the coefficient field, so only that square is stored.
+A block is the list of its vectors, in order of doubled spin, so the
+vector of doubled spin l2 is at index (l2 - max(|2i|, |2j|)) / 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .scalars import Scalar, q_number
 
 __all__ = [
     "PWVector",
-    "PWBasisBlock",
     "target_norm_sq",
     "block_monomials",
     "pw_orthobasis",
@@ -73,34 +74,6 @@ class PWVector:
                 f"monic={self.monic})")
 
 
-class PWBasisBlock:
-    """All basis vectors of one (2i, 2j) weight block up to the cutoff."""
-
-    __slots__ = ("i2", "j2", "vectors")
-
-    def __init__(self, i2: int, j2: int, vectors: List[PWVector]):
-        self.i2 = i2
-        self.j2 = j2
-        self.vectors = vectors
-
-    @property
-    def l2_min(self) -> int:
-        return max(abs(self.i2), abs(self.j2))
-
-    def vector(self, l2: int) -> PWVector:
-        k, rem = divmod(l2 - self.l2_min, 2)
-        if rem or k < 0 or k >= len(self.vectors):
-            raise KeyError(f"no vector with doubled spin {l2} in block "
-                           f"({self.i2}, {self.j2})")
-        return self.vectors[k]
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
 def block_monomials(i2: int, j2: int, count: int) -> List[Monomial]:
     """The degree-ordered monomial ladder spanning the (i2, j2) block."""
     if (i2 + j2) % 2:
@@ -112,8 +85,9 @@ def block_monomials(i2: int, j2: int, count: int) -> List[Monomial]:
     return [Monomial(n, m0 + t, r0 + t, s) for t in range(count)]
 
 
-def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], PWBasisBlock]:
-    """Exact orthogonal bases for every weight block with 2l <= l2max.
+def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], List[PWVector]]:
+    """Exact orthogonal bases for every weight block with 2l <= l2max: the
+    (i2, j2) block's vectors in order of doubled spin, blocks in key order.
 
     Spin l starts from the corner anchor a^2l, block (-2l, -2l); e raises
     j along that row, then the right f raises i down each column.  An image
@@ -147,4 +121,4 @@ def pw_orthobasis(l2max: int) -> Dict[Tuple[int, int], PWBasisBlock]:
                 v = put(l2, i2 + 2, v.j2, act_f_right(v.monic),
                         bracket_difference(l2 + 1, i2 + 1)
                         * Scalar.q_pow(-2) * v.norm_sq)
-    return {key: PWBasisBlock(*key, found[key]) for key in sorted(found)}
+    return dict(sorted(found.items()))

@@ -199,25 +199,11 @@ class Scalar:
     def _const(cls, n: int, d: int) -> "Scalar":
         """The constant n/d, for coprime ints n and d > 0."""
         if not n:
-            return _ZERO
+            return ZERO
         out = object.__new__(cls)
         out._num = {0: n}
         out._den = _ONE_POLY if d == 1 else {0: d}
         return out
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return _ONE
-
-    @classmethod
-    def from_int(cls, k: int) -> "Scalar":
-        if not isinstance(k, int):
-            raise TypeError(f"from_int takes an int, not {type(k).__name__}")
-        return cls._const(int(k), 1)
 
     @classmethod
     def from_fraction(cls, fr: Coeff) -> "Scalar":
@@ -247,9 +233,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def is_one(self) -> bool:
-        return self._num == _ONE_POLY and self._den == _ONE_POLY
 
     def is_polynomial(self) -> bool:
         """True when the denominator is a constant (a Laurent polynomial in v)."""
@@ -332,7 +315,7 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out, base = _ONE, self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -509,13 +492,10 @@ def _shown(p: _Poly, d0: int) -> Tuple[Tuple[int, Coeff], ...]:
                  for e, c in sorted(p.items()))
 
 
-_ZERO = object.__new__(Scalar)
-_ZERO._num, _ZERO._den = {}, _ONE_POLY
-_ONE = object.__new__(Scalar)
-_ONE._num, _ONE._den = dict(_ONE_POLY), _ONE_POLY
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = object.__new__(Scalar)
+ZERO._num, ZERO._den = {}, _ONE_POLY
+ONE = object.__new__(Scalar)
+ONE._num, ONE._den = dict(_ONE_POLY), _ONE_POLY
 
 
 def q_number(twice_a: int) -> Scalar:
@@ -532,7 +512,7 @@ def q_number(twice_a: int) -> Scalar:
     """
     t = abs(twice_a)
     if t == 0:
-        return _ZERO
+        return ZERO
     sign = 1 if twice_a > 0 else -1
     out = object.__new__(Scalar)
     if t % 2 == 0:

@@ -348,7 +348,7 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
         for (lw2, rw2), comp in weight_decompose(x * vcol.monic).items():
             block = blocks.get((rw2, lw2), ())
             top = comp.degree
-            leaked = leaked or not block or top > block.vectors[-1].l2
+            leaked = leaked or not block or top > block[-1].l2
             for v in block:
                 if v.l2 > top:
                     break
@@ -962,7 +962,9 @@ def residue_extract(omega: str, q_value: float, *,
     The scan F(eps) = eps * Upsilon(3 + eps) runs over the Richardson
     schedule and is extrapolated to eps = 0; a least-squares fit of
     c_{-1}/(z-3) + c_0 + c_1 (z-3) on the same points cross-checks the
-    extrapolant, and both are reported.  Weights with a genuine pole go
+    extrapolant, and both are reported.  The floats z = 3 + eps must
+    decrease strictly above 3, else the schedule is rejected before any
+    evaluation.  Weights with a genuine pole go
     through the pole-resolved lattice evaluator; the geometrically damped
     weights use plain cutoff scans whose certified tails are folded into
     the error bar.  Only ``identity`` is scanned that way; its cutoff
@@ -985,17 +987,20 @@ def residue_extract(omega: str, q_value: float, *,
     if max_error_bar is not None and not max_error_bar >= 0.0:
         raise ValueError(f"max_error_bar must be >= 0, got {max_error_bar}")
     sched = tuple(float(e) for e in schedule)
-    if len(sched) < 3 or any(not 0.0 < e < math.inf for e in sched) \
-            or any(a <= b for a, b in zip(sched, sched[1:])):
+    zs = [3.0 + eps for eps in sched]
+    # inf > z_0 > z_1 > ... > 3 in floats: an offset that leaves z at 3,
+    # or at the z of the offset before it, is rejected.
+    if len(zs) < 3 or not all(a > b for a, b in zip([math.inf] + zs,
+                                                     zs + [3.0])):
         raise ValueError("schedule must be at least three decreasing "
-                         "positive finite offsets")
+                         "finite offsets, each moving z = 3 + eps off 3 "
+                         "and off the z before it")
     if omega == "gamma":
         return ResidueReport(omega, q, 0.0, 0.0, "identically-zero",
                              0.0, sched, None)
 
     trunc_bar = 0.0
     lmax_used: Optional[int] = None
-    zs = [3.0 + eps for eps in sched]
     if omega in _DELTA_TAGS:
         method = "pole-resolved/richardson+least-squares"
         pref = 1.0 / (1.0 - q * q)

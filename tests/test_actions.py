@@ -24,7 +24,7 @@ from suq2.actions import (
 from suq2.algebra import (AlgebraElement, Monomial, gens, normalize_word,
                           weight_decompose)
 from suq2.sampling import random_element, random_monomial
-from suq2.scalars import Scalar, q_number
+from suq2.scalars import ONE, Scalar, q_number
 
 A, B, C, D = gens()
 V = Scalar.v_pow(1)
@@ -136,7 +136,7 @@ class TestPairing:
         assert pairing("kinv", A) == V
         assert pairing("e", C).is_zero() is False
         assert pairing("e", B).is_zero()
-        assert pairing("f", B) == Scalar.one()
+        assert pairing("f", B) == ONE
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestPairing:
         # <k, xy> = <k, x><k, y> on monomials (k is group-like).
         assert pairing("k", normalize_word("aa")) == V ** -2
         assert pairing("k", normalize_word("dd")) == V ** 2
-        assert pairing("k", normalize_word("ad")) == Scalar.one()
+        assert pairing("k", normalize_word("ad")) == ONE
 
 
 class TestSweedlerOracle:

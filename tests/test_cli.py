@@ -400,6 +400,23 @@ def test_residue_custom_schedule_and_nonconvergence(capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1e-200,1e-201,1e-202", "1e-17,1e-18,1e-19",
+                                 "4e-16,3e-16,2.5e-16"])
+@pytest.mark.parametrize("omega", ["identity", "cstarc", "deltaL2-e11"])
+def test_residue_rejects_offsets_that_leave_z_at_3(omega, eps, capfd):
+    # In the first two schedules each offset rounds 3 + eps to 3.0, where
+    # no scan is defined: the least-squares fit once failed inside LAPACK,
+    # which writes to fd 1, and the second gave a value computed at z = 3
+    # exactly.  The third rounds all three to one z above 3, and once gave
+    # a deltaL2 residue of 0 +- 2e-14 where it is 4.33.
+    assert run_command(["residue", "--omega", omega, "--q", "0.5",
+                        "--eps", eps]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "schedule" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["upsilon-scan", "--omega", "identity", "--q", "0.5", "--lmax", "1100"],
     ["residue", "--omega", "identity", "--q", "0.1"],

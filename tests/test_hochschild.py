@@ -20,7 +20,8 @@ from suq2.actions import (
 )
 from suq2.acceptance import (_monomials_up_to, _random_tuples,
                               _zero_weight_monomial_tuples)
-from suq2.algebra import AlgebraElement, Monomial, gens, normalize_word
+from suq2.algebra import (AlgebraElement, Monomial, _accumulate, gens,
+                          normalize_word)
 from suq2.functionals import haar, int_one, int_one_product, torus
 from suq2.modular import (_CLOSED_COCHAINS, PHI_RES_OVER_R,
                           phi_res_via_commutators)
@@ -40,6 +41,7 @@ from suq2.hochschild import (
     Chain,
     Cochain,
     boundary,
+    chain_boundary,
     cup,
     cup_cochain,
     e_first,
@@ -75,7 +77,7 @@ class TestCochainBasics:
 
     def test_multilinearity(self):
         rng = make_rng(411)
-        lam = Scalar.v_pow(2) + Scalar.from_int(3)
+        lam = Scalar.v_pow(2) + 3
         for _ in range(5):
             fixed = [random_element(rng, max_degree=2, max_terms=2)
                      for _ in range(3)]
@@ -221,6 +223,41 @@ class TestVolumeChain:
         ]
         for g in probes:
             assert boundary(g).pair_chain(VOLUME_CHAIN) == ZERO, g.name
+
+
+def _expanded(chain):
+    """A chain as a map from tuples of monomials to nonzero coefficients,
+    each elementary tensor multiplied out over its factors' terms."""
+    out = {}
+    for coeff, factors in chain:
+        for combo in itertools.product(*(f.terms.items() for f in factors)):
+            c = coeff
+            for _, fc in combo:
+                c = c * fc
+            _accumulate(out, tuple(m for m, _ in combo), c)
+    return out
+
+
+class TestVolumeBoundary:
+    """dvol is a twisted 3-cycle: its `chain_boundary` cancels exactly
+    over monomial triples, which no pairing with probe cochains shows."""
+
+    def test_boundary_cancels(self):
+        bdry = chain_boundary(VOLUME_CHAIN)
+        assert len(bdry) == 52
+        assert all(len(factors) == 3 for _, factors in bdry)
+        assert _expanded(bdry) == {}
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_one_flipped_sign_leaves_a_boundary(self, k):
+        chain = list(VOLUME_CHAIN)
+        coeff, factors = chain[k]
+        chain[k] = (-coeff, factors)
+        assert len(_expanded(chain_boundary(chain))) in (4, 5)
+
+    def test_untwisted_wrap_leaves_a_boundary(self, monkeypatch):
+        monkeypatch.setattr(hochschild, "theta_inv", lambda x: x)
+        assert len(_expanded(chain_boundary(VOLUME_CHAIN))) == 8
 
 
 class TestVolumePairings:

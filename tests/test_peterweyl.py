@@ -26,17 +26,19 @@ from suq2 import peterweyl
 from suq2.actions import act_e, act_f, act_f_right
 from suq2.algebra import AlgebraElement, Monomial, gens
 from suq2.functionals import gns_inner, gns_norm_sq
-from suq2.peterweyl import (PWBasisBlock, block_monomials, pw_orthobasis,
-                            target_norm_sq)
-from suq2.scalars import Scalar, q_number, scalar_sqrt
+from suq2.peterweyl import block_monomials, pw_orthobasis, target_norm_sq
+from suq2.scalars import ONE, ZERO, Scalar, q_number, scalar_sqrt
 
 A, B, C, D = gens()
 
 L2MAX = 4
 BLOCKS = pw_orthobasis(L2MAX)
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
+
+def vector(i2, j2, l2):
+    """The vector of doubled spin l2 in block (i2, j2): a block lists its
+    vectors from the lowest spin max(|i2|, |j2|) up, one per step of 2."""
+    return BLOCKS[(i2, j2)][(l2 - max(abs(i2), abs(j2))) // 2]
 
 
 def all_vectors():
@@ -64,14 +66,6 @@ class TestBlockStructure:
             count = sum(1 for v in all_vectors() if v.l2 == L)
             assert count == (L + 1) ** 2
 
-    def test_vector_lookup(self):
-        block = BLOCKS[(0, 0)]
-        assert block.vector(0).monic == AlgebraElement.unit()
-        with pytest.raises(KeyError):
-            block.vector(1)
-        with pytest.raises(KeyError):
-            block.vector(L2MAX + 2)
-
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             pw_orthobasis(0)
@@ -81,8 +75,7 @@ class TestBlockStructure:
 
 class TestOrthogonality:
     def test_within_block(self):
-        for block in BLOCKS.values():
-            vs = block.vectors
+        for vs in BLOCKS.values():
             for i in range(len(vs)):
                 for j in range(i + 1, len(vs)):
                     assert gns_inner(vs[i].monic, vs[j].monic) == ZERO
@@ -97,7 +90,7 @@ class TestOrthogonality:
             for k, v in enumerate(block):
                 assert set(v.monic.monomials()) <= set(ladder[:k + 1])
                 assert v.monic.coefficient(ladder[k]) == ONE
-                for prev in block.vectors[:k]:
+                for prev in block[:k]:
                     assert gns_inner(prev.monic, v.monic) == ZERO
                 assert v.norm_sq == gns_norm_sq(v.monic)
                 checked += 1
@@ -135,8 +128,8 @@ class TestOrthogonality:
     def test_across_blocks_is_automatic(self):
         # Different weight pairs are orthogonal by the grading; one spot
         # check that the inner product agrees.
-        assert gns_inner(BLOCKS[(0, 0)].vector(2).monic,
-                         BLOCKS[(2, 0)].vector(2).monic) == ZERO
+        assert gns_inner(vector(0, 0, 2).monic,
+                         vector(2, 0, 2).monic) == ZERO
 
     def test_norms_are_nonzero(self):
         for v in all_vectors():
@@ -150,7 +143,7 @@ class TestNormAnchors:
         # squared norm.
         expected = {(-1, -1): A, (-1, 1): B, (1, -1): C, (1, 1): D}
         for (i2, j2), gen in expected.items():
-            v = BLOCKS[(i2, j2)].vector(1)
+            v = vector(i2, j2, 1)
             assert v.monic == gen
             assert v.norm_sq == target_norm_sq(1, i2)
             assert v.rescale_sq == ONE
@@ -160,7 +153,7 @@ class TestNormAnchors:
         # The (-l, -l) block of spin l is spanned by a^2l, whose squared
         # norm is exactly q^2l [2l+1]^-1 = the conventional target.
         for l2 in range(1, L2MAX + 1):
-            v = BLOCKS[(-l2, -l2)].vector(l2)
+            v = vector(-l2, -l2, l2)
             assert v.monic == AlgebraElement.from_mono(Monomial(l2, 0, 0, 0))
             assert v.norm_sq == Scalar.q_pow(l2) * q_number(
                 2 * l2 + 2).inverse()
@@ -169,7 +162,7 @@ class TestNormAnchors:
     def test_center_column_spin_one(self):
         # The spin-1 vector in the weight-(0,0) block is proportional to
         # [2] bc + 1 and its rescaling square is a perfect square.
-        v = BLOCKS[(0, 0)].vector(2)
+        v = vector(0, 0, 2)
         two = q_number(4)
         assert v.monic.scale(two) == (
             AlgebraElement.from_mono(Monomial(0, 1, 1, 0)).scale(two)
@@ -196,7 +189,7 @@ class TestLeftTransport:
         for v in all_vectors():
             if v.l2 < v.j2 + 2:
                 continue
-            target = BLOCKS[(v.i2, v.j2 + 2)].vector(v.l2)
+            target = vector(v.i2, v.j2 + 2, v.l2)
             w = act_e(v.monic)
             gamma = gns_inner(target.monic, w) / target.norm_sq
             assert w == target.monic.scale(gamma)
@@ -210,8 +203,8 @@ class TestLeftTransport:
     def test_f_reverses_e_up_to_squared_coefficient(self):
         # f lowers j; on the monic level e then f returns a multiple of
         # the original vector with exact ratio [l+j+1][l-j].
-        v = BLOCKS[(0, 0)].vector(4)
-        up = BLOCKS[(0, 2)].vector(4)
+        v = vector(0, 0, 4)
+        up = vector(0, 2, 4)
         w = act_f(act_e(v.monic))
         gamma = gns_inner(v.monic, w) / v.norm_sq
         assert w == v.monic.scale(gamma)
@@ -232,7 +225,7 @@ class TestRightTransport:
         for v in all_vectors():
             if v.l2 < v.i2 + 2:
                 continue
-            target = BLOCKS[(v.i2 + 2, v.j2)].vector(v.l2)
+            target = vector(v.i2 + 2, v.j2, v.l2)
             w = act_f_right(v.monic)
             gamma = gns_inner(target.monic, w) / target.norm_sq
             assert w == target.monic.scale(gamma)

@@ -23,7 +23,7 @@ from suq2.algebra import AlgebraElement, gens, weight_decompose
 from suq2.functionals import gns_inner
 from suq2.peterweyl import pw_orthobasis
 from suq2.sampling import random_element
-from suq2.scalars import Scalar, big_q
+from suq2.scalars import ONE, Scalar, big_q
 from suq2.spectral import (OMEGA_TAGS, NonConvergenceError, SpectralGrid,
                            c_ratio, clebsch_minus, clebsch_plus,
                            commutator_growth,
@@ -227,7 +227,7 @@ def _ref_mult_op_matrices(x, l2max, qs):
                 leaked = True
                 continue
             residual = comp
-            for v in block.vectors:
+            for v in block:
                 mu = gns_inner(v.monic, residual) / v.norm_sq
                 if mu.is_zero():
                     continue
@@ -306,10 +306,9 @@ def test_cstarc_diagonal_matches_eps_display_exactly():
     epsilon-ratio coefficients, as an exact identity in the coefficient
     field."""
     bigq = big_q()
-    one = Scalar.one()
 
     def eps(t2: int) -> Scalar:
-        return bigq * (one - Scalar.q_pow(t2))
+        return bigq * (ONE - Scalar.q_pow(t2))
 
     cstar = C.star()
     for block in pw_orthobasis(4).values():
@@ -1062,6 +1061,10 @@ def test_residue_schedule_validation():
         residue_extract("cstarc", 0.5, schedule=(0.1, 0.2, 0.4))
     with pytest.raises(ValueError):
         residue_extract("cstarc", 0.5, schedule=(0.4, 0.2, -0.1))
+    # Decreasing offsets whose z = 3 + eps round to 3, or to one z.
+    for sched in ((1e-200, 1e-201, 1e-202), (4e-16, 3e-16, 2.5e-16)):
+        with pytest.raises(ValueError, match="off 3"):
+            residue_extract("deltaL2-e11", 0.5, schedule=sched)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
