@@ -47,16 +47,21 @@ weakened by it.  Three levels:
   ``upsilon_cstarc_lattice``, are summed directly by one evaluator given
   the column's weight: a head whose array powers q^k are gathered from
   one table built per call and merged by the same exact sum, an integral
-  tail over u = 1/t, and an Euler-Maclaurin close.  Where every
-  t-dependent power of q rounds away in the tail of a c*c column, that
-  tail integrates the weight's exact float form.  Both lattice sums add
-  their columns by one m series, which stops after three terms in a row
-  below a relative tolerance; within about 1e-9 of q = 1 a column's base
-  cancels, and both raise ``FloatingPointError`` rather than return nan.
-  ``residue_extract`` drives either evaluator, or for the identity weight
-  one ``upsilon_scan`` whose rows give its values and truncation bars,
-  through a Richardson schedule in z - 3 and cross-checks with a
-  least-squares pole fit.
+  tail, and an Euler-Maclaurin close.  Where every t-dependent power of q
+  rounds away past the head, the float weight there is alpha + beta t
+  and the tail is alpha I0 + beta I1, two integrals in closed form (an
+  incomplete beta function and a power); only within about 5e-3 of
+  q = 1 is the full weight integrated by quadrature.  Both lattice sums
+  take a list of z: a column's weights and bases are built once for all
+  of them, and each z then costs its powers, exact sum, tail and close.
+  Each z keeps its own m series, which stops after three terms in a row
+  below a relative tolerance, so a list gives the bits of one call per
+  z; within about 1e-9 of q = 1 a column's base cancels, and both raise
+  ``FloatingPointError`` rather than return nan.  ``residue_extract``
+  drives either evaluator over its whole schedule in one call, or for
+  the identity weight one ``upsilon_scan`` whose rows give its values and
+  truncation bars, through a Richardson schedule in z - 3 and
+  cross-checks with a least-squares pole fit.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag
-from scipy.special import gammaln
+from scipy.special import betainc, betaincc, gammaln
 
 from .algebra import AlgebraElement, gens, weight_decompose
 from .functionals import gns_inner
@@ -711,6 +716,10 @@ _M_CAP = 2001
 #: like every c*c column, rather than modelled.
 _M_DIRECT = 5
 
+#: The largest x with 1.0 - x == 1.0: a weight's 1 - q^k rounds to 1
+#: wherever q^k <= _ROUNDS_AWAY.
+_ROUNDS_AWAY = 2.0 ** -54
+
 
 def _column_powers(z: float, q: float, m: int, n: np.ndarray,
                    q2n: np.ndarray) -> np.ndarray:
@@ -727,42 +736,76 @@ def _em_close(s: float, f, a: float) -> float:
     return s + 0.5 * f(a) - (f(a + 0.5) - f(a - 0.5)) / 12.0
 
 
-def _lattice_column(z: float, q: float, m: int, qt: np.ndarray, weight,
-                    tail_weight=None) -> float:
+def _tail_integrals(z: float, c_m: float) -> Tuple[float, float]:
+    """The integrals I0, I1 over t >= a = _N_CUT + 1 of
+    (t^2/4 + c_m)^{-z/2} and of t times it, in closed form:
+
+        I0 = c_m^{-(z-1)/2} B((z-1)/2, 1/2) I_{1-w}((z-1)/2, 1/2),
+        I1 = 4/(z-2) (a^2/4 + c_m)^{1-z/2},      w = a^2/(a^2 + 4 c_m),
+
+    with I the regularized incomplete beta function.  Its argument is
+    whichever of w and 1 - w is at most 1/2, each formed directly, so
+    neither loses the digits that 1 - x rounds away from the other.
+    """
+    a = float(_N_CUT + 1)
+    b = 0.5 * (z - 1.0)
+    w = a * a / (a * a + 4.0 * c_m)
+    if w <= 0.5:
+        frac = float(betaincc(0.5, b, w))
+    else:
+        frac = float(betainc(b, 0.5, 4.0 * c_m / (a * a + 4.0 * c_m)))
+    i0 = c_m ** -b * _gamma_half_ratio(z) * frac
+    i1 = 4.0 / (z - 2.0) * (0.25 * a * a + c_m) ** (1.0 - 0.5 * z)
+    return i0, i1
+
+
+def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
+                    weight, tail: Optional[Tuple[float, float]]
+                    ) -> List[float]:
     """Near-exact weighted n sum of column m of the lattice,
 
-        sum over n >= 0 of weight(n) (n^2/4 + c_m - d_m q^{2n})^{-z/2}.
+        sum over n >= 0 of weight(n) (n^2/4 + c_m - d_m q^{2n})^{-z/2},
 
-    ``weight(n, q_pow)`` accepts an integer array or a float for n;
-    ``q_pow(k)`` is q^k for the exponents that depend on n: a gather from
-    the call's power table ``qt``, qt[k] = q^k, on the head n <= _N_CUT,
-    Python's pow on the tail.  The head is one exact sum.  The tail
-    t >= a = _N_CUT + 1 integrates weight(t) (t^2/4 + c_m)^{-z/2} over
-    u = 1/t on [0, 1/a], with ``tail_weight(t)`` for the weight where it
-    is given; the Euler-Maclaurin close always uses the full weight.
+    one value for each z of ``zs``.  ``weight(n, q_pow)`` accepts an
+    integer array or a float for n; ``q_pow(k)`` is q^k for the exponents
+    that depend on n: a gather from the call's power table ``qt``,
+    qt[k] = q^k, on the head n <= _N_CUT, Python's pow elsewhere.  The
+    head's weights and bases, and the weights of the Euler-Maclaurin
+    close, do not depend on z and are built once; each z then costs the
+    head's power and exact sum, the tail and the close.  The tail
+    integrates weight(t) (t^2/4 + c_m)^{-z/2} over t >= a = _N_CUT + 1.
+    Where the caller's guard shows the float weight there to be exactly
+    ``tail`` = (alpha, beta), alpha + beta t, it is alpha I0 + beta I1
+    (``_tail_integrals``); with ``tail`` None, a ``quad`` of the full
+    weight over u = 1/t on [0, 1/a].  The close always uses the full
+    weight.
     """
     n = np.arange(0, _N_CUT + 1)
-    head = _exact_sum([weight(n, qt.__getitem__)
-                       * _column_powers(z, q, m, n, qt[2 * n])])
-    c_m = _lattice_cd(q, m)[0]
-    p = -0.5 * z
+    head_weight = weight(n, qt.__getitem__)
+    c_m, d_m = _lattice_cd(q, m)
+    base = 0.25 * n * n + c_m - d_m * qt[2 * n]
+    a = float(_N_CUT + 1)
+    close = {t: (weight(t, q.__pow__), 0.25 * t * t + c_m)
+             for t in (a - 0.5, a, a + 0.5)}
 
-    def full_weight(t: float) -> float:
-        return weight(t, q.__pow__)
-
-    tail_weight = tail_weight or full_weight
-
-    def f(t: float) -> float:
-        return full_weight(t) * (0.25 * t * t + c_m) ** p
-
-    def f_inv(u: float) -> float:
+    def f_inv(u: float, p: float) -> float:
         # u = 1/t flattens the slowly decaying tail onto a finite window.
         t = 1.0 / u
-        return tail_weight(t) * (0.25 * t * t + c_m) ** p * t * t
+        return weight(t, q.__pow__) * (0.25 * t * t + c_m) ** p * t * t
 
-    a = float(_N_CUT + 1)
-    tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
-    return _em_close(head + tail_int, f, a)
+    values = []
+    for z in zs:
+        p = -0.5 * z
+        head = _exact_sum([head_weight * base ** p])
+        if tail is None:
+            tail_int = quad(f_inv, 0.0, 1.0 / a, args=(p,), epsabs=1e-16,
+                            epsrel=1e-13)[0]
+        else:
+            i0, i1 = _tail_integrals(z, c_m)
+            tail_int = tail[0] * i0 + tail[1] * i1
+        ends = {t: w * s ** p for t, (w, s) in close.items()}
+        values.append(_em_close(head + tail_int, ends.__getitem__, a))
+    return values
 
 
 def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
@@ -781,56 +824,82 @@ def _lattice_inner_model(z: float, q: float, m: int, c_m: float, d_m: float,
     return model + math.fsum(diffs)
 
 
-def _m_series(total: float, terms: Iterable[Tuple[int, float]],
-              rtol: float, m_min: int) -> float:
-    """The m series of a lattice sum: ``total`` plus the terms of the
-    (m, term) pairs in order, stopping after three terms in a row below
-    ``rtol`` of the running total once m >= m_min.  ``terms`` is consumed
-    lazily, so no column past the stop is evaluated."""
-    quiet = 0
-    for m, term in terms:
-        total += term
-        quiet = quiet + 1 if abs(term) < rtol * abs(total) else 0
-        if quiet >= 3 and m >= m_min:
+def _m_series(totals: Sequence[float], zs: Sequence[float], terms,
+              ms: Iterable[int], rtol: float, m_min: int) -> List[float]:
+    """The m series of a lattice sum at each z of ``zs``: totals[i] plus
+    its terms over m in ``ms``, stopping after three terms in a row below
+    ``rtol`` of the running total once m >= m_min.  ``terms(m, zs)`` gives
+    column m's term at each z it is passed, and is passed only the z whose
+    series still runs, so no column past a stop is evaluated for that z,
+    and each value is the one a call with that z alone would give."""
+    totals = list(totals)
+    quiet = [0] * len(totals)
+    active = list(range(len(totals)))
+    for m in ms:
+        if not active:
             break
-    return total
+        running = []
+        for i, term in zip(active, terms(m, [zs[i] for i in active])):
+            totals[i] += term
+            small = abs(term) < rtol * abs(totals[i])
+            quiet[i] = quiet[i] + 1 if small else 0
+            if not (quiet[i] >= 3 and m >= m_min):
+                running.append(i)
+        active = running
+    return totals
 
 
-def eigen_lattice_sum(z: float, q_value: float, *,
-                      admitted: bool = True) -> float:
+def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
+                      admitted: bool = True) -> List[float]:
     """Sum over the (n, m) eigenvalue lattice of
 
-        q^{-m} w(n, m) (n^2/4 + c_m - d_m q^{2n})^{-z/2},
+        q^{-m} w(n, m) (n^2/4 + c_m - d_m q^{2n})^{-z/2}
 
-    over the ``admitted`` states by default: m odd (the mode-parity lock)
-    and w = 1 - q^{2(n+m+1)} (the exact geometric column sum over the
-    right index); with ``admitted=False``, over every m >= 1 with w = 1.  The
-    leading m-geometric part is resummed in closed form, so the evaluation
-    stays accurate for every z > 3; at and below 3 the sum diverges.
+    at each z of ``zs``, one float per z: over the ``admitted`` states by
+    default, m odd (the mode-parity lock) and w = 1 - q^{2(n+m+1)} (the
+    exact geometric column sum over the right index); with
+    ``admitted=False``, over every m >= 1 with w = 1.  The leading
+    m-geometric part is resummed in closed form, so the evaluation stays
+    accurate for every z > 3; at and below 3 the sum diverges, and every z
+    is checked before any column.  A directly summed column's tail is
+    closed form where its float weight is 1 past the head, that is for
+    every column with w = 1 and, with the Haar weight, where
+    q^{2(a+m+1)} <= 2^-54 (all q below about 0.995).  Each z keeps its
+    own m series, so each value is bit for bit the value of a call with
+    that z alone.
     """
     q = _check_q(q_value)
-    _check_z(z, 3.0)
+    for z in zs:
+        _check_z(z, 3.0)
     qt = q ** np.arange(2 * (_N_CUT + _M_DIRECT + 1) + 1, dtype=float)
     big_q = q / (1.0 - q * q)
-    ghalf = _gamma_half_ratio(z)
-    x = q ** (0.5 * (z - 3.0))
-    geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
-    total = ghalf * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0)) * geo
+    ghalf = {z: _gamma_half_ratio(z) for z in zs}
+    totals = []
+    for z in zs:
+        x = q ** (0.5 * (z - 3.0))
+        geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
+        totals.append(ghalf[z] * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0))
+                      * geo)
 
-    def correction(m: int) -> float:
+    def corrections(m: int, zs_m: List[float]) -> List[float]:
         c_m, d_m = _lattice_cd(q, m)
-        lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m > _M_DIRECT:
-            inner = _lattice_inner_model(z, q, m, c_m, d_m, admitted)
+            inner = [_lattice_inner_model(z, q, m, c_m, d_m, admitted)
+                     for z in zs_m]
         elif admitted:
+            flat = q ** (2 * (_N_CUT + m + 2)) <= _ROUNDS_AWAY
             inner = _lattice_column(
-                z, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)))
+                zs_m, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)),
+                (1.0, 0.0) if flat else None)
         else:
-            inner = _lattice_column(z, q, m, qt, lambda n, q_pow: 1.0)
-        return q ** (-m) * (inner - lead)
+            inner = _lattice_column(zs_m, q, m, qt, lambda n, q_pow: 1.0,
+                                    (1.0, 0.0))
+        scale = big_q * big_q * q ** (-(m + 1.0))
+        return [q ** (-m) * (col - ghalf[z] * scale ** (0.5 * (1.0 - z)))
+                for z, col in zip(zs_m, inner)]
 
     ms = range(1, _M_CAP + 1, 2 if admitted else 1)
-    return _m_series(total, ((m, correction(m)) for m in ms), 1e-14, 41)
+    return _m_series(totals, zs, corrections, ms, 1e-14, 41)
 
 
 def _cstarc_weight(n, m: int, q: float, q_pow):
@@ -856,50 +925,53 @@ def _cstarc_weight(n, m: int, q: float, q_pow):
     return a_part + b_part
 
 
-def _cstarc_tail_weight(m: int, q: float):
-    """The exact float form of ``_cstarc_weight`` on the integral tail
-    t >= a = _N_CUT + 1 of column m, or None where it does not hold.
+def _cstarc_tail_weight(m: int, q: float) -> Optional[Tuple[float, float]]:
+    """The pair (alpha, beta) with ``_cstarc_weight`` = alpha + beta t on
+    the integral tail t >= a = _N_CUT + 1 of column m, or None where the
+    float weight there is not of that form.
 
-    It holds under the column's guard: q^{2a+m-1} and q^{2(a+m)} at most
+    It is under the column's guard: q^{2a+m-1} and q^{2(a+m)} at most
     2^-54, so every t-dependent 1 - q^k of the weight rounds to 1, and
-    (a+m+1) q^{2(a+m)+3} below a quarter ulp of q geo.  The weight then
-    rounds, term by term, to a_part + 2 q^m ((t + m + 1) - geo) with
-    geo = 1/(1 - q^2), and the column constants are computed once here.
-    Both forms round the same only while ``_cstarc_weight`` keeps its
-    order of operations.
+    (a+m+1) q^{2(a+m)+3} below a quarter ulp of q geo.  The weight is then
+    a_part + 2 q^m ((t + m + 1) - geo) with geo = 1/(1 - q^2) and a_part =
+    eps_up q geo, so alpha = a_part + 2 q^m (m + 1 - geo) and beta = 2 q^m.
     """
     a = float(_N_CUT + 1)
     geo = 1.0 / (1.0 - q * q)
-    tiny = 2.0 ** -54  # the largest x with 1.0 - x == 1.0
-    if not (q ** (2 * a + m - 1) <= tiny and q ** (2 * (a + m)) <= tiny
+    if not (q ** (2 * a + m - 1) <= _ROUNDS_AWAY
+            and q ** (2 * (a + m)) <= _ROUNDS_AWAY
             and (a + m + 1.0) * q ** (2 * (a + m) + 3)
             < 0.25 * math.ulp(q * geo)):
         return None
     a_part = ((1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))) * (q * geo)
     two_qm = 2.0 * q ** m
-
-    def weight(t: float) -> float:
-        return a_part + two_qm * ((t + m + 1.0) - geo)
-
-    return weight
+    return a_part + two_qm * ((m + 1.0) - geo), two_qm
 
 
-def upsilon_cstarc_lattice(z: float, q_value: float) -> float:
-    """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice.
+def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
+    """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice,
+    at each z of ``zs``, one float per z; every z is checked before any
+    column.
 
-    Each n sum is one ``_lattice_column`` (direct head plus integral
-    tail with its endpoint corrections) and the positive m series, damped
-    like q^{m(z-1)/2}, is accumulated to a relative 1e-12.  No spin ceiling
-    enters, so values stay accurate down toward z = 2 where plain
+    Each n sum is one ``_lattice_column`` (direct head, a tail in closed
+    form under ``_cstarc_tail_weight``'s guard and by quadrature past it,
+    and the endpoint corrections), and the positive m series of each z,
+    damped like q^{m(z-1)/2}, is accumulated to a relative 1e-12.  No spin
+    ceiling enters, so values stay accurate down toward z = 2 where plain
     cutoff scans would need astronomically many sectors.
     """
     q = _check_q(q_value)
-    _check_z(z, 2.0)
+    for z in zs:
+        _check_z(z, 2.0)
     qt = q ** np.arange(2 * (_N_CUT + _M_CAP) + 5, dtype=float)
-    columns = ((m, _lattice_column(
-        z, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
-        _cstarc_tail_weight(m, q))) for m in range(1, _M_CAP + 1, 2))
-    return _m_series(0.0, columns, 1e-12, 1)
+
+    def columns(m: int, zs_m: List[float]) -> List[float]:
+        return _lattice_column(
+            zs_m, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
+            _cstarc_tail_weight(m, q))
+
+    return _m_series([0.0] * len(zs), zs, columns,
+                     range(1, _M_CAP + 1, 2), 1e-12, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,10 +1076,10 @@ def residue_extract(omega: str, q_value: float, *,
     if omega in _DELTA_TAGS:
         method = "pole-resolved/richardson+least-squares"
         pref = 1.0 / (1.0 - q * q)
-        ups = [pref * eigen_lattice_sum(z, q) for z in zs]
+        ups = [pref * value for value in eigen_lattice_sum(zs, q)]
     elif omega == "cstarc":
         method = "lattice-resolved/richardson+least-squares"
-        ups = [upsilon_cstarc_lattice(z, q) for z in zs]
+        ups = upsilon_cstarc_lattice(zs, q)
     else:
         method = "direct-scan/richardson+least-squares"
         lmax_used = ceiling if lmax is None else lmax

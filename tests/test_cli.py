@@ -450,7 +450,7 @@ def test_lattice_sums_near_one_raise_arithmetic_error(q):
     from suq2.spectral import eigen_lattice_sum
 
     with pytest.raises(ArithmeticError):
-        eigen_lattice_sum(3.1, q)
+        eigen_lattice_sum([3.1], q)
     with pytest.raises(ArithmeticError):
         mero.f_residue(q)
 

@@ -391,9 +391,9 @@ def test_upsilon_validation():
     with pytest.raises(ValueError):
         upsilon_value("nope", 4.0, 0.5, 10)
     with pytest.raises(ValueError):
-        eigen_lattice_sum(3.0, 0.5)
+        eigen_lattice_sum([3.0], 0.5)
     with pytest.raises(ValueError):
-        upsilon_cstarc_lattice(2.0, 0.5)
+        upsilon_cstarc_lattice([2.0], 0.5)
 
 
 def test_upsilon_identity_monotone():
@@ -445,13 +445,13 @@ def test_tail_bound_abscissas():
 
 @pytest.mark.parametrize("q", Q_GRID)
 def test_cstarc_lattice_within_certified_window(q):
-    for z in (3.05, 4.0):
-        lat = upsilon_cstarc_lattice(z, q)
+    lats = upsilon_cstarc_lattice([3.05, 4.0, 6.0], q)
+    for z, lat in zip((3.05, 4.0), lats):
         direct = upsilon_value("cstarc", z, q, 400)
         tb = tail_bound("cstarc", 400, z, q)
         assert 0.0 <= lat - direct <= tb
     # far from the abscissa the cutoff scan is essentially converged
-    lat = upsilon_cstarc_lattice(6.0, q)
+    lat = lats[2]
     direct = upsilon_value("cstarc", 6.0, q, 400)
     assert abs(lat - direct) <= 1e-7 * direct
 
@@ -459,8 +459,8 @@ def test_cstarc_lattice_within_certified_window(q):
 def test_pole_evaluator_within_certified_window():
     q = 0.5
     pref = 1.0 / (1.0 - q * q)
-    for z in (3.5, 4.0):
-        lat = pref * eigen_lattice_sum(z, q)
+    for z, value in zip((3.5, 4.0), eigen_lattice_sum([3.5, 4.0], q)):
+        lat = pref * value
         direct = upsilon_value("deltaL2-e11", z, q, 400)
         tb = tail_bound("deltaL2-e11", 400, z, q)
         assert 0.0 <= lat - direct <= tb
@@ -469,14 +469,30 @@ def test_pole_evaluator_within_certified_window():
 @pytest.mark.parametrize("admitted", (True, False))
 def test_lattice_sum_quadrature_never_gives_up(admitted):
     # Down to q = 0.001 the direct columns' scale c_m reaches 1e12 and
-    # their integral tails hold nearly all of each column.
+    # their integral tails hold nearly all of each column; at q = 1e-5 it
+    # reaches 1e20, where a quadrature of the all-m tails warned.
     from scipy.integrate import IntegrationWarning
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         for q in np.geomspace(0.001, 0.3, 10).tolist():
-            for z in (3.05, 4.0, 6.0):
-                eigen_lattice_sum(z, q, admitted=admitted)
+            eigen_lattice_sum([3.05, 4.0, 6.0], q, admitted=admitted)
+        for q, z in ((1e-5, 3.1), (3e-5, 3.4)):
+            (value,) = eigen_lattice_sum([z], q, admitted=admitted)
+            assert math.isfinite(value) and value > 0.0
+
+
+@pytest.mark.parametrize("q", (0.01, 0.02, 0.1, 0.2, 0.3))
+def test_cstarc_lattice_below_three_never_warns(q):
+    # The c*c weight grows like t, so toward z = 2 the tail decays like
+    # t^{1-z}: a quadrature over u = 1/t gave up there on a singular
+    # integrand, where the closed form holds.
+    from scipy.integrate import IntegrationWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        values = upsilon_cstarc_lattice([2.1, 2.5], q)
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("q, z", [(0.02, 6.0), (0.3, 3.05)])
@@ -492,12 +508,13 @@ def test_direct_lattice_columns_match_high_precision_sums(q, z,
     columns = {}
     column = spectral._lattice_column
 
-    def recorded(z, q, m, *args):
-        columns[m] = column(z, q, m, *args)
-        return columns[m]
+    def recorded(zs, q, m, *args):
+        values = column(zs, q, m, *args)
+        columns[m] = values[0]
+        return values
 
     monkeypatch.setattr(spectral, "_lattice_column", recorded)
-    total = eigen_lattice_sum(z, q)
+    (total,) = eigen_lattice_sum([z], q)
     assert sorted(columns) == list(range(1, spectral._M_DIRECT + 1, 2))
     with mp.workdps(30):
         qm, zm = mp.mpf(q), mp.mpf(z)
@@ -538,11 +555,10 @@ def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
             if abs(d) < 1e-22 * max(1.0, model):
                 return model + math.fsum(diffs)
 
-    zs = (3.05, 3.5)
-    got = [eigen_lattice_sum(z, q, admitted=admitted) for z in zs]
+    zs = [3.05, 3.5]
+    got = eigen_lattice_sum(zs, q, admitted=admitted)
     monkeypatch.setattr(spectral, "_lattice_inner_model", uncapped)
-    for z, value in zip(zs, got):
-        want = eigen_lattice_sum(z, q, admitted=admitted)
+    for value, want in zip(got, eigen_lattice_sum(zs, q, admitted=admitted)):
         assert abs(value - want) <= 1e-12 * abs(want)
 
 
@@ -551,8 +567,9 @@ def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
 #
 # The references are the plain forms of what the power tables compute: a
 # scan that evaluates one term at a time, and lattice columns that take
-# numpy's power over the n array.  The column references accept the table
-# argument of the helper they stand in for and ignore it.  Every
+# numpy's power over the n array one z at a time.  The column references
+# accept the table argument of the helper they stand in for and ignore it,
+# and share its tail, which is checked on its own against mpmath.  Every
 # comparison is exact: the scan terms feed an exactly rounded sum, and the
 # CLI promises byte-stable output files.
 
@@ -612,32 +629,41 @@ def _ref_cstarc_weight(n, m, q):
     return a_part + b_part
 
 
-def _ref_lattice_column(z, q, m, qt, weight, tail_weight=None):
-    """``_lattice_column`` term by term: the weight of every head term with
-    numpy's array powers q^k, the plain power, one ``math.fsum``, and the
-    full weight on the whole tail."""
+def _ref_lattice_column(zs, q, m, qt, weight, tail):
+    """``_lattice_column`` one z and one head term at a time: the weight of
+    every head term with numpy's array powers q^k, the plain power, one
+    ``math.fsum``, the same tail (alpha I0 + beta I1, or the quadrature of
+    the full weight), and the full weight in the close."""
     from scipy.integrate import quad
 
-    from suq2.spectral import _em_close, _lattice_cd
+    from suq2.spectral import _em_close, _lattice_cd, _tail_integrals
 
     def q_pow(k):
         return q ** k
 
     n = np.arange(0, 4001, dtype=float)
-    head = math.fsum((weight(n, q_pow)
-                      * _ref_column_powers(z, q, m, n)).tolist())
     c_m = _lattice_cd(q, m)[0]
-
-    def f(t):
-        return weight(t, q_pow) * (0.25 * t * t + c_m) ** (-0.5 * z)
-
-    def f_inv(u):
-        t = 1.0 / u
-        return f(t) * t * t
-
     a = 4001.0
-    tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16, epsrel=1e-13)
-    return _em_close(head + tail_int, f, a)
+    values = []
+    for z in zs:
+        head = math.fsum((weight(n, q_pow)
+                          * _ref_column_powers(z, q, m, n)).tolist())
+
+        def f(t, z=z):
+            return weight(t, q_pow) * (0.25 * t * t + c_m) ** (-0.5 * z)
+
+        def f_inv(u, f=f):
+            t = 1.0 / u
+            return f(t) * t * t
+
+        if tail is None:
+            tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16,
+                               epsrel=1e-13)
+        else:
+            i0, i1 = _tail_integrals(z, c_m)
+            tail_int = tail[0] * i0 + tail[1] * i1
+        values.append(_em_close(head + tail_int, f, a))
+    return values
 
 
 def test_scan_triangle_is_the_admitted_modes():
@@ -669,17 +695,170 @@ def test_scan_terms_bit_identical_to_per_term_loop(omega, q):
 def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
     from suq2 import spectral
 
-    zs = (3.05, 3.4, 4.0)
-    got = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
-            eigen_lattice_sum(z, q, admitted=False)) for z in zs]
+    zs = [3.05, 3.4, 4.0]
+    got = (upsilon_cstarc_lattice(zs, q), eigen_lattice_sum(zs, q),
+           eigen_lattice_sum(zs, q, admitted=False))
     monkeypatch.setattr(spectral, "_lattice_column", _ref_lattice_column)
-    want = [(upsilon_cstarc_lattice(z, q), eigen_lattice_sum(z, q),
-             eigen_lattice_sum(z, q, admitted=False)) for z in zs]
+    want = (upsilon_cstarc_lattice(zs, q), eigen_lattice_sum(zs, q),
+            eigen_lattice_sum(zs, q, admitted=False))
     assert got == want
 
 
+@pytest.mark.parametrize("q", (0.01, 0.3, 0.8))
+def test_multi_z_lattice_sums_match_one_z_calls(q, monkeypatch):
+    """Every value of a call over a z list equals, bit for bit, the call
+    with that z alone, though the m series of each z stops at its own m:
+    the columns past a stop are evaluated for fewer z."""
+    from suq2 import spectral
+
+    widths = []
+    column = spectral._lattice_column
+
+    def recorded(zs, q_value, m, *args):
+        widths.append(len(zs))
+        return column(zs, q_value, m, *args)
+
+    monkeypatch.setattr(spectral, "_lattice_column", recorded)
+    zs = [3.4, 3.2, 3.1, 3.05, 4.0, 6.0]
+    for admitted in (True, False):
+        assert eigen_lattice_sum(zs, q, admitted=admitted) == [
+            eigen_lattice_sum([z], q, admitted=admitted)[0] for z in zs]
+    zs_c = zs + [2.5, 2.1]
+    widths.clear()
+    assert upsilon_cstarc_lattice(zs_c, q) == [
+        upsilon_cstarc_lattice([z], q)[0] for z in zs_c]
+    multi = widths[:widths.index(1)]
+    assert multi[0] == len(zs_c) and multi[-1] < len(zs_c)
+
+
+def test_lattice_sums_check_every_z_before_any_column(monkeypatch):
+    from suq2 import spectral
+
+    def no_column(*args):
+        raise AssertionError("a column ran before every z was checked")
+
+    monkeypatch.setattr(spectral, "_lattice_column", no_column)
+    monkeypatch.setattr(spectral, "_lattice_inner_model", no_column)
+    for call in (lambda: eigen_lattice_sum([4.0, 3.0], 0.5),
+                 lambda: eigen_lattice_sum([4.0, math.nan], 0.5,
+                                           admitted=False),
+                 lambda: upsilon_cstarc_lattice([3.0, 2.0], 0.5)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("q", (0.99, 0.995, 0.9953, 0.9954, 0.999))
+def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
+    """A column gets the closed tail (alpha, beta) only where its float
+    weight past the head is alpha + beta t: exactly for the Haar and unit
+    weights of ``eigen_lattice_sum``, to 2 ulps for c*c.  Where a Haar
+    column gets the quadrature instead, its weight at t = a is not 1.
+    The modelled columns do not bear on this and are stubbed out."""
+    from suq2 import spectral
+
+    seen = []
+    column = spectral._lattice_column
+
+    def recorded(zs, q_value, m, qt, weight, tail):
+        seen.append((m, weight, tail))
+        return column(zs, q_value, m, qt, weight, tail)
+
+    monkeypatch.setattr(spectral, "_lattice_column", recorded)
+    monkeypatch.setattr(spectral, "_lattice_inner_model",
+                        lambda *args: 0.0)
+    a = spectral._N_CUT + 1.0
+    ts = [a, a + 0.5, a + 1.0, 1.5 * a, 10.0 * a, 1e9]
+    for admitted in (True, False):
+        seen.clear()
+        eigen_lattice_sum([3.4], q, admitted=admitted)
+        assert [m for m, _, _ in seen] == list(
+            range(1, spectral._M_DIRECT + 1, 2 if admitted else 1))
+        for m, weight, tail in seen:
+            if tail is None:
+                assert admitted and weight(a, q.__pow__) != 1.0
+            else:
+                assert tail == (1.0, 0.0)
+                assert all(weight(t, q.__pow__) == 1.0 for t in ts)
+    for m in (1, 3, 5):
+        tail = spectral._cstarc_tail_weight(m, q)
+        if tail is not None:
+            for t in ts:
+                w = spectral._cstarc_weight(t, m, q, q.__pow__)
+                assert abs(tail[0] + tail[1] * t - w) <= 2 * math.ulp(w)
+
+
+def _mp_tail_integrals(mp, z, c_m):
+    """I0 and I1 of ``_tail_integrals`` to 30 digits on the float c_m:
+    the incomplete beta form with 1 - w = 4 c_m/(a^2 + 4 c_m) exact, and
+    I1's antiderivative."""
+    with mp.workdps(30):
+        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(4001)
+        b = (zm - 1) / 2
+        x = 4 * cm / (am * am + 4 * cm)
+        i0 = (cm ** -b * mp.beta(b, mp.mpf(1) / 2)
+              * mp.betainc(b, mp.mpf(1) / 2, 0, x, regularized=True))
+        i1 = 4 / (zm - 2) * (am * am / 4 + cm) ** (1 - zm / 2)
+        return i0, i1
+
+
+def _mp_tail_quadrature(mp, z, c_m):
+    """I0 and I1 as 30-digit quadratures of their integrands over
+    t = a v^{-1/(z-k-1)}, v in (0, 1], which makes t^k (t^2/4)^{-z/2} dt
+    flat; for c_m <= a^2/4 the rest of the integrand is smooth there."""
+    with mp.workdps(30):
+        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(4001)
+        out = []
+        for k in (0, 1):
+            g = 1 / (zm - k - 1)
+
+            def h(v, g=g, k=k):
+                t = am * v ** -g
+                return (t ** k * (t * t / 4 + cm) ** (-zm / 2)
+                        * am * g * v ** (-g - 1))
+
+            out.append(mp.quad(h, [0, 1]))
+        return out
+
+
+@pytest.mark.parametrize("q", (0.001, 0.01, 0.3, 0.5, 0.8, 0.99))
+def test_tail_integrals_match_high_precision(q, monkeypatch):
+    """The closed-form tail integrals at every (m, z) at which the lattice
+    sums evaluate a column, against mpmath to 30 digits: within 1e-13
+    relative of the incomplete beta form at every pair, and of a
+    quadrature of the integrals themselves on the directly summed columns
+    of ``eigen_lattice_sum`` wherever c_m <= a^2/4.  Those are m <= 5 at
+    every q, since its m series runs to m >= 41; the c*c columns are
+    recorded from a call."""
+    mp = pytest.importorskip("mpmath")
+    from suq2 import spectral
+
+    pairs = set()
+    column = spectral._lattice_column
+
+    def recorded(zs, q_value, m, *args):
+        pairs.update((m, z) for z in zs)
+        return column(zs, q_value, m, *args)
+
+    monkeypatch.setattr(spectral, "_lattice_column", recorded)
+    upsilon_cstarc_lattice([2.1, 2.5, 3.05, 4.0, 6.0], q)
+    pairs.update((m, z) for m in range(1, spectral._M_DIRECT + 1)
+                 for z in (3.05, 4.0, 6.0))
+    quadratures = 0
+    for m, z in sorted(pairs):
+        c_m = spectral._lattice_cd(q, m)[0]
+        got = spectral._tail_integrals(z, c_m)
+        refs = [_mp_tail_integrals(mp, z, c_m)]
+        if m <= spectral._M_DIRECT and c_m <= 4001.0 ** 2 / 4:
+            refs.append(_mp_tail_quadrature(mp, z, c_m))
+            quadratures += 1
+        for ref in refs:
+            for value, want in zip(got, ref):
+                assert abs(value - want) <= 1e-13 * want, (m, z)
+    assert quadratures >= 3
+
+
 def _ref_eigen_lattice_sum(z, q, admitted):
-    """``eigen_lattice_sum`` with its own stopping loop over m."""
+    """``eigen_lattice_sum`` at one z with its own stopping loop over m."""
     from suq2 import spectral
 
     qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_DIRECT + 1) + 1,
@@ -698,11 +877,14 @@ def _ref_eigen_lattice_sum(z, q, admitted):
         if m > spectral._M_DIRECT:
             inner = spectral._lattice_inner_model(z, q, m, c_m, d_m, admitted)
         elif admitted:
+            flat = q ** (2 * (spectral._N_CUT + m + 2)) <= 2.0 ** -54
             inner = spectral._lattice_column(
-                z, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)))
+                [z], q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)),
+                (1.0, 0.0) if flat else None)[0]
         else:
-            inner = spectral._lattice_column(z, q, m, qt,
-                                             lambda n, q_pow: 1.0)
+            inner = spectral._lattice_column([z], q, m, qt,
+                                             lambda n, q_pow: 1.0,
+                                             (1.0, 0.0))[0]
         corr = q ** (-m) * (inner - lead)
         total += corr
         if abs(corr) < 1e-14 * abs(total):
@@ -716,7 +898,8 @@ def _ref_eigen_lattice_sum(z, q, admitted):
 
 
 def _ref_upsilon_cstarc_lattice(z, q):
-    """``upsilon_cstarc_lattice`` with its own stopping loop over m."""
+    """``upsilon_cstarc_lattice`` at one z with its own stopping loop over
+    m."""
     from suq2 import spectral
 
     qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
@@ -725,9 +908,9 @@ def _ref_upsilon_cstarc_lattice(z, q):
     quiet = 0
     for m in range(1, spectral._M_CAP + 1, 2):
         term = spectral._lattice_column(
-            z, q, m, qt,
+            [z], q, m, qt,
             lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow),
-            spectral._cstarc_tail_weight(m, q))
+            spectral._cstarc_tail_weight(m, q))[0]
         total += term
         if abs(term) < 1e-12 * abs(total):
             quiet += 1
@@ -752,11 +935,11 @@ def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
             return helper(z, q_value, m, *args)
 
         monkeypatch.setattr(spectral, name, recorded)
-    routes = [(lambda z: eigen_lattice_sum(z, q),
+    routes = [(lambda z: eigen_lattice_sum([z], q)[0],
                lambda z: _ref_eigen_lattice_sum(z, q, True)),
-              (lambda z: eigen_lattice_sum(z, q, admitted=False),
+              (lambda z: eigen_lattice_sum([z], q, admitted=False)[0],
                lambda z: _ref_eigen_lattice_sum(z, q, False)),
-              (lambda z: upsilon_cstarc_lattice(z, q),
+              (lambda z: upsilon_cstarc_lattice([z], q)[0],
                lambda z: _ref_upsilon_cstarc_lattice(z, q))]
     for z in (3.05, 3.4, 4.0):
         for route, ref in routes:
@@ -842,19 +1025,22 @@ def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
 def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
                                                   monkeypatch):
     """Both tails of a c*c column against the plain column, whose weight
-    is restated with numpy's array powers: where the guard holds, ``quad`` never calls the full weight, and the three
-    scalar weights left are the Euler-Maclaurin close's.  The tail form
-    itself equals the full weight at every t of the tail, since one ulp
-    of the integrand rarely reaches the column's sum."""
+    is restated with numpy's array powers, bit for bit with the same tail.
+    Where the guard holds, alpha + beta t is the full float weight to 2
+    ulps at every t of the tail, and the only scalar weights are the
+    Euler-Maclaurin close's three, built once for every z; past the guard
+    the tail is a quadrature of the full weight."""
     from suq2 import spectral
 
-    tail_weight = spectral._cstarc_tail_weight(m, q)
-    assert (tail_weight is not None) == exact_form
+    tail = spectral._cstarc_tail_weight(m, q)
+    assert (tail is not None) == exact_form
     if exact_form:
+        alpha, beta = tail
         a = spectral._N_CUT + 1.0
-        ts = [1.0 / u for u in np.linspace(1.0 / a, 1e-12, 5001).tolist()]
-        assert [tail_weight(t) for t in ts] == [
-            spectral._cstarc_weight(t, m, q, lambda k: q ** k) for t in ts]
+        for u in np.linspace(1.0 / a, 1e-12, 5001).tolist():
+            t = 1.0 / u
+            w = spectral._cstarc_weight(t, m, q, lambda k: q ** k)
+            assert abs(alpha + beta * t - w) <= 2 * math.ulp(w)
     qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
                         dtype=float)
     weight = spectral._cstarc_weight
@@ -866,15 +1052,13 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
         return weight(n, *args)
 
     monkeypatch.setattr(spectral, "_cstarc_weight", counted)
-    for z in (3.05, 4.0):
-        scalar_calls.clear()
-        got = spectral._lattice_column(
-            z, q, m, qt,
-            lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow),
-            tail_weight)
-        assert got == _ref_lattice_column(
-            z, q, m, qt, lambda n, q_pow: _ref_cstarc_weight(n, m, q))
-        assert (len(scalar_calls) == 3) == exact_form
+    zs = [3.05, 4.0]
+    got = spectral._lattice_column(
+        zs, q, m, qt,
+        lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow), tail)
+    assert (len(scalar_calls) == 3) == exact_form
+    assert got == _ref_lattice_column(
+        zs, q, m, qt, lambda n, q_pow: _ref_cstarc_weight(n, m, q), tail)
 
 
 def test_upsilon_scan_checks_every_argument_before_any_row(monkeypatch):
@@ -1075,9 +1259,9 @@ def test_non_finite_z_rejected(bad):
         lambda: upsilon_value("gamma", bad, 0.5, 10),
         lambda: tail_bound("identity", 10, bad, 0.5),
         lambda: tail_bound("gamma", 10, bad, 0.5),
-        lambda: eigen_lattice_sum(bad, 0.5),
-        lambda: eigen_lattice_sum(bad, 0.5, admitted=False),
-        lambda: upsilon_cstarc_lattice(bad, 0.5),
+        lambda: eigen_lattice_sum([bad], 0.5),
+        lambda: eigen_lattice_sum([4.0, bad], 0.5, admitted=False),
+        lambda: upsilon_cstarc_lattice([4.0, bad], 0.5),
         lambda: upsilon_identity_pairblocks(bad, 0.5, 4),
         lambda: upsilon_scan("identity", 0.5, [4.0, bad], 10),
     ]
