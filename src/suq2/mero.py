@@ -205,11 +205,14 @@ def _remainder_partial(z: float, q_value: float, lmax: int,
     they stop contributing (long before the q^{-m} scale in the lattice
     coefficients could overflow); inside a column the pairwise numpy sum
     is deterministic and precise far beyond the Cauchy margins checked.
+    One table q^{2k}, k = 0 .. lmax + 1, is built per call; column m
+    slices its q^{2n} and its q^{2(n+m+1)} from it.
     """
     _check_z(z, 2.0)
     _check_cutoff(lmax)
     q = _check_q(q_value)
     log_inv_q = math.log(1.0 / q)
+    q2k = q ** (2.0 * np.arange(lmax + 2))
     pieces = []
     total = 0.0
     quiet = 0
@@ -217,11 +220,11 @@ def _remainder_partial(z: float, q_value: float, lmax: int,
         if (m + 2) * log_inv_q > 690.0:
             break
         n = np.arange(0, lmax - m + 1, dtype=float)
-        powers = _column_powers(z, q, m, n, q ** (2.0 * n))
+        powers = _column_powers(z, q, m, n, q2k[:lmax - m + 1])
         if second:
             w = (n + m + 1.0) * q ** m
         else:
-            w = (1.0 - q ** (2.0 * (n + m + 1))) / (1.0 - q * q)
+            w = (1.0 - q2k[m + 1:]) / (1.0 - q * q)
         piece = float(np.sum(w * powers))
         pieces.append(piece)
         total += piece
@@ -259,9 +262,9 @@ def mero_reference(which: str, z: float, *, q_value: Optional[float] = None,
       certified bound on their difference.
     * which == "f": needs q_value; returns the value and, exactly at the
       pole approach, the residue formula for comparison.
-    * which in {"f1", "f2"}: needs q_value; returns the triangle partial
-      sum at ``lmax`` together with the half-cutoff value so Cauchy
-      behavior is visible in one call.
+    * which in {"f1", "f2"}: needs q_value and lmax >= 2; returns the
+      triangle partial sum at ``lmax`` together with the value at the
+      half cutoff lmax // 2, so Cauchy behavior is visible in one call.
     """
     if which == "h":
         if None in (x, y, r, w):
@@ -283,6 +286,10 @@ def mero_reference(which: str, z: float, *, q_value: Optional[float] = None,
     if which in ("f1", "f2"):
         if q_value is None:
             raise ValueError("remainder sums need q_value")
+        if isinstance(lmax, numbers.Integral) and lmax < 2:
+            raise ValueError(f"remainder sums need lmax >= 2: their half "
+                             f"cutoff lmax // 2 = {lmax // 2} must be at "
+                             f"least 1")
         fn = f1_partial if which == "f1" else f2_partial
         return {
             "which": which, "z": z, "q": q_value, "lmax": lmax,

@@ -259,6 +259,47 @@ def test_remainder_partial_sums_are_cauchy(q, partial):
         assert hi - lo < 1e-8
 
 
+def _ref_remainder_partial(z, q, lmax, second):
+    """The triangle partial sum with every power of q formed per column:
+    q^{2n} and q^{2(n+m+1)} as numpy powers over each column's n."""
+    from suq2.spectral import _column_powers
+
+    pieces = []
+    total = 0.0
+    quiet = 0
+    for m in range(1, lmax + 1, 2):
+        if (m + 2) * math.log(1.0 / q) > 690.0:
+            break
+        n = np.arange(0, lmax - m + 1, dtype=float)
+        powers = _column_powers(z, q, m, n, q ** (2.0 * n))
+        if second:
+            w = (n + m + 1.0) * q ** m
+        else:
+            w = (1.0 - q ** (2.0 * (n + m + 1))) / (1.0 - q * q)
+        piece = float(np.sum(w * powers))
+        pieces.append(piece)
+        total += piece
+        if piece < 1e-20 * max(1.0, total):
+            quiet += 1
+            if quiet >= 3:
+                break
+        else:
+            quiet = 0
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
+def test_remainder_partials_match_per_column_powers(q):
+    # One q^{2k} table per call gives every column the same powers, bit
+    # for bit, as the column's own numpy powers.
+    for z in (2.1, 3.05, 4.0, 6.0):
+        for lmax in (1, 2, 3, 10, 101, 2000):
+            assert f1_partial(z, q, lmax) == _ref_remainder_partial(
+                z, q, lmax, False)
+            assert f2_partial(z, q, lmax) == _ref_remainder_partial(
+                z, q, lmax, True)
+
+
 def test_remainder_partial_validation():
     with pytest.raises(ValueError):
         f1_partial(2.0, 0.5, 100)
@@ -278,6 +319,19 @@ def test_reference_bundle_template():
     assert abs(bundle["direct"] - bundle["closed"]) <= bundle["err_bound"]
     with pytest.raises(ValueError):
         mero_reference("h", 3.5, x=0.5, y=1.0)  # r, w missing
+
+
+@pytest.mark.parametrize("which", ["f1", "f2"])
+def test_reference_bundle_remainders_need_a_half_cutoff(which):
+    # lmax = 1 is a valid cutoff, but its half cutoff lmax // 2 = 0 is not;
+    # the error names the half cutoff, which the caller never passed.
+    for lmax in (1, 0, -4):
+        with pytest.raises(ValueError, match="half cutoff"):
+            mero_reference(which, 4.0, q_value=0.5, lmax=lmax)
+    bundle = mero_reference(which, 4.0, q_value=0.5, lmax=2)
+    assert bundle["partial"] == (f1_partial if which == "f1"
+                                 else f2_partial)(4.0, 0.5, 2)
+    assert 0.0 < bundle["partial_half"] < bundle["partial"]
 
 
 def test_reference_bundle_lattice_and_remainders():

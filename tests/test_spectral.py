@@ -378,18 +378,18 @@ def test_scan_closed_i_sums_match_explicit_loops():
 
 
 def test_upsilon_gamma_vanishes_identically():
-    for z in (2.5, 3.0, 4.0, 6.0):
-        for lmax in (1, 5, 40):
-            assert upsilon_value("gamma", z, 0.5, lmax) == 0.0
+    for lmax in (1, 5, 40):
+        assert upsilon_value("gamma", [2.5, 3.0, 4.0, 6.0], 0.5, lmax) == [
+            0.0] * 4
 
 
 def test_upsilon_validation():
     with pytest.raises(ValueError):
-        upsilon_value("identity", 2.0, 0.5, 10)
+        upsilon_value("identity", [2.0], 0.5, 10)
     with pytest.raises(ValueError):
-        upsilon_value("identity", 4.0, 0.5, 0)
+        upsilon_value("identity", [4.0], 0.5, 0)
     with pytest.raises(ValueError):
-        upsilon_value("nope", 4.0, 0.5, 10)
+        upsilon_value("nope", [4.0], 0.5, 10)
     with pytest.raises(ValueError):
         eigen_lattice_sum([3.0], 0.5)
     with pytest.raises(ValueError):
@@ -397,16 +397,16 @@ def test_upsilon_validation():
 
 
 def test_upsilon_identity_monotone():
-    vals = [upsilon_value("identity", 4.0, 0.5, lmax)
+    vals = [upsilon_value("identity", [4.0], 0.5, lmax)[0]
             for lmax in (5, 10, 20, 40, 80)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    zs = [upsilon_value("identity", z, 0.5, 40) for z in (3.2, 3.6, 4.0, 5.0)]
+    zs = upsilon_value("identity", [3.2, 3.6, 4.0, 5.0], 0.5, 40)
     assert all(b < a for a, b in zip(zs, zs[1:]))
 
 
 @pytest.mark.parametrize("q", (0.3, 0.5))
 def test_identity_scan_agrees_with_pair_blocks(q):
-    direct = upsilon_value("identity", 4.0, q, 40)
+    direct = upsilon_value("identity", [4.0], q, 40)[0]
     paired = upsilon_identity_pairblocks(4.0, q, 40)
     assert abs(direct - paired) <= 1e-12 * max(1.0, abs(direct))
 
@@ -430,8 +430,8 @@ def test_tail_bound_dominates_measured_tail(omega):
     q = 0.5
     for z in (3.2, 4.0):
         zz = z + 0.01 if omega == "deltaL2-e11" else z
-        lo = upsilon_value(omega, zz, q, 400)
-        hi = upsilon_value(omega, zz, q, 1000)
+        lo = upsilon_value(omega, [zz], q, 400)[0]
+        hi = upsilon_value(omega, [zz], q, 1000)[0]
         tb = tail_bound(omega, 400, zz, q)
         assert 0.0 < hi - lo <= tb
 
@@ -446,22 +446,22 @@ def test_tail_bound_abscissas():
 @pytest.mark.parametrize("q", Q_GRID)
 def test_cstarc_lattice_within_certified_window(q):
     lats = upsilon_cstarc_lattice([3.05, 4.0, 6.0], q)
-    for z, lat in zip((3.05, 4.0), lats):
-        direct = upsilon_value("cstarc", z, q, 400)
+    directs = upsilon_value("cstarc", [3.05, 4.0, 6.0], q, 400)
+    for z, lat, direct in zip((3.05, 4.0), lats, directs):
         tb = tail_bound("cstarc", 400, z, q)
         assert 0.0 <= lat - direct <= tb
     # far from the abscissa the cutoff scan is essentially converged
-    lat = lats[2]
-    direct = upsilon_value("cstarc", 6.0, q, 400)
+    lat, direct = lats[2], directs[2]
     assert abs(lat - direct) <= 1e-7 * direct
 
 
 def test_pole_evaluator_within_certified_window():
     q = 0.5
     pref = 1.0 / (1.0 - q * q)
-    for z, value in zip((3.5, 4.0), eigen_lattice_sum([3.5, 4.0], q)):
+    for z, value, direct in zip((3.5, 4.0), eigen_lattice_sum([3.5, 4.0], q),
+                                upsilon_value("deltaL2-e11", [3.5, 4.0], q,
+                                              400)):
         lat = pref * value
-        direct = upsilon_value("deltaL2-e11", z, q, 400)
         tb = tail_bound("deltaL2-e11", 400, z, q)
         assert 0.0 <= lat - direct <= tb
 
@@ -533,6 +533,48 @@ def test_direct_lattice_columns_match_high_precision_sums(q, z,
             assert abs(float(qm ** (-m) * (got - want))) <= 1e-14 * total
 
 
+def _ref_inner_model(z, q, m, c_m, d_m, haar_weight, ns=range(800)):
+    """A modelled column at one z, each difference built from scratch by
+    scalar Python arithmetic, over the n of ``ns`` up to its stop rule."""
+    from suq2 import spectral
+
+    model = (spectral._gamma_half_ratio(z) * c_m ** (0.5 * (1.0 - z))
+             + 0.5 * c_m ** (-0.5 * z))
+    diffs = []
+    for n in ns:
+        base = 0.25 * n * n + c_m
+        w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
+        d = (w * (base - d_m * q ** (2.0 * n)) ** (-0.5 * z)
+             - base ** (-0.5 * z))
+        diffs.append(d)
+        if abs(d) < 1e-22 * max(1.0, model):
+            break
+    return model + math.fsum(diffs)
+
+
+@pytest.mark.parametrize("q", (0.01, 0.3, 0.8, 0.97))
+@pytest.mark.parametrize("admitted", (True, False))
+def test_inner_model_over_z_list_matches_one_z_at_a_time(q, admitted):
+    """A modelled column builds its bases and weights once for a z list,
+    extended to the longest stop; every value equals, bit for bit, the
+    column at that z alone with every term built afresh.  The z lists
+    shrink as an m series drops the z that have stopped."""
+    from suq2 import spectral
+
+    zs = [6.0, 3.05, 10.0, 3.4, 4.0]
+    ghalf = {z: spectral._gamma_half_ratio(z) for z in zs}
+    for m in (7, 9, 41, 99):
+        c_m, d_m = spectral._lattice_cd(q, m)
+        # A later z may stop after an earlier one, and so extend the tables.
+        for sub in (zs, zs[1:], zs[::2], zs[3:], zs[:1]):
+            got = spectral._lattice_inner_model(sub, q, m, c_m, d_m,
+                                                admitted, ghalf)
+            assert got == [_ref_inner_model(z, q, m, c_m, d_m, admitted)
+                           for z in sub]
+    assert spectral._lattice_inner_model([], q, 7, c_m, d_m, admitted,
+                                         ghalf) == []
+
+
 @pytest.mark.parametrize("q", (0.9, 0.97, 0.99))
 @pytest.mark.parametrize("admitted", (True, False))
 def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
@@ -542,18 +584,9 @@ def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
     cap on their number, the lattice sum holds to 1e-12."""
     from suq2 import spectral
 
-    def uncapped(z, q, m, c_m, d_m, haar_weight):
-        model = (spectral._gamma_half_ratio(z) * c_m ** (0.5 * (1.0 - z))
-                 + 0.5 * c_m ** (-0.5 * z))
-        diffs = []
-        for n in itertools.count():
-            base = 0.25 * n * n + c_m
-            w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
-            d = (w * (base - d_m * q ** (2.0 * n)) ** (-0.5 * z)
-                 - base ** (-0.5 * z))
-            diffs.append(d)
-            if abs(d) < 1e-22 * max(1.0, model):
-                return model + math.fsum(diffs)
+    def uncapped(zs, q, m, c_m, d_m, haar_weight, ghalf):
+        return [_ref_inner_model(z, q, m, c_m, d_m, haar_weight,
+                                 itertools.count()) for z in zs]
 
     zs = [3.05, 3.5]
     got = eigen_lattice_sum(zs, q, admitted=admitted)
@@ -765,7 +798,7 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
 
     monkeypatch.setattr(spectral, "_lattice_column", recorded)
     monkeypatch.setattr(spectral, "_lattice_inner_model",
-                        lambda *args: 0.0)
+                        lambda zs, *args: [0.0] * len(zs))
     a = spectral._N_CUT + 1.0
     ts = [a, a + 0.5, a + 1.0, 1.5 * a, 10.0 * a, 1e9]
     for admitted in (True, False):
@@ -875,7 +908,8 @@ def _ref_eigen_lattice_sum(z, q, admitted):
         c_m, d_m = spectral._lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
         if m > spectral._M_DIRECT:
-            inner = spectral._lattice_inner_model(z, q, m, c_m, d_m, admitted)
+            inner = spectral._lattice_inner_model(
+                [z], q, m, c_m, d_m, admitted, {z: ghalf})[0]
         elif admitted:
             flat = q ** (2 * (spectral._N_CUT + m + 2)) <= 2.0 ** -54
             inner = spectral._lattice_column(
@@ -930,9 +964,9 @@ def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
 
     calls = []
     for name in ("_lattice_column", "_lattice_inner_model"):
-        def recorded(z, q_value, m, *args, helper=getattr(spectral, name)):
+        def recorded(zs, q_value, m, *args, helper=getattr(spectral, name)):
             calls.append(m)
-            return helper(z, q_value, m, *args)
+            return helper(zs, q_value, m, *args)
 
         monkeypatch.setattr(spectral, name, recorded)
     routes = [(lambda z: eigen_lattice_sum([z], q)[0],
@@ -956,7 +990,7 @@ def test_identity_scan_overflow_still_raises(q, lmax):
     # q^{-lmax} exceeds the float range; the power tables cover exactly
     # the brackets the scan uses, so the overflow surfaces as before.
     with pytest.raises(OverflowError):
-        upsilon_value("identity", 3.5, q, lmax)
+        upsilon_value("identity", [3.5], q, lmax)
 
 
 @pytest.mark.parametrize("omega", OMEGA_TAGS)
@@ -968,9 +1002,9 @@ def test_upsilon_value_is_fsum_of_per_term_loop(omega, q):
             want = math.fsum(_ref_scan_terms(omega, z, q, lmax))
         except OverflowError:
             with pytest.raises(OverflowError):
-                upsilon_value(omega, z, q, lmax)
+                upsilon_value(omega, [z], q, lmax)
             continue
-        assert upsilon_value(omega, z, q, lmax) == want
+        assert upsilon_value(omega, [z], q, lmax) == [want]
 
 
 @pytest.mark.parametrize("omega", OMEGA_TAGS)
@@ -978,34 +1012,77 @@ def test_upsilon_scan_matches_one_z_at_a_time(omega):
     q, lmax, zs = 0.5, 60, [3.2, 3.6, 4.0, 7.5]
     rows = upsilon_scan(omega, q, zs, lmax)
     assert [r["partial_sum"] for r in rows] == [
-        upsilon_value(omega, z, q, lmax) for z in zs]
+        upsilon_value(omega, [z], q, lmax)[0] for z in zs]
     assert [r["tail_bound"] for r in rows] == [
         tail_bound(omega, lmax, z, q) for z in zs]
 
 
+@pytest.mark.parametrize("omega", OMEGA_TAGS)
+@pytest.mark.parametrize("q", (0.1, 0.5, 0.95))
+def test_upsilon_value_over_z_list_matches_one_z_at_a_time(omega, q):
+    """A z list shares one prepared scan; each value is still, bit for
+    bit, the per-term loop at that z alone, and the overflow of a cutoff
+    beyond the float range still surfaces."""
+    zs = [3.3, 2.1, 7.5, 3.3, 4.0]
+    for lmax in (1, 9, 60, 400):
+        try:
+            want = [math.fsum(_ref_scan_terms(omega, z, q, lmax))
+                    for z in zs]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                upsilon_value(omega, zs, q, lmax)
+            continue
+        got = upsilon_value(omega, zs, q, lmax)
+        assert got == want
+        assert got == [upsilon_value(omega, [z], q, lmax)[0] for z in zs]
+    assert upsilon_value(omega, [], q, 10) == []
+
+
+def test_upsilon_value_checks_every_z_before_any_scan(monkeypatch):
+    # q = 0.1 and lmax = 400 overflow the scan's tables, so a scan that
+    # ran before the last z was checked would raise OverflowError.
+    from suq2 import spectral
+
+    for zs in ([3.5, 2.0], [3.5, math.nan], [4.0, 3.5, -1.0]):
+        with pytest.raises(ValueError):
+            upsilon_value("identity", zs, 0.1, 400)
+
+    def no_scan(*args):
+        raise AssertionError("a scan ran before every z was checked")
+
+    monkeypatch.setattr(spectral, "_scan_prepare", no_scan)
+    for call in (lambda: upsilon_value("cstarc", [3.5, 1.0], 0.5, 50),
+                 lambda: upsilon_value("cstarc", [3.5], 0.5, 0),
+                 lambda: upsilon_value("cstarc", [3.5], 1.5, 50)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def _record_upsilon_value(monkeypatch):
     """Replace ``upsilon_value`` by the per-term loop under ``math.fsum``
-    and return the list of its calls.  Each z of a scan and of the
-    identity residue must be one such call: the benchmark's tracer
-    (``perfbench/tracer.py``) counts and times scans on those calls."""
+    at each z and return the list of its calls.  A scan, and so the
+    identity residue, must be one such call with every z: the benchmark's
+    tracer (``perfbench/tracer.py``) counts and times scans on those
+    calls, reading the weight and the cutoff from its positional
+    arguments 0 and 3."""
     from suq2 import spectral
 
     calls = []
 
-    def one_z(omega, z, q, lmax):
-        calls.append((omega, z, q, lmax))
-        return math.fsum(_ref_scan_terms(omega, z, q, lmax))
+    def every_z(omega, zs, q, lmax):
+        calls.append((omega, list(zs), q, lmax))
+        return [math.fsum(_ref_scan_terms(omega, z, q, lmax)) for z in zs]
 
-    monkeypatch.setattr(spectral, "upsilon_value", one_z)
+    monkeypatch.setattr(spectral, "upsilon_value", every_z)
     return calls
 
 
-def test_upsilon_scan_is_one_upsilon_value_call_per_z(monkeypatch):
+def test_upsilon_scan_is_one_upsilon_value_call(monkeypatch):
     zs = [3.2, 3.6, 4.0]
     got = upsilon_scan("cstarc", 0.5, zs, 30)
     calls = _record_upsilon_value(monkeypatch)
     assert upsilon_scan("cstarc", 0.5, zs, 30) == got
-    assert calls == [("cstarc", z, 0.5, 30) for z in zs]
+    assert calls == [("cstarc", zs, 0.5, 30)]
 
 
 @pytest.mark.parametrize("q", (0.3, 0.8))
@@ -1014,8 +1091,8 @@ def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
     got = residue_extract("identity", q, lmax=lmax)
     calls = _record_upsilon_value(monkeypatch)
     assert residue_extract("identity", q, lmax=lmax) == got
-    assert calls == [("identity", 3.0 + eps, q, lmax)
-                     for eps in got.schedule]
+    assert calls == [("identity", [3.0 + eps for eps in got.schedule], q,
+                      lmax)]
 
 
 @pytest.mark.parametrize("q, m, exact_form", [(0.999, 1, False),
@@ -1078,7 +1155,7 @@ def test_upsilon_scan_checks_every_argument_before_any_row(monkeypatch):
 
 
 def test_non_integer_cutoff_rejected():
-    for call in (lambda: upsilon_value("identity", 3.5, 0.5, 10.5),
+    for call in (lambda: upsilon_value("identity", [3.5], 0.5, 10.5),
                  lambda: upsilon_scan("identity", 0.5, [3.5], 10.5),
                  lambda: residue_extract("identity", 0.5, lmax=10.5),
                  lambda: upsilon_identity_pairblocks(3.5, 0.5, 10.5),
@@ -1098,8 +1175,8 @@ def test_numpy_integer_cutoff_accepted():
     assert np.array_equal(mat, ref) and labels == ref_labels
     assert (tail_bound("identity", np.int64(40), 3.5, 0.5)
             == tail_bound("identity", 40, 3.5, 0.5))
-    assert (upsilon_value("identity", 3.5, 0.5, np.int64(3))
-            == upsilon_value("identity", 3.5, 0.5, 3))
+    assert (upsilon_value("identity", [3.5], 0.5, np.int64(3))
+            == upsilon_value("identity", [3.5], 0.5, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -1255,8 +1332,8 @@ def test_residue_schedule_validation():
 def test_non_finite_z_rejected(bad):
     # A bare "z <= 2" guard is False for NaN and lets it into the sums.
     calls = [
-        lambda: upsilon_value("identity", bad, 0.5, 10),
-        lambda: upsilon_value("gamma", bad, 0.5, 10),
+        lambda: upsilon_value("identity", [bad], 0.5, 10),
+        lambda: upsilon_value("gamma", [4.0, bad], 0.5, 10),
         lambda: tail_bound("identity", 10, bad, 0.5),
         lambda: tail_bound("gamma", 10, bad, 0.5),
         lambda: eigen_lattice_sum([bad], 0.5),
@@ -1275,7 +1352,7 @@ def test_pairblocks_cutoff_below_one_rejected(lmax):
     # The oracle takes the cutoff of the scan it checks, and that scan
     # rejects a cutoff below 1.
     with pytest.raises(ValueError, match="cutoff must be at least 1"):
-        upsilon_value("identity", 4.0, 0.5, lmax)
+        upsilon_value("identity", [4.0], 0.5, lmax)
     with pytest.raises(ValueError, match="cutoff must be at least 1"):
         upsilon_identity_pairblocks(4.0, 0.5, lmax)
     # A tail bound is certified only for a cutoff some scan accepts.
