@@ -25,10 +25,10 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .acceptance import CHECK_IDS, coboundary_sweep, run_checks
-from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_k, act_weight
+from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_weight
 from .algebra import AlgebraElement, normalize_word
 from .functionals import haar
 from .hochschild import PSI_132, PSI_213, VOLUME_CHAIN
@@ -98,20 +98,12 @@ def _parse_schedule(text: str) -> Tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Configuration: argparse declares, casts, checks and defaults every option.
-# A --config file is a list of the command's own flags, one key=value per
-# line; they are parsed ahead of the explicit flags, so explicit flags win.
-
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "act": {"which": "e", "side": "left"},
-    "pair-dvol": {"cocycle": "phi"},
-    "hochschild-check": {"seed": 0, "tuples": 50},
-    "spectrum": {"q": 0.5, "lmax": 6, "format": "csv"},
-    "upsilon-scan": {"q": 0.5, "lmax": 200, "z_from": 3.2, "z_to": 4.0,
-                     "z_steps": 5, "format": "csv"},
-    "residue": {"q": 0.5, "format": "json"},
-}
-
+# Configuration: each subparser in ``_build_parser`` declares its command's
+# flags once, with their types, defaults and fixed choices, and binds its
+# handler.  Numeric bounds are checked by the handlers and the weight tag
+# by ``spectral._check_omega``, where the values are used.  A --config
+# file is a list of the command's own flags, one key=value per line; they
+# are parsed ahead of the explicit flags, so explicit flags win.
 
 def _config_flags(path: str, sub: argparse.ArgumentParser) -> List[str]:
     """The key=value lines of a config file as ``--key=value`` flags."""
@@ -192,24 +184,26 @@ def _cmd_normalize(ns: argparse.Namespace) -> int:
     return 0
 
 
+#: The (action, side) pairs of ``act`` other than the weights k and kinv.
+_LADDERS = {
+    ("e", "left"): act_e,
+    ("f", "left"): act_f,
+    ("h", "left"): act_h,
+    ("e", "right"): act_e_right,
+    ("f", "right"): act_f_right,
+}
+_WEIGHT_POWERS = {"k": 1, "kinv": -1}
+
+
 def _cmd_act(ns: argparse.Namespace) -> int:
     which, side = ns.which, ns.side
     x = parse_element(ns.element)
-    table = {
-        ("e", "left"): act_e,
-        ("f", "left"): act_f,
-        ("h", "left"): act_h,
-        ("k", "left"): lambda y: act_k(y, 1),
-        ("kinv", "left"): lambda y: act_k(y, -1),
-        ("e", "right"): act_e_right,
-        ("f", "right"): act_f_right,
-        ("k", "right"): lambda y: act_weight(y, "right", 1),
-        ("kinv", "right"): lambda y: act_weight(y, "right", -1),
-    }
-    fn = table.get((which, side))
-    if fn is None:
+    if which in _WEIGHT_POWERS:
+        result = act_weight(x, side, _WEIGHT_POWERS[which])
+    elif (which, side) in _LADDERS:
+        result = _LADDERS[which, side](x)
+    else:
         raise UsageError(f"action {which!r} is not available on side {side!r}")
-    result = fn(x)
     payload = _element_payload("act", ns.element, result)
     payload["which"] = which
     payload["side"] = side
@@ -226,13 +220,16 @@ def _cmd_haar(ns: argparse.Namespace) -> int:
     return 0
 
 
+#: The cochains of ``cocycle-eval``; ``pair-dvol`` takes the closed ones.
+_COCHAINS = {**_CLOSED_COCHAINS, "psi_132": PSI_132, "psi_213": PSI_213}
+
+
 def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
-    table = {**_CLOSED_COCHAINS, "psi_132": PSI_132, "psi_213": PSI_213}
     name = ns.cocycle
-    if name not in table:
+    if name is None:  # the one value the flag's choices do not check
         raise UsageError(f"unknown cocycle {name!r}; choose from "
-                         f"{', '.join(sorted(table))}")
-    cochain = table[name]
+                         f"{', '.join(sorted(_COCHAINS))}")
+    cochain = _COCHAINS[name]
     need = cochain.degree + 1
     if len(ns.elements) != need:
         raise UsageError(f"{name} takes {need} element arguments, "
@@ -247,12 +244,8 @@ def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
 
 
 def _cmd_pair_dvol(ns: argparse.Namespace) -> int:
-    table = _CLOSED_COCHAINS
     name = ns.cocycle
-    if name not in table:
-        raise UsageError(f"unknown 3-cochain {name!r}; choose from "
-                         f"{', '.join(sorted(table))}")
-    value = table[name].pair_chain(VOLUME_CHAIN)
+    value = _CLOSED_COCHAINS[name].pair_chain(VOLUME_CHAIN)
     payload = _scalar_payload("pair-dvol", [name], value)
     payload["cocycle"] = name
     _emit(ns, [f"{name}(dvol)  =  {value}"], _render_json(payload))
@@ -358,17 +351,21 @@ def _cmd_verify_all(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly and entry point.
 
-def _add_numeric(sub: argparse.ArgumentParser) -> None:
-    """The flags shared by the three float commands with row-shaped output."""
-    sub.add_argument("--q", type=float,
+def _add_numeric(sub: argparse.ArgumentParser, lmax: Optional[int],
+                 fmt: str) -> None:
+    """The flags shared by the three float commands with row-shaped output,
+    given the command's ``--lmax`` and ``--format`` defaults."""
+    sub.add_argument("--q", type=float, default=0.5,
                      help="deformation parameter in (0, 1)")
-    sub.add_argument("--lmax", type=int, help="doubled-spin cutoff")
-    sub.add_argument("--format", choices=("json", "csv"))
+    sub.add_argument("--lmax", type=int, default=lmax,
+                     help="doubled-spin cutoff")
+    sub.add_argument("--format", choices=("json", "csv"), default=fmt)
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser,
                              Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by command name."""
+    """The top-level parser and its subparsers by command name: each
+    command's flags, with their defaults and choices, and its handler."""
     parser = argparse.ArgumentParser(
         prog="suq2",
         description="Exact quantum-SU(2) Hochschild calculus and the "
@@ -377,39 +374,49 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
 
     p = subs.add_parser("normalize", help="normal form of a monomial word")
     p.add_argument("element", help='e.g. "d a" or "3/2 v^-1 a^2 b"')
+    p.set_defaults(handler=_cmd_normalize)
 
     p = subs.add_parser("act", help="apply a Hopf action to an element")
-    p.add_argument("--which", choices=("e", "f", "h", "k", "kinv"))
-    p.add_argument("--side", choices=("left", "right"))
+    p.add_argument("--which", choices=("e", "f", "h", "k", "kinv"),
+                   default="e")
+    p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("element")
+    p.set_defaults(handler=_cmd_act)
 
     p = subs.add_parser("haar", help="Haar state of an element")
     p.add_argument("element")
+    p.set_defaults(handler=_cmd_haar)
 
     p = subs.add_parser("cocycle-eval", help="evaluate a named cochain")
-    p.add_argument("--cocycle")
+    p.add_argument("--cocycle", choices=sorted(_COCHAINS))
     p.add_argument("elements", nargs="+")
+    p.set_defaults(handler=_cmd_cocycle_eval)
 
     p = subs.add_parser("pair-dvol",
                         help="pair a 3-cochain with the volume chain")
-    p.add_argument("--cocycle")
+    p.add_argument("--cocycle", choices=sorted(_CLOSED_COCHAINS),
+                   default="phi")
+    p.set_defaults(handler=_cmd_pair_dvol)
 
     p = subs.add_parser("hochschild-check",
                         help="seeded coboundary-vanishing sweep")
-    p.add_argument("--tuples", type=int)
-    p.add_argument("--seed", type=int,
+    p.add_argument("--tuples", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed recorded in the output")
+    p.set_defaults(handler=_cmd_hochschild_check)
 
     p = subs.add_parser("spectrum", help="closed-form truncated spectrum")
-    _add_numeric(p)
+    _add_numeric(p, 6, "csv")
+    p.set_defaults(handler=_cmd_spectrum)
 
     p = subs.add_parser("upsilon-scan",
                         help="weighted trace scan over a z grid")
     p.add_argument("--omega", help="weight tag")
-    p.add_argument("--z-from", type=float)
-    p.add_argument("--z-to", type=float)
-    p.add_argument("--z-steps", type=int)
-    _add_numeric(p)
+    p.add_argument("--z-from", type=float, default=3.2)
+    p.add_argument("--z-to", type=float, default=4.0)
+    p.add_argument("--z-steps", type=int, default=5)
+    _add_numeric(p, 200, "csv")
+    p.set_defaults(handler=_cmd_upsilon_scan)
 
     p = subs.add_parser("residue", help="residue extraction at z = 3")
     p.add_argument("--omega", help="weight tag")
@@ -417,33 +424,20 @@ def _build_parser() -> Tuple[argparse.ArgumentParser,
                    help="fail with exit 3 if the error bar exceeds this")
     p.add_argument("--eps", type=_parse_schedule,
                    help="comma-separated epsilon schedule")
-    _add_numeric(p)
+    _add_numeric(p, None, "json")
+    p.set_defaults(handler=_cmd_residue)
 
     p = subs.add_parser("verify-all", help="run the verification battery")
     p.add_argument("--only",
                    help=f"comma-separated subset of: {', '.join(CHECK_IDS)}")
+    p.set_defaults(handler=_cmd_verify_all)
 
-    for name, sub in subs.choices.items():
+    for sub in subs.choices.values():
         sub.add_argument("--config", help="key=value file of this "
                          "command's own flags (explicit flags win)")
         sub.add_argument("--out",
                          help="write machine-readable output to this path")
-        sub.set_defaults(**_DEFAULTS.get(name, {}))
     return parser, subs.choices
-
-
-_HANDLERS = {
-    "normalize": _cmd_normalize,
-    "act": _cmd_act,
-    "haar": _cmd_haar,
-    "cocycle-eval": _cmd_cocycle_eval,
-    "pair-dvol": _cmd_pair_dvol,
-    "hochschild-check": _cmd_hochschild_check,
-    "spectrum": _cmd_spectrum,
-    "upsilon-scan": _cmd_upsilon_scan,
-    "residue": _cmd_residue,
-    "verify-all": _cmd_verify_all,
-}
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:
@@ -459,7 +453,7 @@ def _parse(argv: List[str]) -> argparse.Namespace:
 def run_command(argv: Sequence[str]) -> int:
     try:
         ns = _parse(list(argv))
-        return _HANDLERS[ns.command](ns)
+        return ns.handler(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
     except NonConvergenceError as exc:

@@ -38,8 +38,9 @@ weakened by it.  Three levels:
   Python's pow since numpy's vectorized power rounds differently from
   libm on some CPUs, the products in the per-term loop's order, and one
   exact sum: the terms are binned by binary exponent and the sum is
-  rounded once, which gives
-  ``math.fsum``'s bits at a fraction of its cost.  A scan's output thus
+  rounded once, which gives ``math.fsum``'s bits, in a third to a half of
+  its time on the thousands of terms of a scan or a column head (a short
+  sum pays a fixed cost instead; see ``_exact_sum``).  A scan's output thus
   has the bits of the plain per-term loop under ``math.fsum``, and does
   not depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
@@ -126,6 +127,19 @@ def _check_z(z: float, floor: float) -> None:
         raise ValueError(f"trace sums are only defined for finite z > {floor:g}")
 
 
+def _check_zs(zs: Iterable[float], floor: float) -> List[float]:
+    """The z of ``zs`` as a list, each checked by ``_check_z``."""
+    zs = list(zs)
+    for z in zs:
+        _check_z(z, floor)
+    return zs
+
+
+def _check_l2(l2: int) -> None:
+    if l2 < 0:
+        raise ValueError("doubled spin must be non-negative")
+
+
 def _check_cutoff(lmax: int) -> None:
     if not isinstance(lmax, numbers.Integral):
         raise ValueError("cutoff must be a positive integer (doubled spin)")
@@ -156,8 +170,7 @@ def lambda_eigen(l2: int, n: int, q_value: float) -> float:
     exactly (l2+1)/2.
     """
     q = _check_q(q_value)
-    if l2 < 0:
-        raise ValueError("doubled spin must be non-negative")
+    _check_l2(l2)
     if abs(n) > l2 + 1:
         raise ValueError(f"mode number {n} outside sector of doubled spin {l2}")
     prod = _fbracket(l2 + 1 + n, q) * _fbracket(l2 + 1 - n, q)
@@ -170,8 +183,7 @@ def jset(l2: int) -> range:
     The modes have parity opposite to l2 and stay below l2, so the
     complementary label m = l2 - n is always odd.
     """
-    if l2 < 0:
-        raise ValueError("doubled spin must be non-negative")
+    _check_l2(l2)
     return range((l2 + 1) % 2, l2, 2)
 
 
@@ -205,8 +217,7 @@ def dirac_sector_matrix(l2: int, q_value: float) -> np.ndarray:
     the matrix is symmetric by construction.
     """
     q = _check_q(q_value)
-    if l2 < 0:
-        raise ValueError("doubled spin must be non-negative")
+    _check_l2(l2)
     dim = 2 * (l2 + 1)
     mat = np.zeros((dim, dim))
     for idx, j2 in enumerate(range(-l2, l2 + 1, 2)):
@@ -413,6 +424,12 @@ def _exact_sum(blocks: Sequence[np.ndarray]) -> float:
     from the exact path or raise: a non-finite term, 2^26 terms or more, a
     sum large enough for fsum's intermediate overflow, and an exact zero,
     whose sign is fsum's to fix.
+
+    It pays on long sums only.  Against ``math.fsum`` of the terms as a
+    list (timeit, min of 5, random terms, one Xeon core): 85 against
+    253 us for 4001 terms and 0.90 against 2.96 ms for 40,000, but about
+    40 us of fixed cost per call, so 10 terms take 40 us against 0.6 us,
+    and the break-even lies between 1000 and 4001 terms.
     """
     hi = np.zeros(_SUM_BINS)
     lo = np.zeros(_SUM_BINS)
@@ -538,9 +555,7 @@ def upsilon_value(omega: str, zs: Sequence[float], q_value: float,
     value of a call with that z alone."""
     _check_omega(omega)
     q = _check_q(q_value)
-    zs = list(zs)
-    for z in zs:
-        _check_z(z, 2.0)
+    zs = _check_zs(zs, 2.0)
     _check_cutoff(lmax)
     blocks = _scan_prepare(omega, q, lmax)
     return [_exact_sum(_scan_terms(blocks, z)) for z in zs]
@@ -629,11 +644,9 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
     i_inf = 0.5 * _gamma_half_ratio(z)
 
     def s0(m: int, n_from: int) -> float:
-        """Bound on sum over n > n_from of (1 + n^2/4 + q^{1-m})^{-z/2};
-        n_from < 0 means the full sum over n >= 0."""
+        """Bound on sum over n > n_from >= 0 of
+        (1 + n^2/4 + q^{1-m})^{-z/2}."""
         ft = 1.0 + q ** (1 - m)
-        if n_from < 0:
-            return ft ** (-0.5 * z) + 2.0 * ft ** (0.5 * (1.0 - z)) * i_inf
         c = n_from / (2.0 * math.sqrt(ft))
         if c > 0.0 and (1.0 - z) * math.log(c) < 700.0:
             cap = (c ** (1.0 - z)) / (z - 1.0)
@@ -644,7 +657,7 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
     def s1(m: int, n_from: int) -> float:
         """Bound on sum over n > n_from of (n + m + 1) * minorant term."""
         ft = 1.0 + q ** (1 - m)
-        base = (ft + 0.25 * max(n_from, 0) ** 2) ** (0.5 * (2.0 - z))
+        base = (ft + 0.25 * n_from ** 2) ** (0.5 * (2.0 - z))
         out = (m + 1) * s0(m, n_from) + (4.0 / (z - 2.0)) * base
         # n * f(n) peaks near 2 sqrt(ft / (z - 1)); only when the cutoff
         # sits before the peak can a single term beat the integral.
@@ -652,8 +665,10 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
             out += 2.0 * ft ** (0.5 * (1.0 - z))
         return out
 
+    # Column m's full sum over n >= 0 is at most ft^{-z/2} + 2 ft^{(1-z)/2}
+    # i_inf <= s0_full_coef * g^{m-1}.
     g = q ** (0.5 * (z - 1.0))        # decay of the full-sum bound in m
-    s0_full_coef = 1.0 + 2.0 * i_inf  # s0(m, -1) <= s0_full_coef * g^{m-1}
+    s0_full_coef = 1.0 + 2.0 * i_inf
 
     if omega == "identity":
         head = math.fsum(2.0 * s1(m, lmax - m) for m in range(1, lmax + 1))
@@ -785,7 +800,8 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
     Where the caller's guard shows the float weight there to be exactly
     ``tail`` = (alpha, beta), alpha + beta t, it is alpha I0 + beta I1
     (``_tail_integrals``); with ``tail`` None, a ``quad`` of the full
-    weight over u = 1/t on [0, 1/a].  The close always uses the full
+    weight over u = 1/t on [0, 1/a], and ``NonConvergenceError`` where
+    that quadrature reports a failure.  The close always uses the full
     weight.
     """
     n = np.arange(0, _N_CUT + 1)
@@ -806,8 +822,13 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
         p = -0.5 * z
         head = _exact_sum([head_weight * base ** p])
         if tail is None:
-            tail_int = quad(f_inv, 0.0, 1.0 / a, args=(p,), epsabs=1e-16,
-                            epsrel=1e-13)[0]
+            fit = quad(f_inv, 0.0, 1.0 / a, args=(p,), epsabs=1e-16,
+                       epsrel=1e-13, full_output=1)
+            if len(fit) > 3:  # quad's failure message, in place of a warning
+                raise NonConvergenceError(
+                    f"tail quadrature of lattice column m={m} at q={q}, "
+                    f"z={z} did not converge")
+            tail_int = fit[0]
         else:
             i0, i1 = _tail_integrals(z, c_m)
             tail_int = tail[0] * i0 + tail[1] * i1
@@ -910,8 +931,7 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
     with that z alone.
     """
     q = _check_q(q_value)
-    for z in zs:
-        _check_z(z, 3.0)
+    zs = _check_zs(zs, 3.0)
     qt = q ** np.arange(2 * (_N_CUT + _M_DIRECT + 1) + 1, dtype=float)
     big_q = q / (1.0 - q * q)
     ghalf = {z: _gamma_half_ratio(z) for z in zs}
@@ -1002,8 +1022,7 @@ def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
     cutoff scans would need astronomically many sectors.
     """
     q = _check_q(q_value)
-    for z in zs:
-        _check_z(z, 2.0)
+    zs = _check_zs(zs, 2.0)
     qt = q ** np.arange(2 * (_N_CUT + _M_CAP) + 5, dtype=float)
 
     def columns(m: int, zs_m: List[float]) -> List[float]:
@@ -1019,7 +1038,8 @@ def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
 # Residue extraction.
 
 class NonConvergenceError(RuntimeError):
-    """The extrapolation schedule did not settle within the requested bar."""
+    """The extrapolation schedule did not settle within the requested bar,
+    or a lattice column's tail quadrature did not converge."""
 
 
 class ResidueReport(NamedTuple):

@@ -1,17 +1,20 @@
 """Command-line surface: parsing, exit codes, determinism of the
 machine-readable outputs, and the documented worked examples."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suq2 import acceptance, cli
-from suq2.actions import act_e
+from suq2.actions import act_e, act_k, act_weight
 from suq2.algebra import gens
-from suq2.cli import (_DEFAULTS, UsageError, _build_parser, parse_element,
-                      run_command)
+from suq2.cli import UsageError, _build_parser, parse_element, run_command
 from suq2.functionals import haar
 from suq2.scalars import Scalar
+from suq2.spectral import OMEGA_TAGS
 
 A, B, C, D = gens()
 
@@ -108,6 +111,16 @@ def test_high_degree_monomials(argv, result, capsys):
     assert capsys.readouterr().out.rstrip().endswith(result)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("which, h", [("k", 1), ("kinv", -1)])
+def test_act_weights_match_library(which, h, side, capsys):
+    x = parse_element("a^2 b c")
+    want = act_k(x, h) if side == "left" else act_weight(x, "right", h)
+    assert run_command(["act", "--which", which, "--side", side,
+                        "a^2 b c"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"=  {want}")
+
+
 def test_haar_value(capsys):
     assert run_command(["haar", "b c"]) == 0
     assert str(haar(B * C)) in capsys.readouterr().out
@@ -120,6 +133,22 @@ def test_cocycle_eval_arity(capsys):
     assert run_command(["cocycle-eval", "--cocycle", "nope", "a"]) == 2
     assert run_command(["cocycle-eval", "--cocycle", "psi_213",
                         "a", "b", "c"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle-eval", "--cocycle", "nope", "a"],
+    ["pair-dvol", "--cocycle", "psi_132"],  # not closed: no volume pairing
+])
+def test_cocycle_name_outside_choices_is_usage_error(argv, capsys):
+    assert run_command(argv) == 2
+    assert "argument --cocycle: invalid choice" in capsys.readouterr().err
+
+
+def test_cocycle_eval_needs_a_cocycle(capsys):
+    assert run_command(["cocycle-eval", "a", "b", "c", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown cocycle None; choose from phi, ")
+    assert err.count("\n") == 1
 
 
 def test_pair_dvol_reports_computed_value(capsys):
@@ -355,12 +384,15 @@ def test_format_exists_only_where_honoured(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_defaults_name_the_commands_own_options():
-    # set_defaults accepts any key, so a misspelt one would be dropped.
+def test_each_command_declares_its_handler_and_choices():
+    # Flags, defaults, choices and handler live on the subparser alone.
     _, subs = _build_parser()
-    for command, defaults in _DEFAULTS.items():
-        dests = {a.dest for a in subs[command]._actions if a.option_strings}
-        assert set(defaults) <= dests, command
+    for command, sub in subs.items():
+        assert callable(sub.get_default("handler")), command
+        for action in sub._actions:
+            # cocycle-eval's --cocycle defaults to None: it has no default.
+            if action.choices is not None and action.default is not None:
+                assert action.default in action.choices, (command, action)
 
 
 def test_spectrum_rejects_negative_cutoff(capsys):
@@ -458,10 +490,10 @@ def test_lattice_sums_near_one_raise_arithmetic_error(q):
 def test_memory_error_is_usage_error(monkeypatch, capsys):
     # An input too large for memory is the caller's to shrink: exit 2 with
     # one line, not a traceback and not exit 1 (a failed verification).
-    def too_large(ns):
+    def too_large(*args):
         raise MemoryError("Unable to allocate 298. GiB for an array")
 
-    monkeypatch.setitem(cli._HANDLERS, "upsilon-scan", too_large)
+    monkeypatch.setattr(cli, "upsilon_scan", too_large)
     argv = ["upsilon-scan", "--omega", "identity", "--q", "0.5"]
     assert run_command(argv) == 2
     err = capsys.readouterr().err
@@ -487,6 +519,53 @@ def test_non_finite_spectral_input_is_usage_error(argv, tmp_path, capsys):
     assert run_command(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+#: Ordinary values of each numeric flag, small enough to keep a run short.
+_ORDINARY = {
+    "--q": st.floats(0.05, 0.95),
+    "--lmax": st.integers(0, 40),
+    "--z-from": st.floats(2.0, 6.0),
+    "--z-to": st.floats(2.0, 6.0),
+    "--z-steps": st.integers(1, 4),
+    "--max-error-bar": st.floats(0.0, 10.0),
+    "--tuples": st.integers(1, 3),
+    "--seed": st.integers(0, 2 ** 32),
+}
+_EDGES = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300"])
+_SUBPARSERS = _build_parser()[1]
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A command and a value, or none, for each of its int and float flags
+    as its parser declares them."""
+    command = draw(st.sampled_from(
+        ["spectrum", "upsilon-scan", "residue", "hochschild-check"]))
+    argv = [command]
+    if command in ("upsilon-scan", "residue"):
+        argv += ["--omega", draw(st.sampled_from(OMEGA_TAGS))]
+    for action in _SUBPARSERS[command]._actions:
+        if action.type in (int, float):
+            flag = action.option_strings[0]
+            value = draw(st.none() | _ORDINARY[flag].map(str) | _EDGES)
+            if value is not None:
+                argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_numeric_argv())
+def test_numeric_flags_keep_the_documented_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_command(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if rc == 0:
+        assert "nan" not in out.getvalue(), argv
+    if rc in (2, 3):
+        assert out.getvalue() == "", argv
 
 
 def test_residue_invalid_q_is_usage_error(capsys):

@@ -495,6 +495,29 @@ def test_cstarc_lattice_below_three_never_warns(q):
     assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
+def test_failed_tail_quadrature_is_nonconvergence():
+    # Within about 5e-3 of q = 1 the c*c tail is a quadrature.  At q =
+    # 0.99999 that of column 1067 fails: it once printed scipy's
+    # IntegrationWarning and let a residue of 0.087 +- 0.997 exit 0.
+    from scipy.integrate import IntegrationWarning
+
+    from suq2 import spectral
+
+    q, m = 0.99999, 1067
+    qt = q ** np.arange(2 * (spectral._N_CUT + m) + 5, dtype=float)
+    tail = spectral._cstarc_tail_weight(m, q)
+    assert tail is None
+
+    def weight(n, q_pow):
+        return spectral._cstarc_weight(n, m, q, q_pow)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        with pytest.raises(NonConvergenceError,
+                           match="column m=1067 at q=0.99999, z=3.2"):
+            spectral._lattice_column([3.2], q, m, qt, weight, tail)
+
+
 @pytest.mark.parametrize("q, z", [(0.02, 6.0), (0.3, 3.05)])
 def test_direct_lattice_columns_match_high_precision_sums(q, z,
                                                         monkeypatch):
