@@ -7,11 +7,11 @@ row-shaped commands ``spectrum``, ``upsilon-scan`` (CSV by default) and
 only commands with that flag, and the others write JSON.
 ``--config FILE`` reads ``key=value`` lines that name the command's own
 flags (``z_from`` or ``z-from`` for ``--z-from``); any other key is a
-usage error, and explicit flags win over the file.  ``residue --lmax``
-sets the cutoff of the ``identity`` scan, at most 400; the other weights
-have no cutoff scan and reject it.  Outputs are deterministic: a fixed
-configuration -- including the recorded random seed for the property
-sweeps -- reproduces the output files byte for byte.
+usage error, and explicit flags win over the file.  ``residue`` has no
+``--lmax``: every residue is a cutoff-free lattice sum.  Outputs are
+deterministic: a fixed configuration -- including the recorded random
+seed for the property sweeps -- reproduces the output files byte for
+byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (an
 unwritable ``--out`` path included), 3 numeric non-convergence or overflow.
@@ -324,8 +324,8 @@ def _cmd_upsilon_scan(ns: argparse.Namespace) -> int:
 
 def _cmd_residue(ns: argparse.Namespace) -> int:
     kwargs = {} if ns.eps is None else {"schedule": ns.eps}
-    report = residue_extract(ns.omega, ns.q, lmax=ns.lmax,
-                             max_error_bar=ns.max_error_bar, **kwargs)
+    report = residue_extract(ns.omega, ns.q, max_error_bar=ns.max_error_bar,
+                             **kwargs)
     doc = report.to_json_dict()
     human = [f"residue({ns.omega}, q={ns.q})  =  {report.estimate:.6f} "
              f"+- {report.error_bar:.2e}   [{report.method}]"]
@@ -354,11 +354,13 @@ def _cmd_verify_all(ns: argparse.Namespace) -> int:
 def _add_numeric(sub: argparse.ArgumentParser, lmax: Optional[int],
                  fmt: str) -> None:
     """The flags shared by the three float commands with row-shaped output,
-    given the command's ``--lmax`` and ``--format`` defaults."""
+    given the command's ``--format`` default and ``--lmax`` default, None
+    for a command without a cutoff."""
     sub.add_argument("--q", type=float, default=0.5,
                      help="deformation parameter in (0, 1)")
-    sub.add_argument("--lmax", type=int, default=lmax,
-                     help="doubled-spin cutoff")
+    if lmax is not None:
+        sub.add_argument("--lmax", type=int, default=lmax,
+                         help="doubled-spin cutoff")
     sub.add_argument("--format", choices=("json", "csv"), default=fmt)
 
 

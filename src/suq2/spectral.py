@@ -45,28 +45,29 @@ weakened by it.  Three levels:
   not depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
-  cutoff scan cannot reach.  Its first columns, and every column of
-  ``upsilon_cstarc_lattice``, are summed directly by one evaluator given
+  cutoff scan cannot reach.  Its first columns, and every column of the
+  c*c and identity sums over the odd-m lattice (``upsilon_cstarc_lattice``
+  and ``_identity_lattice``), are summed directly by one evaluator given
   the column's weight: a head whose array powers q^k are gathered from
   one table built per call and merged by the same exact sum, an integral
   tail, and an Euler-Maclaurin close.  Where every t-dependent power of q
   rounds away past the head, the float weight there is alpha + beta t
   and the tail is alpha I0 + beta I1, two integrals in closed form (an
   incomplete beta function and a power); only within about 5e-3 of
-  q = 1 is the full weight integrated by quadrature.  Both lattice sums
+  q = 1 is the full c*c weight integrated by quadrature.  The lattice sums
   take a list of z: a column's weights and bases are built once for all
   of them, and each z then costs its powers, exact sum, tail and close;
   the later columns of ``eigen_lattice_sum``, an integral model plus
   damped differences, likewise build their bases and weights once for
   every z that reaches them.
   Each z keeps its own m series, which stops after three terms in a row
-  below a relative tolerance, so a list gives the bits of one call per
-  z; within about 1e-9 of q = 1 a column's base cancels, and both raise
-  ``FloatingPointError`` rather than return nan.  ``residue_extract``
-  drives either evaluator over its whole schedule in one call, or for
-  the identity weight one ``upsilon_scan`` whose rows give its values and
-  truncation bars, through a Richardson schedule in z - 3 and
-  cross-checks with a least-squares pole fit.
+  below a relative tolerance or at m = _M_CAP, so a list gives the bits
+  of one call per z; within about 1e-9 of q = 1 a column's base cancels,
+  and every lattice sum raises ``FloatingPointError`` rather than return
+  nan.  ``residue_extract`` drives one lattice sum over its whole
+  schedule in one call, through a Richardson schedule in z - 3, and
+  cross-checks with a least-squares pole fit; no residue scans to a
+  cutoff.
 """
 
 from __future__ import annotations
@@ -888,7 +889,10 @@ def _m_series(totals: Sequence[float], zs: Sequence[float], terms,
     ``rtol`` of the running total once m >= m_min.  ``terms(m, zs)`` gives
     column m's term at each z it is passed, and is passed only the z whose
     series still runs, so no column past a stop is evaluated for that z,
-    and each value is the one a call with that z alone would give."""
+    and each value is the one a call with that z alone would give.  A
+    series that has not settled by the last m of ``ms`` stops there
+    without a word: every lattice sum passes m up to _M_CAP, and each
+    states the error that cap leaves near q = 1."""
     totals = list(totals)
     quiet = [0] * len(totals)
     active = list(range(len(totals)))
@@ -928,7 +932,11 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
     head, that is for every column with w = 1 and, with the Haar weight,
     where q^{2(a+m+1)} <= 2^-54 (all q below about 0.995).  Each z keeps
     its own m series, so each value is bit for bit the value of a call
-    with that z alone.
+    with that z alone.  The series stops at m = _M_CAP = 2001 at the
+    latest: at z = 3.05 that leaves the sum short, against the same sum
+    with the cap raised to 40,001, by 5.2e-9 (admitted) and 3.2e-9 (every
+    m) relative at q = 0.99 and by 1.2e-6 and 5.1e-7 at q = 0.995, and
+    changes no value at q <= 0.98.
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 3.0)
@@ -1009,17 +1017,18 @@ def _cstarc_tail_weight(m: int, q: float) -> Optional[Tuple[float, float]]:
     return a_part + two_qm * ((m + 1.0) - geo), two_qm
 
 
-def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
-    """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice,
-    at each z of ``zs``, one float per z; every z is checked before any
-    column.
+def _odd_m_lattice(zs: Sequence[float], q_value: float, weight,
+                   tail_weight) -> List[float]:
+    """Cutoff-free weighted trace sum over the scan's own triangle, the
+    (n, m) lattice with m = l2 - n odd, at each z of ``zs``, one float per
+    z; every z is checked before any column.
 
-    Each n sum is one ``_lattice_column`` (direct head, a tail in closed
-    form under ``_cstarc_tail_weight``'s guard and by quadrature past it,
-    and the endpoint corrections), and the positive m series of each z,
-    damped like q^{m(z-1)/2}, is accumulated to a relative 1e-12.  No spin
-    ceiling enters, so values stay accurate down toward z = 2 where plain
-    cutoff scans would need astronomically many sectors.
+    Each n sum is one ``_lattice_column`` given the weight
+    ``weight(n, m, q, q_pow)`` and the tail pair ``tail_weight(m, q)``
+    (direct head, the tail, and the endpoint corrections), and the odd-m
+    series of each z is accumulated to a relative 1e-12 by ``_m_series``.
+    No spin ceiling enters, so values stay accurate down toward z = 2
+    where plain cutoff scans would need astronomically many sectors.
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 2.0)
@@ -1027,11 +1036,40 @@ def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
 
     def columns(m: int, zs_m: List[float]) -> List[float]:
         return _lattice_column(
-            zs_m, q, m, qt, lambda n, q_pow: _cstarc_weight(n, m, q, q_pow),
-            _cstarc_tail_weight(m, q))
+            zs_m, q, m, qt, lambda n, q_pow: weight(n, m, q, q_pow),
+            tail_weight(m, q))
 
     return _m_series([0.0] * len(zs), zs, columns,
                      range(1, _M_CAP + 1, 2), 1e-12, 1)
+
+
+def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
+    """Cutoff-free c*c trace sum, reparameterized onto the (n, m) lattice,
+    at each z of ``zs``, one float per z: one ``_odd_m_lattice`` whose
+    tails are in closed form under ``_cstarc_tail_weight``'s guard and by
+    quadrature past it.  The m series of each z is damped like
+    q^{m(z-1)/2}.  It stops at m = _M_CAP = 2001 at the latest: at
+    z = 3.05 that leaves the sum short, against the same sum with the cap
+    raised to 40,001, by 1.2e-10 relative at q = 0.99 and 4.5e-6 at
+    q = 0.995, and changes no value at q <= 0.98.
+    """
+    return _odd_m_lattice(zs, q_value, _cstarc_weight, _cstarc_tail_weight)
+
+
+def _identity_lattice(zs: Sequence[float], q_value: float) -> List[float]:
+    """Cutoff-free identity trace sum at each z of ``zs``, one float per z:
+    one ``_odd_m_lattice`` with the scan's weight 2(l2 + 1) = 2(n + m + 1).
+    That weight is exactly linear in n, so every column's tail is alpha I0
+    + beta I1 with (alpha, beta) = (2(m + 1), 2), with no guard.  The m
+    series of each z is damped only like q^{m(z-2)/2}, so it is the first
+    to feel the stop at m = _M_CAP = 2001: at z = 3.05 the sum is short,
+    against the same sum with the cap raised to 60,001, by 1.2e-10
+    relative at q = 0.98, 6.3e-6 at q = 0.99 and 1.2e-3 at q = 0.995,
+    and the cap changes no value at q <= 0.97.
+    """
+    return _odd_m_lattice(zs, q_value,
+                          lambda n, m, q, q_pow: 2.0 * (n + m + 1),
+                          lambda m, q: (2.0 * (m + 1), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1047,8 +1085,7 @@ class ResidueReport(NamedTuple):
 
     ``estimate`` is the Richardson value; ``least_squares`` the constant
     coefficient of the pole fit on the same points; ``error_bar`` combines
-    the last Richardson correction, the spread between the two methods and
-    (for cutoff scans) the certified truncation contribution.
+    the last Richardson correction and the spread between the two methods.
     """
 
     omega: str
@@ -1058,7 +1095,6 @@ class ResidueReport(NamedTuple):
     method: str
     least_squares: float
     schedule: Tuple[float, ...]
-    lmax_used: Optional[int]
 
     def to_json_dict(self) -> Dict[str, object]:
         """The five leading fields, omega through method, in order."""
@@ -1088,35 +1124,23 @@ _STANDARD_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
 
 def residue_extract(omega: str, q_value: float, *,
                     schedule: Sequence[float] = _STANDARD_SCHEDULE,
-                    lmax: Optional[int] = None,
                     max_error_bar: Optional[float] = None) -> ResidueReport:
     """Estimate the residue at z = 3 of the weighted trace sum.
 
-    The scan F(eps) = eps * Upsilon(3 + eps) runs over the Richardson
-    schedule and is extrapolated to eps = 0; a least-squares fit of
+    F(eps) = eps * Upsilon(3 + eps) is evaluated over the Richardson
+    schedule and extrapolated to eps = 0; a least-squares fit of
     c_{-1}/(z-3) + c_0 + c_1 (z-3) on the same points cross-checks the
     extrapolant, and both are reported.  The floats z = 3 + eps must
     decrease strictly above 3, else the schedule is rejected before any
-    evaluation.  Weights with a genuine pole go
-    through the pole-resolved lattice evaluator; the geometrically damped
-    weights use plain cutoff scans whose certified tails are folded into
-    the error bar.  Only ``identity`` is scanned that way; its cutoff
-    ``lmax`` defaults to the ceiling of 400, and an ``lmax`` above the
-    ceiling or for any other weight is rejected.  If ``max_error_bar`` is
-    given and exceeded, the non-convergence is raised, never smoothed
-    over.
+    evaluation.  Every weight but the identically zero ``gamma`` is one
+    cutoff-free lattice sum over the whole schedule: the pole-resolved
+    ``eigen_lattice_sum`` for the deltaL2 weights, and the odd-m lattice
+    of directly summed columns for ``cstarc`` and ``identity``.  If
+    ``max_error_bar`` is given and exceeded, the non-convergence is
+    raised, never smoothed over.
     """
     _check_omega(omega)
     q = _check_q(q_value)
-    ceiling = 400
-    if lmax is not None and omega != "identity":
-        raise ValueError(f"lmax applies only to the identity weight's "
-                         f"cutoff scan, not to {omega}")
-    if lmax is not None:
-        _check_cutoff(lmax)
-        if lmax > ceiling:
-            raise ValueError(f"lmax {lmax} is above the cutoff ceiling "
-                             f"{ceiling}")
     if max_error_bar is not None and not max_error_bar >= 0.0:
         raise ValueError(f"max_error_bar must be >= 0, got {max_error_bar}")
     sched = tuple(float(e) for e in schedule)
@@ -1130,38 +1154,28 @@ def residue_extract(omega: str, q_value: float, *,
                          "and off the z before it")
     if omega == "gamma":
         return ResidueReport(omega, q, 0.0, 0.0, "identically-zero",
-                             0.0, sched, None)
+                             0.0, sched)
 
-    trunc_bar = 0.0
-    lmax_used: Optional[int] = None
     if omega in _DELTA_TAGS:
         method = "pole-resolved/richardson+least-squares"
         pref = 1.0 / (1.0 - q * q)
         ups = [pref * value for value in eigen_lattice_sum(zs, q)]
-    elif omega == "cstarc":
-        method = "lattice-resolved/richardson+least-squares"
-        ups = upsilon_cstarc_lattice(zs, q)
     else:
-        method = "direct-scan/richardson+least-squares"
-        lmax_used = ceiling if lmax is None else lmax
-        rows = upsilon_scan(omega, q, zs, lmax_used)
-        ups = [row["partial_sum"] for row in rows]
-        tails = [row["tail_bound"] for row in rows]
-        trunc_bar = max([0.0] + [eps * tb for eps, tb in zip(sched, tails)])
-        if any(tb > 1e-6 * abs(u) for tb, u in zip(tails, ups)):
-            method += "+ceiling-tail"
+        method = "lattice-resolved/richardson+least-squares"
+        ups = (upsilon_cstarc_lattice if omega == "cstarc"
+               else _identity_lattice)(zs, q)
     points = [(eps, eps * u) for eps, u in zip(sched, ups)]
 
     rich, last_corr = _richardson_to_zero(points)
     eps_arr = np.array([p[0] for p in points])
     f_arr = np.array([p[1] for p in points])
     lsq = float(np.polyfit(eps_arr, f_arr, 2)[2])
-    bar = abs(rich - lsq) + last_corr + trunc_bar
+    bar = abs(rich - lsq) + last_corr
     if max_error_bar is not None and bar > max_error_bar:
         raise NonConvergenceError(
             f"residue extrapolation for {omega} at q={q} did not converge: "
             f"error bar {bar:.3e} exceeds {max_error_bar:.3e}")
-    return ResidueReport(omega, q, rich, bar, method, lsq, sched, lmax_used)
+    return ResidueReport(omega, q, rich, bar, method, lsq, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ machine-readable outputs, and the documented worked examples."""
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,13 +402,12 @@ def test_spectrum_rejects_negative_cutoff(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["residue", "--omega", "identity", "--lmax", "401"],
-    ["residue", "--omega", "gamma", "--lmax", "40"],
-    ["residue", "--omega", "deltaL2-e11", "--lmax", "40"],
-    ["residue", "--omega", "cstarc", "--lmax", "40"],
+    ["residue", "--omega", omega, "--lmax", "40"]
+    for omega in ("identity", "gamma", "deltaL2-e11", "cstarc", "deltaL2-e22")
 ])
 def test_residue_lmax_is_never_clipped_or_ignored(argv, capsys):
-    # Only the identity weight is a cutoff scan, with a ceiling of 400.
+    # Every residue is a cutoff-free lattice sum, so residue declares no
+    # --lmax: the flag is a usage error for every weight.
     assert run_command(argv) == 2
     assert "lmax" in capsys.readouterr().err
 
@@ -451,7 +451,6 @@ def test_residue_rejects_offsets_that_leave_z_at_3(omega, eps, capfd):
 
 @pytest.mark.parametrize("argv", [
     ["upsilon-scan", "--omega", "identity", "--q", "0.5", "--lmax", "1100"],
-    ["residue", "--omega", "identity", "--q", "0.1"],
 ])
 def test_numeric_overflow_exits_3(argv, capsys):
     # Exit code 1 is reserved for a failed verification; an overflow in
@@ -463,8 +462,22 @@ def test_numeric_overflow_exits_3(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("q", ["0.1", "0.01", "0.00001"])
+def test_small_q_identity_residue_is_finite(q, tmp_path, capsys):
+    # From about q = 0.1 down, a scan's q^{-l2} tables overflow at cutoff
+    # 400; the identity residue is a lattice sum and must stay finite,
+    # with nothing on stderr.
+    out = tmp_path / "res.json"
+    assert run_command(["residue", "--omega", "identity", "--q", q,
+                        "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert math.isfinite(doc["estimate"]) and math.isfinite(doc["error_bar"])
+
+
 @pytest.mark.parametrize("q", ["0.999999999", "0.999999999999"])
-@pytest.mark.parametrize("omega", ["deltaL2-e11", "deltaL2-e22", "cstarc"])
+@pytest.mark.parametrize("omega", ["deltaL2-e11", "deltaL2-e22", "cstarc",
+                                   "identity"])
 def test_lattice_cancellation_near_one_exits_3(omega, q, capsys):
     # Within about 1e-9 of q = 1 the lattice base n^2/4 + c_m - d_m q^{2n}
     # rounds to <= 0: a numeric failure with one line, not a traceback

@@ -752,11 +752,11 @@ def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
     from suq2 import spectral
 
     zs = [3.05, 3.4, 4.0]
-    got = (upsilon_cstarc_lattice(zs, q), eigen_lattice_sum(zs, q),
-           eigen_lattice_sum(zs, q, admitted=False))
+    got = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q),
+           eigen_lattice_sum(zs, q), eigen_lattice_sum(zs, q, admitted=False))
     monkeypatch.setattr(spectral, "_lattice_column", _ref_lattice_column)
-    want = (upsilon_cstarc_lattice(zs, q), eigen_lattice_sum(zs, q),
-            eigen_lattice_sum(zs, q, admitted=False))
+    want = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q),
+            eigen_lattice_sum(zs, q), eigen_lattice_sum(zs, q, admitted=False))
     assert got == want
 
 
@@ -780,11 +780,11 @@ def test_multi_z_lattice_sums_match_one_z_calls(q, monkeypatch):
         assert eigen_lattice_sum(zs, q, admitted=admitted) == [
             eigen_lattice_sum([z], q, admitted=admitted)[0] for z in zs]
     zs_c = zs + [2.5, 2.1]
-    widths.clear()
-    assert upsilon_cstarc_lattice(zs_c, q) == [
-        upsilon_cstarc_lattice([z], q)[0] for z in zs_c]
-    multi = widths[:widths.index(1)]
-    assert multi[0] == len(zs_c) and multi[-1] < len(zs_c)
+    for odd_m_sum in (upsilon_cstarc_lattice, spectral._identity_lattice):
+        widths.clear()
+        assert odd_m_sum(zs_c, q) == [odd_m_sum([z], q)[0] for z in zs_c]
+        multi = widths[:widths.index(1)]
+        assert multi[0] == len(zs_c) and multi[-1] < len(zs_c)
 
 
 def test_lattice_sums_check_every_z_before_any_column(monkeypatch):
@@ -798,7 +798,9 @@ def test_lattice_sums_check_every_z_before_any_column(monkeypatch):
     for call in (lambda: eigen_lattice_sum([4.0, 3.0], 0.5),
                  lambda: eigen_lattice_sum([4.0, math.nan], 0.5,
                                            admitted=False),
-                 lambda: upsilon_cstarc_lattice([3.0, 2.0], 0.5)):
+                 lambda: upsilon_cstarc_lattice([3.0, 2.0], 0.5),
+                 lambda: spectral._identity_lattice([3.0, 2.0], 0.5),
+                 lambda: spectral._identity_lattice([4.0, math.inf], 0.5)):
         with pytest.raises(ValueError):
             call()
 
@@ -841,6 +843,17 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
             for t in ts:
                 w = spectral._cstarc_weight(t, m, q, q.__pow__)
                 assert abs(tail[0] + tail[1] * t - w) <= 2 * math.ulp(w)
+    # The identity weight 2(n + m + 1) is alpha + beta t exactly, with no
+    # guard; the columns themselves are stubbed out.
+    seen.clear()
+    monkeypatch.setattr(spectral, "_lattice_column",
+                        lambda zs, q_value, m, qt, weight, tail:
+                        seen.append((m, weight, tail)) or [0.0] * len(zs))
+    spectral._identity_lattice([3.4], q)
+    assert [m for m, _, _ in seen] == list(range(1, spectral._M_CAP + 1, 2))
+    for m, weight, tail in seen:
+        assert tail == (2.0 * (m + 1), 2.0)
+        assert all(weight(t, q.__pow__) == tail[0] + tail[1] * t for t in ts)
 
 
 def _mp_tail_integrals(mp, z, c_m):
@@ -954,9 +967,9 @@ def _ref_eigen_lattice_sum(z, q, admitted):
     return total
 
 
-def _ref_upsilon_cstarc_lattice(z, q):
-    """``upsilon_cstarc_lattice`` at one z with its own stopping loop over
-    m."""
+def _ref_odd_m_lattice(z, q, weight, tail_weight):
+    """``upsilon_cstarc_lattice`` or ``_identity_lattice`` at one z with
+    its own stopping loop over m, given the sum's weight and tail pair."""
     from suq2 import spectral
 
     qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
@@ -965,9 +978,8 @@ def _ref_upsilon_cstarc_lattice(z, q):
     quiet = 0
     for m in range(1, spectral._M_CAP + 1, 2):
         term = spectral._lattice_column(
-            [z], q, m, qt,
-            lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow),
-            spectral._cstarc_tail_weight(m, q))[0]
+            [z], q, m, qt, lambda n, q_pow: weight(n, m, q, q_pow),
+            tail_weight(m, q))[0]
         total += term
         if abs(term) < 1e-12 * abs(total):
             quiet += 1
@@ -980,7 +992,7 @@ def _ref_upsilon_cstarc_lattice(z, q):
 
 @pytest.mark.parametrize("q", Q_GRID)
 def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
-    """Both lattice sums run one m series; each must equal, bit for bit,
+    """Every lattice sum runs one m series; each must equal, bit for bit,
     its own stopping loop, and evaluate the same columns in the same
     order, so the series stops where the loop stopped."""
     from suq2 import spectral
@@ -997,7 +1009,12 @@ def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
               (lambda z: eigen_lattice_sum([z], q, admitted=False)[0],
                lambda z: _ref_eigen_lattice_sum(z, q, False)),
               (lambda z: upsilon_cstarc_lattice([z], q)[0],
-               lambda z: _ref_upsilon_cstarc_lattice(z, q))]
+               lambda z: _ref_odd_m_lattice(z, q, spectral._cstarc_weight,
+                                            spectral._cstarc_tail_weight)),
+              (lambda z: spectral._identity_lattice([z], q)[0],
+               lambda z: _ref_odd_m_lattice(
+                   z, q, lambda n, m, q, q_pow: 2.0 * (n + m + 1),
+                   lambda m, q: (2.0 * (m + 1), 2.0)))]
     for z in (3.05, 3.4, 4.0):
         for route, ref in routes:
             calls.clear()
@@ -1083,8 +1100,8 @@ def test_upsilon_value_checks_every_z_before_any_scan(monkeypatch):
 
 def _record_upsilon_value(monkeypatch):
     """Replace ``upsilon_value`` by the per-term loop under ``math.fsum``
-    at each z and return the list of its calls.  A scan, and so the
-    identity residue, must be one such call with every z: the benchmark's
+    at each z and return the list of its calls.  A scan must be one such
+    call with every z: the benchmark's
     tracer (``perfbench/tracer.py``) counts and times scans on those
     calls, reading the weight and the cutoff from its positional
     arguments 0 and 3."""
@@ -1110,12 +1127,90 @@ def test_upsilon_scan_is_one_upsilon_value_call(monkeypatch):
 
 @pytest.mark.parametrize("q", (0.3, 0.8))
 def test_identity_residue_matches_one_z_at_a_time(q, monkeypatch):
-    lmax = 60
-    got = residue_extract("identity", q, lmax=lmax)
-    calls = _record_upsilon_value(monkeypatch)
-    assert residue_extract("identity", q, lmax=lmax) == got
-    assert calls == [("identity", [3.0 + eps for eps in got.schedule], q,
-                      lmax)]
+    """The identity, c*c and deltaL2 residues are each one lattice call
+    with every z of the schedule, whose values are those of the one-z
+    calls; no residue scans to a cutoff or bounds a truncation."""
+    from suq2 import spectral
+
+    lattices = {"identity": "_identity_lattice",
+                "cstarc": "upsilon_cstarc_lattice",
+                "deltaL2-e11": "eigen_lattice_sum"}
+    got = {omega: residue_extract(omega, q) for omega in lattices}
+    calls = []
+    for name in lattices.values():
+        def recorded(zs, q_value, *, lattice=getattr(spectral, name),
+                     name=name):
+            values = lattice(zs, q_value)
+            calls.append((name, list(zs)))
+            assert values == [lattice([z], q_value)[0] for z in zs]
+            return values
+
+        monkeypatch.setattr(spectral, name, recorded)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a residue called a cutoff scan")
+
+    monkeypatch.setattr(spectral, "upsilon_value", no_scan)
+    monkeypatch.setattr(spectral, "tail_bound", no_scan)
+    for omega, name in lattices.items():
+        calls.clear()
+        assert residue_extract(omega, q) == got[omega]
+        assert calls == [(name, [3.0 + eps for eps in got[omega].schedule])]
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_identity_lattice_inside_certified_scan_window(q):
+    """The two identity routes pin each other: at cutoff 400 the
+    cutoff-free lattice sum lies between the scan's partial sum and that
+    sum plus its certified tail bound."""
+    from suq2 import spectral
+
+    zs = [3.05, 3.1, 3.2, 3.4]
+    partials = upsilon_value("identity", zs, q, 400)
+    for z, lattice, partial in zip(zs, spectral._identity_lattice(zs, q),
+                                   partials):
+        assert partial <= lattice <= (partial
+                                      + tail_bound("identity", 400, z, q)), z
+
+
+@pytest.mark.parametrize("name, cap, short", [
+    ("cstarc", 40001, 1.2e-10), ("identity", 60001, 6.3e-6),
+    ("admitted", 40001, 5.2e-9), ("every-m", 40001, 3.2e-9)])
+def test_lattice_m_cap_error_is_as_stated(name, cap, short, monkeypatch):
+    """Every lattice sum stops at m = _M_CAP = 2001 at the latest.  At
+    q = 0.99 and z = 3.05 each series still runs there, and the capped
+    sum falls short of the same sum with the cap raised, whose series
+    then stops on its own, by the relative amount its docstring states.
+    The capped value is the raised series' running total at m = 2001."""
+    from suq2 import spectral
+
+    route = {"cstarc": upsilon_cstarc_lattice,
+             "identity": spectral._identity_lattice,
+             "admitted": eigen_lattice_sum,
+             "every-m": lambda zs, q: eigen_lattice_sum(zs, q,
+                                                        admitted=False)}[name]
+    series = spectral._m_series
+    seen = []
+
+    def logged(totals, zs, terms, ms, rtol, m_min):
+        def term_log(m, zs_m):
+            values = terms(m, zs_m)
+            seen.append((m, values[0]))
+            return values
+
+        seen.append((0, totals[0]))
+        return series(totals, zs, term_log, ms, rtol, m_min)
+
+    assert spectral._M_CAP == 2001
+    monkeypatch.setattr(spectral, "_m_series", logged)
+    monkeypatch.setattr(spectral, "_M_CAP", cap)
+    raised = route([3.05], 0.99)[0]
+    assert 2001 < seen[-1][0] < cap - 2
+    capped = 0.0
+    for m, value in seen:
+        if m <= 2001:
+            capped += value
+    assert abs((raised - capped) / raised - short) <= 0.05 * short
 
 
 @pytest.mark.parametrize("q, m, exact_form", [(0.999, 1, False),
@@ -1180,7 +1275,6 @@ def test_upsilon_scan_checks_every_argument_before_any_row(monkeypatch):
 def test_non_integer_cutoff_rejected():
     for call in (lambda: upsilon_value("identity", [3.5], 0.5, 10.5),
                  lambda: upsilon_scan("identity", 0.5, [3.5], 10.5),
-                 lambda: residue_extract("identity", 0.5, lmax=10.5),
                  lambda: upsilon_identity_pairblocks(3.5, 0.5, 10.5),
                  lambda: tail_bound("identity", 2.5, 3.5, 0.5),
                  lambda: tail_bound("gamma", 2.5, 3.5, 0.5),
