@@ -271,9 +271,6 @@ class AlgebraElement(_SparseSum):
     def degree(self) -> int:
         return max((m.degree for m in self._terms), default=0)
 
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(sorted(self._terms))
-
     # -- products -------------------------------------------------------
 
     @staticmethod

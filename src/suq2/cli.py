@@ -42,8 +42,6 @@ from .spectral import (
     upsilon_scan,
 )
 
-__all__ = ["parse_element", "run_command", "main"]
-
 
 class UsageError(ValueError):
     """Bad arguments or inputs; maps to exit code 2."""
@@ -281,10 +279,8 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     q, lmax = ns.q, ns.lmax
     if lmax < 0:
         raise UsageError("cutoff must be non-negative")
-    rows: List[Tuple[int, float, int]] = []
-    for l2 in range(0, lmax + 1):
-        for val in sector_spectrum_closed(l2, q):
-            rows.append((l2, val, l2 + 1))
+    rows = [(l2, val, l2 + 1) for l2 in range(0, lmax + 1)
+            for val in sector_spectrum_closed(l2, q)]
     dim = sum((l2 + 1) * 2 * (l2 + 1) for l2 in range(0, lmax + 1))
     human = [f"spectrum q={q}, 2l <= {lmax}: {len(rows)} levels, "
              f"total dimension {dim}, range "

@@ -35,14 +35,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .spectral import (_STANDARD_SCHEDULE, NonConvergenceError, _check_cutoff,
-                       _check_q, _check_z, _column_powers, _em_close,
-                       _exact_sum, _gamma_half_ratio, _richardson_to_zero,
+                       _check_q, _check_z, _em_close, _exact_sum,
+                       _gamma_half_ratio, _lattice_cd, _richardson_to_zero,
                        eigen_lattice_sum)
-
-__all__ = [
-    "h_closed", "h_direct", "h_err_bound", "f_value", "f_residue",
-    "f1_partial", "f2_partial", "mero_reference",
-]
 
 #: Head length of every column of the direct template sum.
 N_CAP = 3000
@@ -220,7 +215,8 @@ def _remainder_partial(z: float, q_value: float, lmax: int,
         if (m + 2) * log_inv_q > 690.0:
             break
         n = np.arange(0, lmax - m + 1, dtype=float)
-        powers = _column_powers(z, q, m, n, q2k[:lmax - m + 1])
+        c_m, d_m = _lattice_cd(q, m)
+        powers = (0.25 * n * n + c_m - d_m * q2k[:lmax - m + 1]) ** (-0.5 * z)
         if second:
             w = (n + m + 1.0) * q ** m
         else:

@@ -50,20 +50,6 @@ from .hochschild import (COCYCLES, ORDERS, SLOT_TWISTS, cup, cup_cochain,
                          e_first, int_one_table, sign)
 from .scalars import ONE, ZERO, Scalar
 
-__all__ = [
-    "OutsideEvaluatedDomainError",
-    "ModularMatrix",
-    "stilde",
-    "ttilde",
-    "commutator_d",
-    "mm_mul",
-    "tau_over_R",
-    "phi_res_via_commutators",
-    "phi_res_over_r",
-    "PHI_RES_OVER_R",
-    "pi_split",
-]
-
 Matrix2 = Tuple[Tuple[AlgebraElement, AlgebraElement],
                 Tuple[AlgebraElement, AlgebraElement]]
 Key = Tuple[int, int, int]  # (modular power, row, column)
@@ -112,24 +98,9 @@ class ModularMatrix(_SparseSum):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "ModularMatrix":
-        one = AlgebraElement.unit()
-        return cls({0: ((one, _ZERO_EL), (_ZERO_EL, one))})
-
-    @classmethod
     def from_element(cls, alpha: AlgebraElement) -> "ModularMatrix":
         """Left multiplication by alpha on both components."""
         return cls({0: ((alpha, _ZERO_EL), (_ZERO_EL, alpha))})
-
-    @classmethod
-    def delta_power(cls, power: int) -> "ModularMatrix":
-        one = AlgebraElement.unit()
-        return cls({power: ((one, _ZERO_EL), (_ZERO_EL, one))})
-
-    @classmethod
-    def gamma(cls) -> "ModularMatrix":
-        one = AlgebraElement.unit()
-        return cls({0: ((one, _ZERO_EL), (_ZERO_EL, -one))})
 
     # -- views ----------------------------------------------------------
 

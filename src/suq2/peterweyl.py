@@ -27,14 +27,6 @@ from .actions import act_e, act_f_right
 from .algebra import AlgebraElement, Monomial
 from .scalars import Scalar, q_number
 
-__all__ = [
-    "PWVector",
-    "target_norm_sq",
-    "block_monomials",
-    "pw_orthobasis",
-    "bracket_difference",
-]
-
 
 def target_norm_sq(l2: int, i2: int) -> Scalar:
     """The conventional squared norm q^(-2i) [2l+1]^-1 (doubled indices)."""

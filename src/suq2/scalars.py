@@ -32,7 +32,6 @@ enters a coefficient: inputs other than ``int`` and ``Fraction`` raise
 
 from __future__ import annotations
 
-import json
 import numbers
 import operator
 from fractions import Fraction
@@ -83,10 +82,6 @@ def _padd(p: _Poly, q: _Poly) -> _Poly:
     return out
 
 
-def _pneg(p: _Poly) -> _Poly:
-    return {e: -c for e, c in p.items()}
-
-
 def _pmul(p: _Poly, q: _Poly) -> _Poly:
     if len(q) == 1:
         p, q = q, p
@@ -123,11 +118,6 @@ def _primitive(p: _Poly) -> Tuple[int, int, List[int]]:
     return lo, g, [c // g for c in ints] if g != 1 else ints
 
 
-def _primitive_part(a: List[int]) -> List[int]:
-    g = gcd(*a)
-    return [c // g for c in a] if g != 1 else a
-
-
 def _prem(a: List[int], b: List[int]) -> List[int]:
     """A nonzero integer multiple of the remainder of a by b (len(b) > 1)."""
     a = list(a)
@@ -155,7 +145,8 @@ def _zgcd(a: List[int], b: List[int]) -> List[int]:
         r = _prem(a, b)
         if not r:
             return b
-        a, b = b, _primitive_part(r)
+        g = gcd(*r)
+        a, b = b, [c // g for c in r] if g != 1 else r
     return [1]
 
 
@@ -266,7 +257,7 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         out = object.__new__(Scalar)
-        out._num, out._den = _pneg(self._num), self._den
+        out._num, out._den = {e: -c for e, c in self._num.items()}, self._den
         return out
 
     def __sub__(self, other) -> "Scalar":
@@ -411,13 +402,6 @@ class Scalar:
             return {e: Fraction(c) if isinstance(c, str) else c
                     for e, c in terms}
         return cls(poly(data["num"]), poly(data["den"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "Scalar":
-        return cls.from_json(json.loads(text))
 
     # -- display -------------------------------------------------------
 

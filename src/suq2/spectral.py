@@ -86,30 +86,6 @@ from .algebra import AlgebraElement, gens, weight_decompose
 from .functionals import gns_inner
 from .peterweyl import pw_orthobasis
 
-__all__ = [
-    "SpectralGrid",
-    "lambda_eigen",
-    "jset",
-    "dirac_sector_matrix",
-    "sector_spectrum_closed",
-    "c_ratio",
-    "dirac_matrix",
-    "clebsch_plus",
-    "clebsch_minus",
-    "MultOpMatrix",
-    "mult_op_matrix",
-    "OMEGA_TAGS",
-    "upsilon_value",
-    "upsilon_scan",
-    "upsilon_identity_pairblocks",
-    "tail_bound",
-    "eigen_lattice_sum",
-    "NonConvergenceError",
-    "ResidueReport",
-    "residue_extract",
-    "commutator_growth",
-]
-
 
 # ---------------------------------------------------------------------------
 # Basic eigendata.
@@ -168,14 +144,19 @@ def lambda_eigen(l2: int, n: int, q_value: float) -> float:
     Arguments carry doubled spin ``l2 = 2l``; the mode number satisfies
     |n| <= l2 + 1 and the bracket difference [l+1/2]^2 - [n/2]^2 enters
     through its product form, so the edge modes n = +-(l2+1) come out as
-    exactly (l2+1)/2.
+    exactly (l2+1)/2.  Where lambda^2 overflows a float (at negative n,
+    from 2l = 156 at q = 0.1 and 2l = 513 at q = 0.5), ``OverflowError``
+    names 2l, n and q, although lambda itself would still be finite.
     """
     q = _check_q(q_value)
     _check_l2(l2)
     if abs(n) > l2 + 1:
         raise ValueError(f"mode number {n} outside sector of doubled spin {l2}")
     prod = _fbracket(l2 + 1 + n, q) * _fbracket(l2 + 1 - n, q)
-    return math.sqrt(0.25 * n * n + q ** n * prod)
+    lam_sq = 0.25 * n * n + q ** n * prod
+    if not math.isfinite(lam_sq):
+        raise OverflowError(f"lambda^2 overflows at 2l={l2}, n={n}, q={q}")
+    return math.sqrt(lam_sq)
 
 
 def jset(l2: int) -> range:
@@ -743,14 +724,6 @@ _M_DIRECT = 5
 #: The largest x with 1.0 - x == 1.0: a weight's 1 - q^k rounds to 1
 #: wherever q^k <= _ROUNDS_AWAY.
 _ROUNDS_AWAY = 2.0 ** -54
-
-
-def _column_powers(z: float, q: float, m: int, n: np.ndarray,
-                   q2n: np.ndarray) -> np.ndarray:
-    """The column power (n^2/4 + c_m - d_m q^{2n})^{-z/2} over an array of
-    n, given q^{2n} over the same array."""
-    c_m, d_m = _lattice_cd(q, m)
-    return (0.25 * n * n + c_m - d_m * q2n) ** (-0.5 * z)
 
 
 def _em_close(s: float, f, a: float) -> float:

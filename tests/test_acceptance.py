@@ -9,10 +9,15 @@ measured; their diagnostics pin the discrepancy precisely, and the unit
 suites freeze the corresponding machine-exact identities.
 """
 
+import itertools
+import math
+import types
+
 import pytest
 
 from suq2 import acceptance, hochschild, modular
 from suq2.hochschild import Cochain
+from suq2.spectral import lambda_eigen
 
 
 def _run(check_id, budget=None):
@@ -212,3 +217,59 @@ def test_holomorphy_check_rejects_a_small_pole(monkeypatch):
     passed, detail = acceptance.check_holomorphy_cstarc()
     assert not passed, detail
     assert "= 5.0e-04 at q=0.5 and 5.0e-04 at q=0.3 (gate 1e-3)" in detail
+
+
+def test_dirac_check_rejects_a_pair_block_admitting_n_minus_one(monkeypatch):
+    # The pair-block route with its mode filter one step too wide: the
+    # modes n = 2j - 1 = -1 (j = 0, at even 2l >= 2) are summed too, each
+    # pair +-lambda with multiplicity l2 + 1.
+    real = acceptance.upsilon_identity_pairblocks
+
+    def too_wide(z, q, lmax):
+        extra = math.fsum(
+            2 * (l2 + 1) * (1.0 + lambda_eigen(l2, -1, q) ** 2) ** (-0.5 * z)
+            for l2 in range(2, lmax + 1, 2))
+        return real(z, q, lmax) + extra
+
+    monkeypatch.setattr(acceptance, "upsilon_identity_pairblocks", too_wide)
+    passed, detail = acceptance.check_dirac_spectrum()
+    assert not passed
+    assert "pair-block identity scan rel dev" in detail
+
+
+def _residue_on_target(monkeypatch):
+    # Every extraction lands on R itself, so only the time gate can fail.
+    real = acceptance.residue_extract
+
+    def on_target(omega, q, **kw):
+        target = 4.0 * (1.0 / q - q) / math.log(1.0 / q)
+        return real(omega, q, **kw)._replace(estimate=target)
+
+    monkeypatch.setattr(acceptance, "residue_extract", on_target)
+
+
+def _clock(monkeypatch, seconds):
+    # Each q reads the clock before and after its extraction.
+    ticks = itertools.count(0.0, seconds)
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(ticks)))
+
+
+def test_residue_detail_does_not_depend_on_timing(monkeypatch):
+    _residue_on_target(monkeypatch)
+    verdicts = []
+    for seconds in (0.01, 95.0):
+        _clock(monkeypatch, seconds)
+        verdicts.append(acceptance.check_residue_deltaL2())
+    assert verdicts[0] == verdicts[1]
+    passed, detail = verdicts[0]
+    assert passed, detail
+    assert "gate 120s" not in detail
+
+
+def test_residue_check_fails_past_the_time_gate_and_names_it(monkeypatch):
+    _residue_on_target(monkeypatch)
+    _clock(monkeypatch, 121.0)
+    passed, detail = acceptance.check_residue_deltaL2()
+    assert not passed
+    assert detail.count(" in 121.0s (gate 120s)") == 3, detail

@@ -210,10 +210,10 @@ class TestRightLadders:
         for _ in range(10):
             m = random_monomial(rng, max_degree=4)
             x = AlgebraElement.from_mono(m)
-            for mono in act_f_right(x).monomials():
+            for mono in act_f_right(x).terms:
                 assert mono.right_weight2 == m.right_weight2 + 2
                 assert mono.left_weight2 == m.left_weight2
-            for mono in act_e_right(x).monomials():
+            for mono in act_e_right(x).terms:
                 assert mono.right_weight2 == m.right_weight2 - 2
                 assert mono.left_weight2 == m.left_weight2
 

@@ -75,7 +75,7 @@ class TestMonomialBasis:
             x = random_monomial(rng, 4)
             y = random_monomial(rng, 4)
             prod = AlgebraElement.from_mono(x) * AlgebraElement.from_mono(y)
-            for m in prod.monomials():
+            for m in prod.terms:
                 assert m.n == 0 or m.s == 0
 
     def test_power_ordering(self):
@@ -230,7 +230,7 @@ class TestWeights:
             x = random_monomial(rng, 4)
             y = random_monomial(rng, 4)
             prod = AlgebraElement.from_mono(x) * AlgebraElement.from_mono(y)
-            for m in prod.monomials():
+            for m in prod.terms:
                 assert m.left_weight2 == x.left_weight2 + y.left_weight2
                 assert m.right_weight2 == x.right_weight2 + y.right_weight2
 

@@ -260,6 +260,23 @@ def test_spectrum_csv_shape(tmp_path):
     assert len(lines) == 1 + 2 + 4 + 6  # header + sector levels for 2l<=2
 
 
+@pytest.mark.parametrize("q, lmax", [("0.1", "200"), ("0.1", "300"),
+                                     ("0.5", "600")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_overflow_exits_3_without_inf(q, lmax, fmt, tmp_path,
+                                               capsys):
+    # From 2l = 156 at q = 0.1 and 2l = 513 at q = 0.5 the levels' squares
+    # overflow; the command once printed the range [-inf, inf] and exit 0.
+    out = tmp_path / "spec.out"
+    assert run_command(["spectrum", "--q", q, "--lmax", lmax, "--format",
+                        fmt, "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == ""  # no inf level, and no range line at all
+    assert not out.exists()
+    assert err.startswith("numeric failure: OverflowError: lambda^2")
+    assert err.count("\n") == 1
+
+
 def test_upsilon_scan_csv_and_determinism(tmp_path):
     out1 = tmp_path / "scan1.csv"
     out2 = tmp_path / "scan2.csv"

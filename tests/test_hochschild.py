@@ -361,7 +361,7 @@ class TestBiGrading:
         images = 0
         for m in SMALL_MONOMIALS:
             left, right = _biweight(m)
-            for image in action(AlgebraElement.from_mono(m)).monomials():
+            for image in action(AlgebraElement.from_mono(m)).terms:
                 assert _biweight(image) == (left + shift[0], right + shift[1])
                 images += 1
         assert images >= len(SMALL_MONOMIALS) // 2

@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the exact
+half of the package imports no float code.
 
 A name left imported after its last use goes unnoticed at run time; this
-scan finds it with the standard library's parser alone.  Names a module
-lists in ``__all__`` count as used (they are re-exports), and
-``from __future__`` imports are compiler directives, not names.
+scan finds it with the standard library's parser alone.  ``from
+__future__`` imports are compiler directives, not names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,10 +27,6 @@ def _unused_imports(tree: ast.Module):
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -36,3 +35,18 @@ def _unused_imports(tree: ast.Module):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_exact_layer_loads_no_float_code():
+    # The exact half of the package stands alone: importing it loads
+    # neither numpy nor scipy, in a fresh interpreter.
+    code = ("import sys\n"
+            "from suq2 import (actions, algebra, functionals, hochschild,\n"
+            "    modular, peterweyl, rewrite, sampling, scalars)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n", run.stdout

@@ -262,7 +262,7 @@ def test_remainder_partial_sums_are_cauchy(q, partial):
 def _ref_remainder_partial(z, q, lmax, second):
     """The triangle partial sum with every power of q formed per column:
     q^{2n} and q^{2(n+m+1)} as numpy powers over each column's n."""
-    from suq2.spectral import _column_powers
+    from suq2.spectral import _lattice_cd
 
     pieces = []
     total = 0.0
@@ -271,7 +271,8 @@ def _ref_remainder_partial(z, q, lmax, second):
         if (m + 2) * math.log(1.0 / q) > 690.0:
             break
         n = np.arange(0, lmax - m + 1, dtype=float)
-        powers = _column_powers(z, q, m, n, q ** (2.0 * n))
+        c_m, d_m = _lattice_cd(q, m)
+        powers = (0.25 * n * n + c_m - d_m * q ** (2.0 * n)) ** (-0.5 * z)
         if second:
             w = (n + m + 1.0) * q ** m
         else:

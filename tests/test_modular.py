@@ -53,12 +53,17 @@ def residue_combination(a0, a1, a2, a3):
     return Scalar.q_pow(2) * head + tail
 
 
+def _delta(power):
+    """DeltaL_hat**power, the unit matrix at that modular power."""
+    return ModularMatrix({power: ((UNIT, ZEL), (ZEL, UNIT))})
+
+
 class TestModularMatrix:
     def test_zero_and_identity(self):
         assert ModularMatrix.zero().is_zero()
         m = ModularMatrix.from_element(B)
-        assert mm_mul(ModularMatrix.identity(), m) == m
-        assert mm_mul(m, ModularMatrix.identity()) == m
+        assert mm_mul(_delta(0), m) == m
+        assert mm_mul(m, _delta(0)) == m
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -91,11 +96,11 @@ class TestModularMatrix:
         with pytest.raises(TypeError):
             ModularMatrix() + AlgebraElement.unit()
         with pytest.raises(TypeError):
-            AlgebraElement.unit() - ModularMatrix.identity()
+            AlgebraElement.unit() - _delta(0)
         with pytest.raises(TypeError):
-            ModularMatrix.identity() + 1
+            _delta(0) + 1
         assert (ModularMatrix.zero() == AlgebraElement.zero()) is False
-        assert (ModularMatrix.identity() == 1) is False
+        assert (_delta(0) == 1) is False
 
     def test_from_element_multiplicative(self):
         rng = make_rng(731)
@@ -107,21 +112,21 @@ class TestModularMatrix:
             assert lhs == ModularMatrix.from_element(x * y)
 
     def test_delta_power_composition(self):
-        lhs = mm_mul(ModularMatrix.delta_power(1), ModularMatrix.delta_power(2))
-        assert lhs == ModularMatrix.delta_power(3)
+        lhs = mm_mul(_delta(1), _delta(2))
+        assert lhs == _delta(3)
 
     def test_push_rule_on_single_entry(self):
         # Moving one modular power across an upper-right entry multiplies it
         # by q^{-2} and applies the inverse modular automorphism.
         m = ModularMatrix({0: ((ZEL, B), (ZEL, ZEL))})
-        pushed = mm_mul(ModularMatrix.delta_power(1), m)
+        pushed = mm_mul(_delta(1), m)
         expected_entry = act_k(B, 2).scale(Scalar.q_pow(-2))
         expected = ModularMatrix({1: ((ZEL, expected_entry), (ZEL, ZEL))})
         assert pushed == expected
 
     def test_push_rules_for_commutator_parts(self):
         rng = make_rng(732)
-        delta = ModularMatrix.delta_power(1)
+        delta = _delta(1)
         for _ in range(8):
             x = random_element(rng, max_degree=3, max_terms=3)
             shifted = act_k(x, 2)
@@ -181,7 +186,8 @@ class TestResidueFunctional:
         assert tau_over_R(m2) == ONE
 
     def test_grading_form_at_power_zero(self):
-        m = mm_mul(ModularMatrix.from_element(B + D), ModularMatrix.gamma())
+        grading = ModularMatrix({0: ((UNIT, ZEL), (ZEL, -UNIT))})
+        m = mm_mul(ModularMatrix.from_element(B + D), grading)
         assert tau_over_R(m) == ZERO
 
     def test_off_diagonal_any_power(self):
@@ -207,7 +213,7 @@ class TestResidueFunctional:
         # tau(M . Delta^2 . alpha) = tau(theta_inv(alpha) . M . Delta^2) for
         # matrices with algebra entries, evaluated through the symbolic rules.
         rng = make_rng(737)
-        delta2 = ModularMatrix.delta_power(2)
+        delta2 = _delta(2)
         for _ in range(6):
             entries = [random_element(rng, max_degree=2, max_terms=2)
                        for _ in range(4)]

@@ -72,6 +72,19 @@ def test_lambda_validation():
         lambda_eigen(2, 1, 0.0)
 
 
+@pytest.mark.parametrize("q, l2", [(0.1, 156), (0.5, 513)])
+def test_lambda_squared_overflow_raises(q, l2):
+    # lambda itself would be near 1e154, but its square q^n [.][.] at
+    # n = -(l2 - 1) overflows: an OverflowError naming the mode, not inf.
+    for n in range(-(l2 - 3), l2, 2):
+        assert math.isfinite(lambda_eigen(l2, n, q))
+    assert math.isfinite(lambda_eigen(l2 - 1, -(l2 - 2), q))
+    with pytest.raises(OverflowError, match=f"2l={l2}, n={1 - l2}, q={q}"):
+        lambda_eigen(l2, 1 - l2, q)
+    with pytest.raises(OverflowError):
+        sector_spectrum_closed(l2, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=14), st.data(),
        st.sampled_from((0.2, 0.45, 0.7, 0.9)))
