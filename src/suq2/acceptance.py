@@ -8,7 +8,9 @@ detail)`` pair whose detail line states exactly what was measured
 against what target; `run_checks` times each check and names it by its
 id in `ALL_CHECKS`.  A check never raises on a verification failure, so
 the battery always runs to the end and a failing line documents the
-discrepancy instead of hiding it.
+discrepancy instead of hiding it.  The six float checks import numpy,
+``spectral`` and ``mero`` inside their bodies, so the registry and the
+eight exact checks load neither numpy nor scipy.
 """
 
 import itertools
@@ -16,8 +18,6 @@ import math
 import time
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from .actions import (
     act_e,
@@ -46,7 +46,6 @@ from .hochschild import (
     chain_boundary,
     e_first,
 )
-from .mero import f_residue, h_closed, h_direct, h_err_bound
 from .modular import (
     _CLOSED_COCHAINS,
     PHI_RES_OVER_R,
@@ -57,21 +56,6 @@ from .peterweyl import pw_orthobasis
 from .rewrite import rewrite_normal_form
 from .sampling import make_rng, random_element
 from .scalars import ONE, ZERO, Scalar, big_q
-from .spectral import (
-    _STANDARD_SCHEDULE,
-    SpectralGrid,
-    c_ratio,
-    clebsch_minus,
-    clebsch_plus,
-    dirac_matrix,
-    dirac_sector_matrix,
-    lambda_eigen,
-    mult_op_matrix,
-    residue_extract,
-    sector_spectrum_closed,
-    upsilon_identity_pairblocks,
-    upsilon_value,
-)
 
 Q_GRID = (0.3, 0.5, 0.8)
 
@@ -448,6 +432,13 @@ def check_dirac_spectrum() -> Verdict:
     identity scan summed through each admitted mode's own 2x2 coupling
     block matches the closed-form scan to 1e-12 relative at z = 3.5, for
     the same q and cutoffs 10 and 60."""
+    import numpy as np
+
+    from .spectral import (SpectralGrid, c_ratio, dirac_matrix,
+                           dirac_sector_matrix, lambda_eigen,
+                           sector_spectrum_closed,
+                           upsilon_identity_pairblocks, upsilon_value)
+
     worst_ev = 0.0
     worst_ratio = 0.0
     for q in Q_GRID:
@@ -492,6 +483,11 @@ def check_clebsch_forms() -> Verdict:
     """mult_op_matrix(c) matches the two-term ladder closed forms to
     1e-10 for 2l <= 4, and the (c* c) diagonal matches the epsilon-ratio
     display as an exact identity in the coefficient field."""
+    import numpy as np
+
+    from .spectral import (SpectralGrid, clebsch_minus, clebsch_plus,
+                           mult_op_matrix)
+
     q = 0.5
     _, _, c_gen, _ = gens()
     mm = mult_op_matrix(c_gen, SpectralGrid(q, 5))
@@ -576,6 +572,8 @@ def check_residue_deltaL2() -> Verdict:
     other parity, or whether R refers to the E_11 + E_22 weight, which
     would give R exactly.  The check keeps R.
     """
+    from .spectral import residue_extract
+
     lines = []
     passed = True
     for q in Q_GRID:
@@ -618,6 +616,8 @@ def check_holomorphy_cstarc() -> Verdict:
     condition has to be revisited, since it would then fail on a weight
     that is holomorphic.
     """
+    from .spectral import _STANDARD_SCHEDULE, residue_extract
+
     refined = _STANDARD_SCHEDULE + (0.025, 0.0125)
     std = residue_extract("cstarc", 0.5)
     fine = residue_extract("cstarc", 0.5, schedule=refined)
@@ -641,6 +641,8 @@ def check_holomorphy_cstarc() -> Verdict:
 
 def check_gamma_vanishes() -> Verdict:
     """Upsilon_z(Gamma) is exactly zero at every truncation and z."""
+    from .spectral import residue_extract, upsilon_value
+
     zs = (3.05, 3.5, 4.0, 6.0)
     bad = sum(value != 0.0
               for q, lmax in itertools.product(Q_GRID, (1, 10, 100, 400))
@@ -661,6 +663,10 @@ def check_mero_reference() -> Verdict:
     """|h_direct - h_closed| within the printed bound on a 20-point
     grid for both parameter profiles, and the lattice-sum residue within
     1% of 4 q Q^{-2} / ln(q^{-1})."""
+    import numpy as np
+
+    from .mero import f_residue, h_closed, h_direct, h_err_bound
+
     margins = []
     for q, w in ((0.5, 3), (0.3, 2)):
         bigq = q / (1.0 - q * q)
@@ -709,7 +715,12 @@ def run_checks(ids: Optional[Iterable[str]] = None,
                ) -> List[CheckResult]:
     """Run the selected checks (all of them by default) in order, timing
     each and emitting one formatted line per check through ``report``.
-    A selection must name at least one check, and each at most once."""
+    A selection must name at least one check, and each at most once.
+
+    The float checks import numpy and the float layer in their bodies,
+    so the seconds of the first float check run in a process include
+    loading them (a few tenths of a second), and the exact checks never
+    load them."""
     table = dict(ALL_CHECKS)
     selected = CHECK_IDS if ids is None else tuple(ids)
     unknown = [i for i in selected if i not in table]

@@ -32,12 +32,11 @@ import sys
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .spectral import (_STANDARD_SCHEDULE, NonConvergenceError, _check_cutoff,
-                       _check_q, _check_z, _em_close, _exact_sum,
-                       _gamma_half_ratio, _lattice_cd, _richardson_to_zero,
-                       eigen_lattice_sum)
+from .errors import NonConvergenceError
+from .spectral import (_STANDARD_SCHEDULE, _check_cutoff, _check_q, _check_z,
+                       _em_close, _exact_sum, _gamma_half_ratio, _lattice_cd,
+                       _richardson_to_zero, eigen_lattice_sum)
 
 #: Head length of every column of the direct template sum.
 N_CAP = 3000
@@ -97,6 +96,8 @@ def _j_tail(alpha: float, z: float) -> float:
     (1+v^2)^{-z/2} is bounded on (0, 1] for z > 2.  Windows never
     exceed length 1, so the quadrature sees no scale spread.
     """
+    from scipy.integrate import quad
+
     total = 0.0
     cut = max(alpha, 1.0)
     if alpha < 1.0:

@@ -78,11 +78,13 @@ from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import block_diag
+# scipy.integrate and scipy.linalg are imported by the two functions that
+# call them (the near-q = 1 tail quadrature and ``dirac_matrix``), which
+# most float commands never reach.
 from scipy.special import betainc, betaincc, gammaln
 
 from .algebra import AlgebraElement, gens, weight_decompose
+from .errors import NonConvergenceError
 from .functionals import gns_inner
 from .peterweyl import pw_orthobasis
 
@@ -255,6 +257,8 @@ def dirac_matrix(grid: SpectralGrid
     sector basis order.  This is the one assembly of D; the commutator
     probe permutes it into its own basis order.
     """
+    from scipy.linalg import block_diag
+
     mat = block_diag(*(sector for l2 in grid.sectors()
                        for sector in repeat(dirac_sector_matrix(l2, grid.q),
                                             l2 + 1)))
@@ -796,6 +800,8 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
         p = -0.5 * z
         head = _exact_sum([head_weight * base ** p])
         if tail is None:
+            from scipy.integrate import quad
+
             fit = quad(f_inv, 0.0, 1.0 / a, args=(p,), epsabs=1e-16,
                        epsrel=1e-13, full_output=1)
             if len(fit) > 3:  # quad's failure message, in place of a warning
@@ -1047,11 +1053,6 @@ def _identity_lattice(zs: Sequence[float], q_value: float) -> List[float]:
 
 # ---------------------------------------------------------------------------
 # Residue extraction.
-
-class NonConvergenceError(RuntimeError):
-    """The extrapolation schedule did not settle within the requested bar,
-    or a lattice column's tail quadrature did not converge."""
-
 
 class ResidueReport(NamedTuple):
     """Residue estimate with its cross-checks.

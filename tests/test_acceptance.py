@@ -15,7 +15,7 @@ import types
 
 import pytest
 
-from suq2 import acceptance, hochschild, modular
+from suq2 import acceptance, hochschild, modular, spectral
 from suq2.hochschild import Cochain
 from suq2.spectral import lambda_eigen
 
@@ -197,8 +197,8 @@ def test_pi_split_check_rejects_swapped_weight_shifts(monkeypatch):
 
 def test_holomorphy_check_rejects_a_pole(monkeypatch):
     # deltaL2-e11 has a residue of order 1 in place of c*c.
-    real = acceptance.residue_extract
-    monkeypatch.setattr(acceptance, "residue_extract",
+    real = spectral.residue_extract
+    monkeypatch.setattr(spectral, "residue_extract",
                         lambda omega, q, **kw: real("deltaL2-e11", q, **kw))
     passed, detail = acceptance.check_holomorphy_cstarc()
     assert not passed, detail
@@ -207,13 +207,13 @@ def test_holomorphy_check_rejects_a_pole(monkeypatch):
 def test_holomorphy_check_rejects_a_small_pole(monkeypatch):
     # A residue of 5e-4 clears both 1e-3 gates; only the collapse
     # condition (refined at most 1/50 of standard) can catch it.
-    real = acceptance.residue_extract
+    real = spectral.residue_extract
 
     def with_small_pole(omega, q, **kw):
         rep = real(omega, q, **kw)
         return rep._replace(estimate=rep.estimate + 5e-4)
 
-    monkeypatch.setattr(acceptance, "residue_extract", with_small_pole)
+    monkeypatch.setattr(spectral, "residue_extract", with_small_pole)
     passed, detail = acceptance.check_holomorphy_cstarc()
     assert not passed, detail
     assert "= 5.0e-04 at q=0.5 and 5.0e-04 at q=0.3 (gate 1e-3)" in detail
@@ -223,7 +223,7 @@ def test_dirac_check_rejects_a_pair_block_admitting_n_minus_one(monkeypatch):
     # The pair-block route with its mode filter one step too wide: the
     # modes n = 2j - 1 = -1 (j = 0, at even 2l >= 2) are summed too, each
     # pair +-lambda with multiplicity l2 + 1.
-    real = acceptance.upsilon_identity_pairblocks
+    real = spectral.upsilon_identity_pairblocks
 
     def too_wide(z, q, lmax):
         extra = math.fsum(
@@ -231,7 +231,7 @@ def test_dirac_check_rejects_a_pair_block_admitting_n_minus_one(monkeypatch):
             for l2 in range(2, lmax + 1, 2))
         return real(z, q, lmax) + extra
 
-    monkeypatch.setattr(acceptance, "upsilon_identity_pairblocks", too_wide)
+    monkeypatch.setattr(spectral, "upsilon_identity_pairblocks", too_wide)
     passed, detail = acceptance.check_dirac_spectrum()
     assert not passed
     assert "pair-block identity scan rel dev" in detail
@@ -239,13 +239,13 @@ def test_dirac_check_rejects_a_pair_block_admitting_n_minus_one(monkeypatch):
 
 def _residue_on_target(monkeypatch):
     # Every extraction lands on R itself, so only the time gate can fail.
-    real = acceptance.residue_extract
+    real = spectral.residue_extract
 
     def on_target(omega, q, **kw):
         target = 4.0 * (1.0 / q - q) / math.log(1.0 / q)
         return real(omega, q, **kw)._replace(estimate=target)
 
-    monkeypatch.setattr(acceptance, "residue_extract", on_target)
+    monkeypatch.setattr(spectral, "residue_extract", on_target)
 
 
 def _clock(monkeypatch, seconds):

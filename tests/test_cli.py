@@ -5,11 +5,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suq2 import acceptance, cli
+from suq2 import acceptance, spectral
 from suq2.actions import act_e, act_k, act_weight
 from suq2.algebra import gens
 from suq2.cli import UsageError, _build_parser, parse_element, run_command
@@ -523,7 +528,7 @@ def test_memory_error_is_usage_error(monkeypatch, capsys):
     def too_large(*args):
         raise MemoryError("Unable to allocate 298. GiB for an array")
 
-    monkeypatch.setattr(cli, "upsilon_scan", too_large)
+    monkeypatch.setattr(spectral, "upsilon_scan", too_large)
     argv = ["upsilon-scan", "--omega", "identity", "--q", "0.5"]
     assert run_command(argv) == 2
     err = capsys.readouterr().err
@@ -596,6 +601,94 @@ def test_numeric_flags_keep_the_documented_exit_codes(argv):
         assert "nan" not in out.getvalue(), argv
     if rc in (2, 3):
         assert out.getvalue() == "", argv
+
+
+# ---------------------------------------------------------------------------
+# The exact commands stand alone: they run with numpy and scipy blocked.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A fresh interpreter in which every import of numpy or scipy raises
+#: ImportError, so a command that loads the float layer fails.  It runs
+#: each argv of the JSON list on its stdin through run_command and prints
+#: one JSON record per argv: the exit code (or the ImportError that
+#: escaped), stdout and stderr.
+_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+from suq2.cli import run_command
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_command(argv)
+    except ImportError as exc:
+        rc = repr(exc)
+    records.append({"rc": rc, "out": out.getvalue(), "err": err.getvalue()})
+print(json.dumps(records))
+"""
+
+
+def _run_blocked(argvs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _BLOCKED],
+                         input=json.dumps(argvs), env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(argv) == 0, argv
+    return out.getvalue()
+
+
+def _without_seconds(text):
+    # verify-all's lines carry each check's seconds, which vary by run.
+    return re.sub(r"\(\s*[0-9.]+s\)", "(s)", text)
+
+
+_EXACT_ARGVS = [
+    ["pair-dvol"],
+    ["act", "--which", "e", "a"],
+    ["haar", "b c"],
+    ["cocycle-eval", "--cocycle", "phi", "a", "b", "c", "d"],
+    ["hochschild-check", "--tuples", "5"],
+    ["verify-all", "--only", "algebra-suite,cocycle-closure"],
+]
+
+
+def test_exact_commands_run_with_numpy_and_scipy_blocked():
+    # A float command under the same block fails on its import, which
+    # shows that the block works.
+    *exact, float_cmd = _run_blocked(_EXACT_ARGVS + [["spectrum",
+                                                      "--lmax", "2"]])
+    for argv, rec in zip(_EXACT_ARGVS, exact):
+        assert rec["rc"] == 0, (argv, rec)
+        assert (_without_seconds(rec["out"])
+                == _without_seconds(_stdout(argv))), argv
+    assert "ModuleNotFoundError" in float_cmd["rc"], float_cmd
+    assert "numpy" in float_cmd["rc"], float_cmd
+
+
+@pytest.mark.parametrize("argv, flag, ceiling", [
+    (["spectrum", "--q", "0.999", "--lmax", "2001"], "--lmax", 2000),
+    (["upsilon-scan", "--omega", "identity", "--q", "0.999",
+      "--lmax", "10001"], "--lmax", 10000),
+    (["upsilon-scan", "--omega", "identity", "--lmax", "1",
+      "--z-steps", "1000001"], "--z-steps", 1000000),
+], ids=["spectrum-lmax", "scan-lmax", "scan-z-steps"])
+def test_size_flags_above_their_ceiling_are_usage_errors(argv, flag, ceiling):
+    # Past its ceiling a size is a usage error before the float layer is
+    # imported (it is blocked here) and before anything is allocated.
+    (rec,) = _run_blocked([argv])
+    assert rec["rc"] == 2, rec
+    assert rec["out"] == ""
+    assert rec["err"] == (f"error: {flag} {ceiling + 1} is above its "
+                          f"ceiling {ceiling}\n")
 
 
 def test_residue_invalid_q_is_usage_error(capsys):

@@ -38,11 +38,13 @@ def test_no_unused_imports(path):
 
 
 def test_exact_layer_loads_no_float_code():
-    # The exact half of the package stands alone: importing it loads
-    # neither numpy nor scipy, in a fresh interpreter.
+    # The exact half of the package stands alone: importing it, the
+    # command line and the battery included, loads neither numpy nor
+    # scipy, in a fresh interpreter.
     code = ("import sys\n"
-            "from suq2 import (actions, algebra, functionals, hochschild,\n"
-            "    modular, peterweyl, rewrite, sampling, scalars)\n"
+            "from suq2 import (acceptance, actions, algebra, cli, errors,\n"
+            "    functionals, hochschild, modular, peterweyl, rewrite,\n"
+            "    sampling, scalars)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
