@@ -509,14 +509,13 @@ def check_clebsch_forms() -> Verdict:
         if abs(vp) > 1e-14:
             expect.add((l2 + 1, i2 + 1, j2 - 1))
             worst = max(worst, abs(
-                mm.entry((l2 + 1, i2 + 1, j2 - 1), (l2, i2, j2)) - vp))
+                float(colvec[pos[(l2 + 1, i2 + 1, j2 - 1)]]) - vp))
         down = (l2 - 1, i2 + 1, j2 - 1)
         if down in pos:
             vm = clebsch_minus(l2, i2, j2, q)
             if abs(vm) > 1e-14:
                 expect.add(down)
-                worst = max(worst, abs(
-                    mm.entry(down, (l2, i2, j2)) - vm))
+                worst = max(worst, abs(float(colvec[pos[down]]) - vm))
         if support != expect:
             support_bad += 1
 

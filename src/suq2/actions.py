@@ -18,7 +18,9 @@ The dual pairing has a closed form on basis monomials: k**±1 kill b and
 c and give v**±(s-n) on a^n d^s, while e pairs only with a^n c d^s and f
 only with a^n b d^s, both to v**(n+s).  ``sweedler_oracle`` recomputes
 the actions through the coproduct and that pairing, g . x = sum x_(1)
-<g, x_(2)>, giving an independent route used by the verification suite.
+<g, x_(2)>, and ``sweedler_oracle_right`` the right ones, x . g = sum
+<g, x_(1)> x_(2): one body that pairs one leg of each coproduct term and
+keeps the other, an independent route used by the verification suite.
 """
 
 from __future__ import annotations
@@ -206,25 +208,25 @@ def _pair_mono(g: str, m: Monomial) -> Scalar:
     raise ValueError(f"unknown dual generator {g!r}")
 
 
+def _sweedler(g: str, x: AlgebraElement, paired: int) -> AlgebraElement:
+    """sum c <g, leg paired> (other leg) over the coproduct's terms."""
+    out: Dict[Monomial, Scalar] = {}
+    for legs, c in coproduct(x).terms.items():
+        p = _pair_mono(g, legs[paired])
+        if not p.is_zero():
+            _accumulate(out, legs[1 - paired], c * p)
+    return AlgebraElement(out)
+
+
 def sweedler_oracle(g: str, x: AlgebraElement) -> AlgebraElement:
     """g . x computed as sum x_(1) <g, x_(2)> through the coproduct.
 
     Independent of the ladders' letter sum; used to cross-validate act_e,
     act_f and act_k on a sample of monomials.
     """
-    out: Dict[Monomial, Scalar] = {}
-    for (m1, m2), c in coproduct(x).terms.items():
-        p = _pair_mono(g, m2)
-        if not p.is_zero():
-            _accumulate(out, m1, c * p)
-    return AlgebraElement(out)
+    return _sweedler(g, x, 1)
 
 
 def sweedler_oracle_right(g: str, x: AlgebraElement) -> AlgebraElement:
     """x . g computed as sum x_(2) <g, x_(1)> through the coproduct."""
-    out: Dict[Monomial, Scalar] = {}
-    for (m1, m2), c in coproduct(x).terms.items():
-        p = _pair_mono(g, m1)
-        if not p.is_zero():
-            _accumulate(out, m2, c * p)
-    return AlgebraElement(out)
+    return _sweedler(g, x, 0)

@@ -400,12 +400,6 @@ class TensorElement(_SparseSum):
 
     __rmul__ = __mul__
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c})*{l} (x) {r}"
-                          for (l, r), c in sorted(self._terms.items()))
-
 
 _DELTA_LETTER = {
     # Matrix coproduct of [[a, b], [c, d]].

@@ -22,7 +22,6 @@ numeric non-convergence or overflow.
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -127,27 +126,28 @@ def _config_flags(path: str, sub: argparse.ArgumentParser) -> List[str]:
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
-def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit(ns: argparse.Namespace, human: List[str], payload: str) -> None:
+def _emit(ns: argparse.Namespace, human: List[str], payload: object,
+          header: Optional[Sequence[str]] = None) -> None:
+    """Print the human lines and, with ``--out``, stream ``payload`` into
+    the file: a JSON document by ``json.dump`` (indent 2, one closing
+    newline), or, given a CSV ``header``, an iterable of CSV rows.  The
+    file's text is never held whole, and without ``--out`` none is formed."""
     for line in human:
         print(line)
-    if ns.out is not None:
-        try:
-            Path(ns.out).write_text(payload)
-        except OSError as exc:
-            raise UsageError(f"cannot write {ns.out}: {exc.strerror or exc}")
-        print(f"wrote {ns.out}")
+    if ns.out is None:
+        return
+    try:
+        with open(ns.out, "w") as fh:
+            if header is None:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {ns.out}: {exc.strerror or exc}")
+    print(f"wrote {ns.out}")
 
 
 def _element_payload(command: str, source: str,
@@ -176,7 +176,7 @@ def _scalar_payload(command: str, inputs: Sequence[str],
 def _cmd_normalize(ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
     _emit(ns, [f"{ns.element.strip()}  =  {x}"],
-          _render_json(_element_payload("normalize", ns.element, x)))
+          _element_payload("normalize", ns.element, x))
     return 0
 
 
@@ -203,8 +203,7 @@ def _cmd_act(ns: argparse.Namespace) -> int:
     payload = _element_payload("act", ns.element, result)
     payload["which"] = which
     payload["side"] = side
-    _emit(ns, [f"{which}[{side}] . ({x})  =  {result}"],
-          _render_json(payload))
+    _emit(ns, [f"{which}[{side}] . ({x})  =  {result}"], payload)
     return 0
 
 
@@ -212,7 +211,7 @@ def _cmd_haar(ns: argparse.Namespace) -> int:
     x = parse_element(ns.element)
     value = haar(x)
     _emit(ns, [f"h({x})  =  {value}"],
-          _render_json(_scalar_payload("haar", [ns.element], value)))
+          _scalar_payload("haar", [ns.element], value))
     return 0
 
 
@@ -235,7 +234,7 @@ def _cmd_cocycle_eval(ns: argparse.Namespace) -> int:
     payload = _scalar_payload("cocycle-eval", ns.elements, value)
     payload["cocycle"] = name
     _emit(ns, [f"{name}({', '.join(str(a) for a in args)})  =  {value}"],
-          _render_json(payload))
+          payload)
     return 0
 
 
@@ -244,7 +243,7 @@ def _cmd_pair_dvol(ns: argparse.Namespace) -> int:
     value = _CLOSED_COCHAINS[name].pair_chain(VOLUME_CHAIN)
     payload = _scalar_payload("pair-dvol", [name], value)
     payload["cocycle"] = name
-    _emit(ns, [f"{name}(dvol)  =  {value}"], _render_json(payload))
+    _emit(ns, [f"{name}(dvol)  =  {value}"], payload)
     return 0
 
 
@@ -262,25 +261,26 @@ def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
         human.append(f"  b({name}): {nonzero[name]} nonzero")
     human.append("all coboundaries vanish"
                  if all_zero else "NONZERO COBOUNDARY FOUND")
-    payload = _render_json({
+    _emit(ns, human, {
         "command": "hochschild-check",
         "seed": seed,
         "tuples": tuples,
         "nonzero_counts": {k: nonzero[k] for k in sorted(nonzero)},
         "all_zero": all_zero,
     })
-    _emit(ns, human, payload)
     return 0 if all_zero else 1
 
 
 #: Ceilings of the size flags of the float commands, checked before the
 #: float layer is imported: past them a run grows until memory runs out.
-#: Peak RSS grows as lmax^2 and linearly in the z steps, and stays below
-#: 0.85 GB at each ceiling.  Measured on one Xeon core: ``spectrum --q
-#: 0.999 --lmax 2000`` writes 4.0 million levels in 10 s CPU at 790 MB;
-#: ``upsilon-scan --q 0.999 --lmax 10000`` takes 4.4 s (identity) and
-#: 5.8 s (cstarc) at 820 MB; 1,000,000 z steps at ``--lmax 1`` take 31 s
-#: at 660 MB.
+#: Peak RSS grows as lmax^2 and linearly in the z steps.  Whole-process
+#: peaks at each ceiling with ``--out``, CSV / JSON, on one Xeon core:
+#: ``spectrum --q 0.999 --lmax 2000`` (4.0 million levels) 207 / 977 MB
+#: in 8 / 22 s CPU, the JSON run holding one dict per level for
+#: ``json.dump``; ``upsilon-scan --q 0.999 --lmax 10000`` (5 z) 631 / 630
+#: MB for identity in 15 s and 822 / 822 MB for cstarc in 15-17 s, whose
+#: prepared blocks set its peak; 1,000,000 z steps at ``--lmax 1`` 438 /
+#: 438 MB in 28 / 35 s.
 _SPECTRUM_LMAX = 2000
 _SCAN_LMAX = 10_000
 _SCAN_Z_STEPS = 1_000_000
@@ -298,21 +298,27 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     _check_ceiling("--lmax", lmax, _SPECTRUM_LMAX)
     from .spectral import sector_spectrum_closed
 
-    rows = [(l2, val, l2 + 1) for l2 in range(0, lmax + 1)
-            for val in sector_spectrum_closed(l2, q)]
+    # The levels, one list per sector, with the multiplicity as one int
+    # that the sector's rows share: each format forms its rows from them
+    # once, the JSON dicts before the dump and the CSV rows as they are
+    # written.
+    sectors = [(l2, l2 + 1, sector_spectrum_closed(l2, q))
+               for l2 in range(lmax + 1)]
     dim = sum((l2 + 1) * 2 * (l2 + 1) for l2 in range(0, lmax + 1))
-    human = [f"spectrum q={q}, 2l <= {lmax}: {len(rows)} levels, "
+    human = [f"spectrum q={q}, 2l <= {lmax}: "
+             f"{sum(len(vals) for _, _, vals in sectors)} levels, "
              f"total dimension {dim}, range "
-             f"[{min(r[1] for r in rows):.6f}, {max(r[1] for r in rows):.6f}]"]
+             f"[{min(min(vals) for _, _, vals in sectors):.6f}, "
+             f"{max(max(vals) for _, _, vals in sectors):.6f}]"]
     if ns.format == "json":
-        payload = _render_json({
+        _emit(ns, human, {
             "command": "spectrum", "q": q, "lmax": lmax,
             "levels": [{"l2": l2, "eigenvalue": v, "multiplicity": mult}
-                       for l2, v, mult in rows],
-        })
+                       for l2, mult, vals in sectors for v in vals]})
     else:
-        payload = _render_csv(("l2", "eigenvalue", "multiplicity"), rows)
-    _emit(ns, human, payload)
+        _emit(ns, human, ((l2, v, mult)
+                          for l2, mult, vals in sectors for v in vals),
+              ("l2", "eigenvalue", "multiplicity"))
     return 0
 
 
@@ -333,11 +339,9 @@ def _cmd_upsilon_scan(ns: argparse.Namespace) -> int:
     human = [f"{len(rows)} scan rows: omega={ns.omega}, q={ns.q}, "
              f"z in [{zs[0]}, {zs[-1]}], lmax={ns.lmax}"]
     if ns.format == "json":
-        payload = _render_json({"command": "upsilon-scan", "rows": rows})
+        _emit(ns, human, {"command": "upsilon-scan", "rows": rows})
     else:
-        payload = _render_csv(tuple(rows[0]),
-                              [tuple(r.values()) for r in rows])
-    _emit(ns, human, payload)
+        _emit(ns, human, (tuple(r.values()) for r in rows), tuple(rows[0]))
     return 0
 
 
@@ -351,11 +355,9 @@ def _cmd_residue(ns: argparse.Namespace) -> int:
     human = [f"residue({ns.omega}, q={ns.q})  =  {report.estimate:.6f} "
              f"+- {report.error_bar:.2e}   [{report.method}]"]
     if ns.format == "csv":
-        header = tuple(doc.keys())
-        payload = _render_csv(header, [tuple(doc[k] for k in header)])
+        _emit(ns, human, [tuple(doc.values())], tuple(doc))
     else:
-        payload = _render_json(doc)
-    _emit(ns, human, payload)
+        _emit(ns, human, doc)
     return 0
 
 
@@ -363,9 +365,9 @@ def _cmd_verify_all(ns: argparse.Namespace) -> int:
     ids = None if ns.only is None else ns.only.replace(",", " ").split()
     results = run_checks(ids, report=print)
     passed = sum(r.passed for r in results)
-    _emit(ns, [f"{passed}/{len(results)} checks passed"], _render_json([
+    _emit(ns, [f"{passed}/{len(results)} checks passed"], [
         {"check_id": r.check_id, "passed": r.passed, "detail": r.detail}
-        for r in results]))
+        for r in results])
     return 0 if passed == len(results) else 1
 
 

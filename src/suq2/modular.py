@@ -28,15 +28,15 @@ R keeps every value inside the exact scalar field; `tau_over_R` implements
 exactly that normalized functional.
 
 This matrix calculus is the reference, not the working route.  The residue
-3-cochain `phi_res_over_r` (shared as `PHI_RES_OVER_R`) is the signed sum
-of the integrated cup products of `hochschild.ORDERS`: a six-entry cup
-table, read off the torus restriction by `hochschild.int_one_table`, the
-evaluator of the cocycles too, and made a cochain by
-`hochschild.cup_cochain`; its coboundary is the cochain of the table
-that `hochschild.boundary` derives from it.  `pi_split` forms the same
-cup products as elements, in its two diagonal entries, and
-`phi_res_via_commutators` evaluates the value by multiplying the
-commutators here, as the independent oracle.
+3-cochain `PHI_RES_OVER_R` is the signed sum of the integrated cup
+products of `hochschild.ORDERS`: a six-entry cup table, read off the
+torus restriction by `hochschild.int_one_table`, the evaluator of the
+cocycles too, and made a cochain by `hochschild.cup_cochain`; its
+coboundary is the cochain of the table that `hochschild.boundary`
+derives from it; `phi_res_over_r` reads the same table as a plain
+function.  `pi_split` forms the same cup products as elements, in its two
+diagonal entries, and `phi_res_via_commutators` evaluates the value by
+multiplying the commutators here, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -112,16 +112,6 @@ class ModularMatrix(_SparseSum):
         get = self._terms.get
         return ((get((power, 0, 0), _ZERO_EL), get((power, 0, 1), _ZERO_EL)),
                 (get((power, 1, 0), _ZERO_EL), get((power, 1, 1), _ZERO_EL)))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "ModularMatrix(0)"
-        chunks = []
-        for power in self.powers:
-            rows = "; ".join(
-                ", ".join(str(e) for e in row) for row in self.part(power))
-            chunks.append(f"power {power}: [{rows}]")
-        return "ModularMatrix(" + " + ".join(chunks) + ")"
 
 
 def mm_mul(x: ModularMatrix, y: ModularMatrix) -> ModularMatrix:
@@ -204,21 +194,22 @@ _RESIDUE_TABLE = tuple((ONE * sign(order), SLOT_TWISTS[order])
                        for order in ORDERS.values())
 
 
+#: The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
+#: sign(order) * int(cup(order, ...)) over the six orders.  It equals the
+#: unit-coefficient integral of the two entries of `pi_split`.  It is the
+#: six-entry cup table read by `hochschild.int_one_table`, which shares
+#: what the orders have in common: each distinct (slot, derivation, twist)
+#: image is read once (11 for the 18 slots), and torus(a0) times the
+#: slot-1 image is formed once for the two orders that begin with the same
+#: (derivation, twist).
+PHI_RES_OVER_R = cup_cochain("phi_res_over_R", _RESIDUE_TABLE)
+
+
 def phi_res_over_r(a0: AlgebraElement, a1: AlgebraElement,
                    a2: AlgebraElement, a3: AlgebraElement) -> Scalar:
-    """The residue 3-cochain tau(a0 [D,a1] [D,a2] [D,a3]) / R: the sum of
-    sign(order) * int(cup(order, ...)) over the six orders.  It equals the
-    unit-coefficient integral of the two entries of `pi_split`.
-
-    It is the six-entry cup table read by `hochschild.int_one_table`,
-    which shares what the orders have in common: each distinct (slot,
-    derivation, twist) image is read once (11 for the 18 slots), and
-    torus(a0) times the slot-1 image is formed once for the two orders
-    that begin with the same (derivation, twist)."""
+    """`PHI_RES_OVER_R`'s value: its table read by `int_one_table` directly,
+    one call deep."""
     return int_one_table(_RESIDUE_TABLE, a0, a1, a2, a3)
-
-
-PHI_RES_OVER_R = cup_cochain("phi_res_over_R", _RESIDUE_TABLE)
 
 #: The seven closed 3-cochains by name: the six cup cocycles and the
 #: residue cochain.

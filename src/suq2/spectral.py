@@ -17,14 +17,18 @@ weakened by it.  Three levels:
   filters; n and 2l always have opposite parity, so m = 2l - n is odd.
 
 * Truncated operators.  ``dirac_matrix`` is the one assembly of the
-  truncated Dirac operator D from its sector matrices; the commutator
-  probe permutes it into its own basis order rather than placing the
-  sectors again.  ``mult_op_matrix`` expresses multiplication by an
-  algebra element in the conventionally normalized matrix-coefficient
-  basis (squared norms q^{-2i}[2l+1]^{-1}).  The projections are computed
-  exactly and only converted to floats at the very end; columns whose
-  image does not fit below the cutoff are flagged, never silently
-  truncated.
+  truncated Dirac operator D: it places each sector matrix on the diagonal
+  of a zero matrix by numpy slicing, so no module of the package imports
+  SciPy's linear algebra, and the commutator probe permutes it into its
+  own basis order rather than placing the sectors again.
+  ``mult_op_matrix`` expresses multiplication by an algebra element in the
+  conventionally normalized matrix-coefficient basis (squared norms
+  q^{-2i}[2l+1]^{-1}), returned as the record ``MultOpMatrix`` (matrix,
+  labels, flagged, q).  The projections are computed exactly and only
+  converted to floats at the very end; columns whose image does not fit
+  below the cutoff are flagged, never silently truncated.  Its c columns
+  have closed forms, ``clebsch_plus`` and ``clebsch_minus``, two cases of
+  one rule.
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
   used by the residue functional in a fixed (n outer, l inner) order,
@@ -78,9 +82,8 @@ from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-# scipy.integrate and scipy.linalg are imported by the two functions that
-# call them (the near-q = 1 tail quadrature and ``dirac_matrix``), which
-# most float commands never reach.
+# scipy.integrate is imported by the one function that calls it (the
+# near-q = 1 tail quadrature), which most float commands never reach.
 from scipy.special import betainc, betaincc, gammaln
 
 from .algebra import AlgebraElement, gens, weight_decompose
@@ -181,12 +184,6 @@ class SpectralGrid:
         _check_cutoff(lmax)
         self.lmax = lmax
 
-    def sectors(self) -> range:
-        return range(0, self.lmax + 1)
-
-    def __repr__(self) -> str:
-        return f"SpectralGrid(q={self.q}, lmax={self.lmax})"
-
 
 # ---------------------------------------------------------------------------
 # Dirac sector matrices.
@@ -250,71 +247,67 @@ def dirac_matrix(grid: SpectralGrid
                  ) -> Tuple[np.ndarray, List[Tuple[int, int, str, int]]]:
     """Assemble the full truncated Dirac matrix with its state labels.
 
-    Block diagonal over (l2, i2): ``block_diag`` places the l2 + 1 copies
-    of each ``dirac_sector_matrix`` in turn.  The operator never mixes
-    sectors, so a truncation in l2 leaves every included sector intact.
-    Labels are (l2, i2, slot, j2) with slot "up"/"down" matching the
-    sector basis order.  This is the one assembly of D; the commutator
-    probe permutes it into its own basis order.
+    Block diagonal over (l2, i2): the l2 + 1 copies of each
+    ``dirac_sector_matrix`` are placed in turn on the diagonal of a zero
+    matrix by slicing.  The operator never mixes sectors, so a truncation
+    in l2 leaves every included sector intact.  Labels are (l2, i2, slot,
+    j2) with slot "up"/"down" matching the sector basis order.  This is
+    the one assembly of D; the commutator probe permutes it into its own
+    basis order.
     """
-    from scipy.linalg import block_diag
-
-    mat = block_diag(*(sector for l2 in grid.sectors()
-                       for sector in repeat(dirac_sector_matrix(l2, grid.q),
-                                            l2 + 1)))
-    labels = [(l2, i2, slot, j2) for l2 in grid.sectors()
+    labels = [(l2, i2, slot, j2) for l2 in range(grid.lmax + 1)
               for i2 in range(-l2, l2 + 1, 2) for slot in ("up", "down")
               for j2 in range(-l2, l2 + 1, 2)]
+    mat = np.zeros((len(labels), len(labels)))
+    at = 0
+    for l2 in range(grid.lmax + 1):
+        for sector in repeat(dirac_sector_matrix(l2, grid.q), l2 + 1):
+            mat[at:at + len(sector), at:at + len(sector)] = sector
+            at += len(sector)
     return mat, labels
 
 
 # ---------------------------------------------------------------------------
 # Ladder coefficients of multiplication by the generator c.
 
+def _clebsch(sign: int, t2: int, s2: int, l2: int, ij2: int,
+             q_value: float) -> float:
+    """sign q^{(i+j)/2} sqrt([t2/2][s2/2]) / [2l+1], with ij2 = i2 + j2:
+    the one rule of both ladder coefficients."""
+    q = _check_q(q_value)
+    return (sign * q ** (0.25 * ij2) * math.sqrt(
+        _fbracket(t2, q) * _fbracket(s2, q)) / _fbracket(2 * l2 + 2, q))
+
+
 def clebsch_plus(l2: int, i2: int, j2: int, q_value: float) -> float:
     """Coefficient of t^{l+1/2}_{i+1/2, j-1/2} in c * t^l_{ij}
     (conventional normalization)."""
-    q = _check_q(q_value)
-    return (q ** (0.25 * (i2 + j2))
-            * math.sqrt(_fbracket(l2 + i2 + 2, q) * _fbracket(l2 - j2 + 2, q))
-            / _fbracket(2 * l2 + 2, q))
+    return _clebsch(1, l2 + i2 + 2, l2 - j2 + 2, l2, i2 + j2, q_value)
 
 
 def clebsch_minus(l2: int, i2: int, j2: int, q_value: float) -> float:
     """Coefficient of t^{l-1/2}_{i+1/2, j-1/2} in c * t^l_{ij}
     (conventional normalization)."""
-    q = _check_q(q_value)
-    return (-q ** (0.25 * (i2 + j2))
-            * math.sqrt(_fbracket(l2 - i2, q) * _fbracket(l2 + j2, q))
-            / _fbracket(2 * l2 + 2, q))
+    return _clebsch(-1, l2 - i2, l2 + j2, l2, i2 + j2, q_value)
 
 
 # ---------------------------------------------------------------------------
 # Truncated multiplication operators.
 
-class MultOpMatrix:
+class MultOpMatrix(NamedTuple):
     """Multiplication operator compressed to the truncated basis.
 
     ``labels`` lists (l2, i2, j2) in the fixed sort order shared by rows
-    and columns; ``flagged`` collects the column labels whose image has a
-    component beyond the cutoff (those columns represent a genuine
-    compression, not the full operator).
+    and columns, so entry (row, col) is ``matrix[labels.index(row),
+    labels.index(col)]``; ``flagged`` collects the column labels whose
+    image has a component beyond the cutoff (those columns represent a
+    genuine compression, not the full operator).
     """
 
-    __slots__ = ("matrix", "labels", "flagged", "q")
-
-    def __init__(self, matrix: np.ndarray,
-                 labels: List[Tuple[int, int, int]],
-                 flagged: List[Tuple[int, int, int]], q_value: float):
-        self.matrix = matrix
-        self.labels = labels
-        self.flagged = flagged
-        self.q = q_value
-
-    def entry(self, row: Tuple[int, int, int],
-              col: Tuple[int, int, int]) -> float:
-        return float(self.matrix[self.labels.index(row),
-                                 self.labels.index(col)])
+    matrix: np.ndarray
+    labels: List[Tuple[int, int, int]]
+    flagged: List[Tuple[int, int, int]]
+    q: float
 
 
 def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
@@ -447,12 +440,14 @@ def _exact_sum(blocks: Sequence[np.ndarray]) -> float:
 def _scan_triangle(lmax: int) -> Tuple[np.ndarray, np.ndarray]:
     """Index arrays (n, l2) of the admitted states up to the cutoff, n
     outer and l2 inner: l2 = n + 1, n + 3, ... <= lmax for n < lmax.
-    They are int32, half the memory of the default integer."""
-    counts = (lmax - np.arange(lmax) + 1) // 2
-    n = np.repeat(np.arange(lmax), counts)
-    starts = np.cumsum(counts) - counts
-    l2 = n + 1 + 2 * (np.arange(n.size) - np.repeat(starts, counts))
-    return n.astype(np.int32), l2.astype(np.int32)
+    They are int32 from the first array on, half the memory of the
+    default integer, and so is every temporary that forms them."""
+    counts = (lmax - np.arange(lmax, dtype=np.int32) + 1) // 2
+    n = np.repeat(np.arange(lmax, dtype=np.int32), counts)
+    starts = np.cumsum(counts, dtype=np.int32) - counts
+    l2 = n + 1 + 2 * (np.arange(n.size, dtype=np.int32)
+                      - np.repeat(starts, counts))
+    return n, l2
 
 
 #: One block of a prepared scan: the bases 1 + lambda^2 of the per-term

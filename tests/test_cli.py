@@ -329,6 +329,121 @@ def test_upsilon_scan_golden_bytes(omega, tmp_path):
     assert out.read_bytes() == UPSILON_SCAN_CSV_BYTES[omega]
 
 
+# The JSON writer streams each document into the file; these are the bytes
+# of ``json.dumps(doc, indent=2) + "\n"``, the whole text formed at once.
+SPECTRUM_JSON_BYTES = b"""{
+  "command": "spectrum",
+  "q": 0.5,
+  "lmax": 2,
+  "levels": [
+    {
+      "l2": 0,
+      "eigenvalue": -0.5,
+      "multiplicity": 1
+    },
+    {
+      "l2": 0,
+      "eigenvalue": -0.5,
+      "multiplicity": 1
+    },
+    {
+      "l2": 1,
+      "eigenvalue": -1.0,
+      "multiplicity": 2
+    },
+    {
+      "l2": 1,
+      "eigenvalue": -1.0,
+      "multiplicity": 2
+    },
+    {
+      "l2": 1,
+      "eigenvalue": -1.0,
+      "multiplicity": 2
+    },
+    {
+      "l2": 1,
+      "eigenvalue": 1.0,
+      "multiplicity": 2
+    },
+    {
+      "l2": 2,
+      "eigenvalue": -2.29128784747792,
+      "multiplicity": 3
+    },
+    {
+      "l2": 2,
+      "eigenvalue": -1.5,
+      "multiplicity": 3
+    },
+    {
+      "l2": 2,
+      "eigenvalue": -1.5,
+      "multiplicity": 3
+    },
+    {
+      "l2": 2,
+      "eigenvalue": -1.224744871391589,
+      "multiplicity": 3
+    },
+    {
+      "l2": 2,
+      "eigenvalue": 1.224744871391589,
+      "multiplicity": 3
+    },
+    {
+      "l2": 2,
+      "eigenvalue": 2.29128784747792,
+      "multiplicity": 3
+    }
+  ]
+}
+"""
+
+UPSILON_SCAN_JSON_BYTES = b"""{
+  "command": "upsilon-scan",
+  "rows": [
+    {
+      "omega_tag": "identity",
+      "q": 0.5,
+      "z": 3.2,
+      "lmax": 60,
+      "partial_sum": 13.24422428055627,
+      "tail_bound": 1.570976109686763
+    },
+    {
+      "omega_tag": "identity",
+      "q": 0.5,
+      "z": 3.6,
+      "lmax": 60,
+      "partial_sum": 8.357261639782251,
+      "tail_bound": 0.29492476165142395
+    },
+    {
+      "omega_tag": "identity",
+      "q": 0.5,
+      "z": 4.0,
+      "lmax": 60,
+      "partial_sum": 5.661220978187634,
+      "tail_bound": 0.06009904036784009
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["spectrum", "--q", "0.5", "--lmax", "2"], SPECTRUM_JSON_BYTES),
+    (["upsilon-scan", "--omega", "identity", "--q", "0.5", "--lmax", "60",
+      "--z-from", "3.2", "--z-to", "4.0", "--z-steps", "3"],
+     UPSILON_SCAN_JSON_BYTES),
+], ids=["spectrum", "upsilon-scan"])
+def test_json_golden_bytes(argv, want, tmp_path):
+    out = tmp_path / "doc.json"
+    assert run_command(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
 def test_upsilon_scan_rejects_unknown_weight(capsys):
     assert run_command(["upsilon-scan", "--omega", "bogus"]) == 2
     assert "weight tag" in capsys.readouterr().err

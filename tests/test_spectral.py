@@ -208,14 +208,14 @@ def test_mult_op_c_matches_ladder_closed_forms():
         vp = clebsch_plus(l2, i2, j2, q)
         if abs(vp) > 1e-14:
             expect.add((l2 + 1, i2 + 1, j2 - 1))
-            assert abs(mm.entry((l2 + 1, i2 + 1, j2 - 1),
-                                (l2, i2, j2)) - vp) < 1e-10
+            assert abs(mm.matrix[pos[(l2 + 1, i2 + 1, j2 - 1)], col]
+                       - vp) < 1e-10
         rm = (l2 - 1, i2 + 1, j2 - 1)
         if rm in pos:
             vm = clebsch_minus(l2, i2, j2, q)
             if abs(vm) > 1e-14:
                 expect.add(rm)
-                assert abs(mm.entry(rm, (l2, i2, j2)) - vm) < 1e-10
+                assert abs(mm.matrix[pos[rm], col] - vm) < 1e-10
         assert support == expect
         checked += 1
     assert checked == sum((l2 + 1) ** 2 for l2 in range(0, 5))
@@ -741,6 +741,7 @@ def test_scan_triangle_is_the_admitted_modes():
 
     for lmax in range(0, 61):
         n, l2 = _scan_triangle(lmax)
+        assert n.dtype == l2.dtype == np.int32
         assert list(zip(n.tolist(), l2.tolist())) == sorted(
             (k, s) for s in range(lmax + 1) for k in jset(s))
 
@@ -1520,7 +1521,7 @@ def _ref_dirac_matrix(grid):
     """``dirac_matrix`` placed block by block into a zero matrix."""
     labels = []
     blocks = []
-    for l2 in grid.sectors():
+    for l2 in range(grid.lmax + 1):
         sector = dirac_sector_matrix(l2, grid.q)
         for i2 in range(-l2, l2 + 1, 2):
             for j2 in range(-l2, l2 + 1, 2):
@@ -1547,7 +1548,7 @@ def _ref_commutator_growth(q, lmax):
     pos = {lab: k for k, lab in enumerate(mm.labels)}
     mult_sp = np.kron(mm.matrix, np.eye(2))
     dirac_sp = np.zeros((2 * npw, 2 * npw))
-    for l2 in grid.sectors():
+    for l2 in range(grid.lmax + 1):
         sector = dirac_sector_matrix(l2, q)
         for i2 in range(-l2, l2 + 1, 2):
             up = [2 * pos[(l2, i2, j2)] for j2 in range(-l2, l2 + 1, 2)]
