@@ -388,11 +388,12 @@ def check_pi_split() -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# 8. Ladder-transported matrix-coefficient norms.
+# 8. Closed-form matrix-coefficient norms.
 
 def check_peterweyl_norms() -> Verdict:
-    """Ladder-transport squared norms against q^{-2i} [2l+1]^{-1}: every
-    stored norm is re-derived by direct Haar integration, the squared
+    """Closed-form squared norms against q^{-2i} [2l+1]^{-1}: every
+    stored norm, the conventional one over the closed-form q-binomial
+    rescale square, is re-derived by direct Haar integration, the squared
     rescale factor onto the target is exact, and the anchor vectors
     (spin 1/2, the a-power corners, the central column) carry the target
     norm on the nose.  Exactly normalized representatives for the rest

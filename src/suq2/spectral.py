@@ -24,11 +24,11 @@ weakened by it.  Three levels:
   ``mult_op_matrix`` expresses multiplication by an algebra element in the
   conventionally normalized matrix-coefficient basis (squared norms
   q^{-2i}[2l+1]^{-1}), returned as the record ``MultOpMatrix`` (matrix,
-  labels, flagged, q).  The projections are computed exactly and only
-  converted to floats at the very end; columns whose image does not fit
-  below the cutoff are flagged, never silently truncated.  Its c columns
-  have closed forms, ``clebsch_plus`` and ``clebsch_minus``, two cases of
-  one rule.
+  labels, flagged, q).  The projections are computed exactly, from the
+  basis's closed-form dual coefficients, and only converted to floats at
+  the very end; columns whose image does not fit below the cutoff are
+  flagged, never silently truncated.  Its c columns have closed forms,
+  ``clebsch_plus`` and ``clebsch_minus``, two cases of one rule.
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
   used by the residue functional in a fixed (n outer, l inner) order,
@@ -88,8 +88,8 @@ from scipy.special import betainc, betaincc, gammaln
 
 from .algebra import AlgebraElement, gens, weight_decompose
 from .errors import NonConvergenceError
-from .functionals import gns_inner
-from .peterweyl import pw_orthobasis
+from .peterweyl import dual_ratio, ladder_shape, pw_orthobasis
+from .scalars import ONE, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +319,12 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     exact) pass through floating point.  The basis vectors of a weight
     block are orthogonal, so each coordinate is the projection
     mu = <v, comp> / <v, v> of the product's weight component itself.
+    The basis and the projections are closed forms, and no Haar state is
+    evaluated: the basis is ``pw_orthobasis``'s, and
+    mu = sum_t comp_t D_K(t), with comp_t the component's coefficient on
+    its block's ladder monomial u_t and D_K(t) the coefficient of the
+    block's K-th vector in u_t, built by ``dual_ratio`` once per ladder
+    shape and call.
     Everything else is read off the ladder form: the monic vector of
     doubled spin 2l has coefficient 1 on its block's ladder monomial of
     degree 2l and no support beyond it, so a block's first k+1 vectors
@@ -340,6 +346,7 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
     dim = len(vectors)
     mat = np.zeros((dim, dim))
     flagged: List[Tuple[int, int, int]] = []
+    duals: Dict[Tuple[int, int, int], List[Scalar]] = {}
     degree = x.degree
     for cidx, vcol in enumerate(vectors):
         low = vcol.l2 - degree
@@ -348,12 +355,19 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
             block = blocks.get((rw2, lw2), ())
             top = comp.degree
             leaked = leaked or not block or top > block[-1].l2
+            ladder = [(min(m.m, m.r), c) for m, c in comp.terms.items()]
+            last = max(t for t, _ in ladder)
             for v in block:
                 if v.l2 > top:
                     break
                 if v.l2 < low:
                     continue
-                mu = gns_inner(v.monic, comp) / v.norm_sq
+                a, b, k = shape = ladder_shape(v.l2, v.i2, v.j2)
+                row = duals.setdefault(shape, [ONE])
+                while len(row) <= last - k:
+                    row.append(row[-1] * dual_ratio(a, b, k, k + len(row) - 1))
+                terms = [c * row[t - k] for t, c in ladder if t >= k]
+                mu = sum(terms[1:], terms[0])
                 if mu.is_zero():
                     continue
                 ridx = pos[(v.l2, v.i2, v.j2)]

@@ -4,10 +4,13 @@ The conventional normalization of a matrix coefficient involves square
 roots that generally leave the coefficient field, so the substantive
 claims are verified in squared/exact form:
 
-* the ladder-transport basis is the orthogonal one of each weight block:
-  every monic vector lies in the span of the block's first ladder
-  monomials, carries coefficient 1 on the newest, is Haar-orthogonal to
-  the earlier vectors and stores its own Haar norm, which singles it out;
+* the closed-form basis is the one ladder transport builds, Scalar for
+  Scalar at every cutoff of exact mode, and the closed-form coefficient of
+  each vector in each ladder monomial is its Haar projection;
+* it is the orthogonal basis of each weight block: every monic vector
+  lies in the span of the block's first ladder monomials, carries
+  coefficient 1 on the newest, is Haar-orthogonal to the earlier vectors
+  and stores its own Haar norm, which singles it out;
 * the spin-1/2 vectors are exactly the four generators, already carrying
   the conventional squared norm q^(-2i) [2l+1]^-1;
 * the highest-monomial vectors a^2l are conventionally normalized as-is;
@@ -21,12 +24,13 @@ norm in the truncation, which is the content of the norm formula.
 """
 
 import pytest
+from peterweyl_transport import transport_orthobasis
 
-from suq2 import peterweyl
 from suq2.actions import act_e, act_f, act_f_right
 from suq2.algebra import AlgebraElement, Monomial, gens
 from suq2.functionals import gns_inner, gns_norm_sq
-from suq2.peterweyl import block_monomials, pw_orthobasis, target_norm_sq
+from suq2.peterweyl import (block_monomials, dual_ratio, ladder_shape,
+                            pw_orthobasis, target_norm_sq)
 from suq2.scalars import ONE, ZERO, Scalar, q_number, scalar_sqrt
 
 A, B, C, D = gens()
@@ -73,6 +77,49 @@ class TestBlockStructure:
             pw_orthobasis(10)
 
 
+class TestClosedForms:
+    @pytest.mark.parametrize("l2max", range(1, 9))
+    def test_basis_is_the_transport_basis(self, l2max):
+        # Same blocks in the same order, same vectors in the same order,
+        # and every monic term, squared norm and rescale square equal.
+        blocks = pw_orthobasis(l2max)
+        oracle = transport_orthobasis(l2max)
+        assert list(blocks) == list(oracle)
+        for key, block in blocks.items():
+            assert len(block) == len(oracle[key])
+            for v, w in zip(block, oracle[key]):
+                assert (v.l2, v.i2, v.j2) == (w.l2, w.i2, w.j2)
+                assert v.monic.terms == w.monic.terms
+                assert v.norm_sq == w.norm_sq
+                assert v.rescale_sq == w.rescale_sq
+        assert sum(map(len, blocks.values())) == sum(
+            (l2 + 1) ** 2 for l2 in range(l2max + 1))
+
+    @pytest.mark.parametrize("l2", range(9))
+    def test_dual_coefficients_are_haar_projections(self, l2):
+        # D_K(t) = <v, u_t> / <v, v>: 0 below the vector's own ladder
+        # index K, 1 at K, then dual_ratio's running product, for 8 ladder
+        # steps past K.
+        checked = 0
+        for (i2, j2), block in pw_orthobasis(8).items():
+            for v in block:
+                if v.l2 != l2:
+                    continue
+                a, b, k = ladder_shape(l2, i2, j2)
+                dual = ZERO
+                for t, mono in enumerate(block_monomials(i2, j2, k + 9)):
+                    if t == k:
+                        dual = ONE
+                    elif t > k:
+                        dual = dual * dual_ratio(a, b, k, t - 1)
+                    u_t = AlgebraElement.from_mono(mono)
+                    assert dual == gns_inner(v.monic, u_t) / v.norm_sq
+                    checked += 1
+        assert checked == sum(k + 9 for k in (
+            (l2 - max(abs(i2), abs(j2))) // 2
+            for i2 in range(-l2, l2 + 1, 2) for j2 in range(-l2, l2 + 1, 2)))
+
+
 class TestOrthogonality:
     def test_within_block(self):
         for vs in BLOCKS.values():
@@ -115,15 +162,6 @@ class TestOrthogonality:
                 last = top
                 checked += 1
         assert checked == sum((l2 + 1) ** 2 for l2 in range(9))
-
-    def test_pivot_needs_no_ladder_list(self, monkeypatch):
-        # put reads each pivot off the image's top-degree monomial.
-        def no_ladder(*args):
-            raise AssertionError("pw_orthobasis built a ladder list")
-
-        monkeypatch.setattr(peterweyl, "block_monomials", no_ladder)
-        blocks = peterweyl.pw_orthobasis(4)
-        assert sum(len(b) for b in blocks.values()) == 55
 
     def test_across_blocks_is_automatic(self):
         # Different weight pairs are orthogonal by the grading; one spot

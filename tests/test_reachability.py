@@ -59,7 +59,6 @@ BENCH_ONLY = {
     "mero._remainder_partial",  # body of f1_partial and f2_partial
     "mero.mero_reference",      # residue-numerics workload
     "modular.phi_res_over_r",   # cochain-closure workload's own cochain
-    "peterweyl.block_monomials",  # tracer entry point
     "scalars.scalar_sqrt",      # tracer entry point
     "scalars._poly_sqrt",       # body of scalar_sqrt
     "spectral.commutator_growth",  # tracer entry point

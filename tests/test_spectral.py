@@ -18,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from peterweyl_transport import transport_orthobasis
 
+from suq2 import functionals
 from suq2.algebra import AlgebraElement, gens, weight_decompose
 from suq2.functionals import gns_inner
 from suq2.peterweyl import pw_orthobasis
@@ -225,8 +227,10 @@ def _ref_mult_op_matrices(x, l2max, qs):
     """``mult_op_matrix`` at each q by residual projection: each block
     vector is projected against what the earlier ones left over, and a
     column is flagged when anything is left at the end.  The projections
-    are exact and independent of q, so they are formed once."""
-    blocks = pw_orthobasis(l2max)
+    are exact and independent of q, so they are formed once.  The basis
+    is the ladder-transport one, which shares no closed form with
+    ``mult_op_matrix``."""
+    blocks = transport_orthobasis(l2max)
     vectors = sorted((v for blk in blocks.values() for v in blk),
                      key=lambda v: (v.l2, v.i2, v.j2))
     labels = [(v.l2, v.i2, v.j2) for v in vectors]
@@ -312,6 +316,21 @@ def test_mult_op_forms_no_residual(monkeypatch):
         mm = mult_op_matrix(x, SpectralGrid(0.5, 3))
         assert mm.flagged
         assert all(l2 + x.degree > 3 for l2, _, _ in mm.flagged)
+
+
+def test_mult_op_takes_no_inner_product(monkeypatch):
+    # The projections are closed-form dual coefficients, so no GNS inner
+    # product is taken: no adjoint is formed and no Haar state evaluated.
+    def no_inner(*args):
+        raise AssertionError("mult_op_matrix took an inner product")
+
+    monkeypatch.setattr(functionals, "gns_inner", no_inner)
+    monkeypatch.setattr(functionals, "haar", no_inner)
+    monkeypatch.setattr(AlgebraElement, "star", no_inner)
+    for x in (A, B, C, D, A * B):
+        mm = mult_op_matrix(x, SpectralGrid(0.5, 3))
+        assert mm.flagged
+        assert np.count_nonzero(mm.matrix)
 
 
 def test_cstarc_diagonal_matches_eps_display_exactly():
