@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .acceptance import CHECK_IDS, coboundary_sweep, run_checks
 from .actions import act_e, act_e_right, act_f, act_f_right, act_h, act_weight
@@ -127,18 +127,22 @@ def _config_flags(path: str, sub: argparse.ArgumentParser) -> List[str]:
 # Output plumbing.
 
 def _emit(ns: argparse.Namespace, human: List[str], payload: object,
-          header: Optional[Sequence[str]] = None) -> None:
+          header: Optional[Sequence[str]] = None, *,
+          text: bool = False) -> None:
     """Print the human lines and, with ``--out``, stream ``payload`` into
     the file: a JSON document by ``json.dump`` (indent 2, one closing
-    newline), or, given a CSV ``header``, an iterable of CSV rows.  The
-    file's text is never held whole, and without ``--out`` none is formed."""
+    newline), given a CSV ``header`` an iterable of CSV rows, or with
+    ``text`` an iterable of the file's text in chunks.  The file's text is
+    never held whole, and without ``--out`` none is formed."""
     for line in human:
         print(line)
     if ns.out is None:
         return
     try:
         with open(ns.out, "w") as fh:
-            if header is None:
+            if text:
+                fh.writelines(payload)
+            elif header is None:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             else:
@@ -275,12 +279,13 @@ def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
 #: float layer is imported: past them a run grows until memory runs out.
 #: Peak RSS grows as lmax^2 and linearly in the z steps.  Whole-process
 #: peaks at each ceiling with ``--out``, CSV / JSON, on one Xeon core:
-#: ``spectrum --q 0.999 --lmax 2000`` (4.0 million levels) 207 / 977 MB
-#: in 8 / 22 s CPU, the JSON run holding one dict per level for
-#: ``json.dump``; ``upsilon-scan --q 0.999 --lmax 10000`` (5 z) 631 / 630
-#: MB for identity in 15 s and 822 / 822 MB for cstarc in 15-17 s, whose
-#: prepared blocks set its peak; 1,000,000 z steps at ``--lmax 1`` 438 /
-#: 438 MB in 28 / 35 s.
+#: ``spectrum --q 0.999 --lmax 2000`` (4.0 million levels) 208 / 212 MB
+#: in 8 / 24 s, the JSON levels written one sector at a time;
+#: ``upsilon-scan --q 0.999 --lmax 10000`` (5 z) 631 / 632 MB for
+#: identity in 17-19 s and 823 / 823 MB for cstarc in 32-34 s, whose
+#: prepared blocks and one z's terms set its peak; 1,000,000 z steps at
+#: ``--lmax 1`` 445 / 445 MB in 59 / 63 s, at an hour when the host ran
+#: slow.
 _SPECTRUM_LMAX = 2000
 _SCAN_LMAX = 10_000
 _SCAN_Z_STEPS = 1_000_000
@@ -289,6 +294,27 @@ _SCAN_Z_STEPS = 1_000_000
 def _check_ceiling(flag: str, value: int, ceiling: int) -> None:
     if value > ceiling:
         raise UsageError(f"{flag} {value} is above its ceiling {ceiling}")
+
+
+def _spectrum_json(q: float, lmax: int,
+                   sectors: List[Tuple[int, int, List[float]]]
+                   ) -> Iterator[str]:
+    """The text that ``json.dump(..., indent=2)`` and a closing newline
+    write for the spectrum's payload, one chunk per sector, so that only
+    one sector's levels are held as dicts at a time.  Each chunk is cut
+    from ``json.dumps`` of the payload holding that sector's levels alone,
+    between the text before and after the levels' items, which the
+    payload holding one null item shows."""
+    frame = {"command": "spectrum", "q": q, "lmax": lmax}
+    head, tail = json.dumps(dict(frame, levels=[None]),
+                            indent=2).split("    null")
+    yield head
+    for k, (l2, mult, vals) in enumerate(sectors):
+        doc = json.dumps(dict(frame, levels=[
+            {"l2": l2, "eigenvalue": v, "multiplicity": mult}
+            for v in vals]), indent=2)
+        yield (",\n" if k else "") + doc[len(head):-len(tail)]
+    yield tail + "\n"
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
@@ -311,10 +337,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
              f"[{min(min(vals) for _, _, vals in sectors):.6f}, "
              f"{max(max(vals) for _, _, vals in sectors):.6f}]"]
     if ns.format == "json":
-        _emit(ns, human, {
-            "command": "spectrum", "q": q, "lmax": lmax,
-            "levels": [{"l2": l2, "eigenvalue": v, "multiplicity": mult}
-                       for l2, mult, vals in sectors for v in vals]})
+        _emit(ns, human, _spectrum_json(q, lmax, sectors), text=True)
     else:
         _emit(ns, human, ((l2, v, mult)
                           for l2, mult, vals in sectors for v in vals),

@@ -41,24 +41,28 @@ weakened by it.  Three levels:
   then costs the per-term power (1 + lambda^2)^{-z/2}, which stays
   Python's pow since numpy's vectorized power rounds differently from
   libm on some CPUs, the products in the per-term loop's order, and one
-  exact sum: the terms are binned by binary exponent and the sum is
-  rounded once, which gives ``math.fsum``'s bits, in a third to a half of
-  its time on the thousands of terms of a scan or a column head (a short
-  sum pays a fixed cost instead; see ``_exact_sum``).  A scan's output thus
-  has the bits of the plain per-term loop under ``math.fsum``, and does
-  not depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
+  exact sum: error-free extraction splits the terms into parts whose sums
+  are exact, and the sum is rounded once, under a certificate that it
+  rounds as the exact total does.  That gives ``math.fsum``'s bits in a
+  fifth of its time on a 4001-term column head and a tenth on 40,000
+  terms (a short sum pays a fixed cost instead; see ``_exact_sum``).  The
+  triangle's (n, l) indices are formed block by block, so the whole
+  triangle is never held.  A scan's output thus has the bits of the
+  plain per-term loop under ``math.fsum``, and does not depend on the
+  host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
   cutoff scan cannot reach.  Its first columns, and every column of the
   c*c and identity sums over the odd-m lattice (``upsilon_cstarc_lattice``
   and ``_identity_lattice``), are summed directly by one evaluator given
   the column's weight: a head whose array powers q^k are gathered from
-  one table built per call and merged by the same exact sum, an integral
-  tail, and an Euler-Maclaurin close.  Where every t-dependent power of q
-  rounds away past the head, the float weight there is alpha + beta t
-  and the tail is alpha I0 + beta I1, two integrals in closed form (an
-  incomplete beta function and a power); only within about 5e-3 of
-  q = 1 is the full c*c weight integrated by quadrature.  The lattice sums
+  one table built per call, the heads of all its z merged by one call of
+  the same exact sum, an integral tail, and an Euler-Maclaurin close.
+  Where every t-dependent power of q rounds away past the head, the
+  float weight there is alpha + beta t and the tail is alpha I0 + beta
+  I1, two integrals in closed form (an incomplete beta function and a
+  power); only within about 5e-3 of q = 1 is the full c*c weight
+  integrated by quadrature.  The lattice sums
   take a list of z: a column's weights and bases are built once for all
   of them, and each z then costs its powers, exact sum, tail and close;
   the later columns of ``eigen_lattice_sum``, an integral model plus
@@ -79,7 +83,8 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 # scipy.integrate is imported by the one function that calls it (the
@@ -397,71 +402,126 @@ def _check_omega(omega: str) -> str:
 #: of a scan far below its prepared tables.
 _SCAN_BLOCK = 4096
 
-#: ``_exact_sum`` files a term M 2^(e - 53), M its 53-bit integer mantissa,
-#: under bin e + _SUM_OFFSET: frexp's e runs from -1073 (the smallest
-#: subnormal) to 1024, so every bin index is nonnegative, and bin k counts
-#: units of 2^(k - _SUM_OFFSET - 53).
-_SUM_OFFSET = 1126
-_SUM_BINS = _SUM_OFFSET + 1025
+def _settled(levels: List[float], rest: float, rest_err: float) -> float:
+    """The float that every sum of ``levels`` plus a value within
+    ``rest_err`` of ``rest`` rounds to, or nan where that is not proved.
+
+    R = fsum(levels + [rest]) is their correctly rounded sum, and a
+    second fsum gives its rounding error rho, itself correctly rounded.
+    Every value within |rho| + rest_err of R rounds to R when that stays
+    below half the smaller spacing next to R, the one toward zero (half
+    the other where R is a power of two).  The test is strict, so no tie
+    is certified, and its float margins cover rho's own rounding."""
+    total = math.fsum(levels + [rest])
+    rho = math.fsum(levels + [rest, -total])
+    gap = 0.5 * (total - math.nextafter(total, 0.0))
+    bound = (abs(rho) + rest_err) * (1.0 + 2.0 ** -50) + 2.0 ** -1074
+    return total if bound < abs(gap) else math.nan
 
 
-def _exact_sum(blocks: Sequence[np.ndarray]) -> float:
-    """Correctly rounded sum of float64 blocks, bit for bit ``math.fsum``.
+def _exact_sum(blocks: Sequence[np.ndarray]):
+    """Correctly rounded sums of float64 blocks, bit for bit ``math.fsum``.
 
-    Each term is an integer mantissa |M| < 2^53 times 2^(e - 53)
-    (``np.frexp``).  The two 26-bit halves of the mantissas are summed per
-    exponent by ``np.bincount``; with fewer than 2^26 terms every bin sum
-    stays below 2^53 and is exact.  The bins are combined into one Python
-    integer, and one correctly rounded integer division returns the float.
-    ``math.fsum`` itself takes the cases where its result could differ
-    from the exact path or raise: a non-finite term, 2^26 terms or more, a
-    sum large enough for fsum's intermediate overflow, and an exact zero,
-    whose sign is fsum's to fix.
+    The blocks are 1-D, one row summed to one float, or 2-D, rows x terms
+    summed to a list of one float per row, each row across every block;
+    no block at all sums to 0.0.  The method is error-free vector
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31, 2008).  With n terms in a row,
+    2^M > n + 1 and every term of the open rows below 2^e in magnitude,
+    sigma = 2^(e + M) splits each term x into hi = (x + sigma) - sigma
+    and x - hi, both exact.  Every hi is a multiple of 2^-53 sigma and
+    their total stays below sigma, so a row's level sum, the sum of its
+    hi, is exact in any order; every remainder lies within 2^-53 sigma and
+    within the row's largest term.  A row is done when ``_settled`` proves
+    that fsum of its level sums plus the float sum of its remainders
+    rounds like the exact total; that float sum is off by at most
+    2 n^2 2^-53 times the remainders' largest magnitude.  The open rows
+    go on to another level, at 2^(M - 53) sigma or below, with the
+    remainders recomputed from the terms so that no copy of the blocks is
+    kept, until that error bound rounds to 0, where the float sum is
+    exact.  ``math.fsum`` of the row's terms takes the cases where it
+    could raise or fix a sign: a non-finite term, a row large enough for
+    its intermediate overflow (2^(e + M) above 2^1022), and an exact zero.
 
-    It pays on long sums only.  Against ``math.fsum`` of the terms as a
-    list (timeit, min of 5, random terms, one Xeon core): 85 against
-    253 us for 4001 terms and 0.90 against 2.96 ms for 40,000, but about
-    40 us of fixed cost per call, so 10 terms take 40 us against 0.6 us,
-    and the break-even lies between 1000 and 4001 terms.
+    Timed by timeit (min of 7, one Xeon core), with ``math.fsum`` of the
+    terms as a list in brackets: 23 us for a 4001-term column head (115
+    us), 56 us for five such heads as the rows of one call, 0.10 ms for
+    40,000 terms (1.15 ms), and a fixed cost of about 15 us per call, so
+    10 terms take 15 us (0.3 us).  Nearly every row of a column head is
+    settled at the first level.
     """
-    hi = np.zeros(_SUM_BINS)
-    lo = np.zeros(_SUM_BINS)
-    count = 0
-    top = -1074  # every |term| < 2^top
-    for x in blocks:
-        if not np.isfinite(x).all():
-            break
-        m, e = np.frexp(x)
-        mant = m * 2.0 ** 53
-        mant_hi = np.floor(mant * 2.0 ** -26)
-        k = e + _SUM_OFFSET
-        hi += np.bincount(k, weights=mant_hi, minlength=_SUM_BINS)
-        lo += np.bincount(k, weights=mant - mant_hi * 2.0 ** 26,
-                          minlength=_SUM_BINS)
-        count += x.size
-        top = max(top, int(e.max(initial=top)))
-    else:
-        if count < 2 ** 26 and top + count.bit_length() <= 1022:
-            used = np.flatnonzero(np.logical_or(hi, lo))
-            total = sum(((h << 26) + l) << k for k, h, l in zip(
-                used.tolist(), hi[used].astype(np.int64).tolist(),
-                lo[used].astype(np.int64).tolist()))
-            if total:
-                return total / (1 << (_SUM_OFFSET + 53))
-    return math.fsum(v for x in blocks for v in x.tolist())
+    if not blocks:
+        return 0.0
+    rows = [x[None] if x.ndim == 1 else x for x in blocks]
+    n = sum(x.shape[1] for x in rows)
+    m_bits = (n + 1).bit_length()
+    top = np.abs(rows[0]).max(axis=1, initial=0.0)
+    for x in rows[1:]:
+        np.maximum(top, np.abs(x).max(axis=1, initial=0.0), out=top)
+    top = top.tolist()
+    sums = [math.nan] * len(top)
+    levels: List[List[float]] = [[] for _ in top]
+    live = [i for i, t in enumerate(top) if 0.0 < t < math.inf
+            and math.frexp(t)[1] + m_bits <= 1022]
+    work = rows if len(live) == len(top) else [x[live] for x in rows]
+    sigmas: List[float] = []
+    while live:
+        # One sigma for every open row: 2^M times a power of two above
+        # their terms, or 2^(M - 53) times the last sigma, which bounds
+        # every remainder, where that is smaller.
+        sigma = 2.0 ** (math.frexp(max(top[i] for i in live))[1] + m_bits)
+        if sigmas:
+            sigma = min(sigma, sigmas[-1] * 2.0 ** (m_bits - 53))
+        sigmas.append(sigma)
+        tau = rest = rest_top = 0.0
+        for x in work:
+            r = x
+            for s in sigmas:
+                hi = r + s
+                hi -= s
+                r = r - hi
+            tau += hi.sum(axis=1)
+            rest += r.sum(axis=1)
+            if len(sigmas) > 1:
+                rest_top = np.maximum(rest_top,
+                                      np.abs(r).max(axis=1, initial=0.0))
+        # A float sum of n remainders is off by at most 2 n^2 2^-53 times
+        # their largest magnitude: at most 2^-53 sigma and the row's
+        # largest term at the first level, measured after it.  The bound
+        # rounds to 0 only where that sum is exact.
+        rest_top = (rest_top.tolist() if len(sigmas) > 1
+                    else [min(top[i], sigma * 2.0 ** -53) for i in live])
+        err = [t * (2.0 * n * n * 2.0 ** -53) for t in rest_top]
+        keep = []
+        for k, (i, t, rest_k, err_k) in enumerate(zip(
+                live, tau.tolist(), rest.tolist(), err)):
+            levels[i].append(t)
+            sums[i] = (_settled(levels[i], rest_k, err_k) if err_k
+                       else math.fsum(levels[i] + [rest_k]))
+            if math.isnan(sums[i]):
+                keep.append(k)
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            work = [x[keep] for x in work]
+    for i, total in enumerate(sums):
+        if not total or math.isnan(total):  # an exact zero, or fsum's case
+            sums[i] = math.fsum(v for x in rows for v in x[i].tolist())
+    return sums[0] if blocks[0].ndim == 1 else sums
 
 
-def _scan_triangle(lmax: int) -> Tuple[np.ndarray, np.ndarray]:
+def _scan_triangle(lmax: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Index arrays (n, l2) of the admitted states up to the cutoff, n
-    outer and l2 inner: l2 = n + 1, n + 3, ... <= lmax for n < lmax.
-    They are int32 from the first array on, half the memory of the
-    default integer, and so is every temporary that forms them."""
+    outer and l2 inner: l2 = n + 1, n + 3, ... <= lmax for n < lmax, one
+    pair per block of _SCAN_BLOCK states.  Only the first position of
+    each n is held for the whole triangle; a block's n are found among
+    them by binary search.  Every array is int32."""
     counts = (lmax - np.arange(lmax, dtype=np.int32) + 1) // 2
-    n = np.repeat(np.arange(lmax, dtype=np.int32), counts)
     starts = np.cumsum(counts, dtype=np.int32) - counts
-    l2 = n + 1 + 2 * (np.arange(n.size, dtype=np.int32)
-                      - np.repeat(starts, counts))
-    return n, l2
+    size = int(counts.sum())
+    for at in range(0, size, _SCAN_BLOCK):
+        pos = np.arange(at, min(at + _SCAN_BLOCK, size), dtype=np.int32)
+        n = np.searchsorted(starts, pos, side="right").astype(np.int32) - 1
+        yield n, n + 1 + 2 * (pos - starts[n])
 
 
 #: One block of a prepared scan: the bases 1 + lambda^2 of the per-term
@@ -503,11 +563,8 @@ def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
         den_mid = eps[2 * ls + 2]
         den_up = den_mid * eps[2 * ls + 4]
         den_down = eps[2 * ls] * den_mid
-    all_n, all_l2 = _scan_triangle(lmax)
     blocks: List[_ScanBlock] = []
-    for at in range(0, all_n.size, _SCAN_BLOCK):
-        n = all_n[at:at + _SCAN_BLOCK]
-        l2 = all_l2[at:at + _SCAN_BLOCK]
+    for n, l2 in _scan_triangle(lmax):
         lam = np.sqrt(0.25 * n * n + qp[n] * (fbr[(l2 + 1 + n) // 2]
                                               * fbr[(l2 + 1 - n) // 2]))
         base = 1.0 + lam * lam
@@ -804,10 +861,11 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
         t = 1.0 / u
         return weight(t, q.__pow__) * (0.25 * t * t + c_m) ** p * t * t
 
+    heads = _exact_sum([np.stack([head_weight * base ** (-0.5 * z)
+                                  for z in zs])])
     values = []
-    for z in zs:
+    for z, head in zip(zs, heads):
         p = -0.5 * z
-        head = _exact_sum([head_weight * base ** p])
         if tail is None:
             from scipy.integrate import quad
 

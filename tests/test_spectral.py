@@ -754,15 +754,27 @@ def _ref_lattice_column(zs, q, m, qt, weight, tail):
     return values
 
 
-def test_scan_triangle_is_the_admitted_modes():
-    # A scan sums the admitted modes n of jset(l2), l2 <= lmax, n outer.
-    from suq2.spectral import _scan_triangle
+def test_scan_triangle_is_the_admitted_modes(monkeypatch):
+    # A scan sums the admitted modes n of jset(l2), l2 <= lmax, n outer,
+    # in blocks of _SCAN_BLOCK states (the last one shorter).
+    from suq2 import spectral
+
+    def check(lmax):
+        blocks = list(spectral._scan_triangle(lmax))
+        assert all(n.dtype == l2.dtype == np.int32 for n, l2 in blocks)
+        sizes = [n.size for n, _ in blocks]
+        assert all(size == spectral._SCAN_BLOCK for size in sizes[:-1])
+        assert 0 < sizes[-1] <= spectral._SCAN_BLOCK if sizes else lmax == 0
+        pairs = [p for n, l2 in blocks for p in zip(n.tolist(), l2.tolist())]
+        assert pairs == sorted((k, s) for s in range(lmax + 1)
+                               for k in jset(s))
 
     for lmax in range(0, 61):
-        n, l2 = _scan_triangle(lmax)
-        assert n.dtype == l2.dtype == np.int32
-        assert list(zip(n.tolist(), l2.tolist())) == sorted(
-            (k, s) for s in range(lmax + 1) for k in jset(s))
+        check(lmax)
+    # Small blocks: states of one n split across blocks, blocks across n.
+    monkeypatch.setattr(spectral, "_SCAN_BLOCK", 7)
+    for lmax in (1, 2, 13, 14, 40):
+        check(lmax)
 
 
 @pytest.mark.parametrize("omega", ("identity", "deltaL2-e11", "deltaL2-e22",
@@ -1413,6 +1425,121 @@ def test_exact_sum_is_fsum_over_many_blocks():
     _assert_sums_like_fsum(values, [x])
     _assert_sums_like_fsum(values, [x[i:i + _SCAN_BLOCK]
                                     for i in range(0, x.size, _SCAN_BLOCK)])
+
+
+def _same_float(got, want):
+    return (math.isnan(got) and math.isnan(want)) or (
+        got == want and math.copysign(1.0, got) == math.copysign(1.0, want))
+
+
+def _assert_rows_like_fsum(rows, blocks):
+    """Each row of a 2-D call is fsum of that row, sign of zero included,
+    and the value of a call holding that row alone; a row whose fsum
+    raises makes the call raise, the first such row deciding the type."""
+    from suq2.spectral import _exact_sum
+
+    want = []
+    for row in rows:
+        try:
+            want.append(math.fsum(row.tolist()))
+        except (OverflowError, ValueError) as exc:
+            want.append(type(exc))
+            with pytest.raises(type(exc)):
+                _exact_sum([row])
+    raised = [w for w in want if isinstance(w, type)]
+    if raised:
+        with pytest.raises(raised[0]):
+            _exact_sum(blocks)
+        return
+    got = _exact_sum(blocks)
+    assert len(got) == len(rows)
+    for row, g, w in zip(rows, got, want):
+        assert _same_float(g, w)
+        assert _same_float(_exact_sum([row]), g)
+        assert _same_float(_exact_sum([row[None]])[0], g)
+
+
+@st.composite
+def _cancelling_rows(draw, elements=_WIDE_FLOATS):
+    """Rows of ``_cancelling_blocks`` values, padded with 0.0 to one
+    width, and their split into 2-D blocks at drawn column cuts."""
+    cases = draw(st.lists(_cancelling_blocks(elements), min_size=1,
+                          max_size=4))
+    width = max(len(values) for values, _ in cases)
+    rows = np.array([values + [0.0] * (width - len(values))
+                     for values, _ in cases]).reshape(len(cases), width)
+    cuts = sorted(draw(st.lists(st.integers(0, width), max_size=3)))
+    return rows, [rows[:, a:b] for a, b in zip([0] + cuts, cuts + [width])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cancelling_rows())
+def test_exact_sum_rows_are_fsum_of_each_row(case):
+    _assert_rows_like_fsum(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_rows(st.one_of(
+    _WIDE_FLOATS, st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((math.inf, -math.inf, math.nan)))))
+def test_exact_sum_rows_non_finite_and_huge_terms_follow_fsum(case):
+    _assert_rows_like_fsum(*case)
+
+
+def test_exact_sum_of_no_block_is_zero():
+    from suq2.spectral import _exact_sum
+
+    assert _same_float(_exact_sum([]), 0.0)
+    assert _exact_sum([np.zeros((3, 0))]) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", (-900, -1, 0, 52, 1000))
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_exact_sum_below_a_power_of_two(k, sign):
+    """Exact sums 1/4 ulp (of R = 2^k) and a little more below R, where
+    the float sum of the remainders rounds onto the midpoint and fsum of
+    the level and that sum rounds to R.  The true sum rounds to the float
+    below R, whose spacing is half R's ulp: a certificate that took R's
+    ulp as the spacing on both sides would return R."""
+    from suq2.spectral import _exact_sum
+
+    for j in range(1, 61):
+        row = sign * np.array([2.0 ** k, -2.0 ** (k - 54),
+                               -2.0 ** (k - 54 - j)])
+        want = math.fsum(row.tolist())
+        assert want == sign * math.nextafter(2.0 ** k, 0.0)
+        assert _exact_sum([row]) == want
+        assert _exact_sum([np.stack([row, -row])]) == [want, -want]
+
+
+def test_exact_sum_ties_and_deeper_levels_beside_settled_rows(monkeypatch):
+    """Exact ties round half to even, as in fsum; a row that the first
+    level does not settle sits among rows that it does."""
+    from suq2 import spectral
+
+    ulp = 2.0 ** -52
+    ties = [[1.0, ulp / 2], [1.0 + ulp, ulp / 2], [1.0, ulp / 4, ulp / 4],
+            [1.0 + ulp, ulp / 4, ulp / 8, ulp / 8], [-1.0, -ulp / 2],
+            [2.0 ** 1000, 2.0 ** 947], [2.0 ** -1000, 2.0 ** -1053]]
+    rng = np.random.default_rng(5)
+    plain = rng.standard_normal((4, 6)).tolist()
+    rows = np.array([r + [0.0] * (6 - len(r)) for r in ties] + plain)
+    outcomes = []
+    settled = spectral._settled
+
+    def recorded(levels, rest, rest_err):
+        out = settled(levels, rest, rest_err)
+        outcomes.append((len(levels), math.isnan(out)))
+        return out
+
+    monkeypatch.setattr(spectral, "_settled", recorded)
+    _assert_rows_like_fsum(rows, [rows[:, :2], rows[:, 2:]])
+    assert (1, True) in outcomes and (1, False) in outcomes
+    # Rows far apart in size share one sigma per level: the small ones go
+    # on from their own size.
+    scaled = rng.standard_normal((3, 50)) * np.array([[1.0], [2.0 ** -300],
+                                                      [2.0 ** -1000]])
+    _assert_rows_like_fsum(scaled, [scaled])
 
 
 # ---------------------------------------------------------------------------
