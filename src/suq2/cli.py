@@ -282,8 +282,9 @@ def _cmd_hochschild_check(ns: argparse.Namespace) -> int:
 #: ``spectrum --q 0.999 --lmax 2000`` (4.0 million levels) 208 / 212 MB
 #: in 8 / 24 s, the JSON levels written one sector at a time;
 #: ``upsilon-scan --q 0.999 --lmax 10000`` (5 z) 631 / 632 MB for
-#: identity in 17-19 s and 823 / 823 MB for cstarc in 32-34 s, whose
-#: prepared blocks and one z's terms set its peak; 1,000,000 z steps at
+#: identity in 17-19 s and 631 / 631 MB for cstarc in about 16 s CPU,
+#: whose prepared bases and weights and one z's terms set the peak of
+#: each; 1,000,000 z steps at
 #: ``--lmax 1`` 445 / 445 MB in 59 / 63 s, at an hour when the host ran
 #: slow.
 _SPECTRUM_LMAX = 2000

@@ -31,25 +31,27 @@ weakened by it.  Three levels:
   ``clebsch_plus`` and ``clebsch_minus``, two cases of one rule.
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
-  used by the residue functional in a fixed (n outer, l inner) order,
-  together with certified tail bounds; all the z of a scan are one
-  ``upsilon_value`` call.  A call first prepares the z-independent part
-  once: one-index tables (powers of q, q-integers, column sums) built by
-  scalar Python arithmetic are gathered by integer indices onto blocks of
-  the (n, l) triangle and combined with correctly rounded numpy
-  arithmetic into the bases 1 + lambda^2 and the weight factors.  Each z
-  then costs the per-term power (1 + lambda^2)^{-z/2}, which stays
+  used by the residue functional, together with certified tail bounds;
+  all the z of a scan are one ``upsilon_value`` call.  A scan is the
+  lattice's mode table restricted to n + m <= lmax: the admitted states
+  as (n, m) pairs, m = 2l - n odd, in a fixed (odd m outer, n inner)
+  order, each tag's one weight on the lattice (``_LATTICE_WEIGHTS``,
+  which the lattice sums below call too), and one cancellation-free base
+  1 + lambda^2 = 1 + n^2/4 + K_m (1 - q^{2n+m+1}).  A call first prepares
+  the z-independent part once: one-index tables (q^k, 1 - q^k, K_m)
+  built by scalar Python arithmetic are gathered by integer indices onto
+  blocks of (n, m) pairs, formed block by block, and combined with
+  correctly rounded numpy arithmetic into the bases and the weights.
+  Each z then costs the per-term power (1 + lambda^2)^{-z/2}, which stays
   Python's pow since numpy's vectorized power rounds differently from
-  libm on some CPUs, the products in the per-term loop's order, and one
-  exact sum: error-free extraction splits the terms into parts whose sums
-  are exact, and the sum is rounded once, under a certificate that it
-  rounds as the exact total does.  That gives ``math.fsum``'s bits in a
-  fifth of its time on a 4001-term column head and a tenth on 40,000
-  terms (a short sum pays a fixed cost instead; see ``_exact_sum``).  The
-  triangle's (n, l) indices are formed block by block, so the whole
-  triangle is never held.  A scan's output thus has the bits of the
-  plain per-term loop under ``math.fsum``, and does not depend on the
-  host.  ``eigen_lattice_sum`` evaluates the same sums
+  libm on some CPUs, one product per term, and one exact sum: error-free
+  extraction splits the terms into parts whose sums are exact, and the
+  sum is rounded once, under a certificate that it rounds as the exact
+  total does.  That gives ``math.fsum``'s bits in a fifth of its time on
+  a 4001-term column head and a tenth on 40,000 terms (a short sum pays
+  a fixed cost instead; see ``_exact_sum``).  A scan's output thus has
+  the bits of the plain per-term loop under ``math.fsum``, and does not
+  depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
   cutoff scan cannot reach.  Its first columns, and every column of the
@@ -384,6 +386,56 @@ def mult_op_matrix(x: AlgebraElement, grid: SpectralGrid) -> MultOpMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Mode weights on the (n, m) lattice.
+#
+# Every admitted state sits on the lattice n >= 0, m = l2 - n odd.  Each
+# weight tag has one weight w(n, m, q, q_pow) there, its diagonal summed
+# exactly over the right index i: the cutoff scan and the tag's lattice sum
+# both call it.  n and m are integer arrays or integers, and n is a float on
+# the integral tail of a lattice column; q_pow(k) is q^k.
+
+def _identity_weight(n, m, q: float, q_pow):
+    """The identity's weight 2(l2 + 1) = 2(n + m + 1)."""
+    return 2.0 * (n + m + 1)
+
+
+def _haar_weight(n, m, q: float, q_pow):
+    """The deltaL2 weight 1 - q^{2(n+m+1)}: (1 - q^2) q^m times its sum
+    over the right index.  The scan multiplies it by the column factor
+    q^{-m} / (1 - q^2); ``eigen_lattice_sum`` multiplies it by q^{-m},
+    and ``residue_extract`` the sum by 1 / (1 - q^2)."""
+    return 1.0 - q_pow(2 * (n + m + 1))
+
+
+def _cstarc_weight(n, m, q: float, q_pow):
+    """Exact per-mode c*c diagonal weight times q^{-n} on the (n, m) lattice.
+
+    Regrouped so every power of q is nonnegative: the q^{-n} damping of
+    the trace formula cancels against matching factors in the
+    Clebsch-Gordan products, leaving an O(1) piece plus a q^m-damped
+    piece growing linearly in n.  No power underflows into a difference,
+    so the weight keeps its O(1) part wherever q^{l2+n+1} rounds to 0.
+    """
+    q2 = q * q
+    l2 = n + m
+    q_top = q_pow(2 * l2 + 2)
+    geo = (1.0 - q_top) / (1.0 - q2)
+    eps_up = (1.0 - q_pow(m + 1)) + (1.0 - q_pow(m + 3))
+    a_part = (eps_up * (q * geo - (l2 + 1.0) * q_pow(2 * l2 + 3))
+              / ((1.0 - q_top) * (1.0 - q_pow(2 * l2 + 4))))
+    eps_down = (1.0 - q_pow(2 * n + m + 1)) + (1.0 - q_pow(2 * n + m - 1))
+    b_part = (eps_down * q_pow(m) * ((l2 + 1.0) - geo)
+              / ((1.0 - q_pow(2 * l2)) * (1.0 - q_top)))
+    return a_part + b_part
+
+
+#: Each tag's weight, by tag; gamma's is identically zero.
+_LATTICE_WEIGHTS = {"identity": _identity_weight,
+                    "deltaL2-e11": _haar_weight, "deltaL2-e22": _haar_weight,
+                    "cstarc": _cstarc_weight}
+
+
+# ---------------------------------------------------------------------------
 # Trace scans.
 
 OMEGA_TAGS = ("gamma", "identity", "deltaL2-e11", "deltaL2-e22", "cstarc")
@@ -510,101 +562,96 @@ def _exact_sum(blocks: Sequence[np.ndarray]):
 
 
 def _scan_triangle(lmax: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Index arrays (n, l2) of the admitted states up to the cutoff, n
-    outer and l2 inner: l2 = n + 1, n + 3, ... <= lmax for n < lmax, one
-    pair per block of _SCAN_BLOCK states.  Only the first position of
-    each n is held for the whole triangle; a block's n are found among
-    them by binary search.  Every array is int32."""
-    counts = (lmax - np.arange(lmax, dtype=np.int32) + 1) // 2
+    """Index arrays (n, m) of the admitted states up to the cutoff, the
+    (n, m) lattice restricted to n + m <= lmax: odd m outer and n = 0, 1,
+    ..., lmax - m inner, one pair per block of _SCAN_BLOCK states.  Only
+    the first position of each column is held; a block's m are found
+    among them by binary search.  Every array is int32."""
+    ms = np.arange(1, lmax + 1, 2, dtype=np.int32)
+    counts = lmax + 1 - ms
     starts = np.cumsum(counts, dtype=np.int32) - counts
     size = int(counts.sum())
     for at in range(0, size, _SCAN_BLOCK):
         pos = np.arange(at, min(at + _SCAN_BLOCK, size), dtype=np.int32)
-        n = np.searchsorted(starts, pos, side="right").astype(np.int32) - 1
-        yield n, n + 1 + 2 * (pos - starts[n])
+        col = np.searchsorted(starts, pos, side="right") - 1
+        yield pos - starts[col], ms[col]
 
 
 #: One block of a prepared scan: the bases 1 + lambda^2 of the per-term
-#: power and the weight factors w and (c*c only) acc of its terms.
-_ScanBlock = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+#: power and the weights of its terms.
+_ScanBlock = Tuple[np.ndarray, np.ndarray]
 
 
 def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
-    """The z-independent part of a scan, block by block of the (n, l2)
-    triangle in the fixed (n outer, l2 inner) order.
+    """The z-independent part of a scan: the lattice's mode table on
+    ``_scan_triangle``'s blocks, in its (odd m outer, n inner) order.
 
-    Every contribution carries its exact geometric column sum over the
-    right index i, so individual terms are O(1) and the whole scan is
-    O(lmax^2).  Each one-index factor (q^k, q^{-n}, [t2/2], the column
-    sums) is tabulated once by scalar Python arithmetic over exactly the
-    indices the triangle uses, so an overflowing power raises
-    ``OverflowError``; numpy gathers the tables onto blocks of the
-    triangle and combines them with + - * / and sqrt, which are correctly
-    rounded, in the order a per-term loop would use.  ``_scan_terms``
-    evaluates the prepared blocks at one z.
+    A state's weight is its tag's lattice weight (``_LATTICE_WEIGHTS``),
+    the deltaL2 one times the column factor q^{-m} / (1 - q^2); each
+    carries its exact geometric sum over the right index i, so individual
+    terms are O(1) and the whole scan is O(lmax^2).  The base is
+
+        1 + lambda^2 = 1 + n^2/4 + K_m (1 - q^{2n+m+1}),
+        K_m = Q^2 q^{-(m+1)} (1 - q^{m+1}),      Q = q / (1 - q^2),
+
+    which no subtraction cancels.  The one-index tables (q^k, 1 - q^k as
+    -expm1(k ln q), K_m and the column factor) are built by scalar Python
+    arithmetic, so their bits do not depend on the host; where K_m or the
+    column factor leaves the float range, ``OverflowError`` names m, q
+    and lmax.  numpy gathers the tables onto the blocks and combines them
+    with + - * /, which are correctly rounded.  ``_scan_terms`` evaluates
+    the prepared blocks at one z.
     """
     if omega == "gamma":
         return []
     q2 = q * q
-    Qc = q / (1.0 - q2)
-    # Brackets [t2/2] enter at even t2 = 2..2 lmax, indexed by t2 // 2.
-    fbr = np.array([_fbracket(t2, q) for t2 in range(0, 2 * lmax + 1, 2)])
-    qp = np.array([q ** k for k in range(2 * lmax + 3)])
-    # Column sums over the right index, by l2 (l2 = 0 is never used).
-    s_geo = np.array([0.0] + [q ** (-l2) * (1.0 - q ** (2 * l2 + 2))
-                              / (1.0 - q2) for l2 in range(1, lmax + 1)])
-    if omega == "cstarc":
-        # The factors that depend on l2 alone are combined per l2.
-        eps = np.array([Qc * (1.0 - q ** t2) for t2 in range(2 * lmax + 5)])
-        qm = np.array([q ** (-k) for k in range(lmax)])
-        ls = np.arange(lmax + 1)
-        sum_eps_up = Qc * (s_geo - (ls + 1) * qp[ls + 2])
-        sum_eps_down = Qc * ((ls + 1) - (1.0 - qp[2 * ls + 2]) / (1.0 - q2))
-        den_mid = eps[2 * ls + 2]
-        den_up = den_mid * eps[2 * ls + 4]
-        den_down = eps[2 * ls] * den_mid
-    blocks: List[_ScanBlock] = []
-    for n, l2 in _scan_triangle(lmax):
-        lam = np.sqrt(0.25 * n * n + qp[n] * (fbr[(l2 + 1 + n) // 2]
-                                              * fbr[(l2 + 1 - n) // 2]))
-        base = 1.0 + lam * lam
-        if omega == "identity":
-            blocks.append((base, 2.0 * (l2 + 1), None))
-        elif omega in _DELTA_TAGS:
-            blocks.append((base, qp[n] * s_geo[l2], None))
-        else:  # cstarc
-            acc = np.zeros(n.size)
-            for j2 in (n + 1, n - 1):
-                acc += (qp[l2 + n + 1] * eps[l2 - j2 + 2] / den_up[l2]
-                        * sum_eps_up[l2])
-                acc += qp[l2] * eps[l2 + j2] / den_down[l2] * sum_eps_down[l2]
-            blocks.append((base, qm[n], acc))
-    return blocks
+    big_q2 = (q / (1.0 - q2)) ** 2
+    log_q = math.log(q)
+    qk = np.array([q ** k for k in range(2 * lmax + 5)])
+    one_minus = np.array([-math.expm1(k * log_q)
+                          for k in range(2 * lmax + 2)])
+    k_m = np.zeros(lmax + 1)
+    col = np.ones(lmax + 1)
+    for m in range(1, lmax + 1, 2):
+        try:
+            k_m[m] = big_q2 * q ** -(m + 1) * -math.expm1((m + 1) * log_q)
+            if omega in _DELTA_TAGS:
+                col[m] = q ** -m / (1.0 - q2)
+        except OverflowError:
+            k_m[m] = math.inf
+        if max(k_m[m], col[m]) == math.inf:
+            raise OverflowError(f"scan column factors overflow at m={m}, "
+                                f"q={q}, lmax={lmax}")
+    weight = _LATTICE_WEIGHTS[omega]
+    return [(1.0 + 0.25 * n * n + k_m[m] * one_minus[2 * n + m + 1],
+             weight(n, m, q, qk.__getitem__) * col[m])
+            for n, m in _scan_triangle(lmax)]
 
 
 def _scan_terms(blocks: List[_ScanBlock], z: float) -> List[np.ndarray]:
-    """Per-(n, l2) contributions of a prepared scan at z, one array per
-    block: (w * (1 + lambda^2)^{-z/2}) * acc, in that order.  The power
-    stays Python's pow, because numpy's vectorized ``power`` does not
-    round like libm's on every CPU; every term is therefore bit-identical
-    to the per-term loop."""
+    """Per-state contributions of a prepared scan at z, one array per
+    block: w * (1 + lambda^2)^{-z/2}.  The power stays Python's pow,
+    because numpy's vectorized ``power`` does not round like libm's on
+    every CPU; every term is therefore bit-identical to the per-term
+    loop."""
     p = -0.5 * z
-    out = []
-    for base, w, acc in blocks:
-        terms = w * np.array(list(map(pow, base.tolist(), repeat(p))))
-        out.append(terms if acc is None else terms * acc)
-    return out
+    return [w * np.array(list(map(pow, base.tolist(), repeat(p))))
+            for base, w in blocks]
 
 
 def upsilon_value(omega: str, zs: Sequence[float], q_value: float,
                   lmax: int) -> List[float]:
-    """Partial trace sums at cutoff lmax, one float per z of ``zs``.
+    """Partial trace sums at cutoff lmax, one float per z of ``zs``: the
+    sum of the tag's weighted terms over the (n, m) lattice restricted to
+    n + m <= lmax.
 
     Every argument, every z included, is checked before any work; one
     ``_scan_prepare`` then serves all the z.  At each z the plain scan's
     terms are merged by one correctly rounded sum (``_exact_sum``), so
-    each value is bit for bit ``math.fsum`` of the per-term loop, and the
-    value of a call with that z alone."""
+    each value is bit for bit ``math.fsum`` of the per-term loop over the
+    same table, and the value of a call with that z alone.  Where the
+    table's column factors overflow (from m = 309 at q = 0.1 and
+    m = 1023 at q = 0.5), ``OverflowError`` names m, q and lmax."""
     _check_omega(omega)
     q = _check_q(q_value)
     zs = _check_zs(zs, 2.0)
@@ -660,10 +707,13 @@ def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
 # Certified tail bounds.
 #
 # Every admitted state sits on the (n, m) lattice with m = l2 - n odd, and
+# its base is 1 + n^2/4 + Q^2 q^{-(m+1)} (1 - q^{m+1}) (1 - q^{2n+m+1}).
+# Both factors 1 - q^k have k >= 2, so their product is at least
+# (1 - q^2)^2 = q^2 / Q^2, and
 #
 #     1 + lambda^2 >= 1 + n^2/4 + q^{1-m},
 #
-# which follows from [x] >= q^{1-x} applied to both bracket factors.  The
+# with equality at (n, m) = (0, 1).  The
 # bounds below integrate-compare the n sums against that minorant and close
 # the m sums geometrically; they are valid upper bounds wherever they are
 # finite, and +inf is returned when z is at or below the abscissa where the
@@ -834,9 +884,10 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
         sum over n >= 0 of weight(n) (n^2/4 + c_m - d_m q^{2n})^{-z/2},
 
     one value for each z of ``zs``.  ``weight(n, q_pow)`` accepts an
-    integer array or a float for n; ``q_pow(k)`` is q^k for the exponents
-    that depend on n: a gather from the call's power table ``qt``,
-    qt[k] = q^k, on the head n <= _N_CUT, Python's pow elsewhere.  The
+    integer array or a float for n; ``q_pow(k)`` is q^k: on the head
+    n <= _N_CUT a gather from the call's power table ``qt``, qt[k] = q^k,
+    for the exponents that depend on n (arrays), and Python's pow for
+    those of m alone and everywhere past the head.  The
     head's weights and bases, and the weights of the Euler-Maclaurin
     close, do not depend on z and are built once; each z then costs the
     head's power and exact sum, the tail and the close.  The tail
@@ -849,7 +900,8 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
     weight.
     """
     n = np.arange(0, _N_CUT + 1)
-    head_weight = weight(n, qt.__getitem__)
+    head_weight = weight(n, lambda k: qt[k] if isinstance(k, np.ndarray)
+                         else q ** k)
     c_m, d_m = _lattice_cd(q, m)
     base = 0.25 * n * n + c_m - d_m * qt[2 * n]
     a = float(_N_CUT + 1)
@@ -918,8 +970,8 @@ def _lattice_inner_model(zs: Sequence[float], q: float, m: int, c_m: float,
                 base = 0.25 * n * n + c_m
                 bases.append(base)
                 shifted.append(base - d_m * q ** (2.0 * n))
-                weights.append(1.0 - q ** (2.0 * (n + m + 1)) if haar_weight
-                               else 1.0)
+                weights.append(_haar_weight(n, m, q, q.__pow__)
+                               if haar_weight else 1.0)
             d = weights[n] * shifted[n] ** p - bases[n] ** p
             diffs.append(d)
             if abs(d) < floor:
@@ -1004,7 +1056,7 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
         elif admitted:
             flat = q ** (2 * (_N_CUT + m + 2)) <= _ROUNDS_AWAY
             inner = _lattice_column(
-                zs_m, q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)),
+                zs_m, q, m, qt, lambda n, q_pow: _haar_weight(n, m, q, q_pow),
                 (1.0, 0.0) if flat else None)
         else:
             inner = _lattice_column(zs_m, q, m, qt, lambda n, q_pow: 1.0,
@@ -1015,29 +1067,6 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
 
     ms = range(1, _M_CAP + 1, 2 if admitted else 1)
     return _m_series(totals, zs, corrections, ms, 1e-14, 41)
-
-
-def _cstarc_weight(n, m: int, q: float, q_pow):
-    """Exact per-mode c*c diagonal weight times q^{-n} on the (n, m) lattice.
-
-    Regrouped so every power of q is nonnegative: the q^{-n} damping of
-    the trace formula cancels against matching factors in the
-    Clebsch-Gordan products, leaving an O(1) piece plus a q^m-damped
-    piece growing linearly in n.  Accepts an integer array or a float for
-    n (the continuous extension feeds the integral tail); ``q_pow(k)``
-    is q^k for the exponents that depend on n, as in ``_lattice_column``.
-    """
-    q2 = q * q
-    l2 = n + m
-    q_top = q_pow(2 * l2 + 2)
-    geo = (1.0 - q_top) / (1.0 - q2)
-    eps_up = (1.0 - q ** (m + 1)) + (1.0 - q ** (m + 3))
-    a_part = (eps_up * (q * geo - (l2 + 1.0) * q_pow(2 * l2 + 3))
-              / ((1.0 - q_top) * (1.0 - q_pow(2 * l2 + 4))))
-    eps_down = (1.0 - q_pow(2 * n + m + 1)) + (1.0 - q_pow(2 * n + m - 1))
-    b_part = (eps_down * q ** m * ((l2 + 1.0) - geo)
-              / ((1.0 - q_pow(2 * l2)) * (1.0 - q_top)))
-    return a_part + b_part
 
 
 def _cstarc_tail_weight(m: int, q: float) -> Optional[Tuple[float, float]]:
@@ -1104,7 +1133,7 @@ def upsilon_cstarc_lattice(zs: Sequence[float], q_value: float) -> List[float]:
 
 def _identity_lattice(zs: Sequence[float], q_value: float) -> List[float]:
     """Cutoff-free identity trace sum at each z of ``zs``, one float per z:
-    one ``_odd_m_lattice`` with the scan's weight 2(l2 + 1) = 2(n + m + 1).
+    one ``_odd_m_lattice`` with ``_identity_weight``, 2(n + m + 1).
     That weight is exactly linear in n, so every column's tail is alpha I0
     + beta I1 with (alpha, beta) = (2(m + 1), 2), with no guard.  The m
     series of each z is damped only like q^{m(z-2)/2}, so it is the first
@@ -1113,8 +1142,7 @@ def _identity_lattice(zs: Sequence[float], q_value: float) -> List[float]:
     relative at q = 0.98, 6.3e-6 at q = 0.99 and 1.2e-3 at q = 0.995,
     and the cap changes no value at q <= 0.97.
     """
-    return _odd_m_lattice(zs, q_value,
-                          lambda n, m, q, q_pow: 2.0 * (n + m + 1),
+    return _odd_m_lattice(zs, q_value, _identity_weight,
                           lambda m, q: (2.0 * (m + 1), 2.0))
 
 

@@ -39,7 +39,8 @@ ENTRY = "main"
 
 #: Reached from no root: references that tests compare the package with.
 REFERENCES = {
-    # The admitted-mode rule that _scan_triangle is tested against.
+    # The admitted-mode rule (n in jset(2l), m = 2l - n) that the (n, m)
+    # blocks of _scan_triangle are tested against.
     "spectral.jset",
     # Readers of the CLI's own JSON; the round-trip tests pin to_json as
     # lossless with them.

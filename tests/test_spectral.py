@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -373,8 +374,9 @@ def _scan_term_list(omega, z, q, lmax):
 
 
 def test_scan_closed_i_sums_match_explicit_loops():
-    """The O(1) per-(n, l2) scan terms agree with brute-force sums over
-    the right index i and the two ladder columns."""
+    """The O(1) per-(n, m) scan terms agree with brute-force sums over
+    the right index i and the two ladder columns, in the scan's order:
+    odd m = l2 - n outer, n inner."""
     z = 3.3
     for q in Q_GRID:
         qc = q / (1.0 - q * q)
@@ -385,8 +387,9 @@ def test_scan_closed_i_sums_match_explicit_loops():
         for omega in ("deltaL2-e11", "cstarc"):
             lmax = 9
             terms = iter(_scan_term_list(omega, z, q, lmax))
-            for n in range(0, lmax):
-                for l2 in range(n + 1, lmax + 1, 2):
+            for m in range(1, lmax + 1, 2):
+                for n in range(0, lmax - m + 1):
+                    l2 = n + m
                     lam = lambda_eigen(l2, n, q)
                     x = (1.0 + lam * lam) ** (-0.5 * z)
                     if omega == "deltaL2-e11":
@@ -407,6 +410,112 @@ def test_scan_closed_i_sums_match_explicit_loops():
                                        + q ** (l2 + i2) * c2))
                         brute = math.fsum(pieces)
                     assert abs(next(terms) - brute) <= 1e-13 * max(1.0, brute)
+
+
+def _mp_cstarc_parts(mp, q, lmax):
+    """The parts of the c*c scan weight to 40 digits, from brute-force
+    sums over the right index i.
+
+    With eps(t) = Q (1 - q^t) and doubled indices, the weight at (n, l2)
+    is q^{-n} times the sum over i and j = n +- 1 of
+
+        q^{l2+n+1} q^{-i} eps(l2+i+2) eps(l2-j+2) / (eps(2l2+2) eps(2l2+4))
+        + q^{l2} eps(l2-i) eps(l2+j) / (eps(2l2) eps(2l2+2)).
+
+    Only the i sums U(l2) = sum_i q^{-i} eps(l2+i+2) and D(l2) =
+    sum_i eps(l2-i) involve i.  With t = l2 + i, U(l2) = q^{l2} times the
+    sum of q^{-t} eps(t+2), and D(l2) the sum of eps(t), over even
+    t = 0..2 l2: both are prefix sums, accumulated term by term.  Returns
+    (eps, up, down): eps[t], U / (eps(2l2+2) eps(2l2+4)) and
+    D / (eps(2l2) eps(2l2+2)) by l2, as mpf."""
+    qm = mp.mpf(q)
+    qc = qm / (1 - qm * qm)
+    eps = [qc * (1 - qm ** t) for t in range(2 * lmax + 5)]
+    u_sum, d_sum = [mp.mpf(0)], [mp.mpf(0)]
+    for t in range(0, 2 * lmax + 1, 2):
+        u_sum.append(u_sum[-1] + qm ** -t * eps[t + 2])
+        d_sum.append(d_sum[-1] + eps[t])
+    up = [None] + [qm ** l2 * u_sum[l2 + 1]
+                   / (eps[2 * l2 + 2] * eps[2 * l2 + 4])
+                   for l2 in range(1, lmax + 1)]
+    down = [None] + [d_sum[l2 + 1] / (eps[2 * l2] * eps[2 * l2 + 2])
+                     for l2 in range(1, lmax + 1)]
+    return eps, up, down
+
+
+def test_cstarc_scan_weights_keep_their_o1_part():
+    """Wherever q^{l2+n+1} leaves the normal float range, the weight
+    q^{-n} (q^{l2+n+1} ... + ...) once lost its O(1) part, which the
+    underflowing power carries.  At q = 0.3 and lmax 400 that is 5671 of
+    the 40,200 states; each of them, and every 97th of the rest, must
+    match the weight to 40 digits to 1e-15 relative."""
+    mp = pytest.importorskip("mpmath")
+    from suq2 import spectral
+
+    q, lmax = 0.3, 400
+    weights = np.concatenate([w for _, w in
+                              spectral._scan_prepare("cstarc", q, lmax)])
+    ns, ms = (np.concatenate(a) for a in zip(*spectral._scan_triangle(lmax)))
+    l2s = ns + ms
+    k_lost = next(k for k in itertools.count() if q ** k < sys.float_info.min)
+    lost = l2s + ns + 1 >= k_lost
+    assert lost.sum() == 5671
+    picked = np.concatenate([np.flatnonzero(lost),
+                             np.flatnonzero(~lost)[::97]])
+    with mp.workdps(40):
+        eps, up, down = _mp_cstarc_parts(mp, q, lmax)
+        qm = mp.mpf(q)
+        for k in picked.tolist():
+            n, l2 = int(ns[k]), int(l2s[k])
+            m = l2 - n
+            want = qm ** -n * (qm ** (l2 + n + 1) * (eps[m + 1] + eps[m + 3])
+                               * up[l2]
+                               + qm ** l2 * (eps[l2 + n + 1] + eps[l2 + n - 1])
+                               * down[l2])
+            assert abs(weights[k] - want) <= 1e-15 * want, (n, l2)
+
+
+@pytest.mark.parametrize("q, lmax", [(0.3, 400), (0.5, 700)])
+def test_cstarc_scan_sums_match_high_precision_weights(q, lmax):
+    """The c*c scan sums to 1e-13 relative against the per-state loop
+    whose weights are formed from their 40-digit parts.  Their two
+    summands are positive, so the float weight is within a few ulps;
+    the bases are 1 + lambda_eigen^2.  The scan's sums once fell short
+    here, by 1.3e-5 and 8.5e-6 relative at z = 3.05."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        eps, up, down = _mp_cstarc_parts(mp, q, lmax)
+        a = [None] + [float(mp.mpf(q) ** (l2 + 1) * up[l2])
+                      for l2 in range(1, lmax + 1)]
+        d = [None] + [float(x) for x in down[1:]]
+        e = [float(x) for x in eps]
+    zs = [3.05, 4.0]
+    terms = {z: [] for z in zs}
+    for n in range(lmax):
+        for l2 in range(n + 1, lmax + 1, 2):
+            m = l2 - n
+            w = (a[l2] * (e[m + 1] + e[m + 3])
+                 + q ** m * (e[l2 + n + 1] + e[l2 + n - 1]) * d[l2])
+            base = 1.0 + lambda_eigen(l2, n, q) ** 2
+            for z in zs:
+                terms[z].append(w * base ** (-0.5 * z))
+    for z, got in zip(zs, upsilon_value("cstarc", zs, q, lmax)):
+        want = math.fsum(terms[z])
+        assert abs(got - want) <= 1e-13 * want, z
+
+
+@pytest.mark.parametrize("q", (0.1, 0.5, 0.9, 0.999))
+def test_scan_bases_dominate_the_tail_minorant(q):
+    """``tail_bound`` compares every state's base with 1 + n^2/4 +
+    q^{1-m}; every prepared base dominates it, in floats too.  The two
+    meet at (n, m) = (0, 1), where both are 2."""
+    from suq2 import spectral
+
+    blocks = spectral._scan_prepare("identity", q, 60)
+    for (base, _), (n, m) in zip(blocks, spectral._scan_triangle(60)):
+        minorant = [1.0 + 0.25 * k * k + q ** (1 - j)
+                    for k, j in zip(n.tolist(), m.tolist())]
+        assert (base >= np.array(minorant)).all()
 
 
 def test_upsilon_gamma_vanishes_identically():
@@ -662,36 +771,32 @@ def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
 # CLI promises byte-stable output files.
 
 def _ref_scan_terms(omega, z, q, lmax):
+    """The scan's mode table one state at a time: odd m outer, n inner,
+    every power of q and every 1 - q^k = -expm1(k ln q) by scalar Python
+    arithmetic, and the weight written out per tag."""
     q2 = q * q
-    Qc = q / (1.0 - q2)
+    big_q2 = (q / (1.0 - q2)) ** 2
+    log_q = math.log(q)
     terms = []
     if omega == "gamma":
         return terms
-
-    def eps(t2):
-        return Qc * (1.0 - q ** t2)
-
-    for n in range(0, lmax):
-        for l2 in range(n + 1, lmax + 1, 2):
-            lam = lambda_eigen(l2, n, q)
-            X = (1.0 + lam * lam) ** (-0.5 * z)
-            s_geo = q ** (-l2) * (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2)
+    delta = omega in ("deltaL2-e11", "deltaL2-e22")
+    for m in range(1, lmax + 1, 2):
+        k_m = big_q2 * q ** -(m + 1) * -math.expm1((m + 1) * log_q)
+        col = q ** -m / (1.0 - q2) if delta else 1.0
+        if not (math.isfinite(k_m) and math.isfinite(col)):
+            raise OverflowError(f"column m={m}")
+        for n in range(0, lmax - m + 1):
+            base = (1.0 + 0.25 * n * n
+                    + k_m * -math.expm1((2 * n + m + 1) * log_q))
+            X = base ** (-0.5 * z)
             if omega == "identity":
-                terms.append(2.0 * (l2 + 1) * X)
-            elif omega in ("deltaL2-e11", "deltaL2-e22"):
-                terms.append(q ** n * s_geo * X)
+                w = 2.0 * (n + m + 1)
+            elif delta:
+                w = (1.0 - q ** (2 * (n + m + 1))) * col
             else:  # cstarc
-                sum_eps_up = Qc * (s_geo - (l2 + 1) * q ** (l2 + 2))
-                sum_eps_down = Qc * ((l2 + 1)
-                                     - (1.0 - q ** (2 * l2 + 2)) / (1.0 - q2))
-                den_mid = eps(2 * l2 + 2)
-                acc = 0.0
-                for j2 in (n + 1, n - 1):
-                    acc += (q ** (l2 + n + 1) * eps(l2 - j2 + 2)
-                            / (den_mid * eps(2 * l2 + 4)) * sum_eps_up)
-                    acc += (q ** l2 * eps(l2 + j2)
-                            / (eps(2 * l2) * den_mid) * sum_eps_down)
-                terms.append(q ** (-n) * X * acc)
+                w = _ref_cstarc_weight(n, m, q)
+            terms.append(w * X)
     return terms
 
 
@@ -755,23 +860,26 @@ def _ref_lattice_column(zs, q, m, qt, weight, tail):
 
 
 def test_scan_triangle_is_the_admitted_modes(monkeypatch):
-    # A scan sums the admitted modes n of jset(l2), l2 <= lmax, n outer,
-    # in blocks of _SCAN_BLOCK states (the last one shorter).
+    # A scan sums the admitted modes n of jset(l2), l2 <= lmax, as (n, m)
+    # pairs with m = l2 - n, m outer and n inner, in blocks of
+    # _SCAN_BLOCK states (the last one shorter).
     from suq2 import spectral
 
     def check(lmax):
         blocks = list(spectral._scan_triangle(lmax))
-        assert all(n.dtype == l2.dtype == np.int32 for n, l2 in blocks)
+        assert all(n.dtype == m.dtype == np.int32 for n, m in blocks)
         sizes = [n.size for n, _ in blocks]
         assert all(size == spectral._SCAN_BLOCK for size in sizes[:-1])
         assert 0 < sizes[-1] <= spectral._SCAN_BLOCK if sizes else lmax == 0
-        pairs = [p for n, l2 in blocks for p in zip(n.tolist(), l2.tolist())]
-        assert pairs == sorted((k, s) for s in range(lmax + 1)
+        pairs = [(k, n) for n, m in blocks
+                 for n, k in zip(n.tolist(), m.tolist())]
+        assert pairs == sorted((s - k, k) for s in range(lmax + 1)
                                for k in jset(s))
 
     for lmax in range(0, 61):
         check(lmax)
-    # Small blocks: states of one n split across blocks, blocks across n.
+    # Small blocks: states of one column split across blocks, blocks
+    # across columns.
     monkeypatch.setattr(spectral, "_SCAN_BLOCK", 7)
     for lmax in (1, 2, 13, 14, 40):
         check(lmax)
@@ -1072,9 +1180,12 @@ def test_lattice_m_series_match_their_own_loops(q, monkeypatch):
 
 @pytest.mark.parametrize("q, lmax", [(0.1, 400), (0.5, 1100)])
 def test_identity_scan_overflow_still_raises(q, lmax):
-    # q^{-lmax} exceeds the float range; the power tables cover exactly
-    # the brackets the scan uses, so the overflow surfaces as before.
-    with pytest.raises(OverflowError):
+    # q^{-(m+1)} exceeds the float range from some column m <= lmax on;
+    # the column table K_m covers exactly the m the scan uses, so the
+    # overflow surfaces, naming the first such m, q and the cutoff.
+    first_m = {0.1: 309, 0.5: 1023}[q]
+    with pytest.raises(OverflowError, match=f"at m={first_m}, q={q}, "
+                                            f"lmax={lmax}$"):
         upsilon_value("identity", [3.5], q, lmax)
 
 
