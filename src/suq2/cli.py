@@ -379,6 +379,8 @@ def _cmd_residue(ns: argparse.Namespace) -> int:
     human = [f"residue({ns.omega}, q={ns.q})  =  {report.estimate:.6f} "
              f"+- {report.error_bar:.2e}   [{report.method}]"]
     if ns.format == "csv":
+        # The offsets in one cell, comma-joined as --eps takes them.
+        doc["schedule"] = ",".join(map(repr, report.schedule))
         _emit(ns, human, [tuple(doc.values())], tuple(doc))
     else:
         _emit(ns, human, doc)

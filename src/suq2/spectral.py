@@ -32,12 +32,18 @@ weakened by it.  Three levels:
 
 * Trace scans.  ``upsilon_scan`` accumulates the weighted eigenvalue sums
   used by the residue functional, together with certified tail bounds;
-  all the z of a scan are one ``upsilon_value`` call.  A scan is the
-  lattice's mode table restricted to n + m <= lmax: the admitted states
-  as (n, m) pairs, m = 2l - n odd, in a fixed (odd m outer, n inner)
-  order, each tag's one weight on the lattice (``_LATTICE_WEIGHTS``,
-  which the lattice sums below call too), and one cancellation-free base
-  1 + lambda^2 = 1 + n^2/4 + K_m (1 - q^{2n+m+1}).  A call first prepares
+  all the z of a scan are one ``upsilon_value`` call.  Every fact of a
+  nonzero weight tag lives in one table, ``_TAGS``: its weight on the
+  lattice (which the lattice sums below call too), the scan's column
+  factor, the envelope that bounds its weight, and its cutoff-free sum
+  with the method name a residue reports.  A scan is the lattice's mode
+  table restricted to n + m <= lmax: the admitted states as (n, m) pairs,
+  m = 2l - n odd, in a fixed (odd m outer, n inner) order, each tag's
+  weight, and one cancellation-free base
+  1 + lambda^2 = 1 + n^2/4 + K_m (1 - q^{2n+m+1}).  ``tail_bound`` is one
+  formula for every tag: the envelope times integral bounds of a minorant
+  of the base, summed over the odd m of the scan's own triangle and in
+  closed form past it.  A call first prepares
   the z-independent part once: one-index tables (q^k, 1 - q^k, K_m)
   built by scalar Python arithmetic are gathered by integer indices onto
   blocks of (n, m) pairs, formed block by block, and combined with
@@ -429,18 +435,80 @@ def _cstarc_weight(n, m, q: float, q_pow):
     return a_part + b_part
 
 
-#: Each tag's weight, by tag; gamma's is identically zero.
-_LATTICE_WEIGHTS = {"identity": _identity_weight,
-                    "deltaL2-e11": _haar_weight, "deltaL2-e22": _haar_weight,
-                    "cstarc": _cstarc_weight}
+class _Tag:
+    """Every fact of one nonzero weight tag that the scan, the tail bound
+    and the residue read; ``_TAGS`` holds one instance per tag.
+
+    ``weight`` is the tag's lattice weight above, and the scan multiplies
+    column m of it by ``column(m, q)``.  ``envelope(q)`` is (a, k_a, b,
+    k_b): every scan weight is at most a r_a^m + b r_b^m (n + m + 1), with
+    r_a = q^{k_a} and r_b = q^{k_b}, k_b >= 0 (``tail_bound``).
+    ``lattice(zs, q)`` is the cutoff-free trace sum at each z, by
+    ``method``; it calls its sum through the module at call time, so a
+    rebinding of the module's name reaches it.  ``column``, ``envelope``
+    and ``lattice`` are methods, so a definition that reads one of them
+    names no other: the scan and the tail bound reach the weights, but
+    no lattice sum.
+    """
+
+    method = "lattice-resolved/richardson+least-squares"
+
+    def column(self, m: int, q: float) -> float:
+        return 1.0
+
+
+class _Identity(_Tag):
+    weight = staticmethod(_identity_weight)
+
+    def envelope(self, q: float) -> Tuple[float, int, float, int]:
+        return 0.0, 0, 2.0, 0
+
+    def lattice(self, zs: List[float], q: float) -> List[float]:
+        return _identity_lattice(zs, q)
+
+
+class _DeltaL2(_Tag):
+    """The entry deltaL2-e11 and deltaL2-e22 share: one weight for both."""
+
+    method = "pole-resolved/richardson+least-squares"
+    weight = staticmethod(_haar_weight)
+
+    def column(self, m: int, q: float) -> float:
+        return q ** -m / (1.0 - q * q)
+
+    def envelope(self, q: float) -> Tuple[float, int, float, int]:
+        return 1.0 / (1.0 - q * q), -1, 0.0, 0
+
+    def lattice(self, zs: List[float], q: float) -> List[float]:
+        return [1.0 / (1.0 - q * q) * v for v in eigen_lattice_sum(zs, q)]
+
+
+class _Cstarc(_Tag):
+    weight = staticmethod(_cstarc_weight)
+
+    def envelope(self, q: float) -> Tuple[float, int, float, int]:
+        """Since l2 = n + m >= 1, the weight's a_part is at most alpha and
+        its b_part at most beta0 q^m (n + m + 1)."""
+        q2 = q * q
+        alpha = 2.0 * q / ((1.0 - q2) * (1.0 - q ** 4) * (1.0 - q ** 6))
+        return alpha, 0, 2.0 / ((1.0 - q2) * (1.0 - q ** 4)), 1
+
+    def lattice(self, zs: List[float], q: float) -> List[float]:
+        return upsilon_cstarc_lattice(zs, q)
+
+
+#: The one entry of both deltaL2 tags.
+_DELTA_L2 = _DeltaL2()
+
+#: Every nonzero weight tag, by tag; gamma's weight is identically zero.
+_TAGS = {"identity": _Identity(), "deltaL2-e11": _DELTA_L2,
+         "deltaL2-e22": _DELTA_L2, "cstarc": _Cstarc()}
 
 
 # ---------------------------------------------------------------------------
 # Trace scans.
 
-OMEGA_TAGS = ("gamma", "identity", "deltaL2-e11", "deltaL2-e22", "cstarc")
-
-_DELTA_TAGS = ("deltaL2-e11", "deltaL2-e22")
+OMEGA_TAGS = ("gamma",) + tuple(_TAGS)
 
 
 def _check_omega(omega: str) -> str:
@@ -586,9 +654,9 @@ def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
     """The z-independent part of a scan: the lattice's mode table on
     ``_scan_triangle``'s blocks, in its (odd m outer, n inner) order.
 
-    A state's weight is its tag's lattice weight (``_LATTICE_WEIGHTS``),
-    the deltaL2 one times the column factor q^{-m} / (1 - q^2); each
-    carries its exact geometric sum over the right index i, so individual
+    A state's weight is its tag's lattice weight times the tag's column
+    factor (``_TAGS``), q^{-m} / (1 - q^2) for deltaL2 and 1 otherwise;
+    each carries its exact geometric sum over the right index i, so individual
     terms are O(1) and the whole scan is O(lmax^2).  The base is
 
         1 + lambda^2 = 1 + n^2/4 + K_m (1 - q^{2n+m+1}),
@@ -604,8 +672,8 @@ def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
     """
     if omega == "gamma":
         return []
-    q2 = q * q
-    big_q2 = (q / (1.0 - q2)) ** 2
+    tag = _TAGS[omega]
+    big_q2 = (q / (1.0 - q * q)) ** 2
     log_q = math.log(q)
     qk = np.array([q ** k for k in range(2 * lmax + 5)])
     one_minus = np.array([-math.expm1(k * log_q)
@@ -615,16 +683,14 @@ def _scan_prepare(omega: str, q: float, lmax: int) -> List[_ScanBlock]:
     for m in range(1, lmax + 1, 2):
         try:
             k_m[m] = big_q2 * q ** -(m + 1) * -math.expm1((m + 1) * log_q)
-            if omega in _DELTA_TAGS:
-                col[m] = q ** -m / (1.0 - q2)
+            col[m] = tag.column(m, q)
         except OverflowError:
             k_m[m] = math.inf
         if max(k_m[m], col[m]) == math.inf:
             raise OverflowError(f"scan column factors overflow at m={m}, "
                                 f"q={q}, lmax={lmax}")
-    weight = _LATTICE_WEIGHTS[omega]
     return [(1.0 + 0.25 * n * n + k_m[m] * one_minus[2 * n + m + 1],
-             weight(n, m, q, qk.__getitem__) * col[m])
+             tag.weight(n, m, q, qk.__getitem__) * col[m])
             for n, m in _scan_triangle(lmax)]
 
 
@@ -706,18 +772,34 @@ def upsilon_identity_pairblocks(z: float, q_value: float, lmax: int) -> float:
 # ---------------------------------------------------------------------------
 # Certified tail bounds.
 #
-# Every admitted state sits on the (n, m) lattice with m = l2 - n odd, and
-# its base is 1 + n^2/4 + Q^2 q^{-(m+1)} (1 - q^{m+1}) (1 - q^{2n+m+1}).
-# Both factors 1 - q^k have k >= 2, so their product is at least
-# (1 - q^2)^2 = q^2 / Q^2, and
+# The part of a scan beyond lmax is the odd-m lattice outside the scan's
+# triangle: n > lmax - m in each odd column m <= lmax, and every n in each
+# column m > lmax.  A state's base is 1 + n^2/4 + Q^2 q^{-(m+1)}
+# (1 - q^{m+1}) (1 - q^{2n+m+1}).  Both factors 1 - q^k have k >= 2, so
+# their product is at least (1 - q^2)^2 = q^2 / Q^2, and
 #
-#     1 + lambda^2 >= 1 + n^2/4 + q^{1-m},
+#     1 + lambda^2 >= n^2/4 + ft_m,      ft_m = 1 + q^{1-m},
 #
-# with equality at (n, m) = (0, 1).  The
-# bounds below integrate-compare the n sums against that minorant and close
-# the m sums geometrically; they are valid upper bounds wherever they are
-# finite, and +inf is returned when z is at or below the abscissa where the
-# bound (or the sum itself) stops converging.
+# with equality at (n, m) = (0, 1).  A tag's envelope (``_Tag``) bounds its
+# weight by a r_a^m + b r_b^m (n + m + 1), so a column's share of the tail
+# is at most a r_a^m s0 + b r_b^m s1, where s0 and s1 sum the minorant's
+# f = (n^2/4 + ft_m)^{-z/2} and (n + m + 1) f over the column's n beyond
+# the cutoff.  f decreases and n f rises then falls, so each sum is at most
+# its integral, plus n f's largest term, at most ft_m^{(1-z)/2} for z >= 2,
+# where the cutoff sits before n f's peak.  The bound is the sum of
+#
+# * a head: those sums for each odd m <= lmax, over n > lmax - m;
+# * a remainder: every column m > lmax, odd or even, where
+#   s0 <= (1 + 2 I) g^{m-1} and s1 <= (m + 2)(1 + 2 I) g^{m-1}
+#   + 4/(z - 2) t^{m-1}, with g = q^{(z-1)/2}, t = q^{(z-2)/2} and
+#   I = sqrt(pi) Gamma((z-1)/2) / (2 Gamma(z/2)), summed over m in closed
+#   form;
+#
+# and +inf where that series diverges: z <= 2, or r_a g >= 1 (z <= 3 for
+# deltaL2).  No power can overflow: ft_m^{-s} = q^{(m-1)s}
+# (1 + q^{m-1})^{-s}, and the r^m in front folds into q^{(m-1)s} as
+# q^{(m-1)(k+s)+k}, r = q^k: an exponent never below -1 where the bound is
+# finite, which rounds relative to its own size rather than to m's.
 
 def _gamma_half_ratio(z: float) -> float:
     """sqrt(pi) Gamma((z-1)/2) / Gamma(z/2)."""
@@ -725,76 +807,54 @@ def _gamma_half_ratio(z: float) -> float:
                                          - gammaln(0.5 * z))
 
 
-def _geo_tail_linear(x: float, cutoff: int) -> float:
-    """Sum over m > cutoff of (m + 2) x^m."""
-    k = cutoff + 1
-    return x ** k * ((k + 2) - (k + 1) * x) / (1.0 - x) ** 2
-
-
 def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
-    """Certified upper bound on the part of the trace sum beyond lmax."""
+    """Certified upper bound on the part of the trace sum beyond lmax, from
+    the tag's envelope: the head plus the remainder above, or +inf at and
+    below the abscissa.  One formula serves every nonzero tag; gamma's
+    tail is 0."""
     _check_omega(omega)
     q = _check_q(q_value)
     _check_z(z, -math.inf)
     _check_cutoff(lmax)
     if omega == "gamma":
         return 0.0
-    z_floor = 3.0 if omega in _DELTA_TAGS else 2.0
-    if z <= z_floor:
+    a, k_a, b, k_b = _TAGS[omega].envelope(q)
+    h0, h1 = 0.5 * (z - 1.0), 0.5 * (z - 2.0)
+    if h1 <= 0.0 or k_a + h0 <= 0.0:
         return math.inf
-    q2 = q * q
     i_inf = 0.5 * _gamma_half_ratio(z)
+    lin = 4.0 / (z - 2.0)
 
-    def s0(m: int, n_from: int) -> float:
-        """Bound on sum over n > n_from >= 0 of
-        (1 + n^2/4 + q^{1-m})^{-z/2}."""
-        ft = 1.0 + q ** (1 - m)
-        c = n_from / (2.0 * math.sqrt(ft))
-        if c > 0.0 and (1.0 - z) * math.log(c) < 700.0:
-            cap = (c ** (1.0 - z)) / (z - 1.0)
-        else:
-            cap = i_inf
-        return 2.0 * ft ** (0.5 * (1.0 - z)) * min(i_inf, cap)
+    def decay(k: int, m: int, h: float) -> float:
+        """r^m q^{(m-1) h}, r = q^k."""
+        return q ** ((m - 1) * (k + h) + k)
 
-    def s1(m: int, n_from: int) -> float:
-        """Bound on sum over n > n_from of (n + m + 1) * minorant term."""
-        ft = 1.0 + q ** (1 - m)
-        base = (ft + 0.25 * n_from ** 2) ** (0.5 * (2.0 - z))
-        out = (m + 1) * s0(m, n_from) + (4.0 / (z - 2.0)) * base
-        # n * f(n) peaks near 2 sqrt(ft / (z - 1)); only when the cutoff
+    def rest(k: int, h: float) -> Tuple[float, float]:
+        """The sums over m > lmax of decay(k, m, h) and of m + 2 times it."""
+        x = q ** (k + h)
+        total = decay(k, lmax + 1, h) / (1.0 - x)
+        return total, total * (lmax + 3 + x / (1.0 - x))
+
+    # Column m's sums over their decays: s0 and the peak over g^{m-1}, s1
+    # over t^{m-1}.
+    head = []
+    for m in range(1, lmax + 1, 2):
+        # c = (lmax - m) / (2 sqrt(ft_m)), from p = q^{m-1} <= 1.
+        p = q ** (m - 1)
+        c = 0.5 * (lmax - m) * math.sqrt(p / (1.0 + p))
+        cap = (c ** (1.0 - z) / (z - 1.0)
+               if c > 0.0 and (1.0 - z) * math.log(c) < 700.0 else i_inf)
+        s0 = 2.0 * (1.0 + p) ** -h0 * min(i_inf, cap)
+        # n f(n) peaks at n = 2 sqrt(ft_m / (z - 1)); only when the cutoff
         # sits before the peak can a single term beat the integral.
-        if n_from < 2.0 * math.sqrt(ft / (z - 1.0)):
-            out += 2.0 * ft ** (0.5 * (1.0 - z))
-        return out
-
-    # Column m's full sum over n >= 0 is at most ft^{-z/2} + 2 ft^{(1-z)/2}
-    # i_inf <= s0_full_coef * g^{m-1}.
-    g = q ** (0.5 * (z - 1.0))        # decay of the full-sum bound in m
-    s0_full_coef = 1.0 + 2.0 * i_inf
-
-    if omega == "identity":
-        head = math.fsum(2.0 * s1(m, lmax - m) for m in range(1, lmax + 1))
-        t = q ** (0.5 * (z - 2.0))
-        rem = 2.0 * (s0_full_coef * _geo_tail_linear(g, lmax) / g
-                     + (4.0 / (z - 2.0)) * t ** lmax / (1.0 - t))
-        return head + rem
-    if omega in _DELTA_TAGS:
-        head = math.fsum(q ** (-m) * s0(m, lmax - m)
-                         for m in range(1, lmax + 1, 2))
-        u = q ** (0.5 * (z - 3.0))
-        rem = s0_full_coef / g * u ** (lmax + 1) / (1.0 - u)
-        return (head + rem) / (1.0 - q2)
-    # cstarc
-    alpha = 2.0 * q / ((1.0 - q2) * (1.0 - q ** 4) * (1.0 - q ** 6))
-    beta0 = 2.0 / ((1.0 - q2) * (1.0 - q ** 4))
-    head = math.fsum(alpha * s0(m, lmax - m) + beta0 * q ** m * s1(m, lmax - m)
-                     for m in range(1, lmax + 1))
-    t = q ** (0.5 * (z - 2.0))
-    rem_alpha = alpha * s0_full_coef / g * (g ** (lmax + 1)) / (1.0 - g)
-    rem_beta = beta0 * (s0_full_coef * _geo_tail_linear(q * g, lmax) / g
-                        + (4.0 / (z - 2.0)) / t * (q * t) ** (lmax + 1)
-                        / (1.0 - q * t))
-    return head + rem_alpha + rem_beta
+        peak = 2.0 * (1.0 + p) ** -h0 if c * c * (z - 1.0) < 1.0 else 0.0
+        s1 = lin * ((1.0 + p) * (1.0 + c * c)) ** -h1
+        head.append(a * decay(k_a, m, h0) * s0
+                    + b * (decay(k_b, m, h0) * ((m + 1) * s0 + peak)
+                           + decay(k_b, m, h1) * s1))
+    c0 = 1.0 + 2.0 * i_inf
+    return math.fsum(head) + (a * c0 * rest(k_a, h0)[0] + b * (
+        c0 * rest(k_b, h0)[1] + lin * rest(k_b, h1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -1102,8 +1162,16 @@ def _odd_m_lattice(zs: Sequence[float], q_value: float, weight,
     ``weight(n, m, q, q_pow)`` and the tail pair ``tail_weight(m, q)``
     (direct head, the tail, and the endpoint corrections), and the odd-m
     series of each z is accumulated to a relative 1e-12 by ``_m_series``.
-    No spin ceiling enters, so values stay accurate down toward z = 2
-    where plain cutoff scans would need astronomically many sectors.
+    No spin ceiling enters, so a sum whose m series is damped like
+    q^{m(z-1)/2}, as the c*c one is, stays accurate down toward z = 2,
+    where plain cutoff scans would need astronomically many sectors.  A
+    series damped only like q^{m(z-2)/2}, as the identity's is, needs
+    about 55 / ((z - 2) ln(1/q)) columns to settle.  Below about z = 2.08
+    that passes the column m ~ 710 / ln(1/q) whose ``_lattice_cd`` power
+    q^{-(m+1)} overflows, which raises a bare ``OverflowError`` (the
+    identity sum at z = 2.05 for every q <= 0.7); above about q = 0.7 that
+    column lies past _M_CAP, and the series stops at the cap short of its
+    tail (about 0.5% at q = 0.9, z = 2.05).
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 2.0)
@@ -1166,8 +1234,8 @@ class ResidueReport(NamedTuple):
     schedule: Tuple[float, ...]
 
     def to_json_dict(self) -> Dict[str, object]:
-        """The five leading fields, omega through method, in order."""
-        return dict(zip(self._fields[:5], self))
+        """Every field, omega through schedule, in order."""
+        return dict(zip(self._fields, self))
 
 
 def _richardson_to_zero(points: Sequence[Tuple[float, float]]
@@ -1202,9 +1270,10 @@ def residue_extract(omega: str, q_value: float, *,
     extrapolant, and both are reported.  The floats z = 3 + eps must
     decrease strictly above 3, else the schedule is rejected before any
     evaluation.  Every weight but the identically zero ``gamma`` is one
-    cutoff-free lattice sum over the whole schedule: the pole-resolved
-    ``eigen_lattice_sum`` for the deltaL2 weights, and the odd-m lattice
-    of directly summed columns for ``cstarc`` and ``identity``.  If
+    cutoff-free lattice sum over the whole schedule, its ``_TAGS`` entry's:
+    the pole-resolved ``eigen_lattice_sum`` for the deltaL2 weights, and
+    the odd-m lattice of directly summed columns for ``cstarc`` and
+    ``identity``.  If
     ``max_error_bar`` is given and exceeded, the non-convergence is
     raised, never smoothed over.
     """
@@ -1224,16 +1293,8 @@ def residue_extract(omega: str, q_value: float, *,
     if omega == "gamma":
         return ResidueReport(omega, q, 0.0, 0.0, "identically-zero",
                              0.0, sched)
-
-    if omega in _DELTA_TAGS:
-        method = "pole-resolved/richardson+least-squares"
-        pref = 1.0 / (1.0 - q * q)
-        ups = [pref * value for value in eigen_lattice_sum(zs, q)]
-    else:
-        method = "lattice-resolved/richardson+least-squares"
-        ups = (upsilon_cstarc_lattice if omega == "cstarc"
-               else _identity_lattice)(zs, q)
-    points = [(eps, eps * u) for eps, u in zip(sched, ups)]
+    tag = _TAGS[omega]
+    points = [(eps, eps * u) for eps, u in zip(sched, tag.lattice(zs, q))]
 
     rich, last_corr = _richardson_to_zero(points)
     eps_arr = np.array([p[0] for p in points])
@@ -1244,7 +1305,7 @@ def residue_extract(omega: str, q_value: float, *,
         raise NonConvergenceError(
             f"residue extrapolation for {omega} at q={q} did not converge: "
             f"error bar {bar:.3e} exceeds {max_error_bar:.3e}")
-    return ResidueReport(omega, q, rich, bar, method, lsq, sched)
+    return ResidueReport(omega, q, rich, bar, tag.method, lsq, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 machine-readable outputs, and the documented worked examples."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -302,22 +303,25 @@ def test_upsilon_scan_csv_and_determinism(tmp_path):
 # and combines them with correctly rounded + - * /.  Lattice residues go
 # through numpy's vectorized power, whose last bit depends on the CPU, so
 # they get no golden bytes.  Re-pinned when the scan took the lattice's
-# mode table and its cancellation-free base: two rows moved by one ulp.
+# mode table and its cancellation-free base (two rows moved by one ulp),
+# and when the tail bound became one envelope formula over the odd-m
+# lattice: the identity and c*c bounds fell to about 0.52x and 0.65x, and
+# two deltaL2 bounds moved by one ulp; no partial sum moved.
 UPSILON_SCAN_CSV_BYTES = {
     "identity": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
-identity,0.5,3.2,60,13.24422428055627,1.570976109686763
-identity,0.5,3.6,60,8.357261639782251,0.29492476165142395
-identity,0.5,4.0,60,5.661220978187634,0.06009904036784009
+identity,0.5,3.2,60,13.24422428055627,0.8153382093480801
+identity,0.5,3.6,60,8.357261639782251,0.1533943062118876
+identity,0.5,4.0,60,5.661220978187634,0.03131212034786301
 """,
     "deltaL2-e11": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
-deltaL2-e11,0.5,3.2,60,11.163950273423296,20.939314309338776
+deltaL2-e11,0.5,3.2,60,11.163950273423296,20.93931430933877
 deltaL2-e11,0.5,3.6,60,5.584583555909964,1.7667615093176867
-deltaL2-e11,0.5,4.0,60,3.304410476093211,0.2899657135855378
+deltaL2-e11,0.5,4.0,60,3.304410476093211,0.28996571358553785
 """,
     "cstarc": b"""omega_tag,q,z,lmax,partial_sum,tail_bound
-cstarc,0.5,3.2,60,4.269859406465911,0.18234115504902582
-cstarc,0.5,3.6,60,2.9039254808712447,0.03595974055267433
-cstarc,0.5,4.0,60,2.073276856337285,0.007546122213760629
+cstarc,0.5,3.2,60,4.269859406465911,0.1188604084572506
+cstarc,0.5,3.6,60,2.9039254808712447,0.02335399748131743
+cstarc,0.5,4.0,60,2.073276856337285,0.004885109913183916
 """,
 }
 
@@ -412,7 +416,7 @@ UPSILON_SCAN_JSON_BYTES = b"""{
       "z": 3.2,
       "lmax": 60,
       "partial_sum": 13.24422428055627,
-      "tail_bound": 1.570976109686763
+      "tail_bound": 0.8153382093480801
     },
     {
       "omega_tag": "identity",
@@ -420,7 +424,7 @@ UPSILON_SCAN_JSON_BYTES = b"""{
       "z": 3.6,
       "lmax": 60,
       "partial_sum": 8.357261639782251,
-      "tail_bound": 0.29492476165142395
+      "tail_bound": 0.1533943062118876
     },
     {
       "omega_tag": "identity",
@@ -428,7 +432,7 @@ UPSILON_SCAN_JSON_BYTES = b"""{
       "z": 4.0,
       "lmax": 60,
       "partial_sum": 5.661220978187634,
-      "tail_bound": 0.06009904036784009
+      "tail_bound": 0.03131212034786301
     }
   ]
 }
@@ -557,9 +561,29 @@ def test_residue_json_shape(tmp_path):
     assert run_command(["residue", "--omega", "gamma", "--q", "0.5",
                         "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert list(doc) == ["omega", "q", "estimate", "error_bar", "method"]
+    assert list(doc) == ["omega", "q", "estimate", "error_bar", "method",
+                         "least_squares", "schedule"]
     assert doc["estimate"] == 0.0
     assert doc["method"] == "identically-zero"
+    assert doc["schedule"] == [0.4, 0.2, 0.1, 0.05]
+
+
+def test_residue_csv_schedule_cell_is_an_eps_argument(tmp_path):
+    # The CSV row carries every field of the report; its schedule cell is
+    # the offsets comma-joined, which --eps takes back unchanged.
+    out = tmp_path / "res.csv"
+    argv = ["residue", "--omega", "cstarc", "--q", "0.5", "--format", "csv"]
+    assert run_command(argv + ["--eps", "0.4,0.2,0.1", "--out",
+                               str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["omega", "q", "estimate", "error_bar", "method",
+                       "least_squares", "schedule"]
+    assert rows[1][-1] == "0.4,0.2,0.1"
+    again = tmp_path / "again.csv"
+    assert run_command(argv + ["--eps", rows[1][-1], "--out",
+                               str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_residue_custom_schedule_and_nonconvergence(capsys):

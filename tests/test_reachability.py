@@ -65,6 +65,70 @@ BENCH_ONLY = {
     "spectral.commutator_growth",  # tracer entry point
 }
 
+#: What the algebra-level oracles share with the paths they check: the
+#: base types of elements and scalars, and their constants.
+_EXACT_BASE = {
+    "algebra.AlgebraElement", "algebra._SparseSum",
+    "algebra._SparseSum.is_zero", "algebra._SparseSum.terms",
+    "algebra._accumulate", "scalars.ONE", "scalars.Scalar",
+    "scalars.Scalar.is_zero", "scalars.Scalar.v_pow", "scalars._ONE_POLY",
+    "scalars._Poly",
+}
+_WEIGHTS2 = {"algebra.Monomial.left_weight2", "algebra.Monomial.right_weight2"}
+_Q_POW = {"scalars.Scalar.q_pow", "scalars.Scalar.v_pow", "scalars._ONE_POLY",
+          "scalars._Poly"}
+
+#: The verification web: each checked path, the independent oracle that
+#: checks it, and exactly the definitions their two closures share.  A
+#: refactor that lets an oracle reuse the path's own rules grows a set and
+#: fails the test; one that removes a shared rule shrinks it.
+ORACLES = [
+    # The direct template sum shares only the argument checks with the
+    # closed form; the Gamma ratio, the tail integrals and the pole stay
+    # on one side.
+    (("h_closed", "h_err_bound"), ("h_direct",),
+     {"mero._check_h_params", "spectral._check_z"}),
+    # The Sweedler sums of the coproduct against the ladder tables.
+    (("act_e", "act_f", "act_h", "act_e_right", "act_f_right", "act_weight"),
+     ("sweedler_oracle", "sweedler_oracle_right"),
+     _EXACT_BASE | {"algebra.Monomial", "algebra.Monomial.word"}),
+    # The residue cochain by commutators against its cup table.
+    (("PHI_RES_OVER_R", "int_one_table"), ("phi_res_via_commutators",),
+     _EXACT_BASE | _WEIGHTS2 | {"scalars.ZERO"}),
+    # pi_split shares the twist table as well; the pi-split check compares
+    # each side with phi_res_via_commutators, which shares none of it.
+    (("PHI_RES_OVER_R",), ("pi_split",),
+     _EXACT_BASE | _WEIGHTS2 | {"hochschild.ORDERS", "hochschild.SLOT_TWISTS",
+                                "hochschild._twists", "hochschild.sign"}),
+    # The ladder-transport basis of the tests against the closed forms: the
+    # bracket product, base types, and a name ``sign`` matched by its short
+    # name alone.
+    (("pw_orthobasis",), ("transport_orthobasis",),
+     {"algebra.AlgebraElement", "algebra.Monomial", "algebra._SparseSum",
+      "hochschild.sign", "peterweyl.bracket_difference", "scalars.ONE",
+      "scalars.Scalar", "scalars.Scalar.q_pow", "scalars.Scalar.v_pow",
+      "scalars.ZERO", "scalars._ONE_POLY", "scalars._Poly",
+      "scalars.q_number"}),
+    # The 2x2 pair blocks against the scan: the argument checks alone.
+    (("upsilon_value",), ("upsilon_identity_pairblocks",),
+     {"spectral._check_cutoff", "spectral._check_q", "spectral._check_z"}),
+    # The scan and the lattice share the Haar weight by design, and the
+    # exact sum.  ``q_pow``, the weights' own argument, matches the Scalar
+    # method of that name: the walk matches short names alone.
+    (("upsilon_value",), ("eigen_lattice_sum",),
+     _Q_POW | {"spectral._check_q", "spectral._check_z",
+               "spectral._check_zs", "spectral._exact_sum",
+               "spectral._haar_weight", "spectral._settled"}),
+    # The certified tail bound against the cutoff-free sums it is tested
+    # against: through the tag table it reaches the weights its envelopes
+    # bound, and no lattice sum.
+    (("tail_bound",),
+     ("_identity_lattice", "upsilon_cstarc_lattice", "eigen_lattice_sum"),
+     _Q_POW | {"spectral._check_q", "spectral._check_z",
+               "spectral._cstarc_weight", "spectral._gamma_half_ratio",
+               "spectral._haar_weight", "spectral._identity_weight"}),
+]
+
 Definition = Tuple[str, Set[str], Set[str]]  # qualified name, binds, uses
 
 
@@ -103,11 +167,13 @@ def _bound(node: ast.stmt) -> Set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
-def _walk_package() -> Tuple[List[Definition], Set[str]]:
-    """The package's definitions, and the names its roots use."""
+def _walk_package(extra: Iterable[Path] = ()
+                  ) -> Tuple[List[Definition], Set[str]]:
+    """The package's definitions, and the names its roots use; with
+    ``extra``, those of the modules there too."""
     definitions: List[Definition] = []
     roots = {ENTRY}
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")), *extra]:
         tree = ast.parse(path.read_text(), filename=str(path))
         outside = _outside_modules(tree)
         for node in tree.body:
@@ -176,6 +242,18 @@ def test_every_definition_is_reached():
 
 def test_benchmark_only_names_are_exactly_listed():
     assert _reach()["bench_only"] == BENCH_ONLY
+
+
+def test_each_oracle_shares_exactly_its_listed_definitions():
+    definitions, _ = _walk_package([ROOT / "tests" / "peterweyl_transport.py"])
+    for path, oracle, shared in ORACLES:
+        got = (_closure(definitions, set(path))
+               & _closure(definitions, set(oracle)))
+        assert got == shared, (path, oracle, sorted(got ^ shared))
+    # The tag table, and with it every lattice sum, stays outside the
+    # pair blocks' closure.
+    assert "spectral._TAGS" not in _closure(
+        definitions, {"upsilon_identity_pairblocks"})
 
 
 def test_walk_sees_through_class_bodies_and_outside_modules():

@@ -577,6 +577,52 @@ def test_tail_bound_dominates_measured_tail(omega):
         assert 0.0 < hi - lo <= tb
 
 
+#: Four z per tag for the cutoff-free dominance test, from just above the
+#: abscissa (2.5 for identity, whose lattice overflows at z = 2.05 for
+#: q <= 0.7).
+_DOMINANCE_ZS = {"identity": [2.5, 3.05, 4.0, 6.0],
+                 "cstarc": [2.05, 2.5, 3.5, 6.0],
+                 "deltaL2-e11": [3.05, 3.5, 4.5, 6.0]}
+
+
+@pytest.mark.parametrize("omega", sorted(_DOMINANCE_ZS))
+def test_tail_bound_dominates_cutoff_free_tail(omega):
+    """The whole tail, not a partial one: the cutoff-free lattice sum
+    minus the scan at lmax is at most ``tail_bound``.  Near the abscissa
+    at small q the bound is tight (the tail is 0.99 of it for identity at
+    q = 0.1, lmax 40, z = 2.5), so a bound scaled by 0.6 fails for every
+    tag, and one without its remainder over m > lmax fails for identity
+    and deltaL2."""
+    from suq2 import spectral
+
+    zs = _DOMINANCE_ZS[omega]
+    for q in (0.1, 0.3, 0.5, 0.9):
+        if omega == "identity":
+            full = spectral._identity_lattice(zs, q)
+        elif omega == "cstarc":
+            full = upsilon_cstarc_lattice(zs, q)
+        else:
+            full = [v / (1.0 - q * q) for v in eigen_lattice_sum(zs, q)]
+        for lmax in (1, 3, 10, 40):
+            for z, total, partial in zip(zs, full,
+                                         upsilon_value(omega, zs, q, lmax)):
+                assert total - partial <= tail_bound(omega, lmax, z, q), (
+                    q, lmax, z)
+
+
+@pytest.mark.parametrize("omega", ("identity", "deltaL2-e11", "cstarc"))
+@pytest.mark.parametrize("q, lmax", [(0.5, 1100), (0.5, 2000), (0.5, 10000),
+                                     (0.1, 1000)])
+def test_tail_bound_is_finite_where_q_powers_leave_the_float_range(
+        omega, q, lmax):
+    # q^{1-m} overflows from m = 1025 at q = 0.5 and m = 310 at q = 0.1;
+    # the bound forms only q^{m-1} and the folded decay, so it stays a
+    # finite positive number, and falls with the cutoff.
+    bound = tail_bound(omega, lmax, 3.5, q)
+    assert 0.0 < bound < math.inf
+    assert bound < tail_bound(omega, lmax // 2, 3.5, q)
+
+
 def test_tail_bound_abscissas():
     assert tail_bound("gamma", 10, 2.1, 0.5) == 0.0
     assert tail_bound("identity", 10, 2.0, 0.5) == math.inf
@@ -1698,7 +1744,9 @@ def test_residue_gamma_identically_zero():
 def test_residue_report_json_shape():
     rep = residue_extract("deltaL2-e11", 0.5)
     d = rep.to_json_dict()
-    assert list(d) == ["omega", "q", "estimate", "error_bar", "method"]
+    assert list(d) == ["omega", "q", "estimate", "error_bar", "method",
+                       "least_squares", "schedule"]
+    assert list(d.values()) == list(rep)
     assert d["omega"] == "deltaL2-e11"
     assert d["q"] == 0.5
 
