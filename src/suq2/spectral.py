@@ -60,27 +60,30 @@ weakened by it.  Three levels:
   depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
   arbitrarily close to the abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
-  cutoff scan cannot reach.  Its first columns, and every column of the
-  c*c and identity sums over the odd-m lattice (``upsilon_cstarc_lattice``
-  and ``_identity_lattice``), are summed directly by one evaluator given
-  the column's weight: a head whose array powers q^k are gathered from
-  one table built per call, the heads of all its z merged by one call of
-  the same exact sum, an integral tail, and an Euler-Maclaurin close.
-  Where every t-dependent power of q rounds away past the head, the
-  float weight there is alpha + beta t and the tail is alpha I0 + beta
-  I1, two integrals in closed form (an incomplete beta function and a
-  power); only within about 5e-3 of q = 1 is the full c*c weight
-  integrated by quadrature.  The lattice sums
-  take a list of z: a column's weights and bases are built once for all
-  of them, and each z then costs its powers, exact sum, tail and close;
-  the later columns of ``eigen_lattice_sum``, an integral model plus
-  damped differences, likewise build their bases and weights once for
-  every z that reaches them.
+  cutoff scan cannot reach.  Each of its columns is one model, by scalar
+  Python arithmetic: the flat n sum, exact by Poisson summation (an
+  integral, half the n = 0 term and Bessel K terms), plus damped
+  differences, whose bases and weights are built once for every z that
+  reaches the column.  Every column of the c*c and identity sums over
+  the odd-m lattice (``upsilon_cstarc_lattice`` and
+  ``_identity_lattice``) is summed directly by one evaluator given the
+  column's weight: a head whose array powers q^k are gathered from one
+  table built per call, the heads of all its z merged by one call of the
+  same exact sum, an integral tail, and an Euler-Maclaurin close.  Where
+  every t-dependent power of q rounds away past the head, the float
+  weight there is alpha + beta t and the tail is alpha I0 + beta I1, two
+  integrals in closed form (an incomplete beta function and a power);
+  only within about 5e-3 of q = 1 is the full c*c weight integrated by
+  quadrature.  The lattice sums take a list of z: a column's weights and
+  bases are built once for all of them, and each z then costs its
+  powers, exact sum, tail and close.
   Each z keeps its own m series, which stops after three terms in a row
   below a relative tolerance or at m = _M_CAP, so a list gives the bits
   of one call per z; within about 1e-9 of q = 1 a column's base cancels,
   and every lattice sum raises ``FloatingPointError`` rather than return
-  nan.  ``residue_extract`` drives one lattice sum over its whole
+  nan, as ``eigen_lattice_sum`` does too where its sum cancels against
+  the resummed part to a value that is not positive (small q, large z).
+  ``residue_extract`` drives one lattice sum over its whole
   schedule in one call, through a Richardson schedule in z - 3, and
   cross-checks with a least-squares pole fit; no residue scans to a
   cutoff.
@@ -90,14 +93,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import repeat
+from itertools import count, repeat
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 # scipy.integrate is imported by the one function that calls it (the
 # near-q = 1 tail quadrature), which most float commands never reach.
-from scipy.special import betainc, betaincc, gammaln
+from scipy.special import betainc, betaincc, gammaln, kve
 
 from .algebra import AlgebraElement, gens, weight_decompose
 from .errors import NonConvergenceError
@@ -830,10 +833,12 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
         return q ** ((m - 1) * (k + h) + k)
 
     def rest(k: int, h: float) -> Tuple[float, float]:
-        """The sums over m > lmax of decay(k, m, h) and of m + 2 times it."""
+        """The sums over m > lmax of decay(k, m, h) and of m + 2 times it,
+        with 1 - x, x = q^{k+h}, formed without cancelling by expm1."""
         x = q ** (k + h)
-        total = decay(k, lmax + 1, h) / (1.0 - x)
-        return total, total * (lmax + 3 + x / (1.0 - x))
+        gap = -math.expm1((k + h) * math.log(q))
+        total = decay(k, lmax + 1, h) / gap
+        return total, total * (lmax + 3 + x / gap)
 
     # Column m's sums over their decays: s0 and the peak over g^{m-1}, s1
     # over t^{m-1}.
@@ -870,6 +875,12 @@ def tail_bound(omega: str, lmax: int, z: float, q_value: float) -> float:
 # m-geometric series has the simple pole at z = 3; summing that part in
 # closed form and keeping the per-m remainders (which decay geometrically)
 # gives an evaluator that stays accurate arbitrarily close to the pole.
+# ``eigen_lattice_sum`` takes each remainder from one model of its column
+# (``_lattice_inner_model``): the flat sum over n of (n^2/4 + c_m)^{-z/2},
+# exact by Poisson summation, plus damped differences.  The c*c and
+# identity sums over the odd-m lattice (``_odd_m_lattice``) sum each
+# column directly instead (``_lattice_column``): their weights grow with
+# n, so no flat model fits them.
 
 def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     """The column coefficients (c_m, d_m) above.
@@ -896,10 +907,6 @@ _N_CUT = 4000
 
 #: The last column either m series may reach.
 _M_CAP = 2001
-
-#: Columns of ``eigen_lattice_sum`` summed directly, by ``_lattice_column``
-#: like every c*c column, rather than modelled.
-_M_DIRECT = 5
 
 #: The largest x with 1.0 - x == 1.0: a weight's 1 - q^k rounds to 1
 #: wherever q^k <= _ROUNDS_AWAY.
@@ -1000,18 +1007,73 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
 _MODEL_DIFFS = 800
 
 
+def _log_kve(nu: float, x: float) -> float:
+    """ln(K_nu(x) e^x) for nu >= 0 and x > 0.  Where ``kve`` overflows, at
+    orders far above x (from nu = 260 at x = 4 pi), K is carried up from
+    the order mu = nu - floor(nu) by the recurrence K_{mu+1} = K_{mu-1} +
+    (2 mu / x) K_mu, stable upward, as a product of the ratios
+    K_{mu+1} / K_mu kept in range by ``math.frexp``.  Each step adds about
+    an ulp to the product; the log returned is within a few of its own
+    ulps (4.5e-13 at 3700), which is what any log of that size keeps."""
+    value = float(kve(nu, x))
+    if value < math.inf:
+        return math.log(value)
+    mu = nu - math.floor(nu)
+    mant, power = math.frexp(float(kve(mu, x)))
+    ratio = float(kve(mu + 1.0, x) / kve(mu, x))
+    for j in range(1, math.floor(nu) + 1):
+        mant, e = math.frexp(mant * ratio)
+        power += e
+        ratio = 1.0 / ratio + 2.0 * (mu + j) / x
+    return math.log(mant) + power * math.log(2.0)
+
+
+def _poisson_terms(z: float, c_m: float, floor: float) -> List[float]:
+    """The Poisson remainder of the flat column sum over n >= 0 of
+    (n^2/4 + c_m)^{-z/2}: the Fourier transforms of that summand at
+    k = 1, 2, ...,
+
+        4 sqrt(pi) / Gamma(z/2) (2 pi k / sqrt(c_m))^{(z-1)/2}
+            K_{(z-1)/2}(4 pi k sqrt(c_m)),
+
+    up to the first at or below ``floor``; they fall with k.  Each is
+    formed in logs (``math.lgamma``, ``_log_kve``), so no factor overflows
+    at any z: Gamma(z/2) alone would from z = 344.  A log of size L is
+    rounded to about L 2^-53, so a term carries a relative error of about
+    1e-15 at z = 10 and 1e-13 at z = 300."""
+    nu = 0.5 * (z - 1.0)
+    root = math.sqrt(c_m)
+    front = math.log(4.0 * math.sqrt(math.pi)) - math.lgamma(0.5 * z)
+    terms = []
+    for k in count(1):
+        x = 4.0 * math.pi * k * root
+        term = math.exp(front + nu * math.log(2.0 * math.pi * k / root)
+                        + _log_kve(nu, x) - x)
+        if not term > floor:  # nan too: kve gives up past x of about 1e9
+            return terms
+        terms.append(term)
+
+
 def _lattice_inner_model(zs: Sequence[float], q: float, m: int, c_m: float,
                          d_m: float, haar_weight: bool,
-                         ghalf: Dict[float, float]) -> List[float]:
-    """n sum of column m for larger m, one value for each z of ``zs``: the
-    integral model ghalf[z] c_m^{(1-z)/2} + c_m^{-z/2}/2 plus the damped
+                         ghalf: Dict[float, float],
+                         poles: Dict[float, float]) -> List[float]:
+    """n sum of column m, one value for each z of ``zs``: the flat sum
+
+        sum over n >= 0 of (n^2/4 + c_m)^{-z/2}
+            = ghalf[z] c_m^{(1-z)/2} + c_m^{-z/2}/2 + Poisson remainder,
+
+    exact by Poisson summation (``_poisson_terms``), plus the damped
     exact differences
 
         w(n) (n^2/4 + c_m - d_m q^{2n})^{-z/2} - (n^2/4 + c_m)^{-z/2},
 
     w(n) = 1 - q^{2(n+m+1)} with the Haar weight and 1 without.  Each z
-    sums its differences by ``math.fsum`` up to and including the first
-    below 1e-22 of max(1, model), or the first _MODEL_DIFFS of them.  The
+    sums the remainder and its differences by ``math.fsum``, each up to
+    and including the first at or below 2^-53 poles[z] q^m, the
+    differences at most _MODEL_DIFFS of them: poles[z] is the resummed
+    term P(z) that the m series starts from, and the series adds q^{-m}
+    times the column, so each column is cut near 2^-53 P(z).  The
     bases, the shifted bases and the weights do not depend on z: they are
     built once, by scalar Python arithmetic, and extended lazily to the
     longest stop over the z.  Each z then costs its two powers per n.
@@ -1023,8 +1085,8 @@ def _lattice_inner_model(zs: Sequence[float], q: float, m: int, c_m: float,
     for z in zs:
         p = -0.5 * z
         model = ghalf[z] * c_m ** (0.5 * (1.0 - z)) + 0.5 * c_m ** p
-        floor = 1e-22 * max(1.0, model)
-        diffs: List[float] = []
+        floor = 2.0 ** -53 * poles[z] * q ** m
+        rest = _poisson_terms(z, c_m, floor)
         for n in range(_MODEL_DIFFS):
             if n == len(bases):
                 base = 0.25 * n * n + c_m
@@ -1033,10 +1095,10 @@ def _lattice_inner_model(zs: Sequence[float], q: float, m: int, c_m: float,
                 weights.append(_haar_weight(n, m, q, q.__pow__)
                                if haar_weight else 1.0)
             d = weights[n] * shifted[n] ** p - bases[n] ** p
-            diffs.append(d)
-            if abs(d) < floor:
+            rest.append(d)
+            if abs(d) <= floor:
                 break
-        values.append(model + math.fsum(diffs))
+        values.append(model + math.fsum(rest))
     return values
 
 
@@ -1078,55 +1140,55 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
     default, m odd (the mode-parity lock) and w = 1 - q^{2(n+m+1)} (the
     exact geometric column sum over the right index); with
     ``admitted=False``, over every m >= 1 with w = 1.  The leading
-    m-geometric part is resummed in closed form, so the evaluation stays
-    accurate arbitrarily close to z = 3; at and below 3 the sum diverges,
-    and every z is checked before any column.  Near q = 1 the accuracy is
-    set by the modelled columns' cap of _MODEL_DIFFS = 800 damped
-    differences, which decay like q^{2n}.  Against the same model with no
-    cap, the cap never binds at q <= 0.97; the sum is within 1.1e-13
-    (admitted) and 9.3e-13 (every m) relative at q = 0.99, and within
-    5.9e-5 and 6.6e-5 relative at q = 0.999, z = 3.05.  A directly summed
-    column's tail is closed form where its float weight is 1 past the
-    head, that is for every column with w = 1 and, with the Haar weight,
-    where q^{2(a+m+1)} <= 2^-54 (all q below about 0.995).  Each z keeps
-    its own m series, so each value is bit for bit the value of a call
-    with that z alone.  The series stops at m = _M_CAP = 2001 at the
-    latest: at z = 3.05 that leaves the sum short, against the same sum
-    with the cap raised to 40,001, by 5.2e-9 (admitted) and 3.2e-9 (every
-    m) relative at q = 0.99 and by 1.2e-6 and 5.1e-7 at q = 0.995, and
-    changes no value at q <= 0.98.
+    m-geometric part P(z) is resummed in closed form, so the evaluation
+    stays accurate arbitrarily close to z = 3; at and below 3 the sum
+    diverges, and every z is checked before any column.  Every column is
+    one ``_lattice_inner_model``, cut near 2^-53 P(z) q^m, since the
+    series adds q^{-m} times each column.  The series starts from P(z)
+    and cancels against it where the sum is far smaller, at large z for
+    q below about 0.54 (P falls like (1 - q^2)^z, the sum like
+    2^{-z/2}): about -log10(sum / P(z)) of the float's 16 digits are
+    lost, so at q = 0.3, z = 100, where the sum is 4e-11 of P, about 5
+    remain.  A sum that comes out not positive and finite, as at q = 0.3
+    from z = 150 on, raises ``FloatingPointError`` naming q and z.
+    Near q = 1 the accuracy is set by the columns' cap of _MODEL_DIFFS =
+    800 damped differences, which decay like q^{2n}.  Against the same
+    model with no cap, the cap never binds at q <= 0.97; at z = 3.05 and
+    3.5 the sum is within 4.2e-13 (admitted) and 1.4e-13 (every m)
+    relative at q = 0.99, 2.6e-10 and 1.3e-8 at q = 0.995, and 6.8e-5 and
+    6.6e-5 at q = 0.999.  Each z keeps its own m series, so each value is
+    bit for bit the value of a call with that z alone.  The series stops
+    at m = _M_CAP = 2001 at the latest: at z = 3.05 that leaves the sum
+    short, against the same sum with the cap raised to 40,001, by 5.2e-9
+    (admitted) and 3.2e-9 (every m) relative at q = 0.99 and by 1.2e-6
+    and 5.1e-7 at q = 0.995, and changes no value at q <= 0.98.
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 3.0)
-    qt = q ** np.arange(2 * (_N_CUT + _M_DIRECT + 1) + 1, dtype=float)
     big_q = q / (1.0 - q * q)
     ghalf = {z: _gamma_half_ratio(z) for z in zs}
-    totals = []
+    poles = {}
     for z in zs:
         x = q ** (0.5 * (z - 3.0))
         geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
-        totals.append(ghalf[z] * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0))
-                      * geo)
+        poles[z] = (ghalf[z] * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0))
+                    * geo)
 
     def corrections(m: int, zs_m: List[float]) -> List[float]:
         c_m, d_m = _lattice_cd(q, m)
-        if m > _M_DIRECT:
-            inner = _lattice_inner_model(zs_m, q, m, c_m, d_m, admitted,
-                                         ghalf)
-        elif admitted:
-            flat = q ** (2 * (_N_CUT + m + 2)) <= _ROUNDS_AWAY
-            inner = _lattice_column(
-                zs_m, q, m, qt, lambda n, q_pow: _haar_weight(n, m, q, q_pow),
-                (1.0, 0.0) if flat else None)
-        else:
-            inner = _lattice_column(zs_m, q, m, qt, lambda n, q_pow: 1.0,
-                                    (1.0, 0.0))
+        inner = _lattice_inner_model(zs_m, q, m, c_m, d_m, admitted, ghalf,
+                                     poles)
         scale = big_q * big_q * q ** (-(m + 1.0))
         return [q ** (-m) * (col - ghalf[z] * scale ** (0.5 * (1.0 - z)))
                 for z, col in zip(zs_m, inner)]
 
     ms = range(1, _M_CAP + 1, 2 if admitted else 1)
-    return _m_series(totals, zs, corrections, ms, 1e-14, 41)
+    totals = _m_series([poles[z] for z in zs], zs, corrections, ms, 1e-14, 41)
+    for z, total in zip(zs, totals):
+        if not 0.0 < total < math.inf:
+            raise FloatingPointError(f"lattice sum at q={q}, z={z} cancels "
+                                     f"to {total} against its pole term")
+    return totals
 
 
 def _cstarc_tail_weight(m: int, q: float) -> Optional[Tuple[float, float]]:

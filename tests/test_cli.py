@@ -653,6 +653,20 @@ def test_lattice_cancellation_near_one_exits_3(omega, q, capsys):
     assert err.count("\n") == 1
 
 
+def test_cancelled_deltal2_sum_exits_3(tmp_path, capsys):
+    # At q = 0.3 the deltaL2 sums at z = 150 and 200 cancel against their
+    # resummed pole term; the residue once came out 0.000000 with exit 0.
+    out = tmp_path / "out"
+    argv = ["residue", "--omega", "deltaL2-e11", "--q", "0.3",
+            "--eps", "197,147,100"]
+    assert run_command(argv + ["--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("numeric failure: FloatingPointError: lattice "
+                          "sum at q=0.3, z=200.0 ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 - 1e-12])
 def test_lattice_sums_near_one_raise_arithmetic_error(q):
     from suq2 import mero

@@ -112,13 +112,13 @@ ORACLES = [
     # The 2x2 pair blocks against the scan: the argument checks alone.
     (("upsilon_value",), ("upsilon_identity_pairblocks",),
      {"spectral._check_cutoff", "spectral._check_q", "spectral._check_z"}),
-    # The scan and the lattice share the Haar weight by design, and the
-    # exact sum.  ``q_pow``, the weights' own argument, matches the Scalar
-    # method of that name: the walk matches short names alone.
+    # The scan and the lattice share the Haar weight by design, and only
+    # the argument checks besides: the lattice's columns are modelled, not
+    # summed exactly.  ``q_pow``, the weights' own argument, matches the
+    # Scalar method of that name: the walk matches short names alone.
     (("upsilon_value",), ("eigen_lattice_sum",),
      _Q_POW | {"spectral._check_q", "spectral._check_z",
-               "spectral._check_zs", "spectral._exact_sum",
-               "spectral._haar_weight", "spectral._settled"}),
+               "spectral._check_zs", "spectral._haar_weight"}),
     # The certified tail bound against the cutoff-free sums it is tested
     # against: through the tag table it reaches the weights its envelopes
     # bound, and no lattice sum.
@@ -254,6 +254,12 @@ def test_each_oracle_shares_exactly_its_listed_definitions():
     # pair blocks' closure.
     assert "spectral._TAGS" not in _closure(
         definitions, {"upsilon_identity_pairblocks"})
+    # The pole-resolved sum has one column path, the model: it reaches
+    # neither the directly summed column, its tail integrals nor the
+    # exact sum.
+    assert not {"spectral._lattice_column", "spectral._tail_integrals",
+                "spectral._exact_sum"} & _closure(definitions,
+                                                  {"eigen_lattice_sum"})
 
 
 def test_walk_sees_through_class_bodies_and_outside_modules():

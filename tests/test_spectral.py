@@ -655,9 +655,9 @@ def test_pole_evaluator_within_certified_window():
 
 @pytest.mark.parametrize("admitted", (True, False))
 def test_lattice_sum_quadrature_never_gives_up(admitted):
-    # Down to q = 0.001 the direct columns' scale c_m reaches 1e12 and
-    # their integral tails hold nearly all of each column; at q = 1e-5 it
-    # reaches 1e20, where a quadrature of the all-m tails warned.
+    # Down to q = 0.001 the column scale c_m reaches 1e12, and at q = 1e-5
+    # 1e20: the modelled columns raise no IntegrationWarning there, and
+    # the sum stays finite and positive.
     from scipy.integrate import IntegrationWarning
 
     with warnings.catch_warnings():
@@ -705,61 +705,102 @@ def test_failed_tail_quadrature_is_nonconvergence():
             spectral._lattice_column([3.2], q, m, qt, weight, tail)
 
 
-@pytest.mark.parametrize("q, z", [(0.02, 6.0), (0.3, 3.05)])
-def test_direct_lattice_columns_match_high_precision_sums(q, z,
-                                                        monkeypatch):
-    """Each directly summed column of ``eigen_lattice_sum`` against its
-    sum to 30 digits, measured as its share q^-m (column - sum) of the
-    lattice sum.  At q = 0.02 the column scale c_m reaches 6e6, so most
-    of the last column lies in its integral tail."""
+#: The (q, z) of ``test_modelled_lattice_columns_match_high_precision_sums``.
+#: Below q = 0.5 the sum at z = 150 cancels against its resummed pole
+#: term (``test_cancelled_lattice_sum_raises``), so no floor scaled by that
+#: term resolves its columns there.
+_COLUMN_POINTS = ([(q, z) for q in (0.02, 0.05, 0.3, 0.5, 0.8)
+                   for z in (3.05, 4.0, 10.0)]
+                  + [(0.5, 150.0), (0.8, 150.0)])
+
+
+@pytest.mark.parametrize("q, z", _COLUMN_POINTS)
+def test_modelled_lattice_columns_match_high_precision_sums(q, z,
+                                                           monkeypatch):
+    """The first columns of ``eigen_lattice_sum`` (m = 1, 3, 5, and m = 2
+    of the every-m sum), as the sum models them, against their sums to 30
+    digits on the same (c_m, d_m), measured as their share
+    q^-m (column - sum) of the lattice sum, or of the resummed pole term
+    P(z) where that is larger.  At q = 0.05 the Poisson terms are 3e-7 of
+    column 1, so a model without them fails; at q = 0.5, z = 150 a fixed
+    floor of 1e-22 cuts the differences of column 1 short."""
     mp = pytest.importorskip("mpmath")
     from suq2 import spectral
 
-    columns = {}
-    column = spectral._lattice_column
+    model = spectral._lattice_inner_model
+    for admitted, wanted in ((True, {1, 3, 5}), (False, {1, 2, 3, 5})):
+        columns = {}
 
-    def recorded(zs, q, m, *args):
-        values = column(zs, q, m, *args)
-        columns[m] = values[0]
-        return values
+        def recorded(zs, q_value, m, c_m, d_m, haar_weight, ghalf, poles):
+            values = model(zs, q_value, m, c_m, d_m, haar_weight, ghalf,
+                           poles)
+            if m in wanted:
+                columns[m] = (values[0], c_m, d_m, poles[zs[0]])
+            return values
 
-    monkeypatch.setattr(spectral, "_lattice_column", recorded)
-    (total,) = eigen_lattice_sum([z], q)
-    assert sorted(columns) == list(range(1, spectral._M_DIRECT + 1, 2))
-    with mp.workdps(30):
-        qm, zm = mp.mpf(q), mp.mpf(z)
-        big_q2 = (qm / (1 - qm * qm)) ** 2
-        for m, got in columns.items():
-            c_m = big_q2 * qm ** (-(m + 1)) + 1 - big_q2
-            d_m = big_q2 * (1 - qm ** (m + 1))
-            want = mp.fsum(
-                (1 - qm ** (2 * (n + m + 1)))
-                * (mp.mpf(n * n) / 4 + c_m - d_m * qm ** (2 * n)) ** (-zm / 2)
-                for n in range(0, spectral._N_CUT + 1))
-            # Beyond the head every q^{2n} is below 1e-4000.
-            want += mp.nsum(lambda n: (n * n / 4 + c_m) ** (-zm / 2),
-                            [spectral._N_CUT + 1, mp.inf],
-                            method="euler-maclaurin")
-            assert abs(float(qm ** (-m) * (got - want))) <= 1e-14 * total
+        monkeypatch.setattr(spectral, "_lattice_inner_model", recorded)
+        (total,) = eigen_lattice_sum([z], q, admitted=admitted)
+        assert set(columns) == wanted
+        with mp.workdps(30):
+            qm, zm = mp.mpf(q), mp.mpf(z)
+            # Past n = cut every q^{2n} is below 1e-45.
+            cut = int(45 / -math.log10(q)) + 1
+            for m, (got, c_m, d_m, pole) in columns.items():
+                cm, dm = mp.mpf(c_m), mp.mpf(d_m)
+                want = mp.fsum(
+                    ((1 - qm ** (2 * (n + m + 1))) if admitted else 1)
+                    * (mp.mpf(n * n) / 4 + cm - dm * qm ** (2 * n))
+                    ** (-zm / 2) for n in range(cut + 1))
+                want += mp.nsum(lambda n: (n * n / 4 + cm) ** (-zm / 2),
+                                [cut + 1, mp.inf], method="euler-maclaurin")
+                share = abs(float(qm ** (-m) * (got - want)))
+                assert share <= 1e-14 * max(total, pole), (
+                    admitted, m)
 
 
-def _ref_inner_model(z, q, m, c_m, d_m, haar_weight, ns=range(800)):
-    """A modelled column at one z, each difference built from scratch by
-    scalar Python arithmetic, over the n of ``ns`` up to its stop rule."""
+def _ref_inner_model(z, q, m, c_m, d_m, haar_weight, floor, ns=range(800)):
+    """A modelled column at one z, each term built from scratch by scalar
+    Python arithmetic: the flat model, its Poisson terms from ``kve`` in
+    logs up to the first at or below ``floor``, and the differences over
+    the n of ``ns`` up to the first at or below it."""
+    from scipy.special import kve
+
     from suq2 import spectral
 
     model = (spectral._gamma_half_ratio(z) * c_m ** (0.5 * (1.0 - z))
              + 0.5 * c_m ** (-0.5 * z))
-    diffs = []
+    terms = []
+    nu = 0.5 * (z - 1.0)
+    for k in itertools.count(1):
+        x = 4.0 * math.pi * k * math.sqrt(c_m)
+        term = math.exp(math.log(4.0 * math.sqrt(math.pi))
+                        - math.lgamma(0.5 * z)
+                        + nu * math.log(2.0 * math.pi * k / math.sqrt(c_m))
+                        + math.log(float(kve(nu, x))) - x)
+        if not term > floor:
+            break
+        terms.append(term)
     for n in ns:
         base = 0.25 * n * n + c_m
         w = 1.0 - q ** (2.0 * (n + m + 1)) if haar_weight else 1.0
         d = (w * (base - d_m * q ** (2.0 * n)) ** (-0.5 * z)
              - base ** (-0.5 * z))
-        diffs.append(d)
-        if abs(d) < 1e-22 * max(1.0, model):
+        terms.append(d)
+        if abs(d) <= floor:
             break
-    return model + math.fsum(diffs)
+    return model + math.fsum(terms)
+
+
+def _ref_pole_term(z, q, admitted):
+    """The resummed leading term P(z) that ``eigen_lattice_sum`` starts
+    each m series from."""
+    from suq2 import spectral
+
+    big_q = q / (1.0 - q * q)
+    x = q ** (0.5 * (z - 3.0))
+    geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
+    return (spectral._gamma_half_ratio(z) * big_q ** (1.0 - z)
+            * q ** (0.5 * (z - 1.0)) * geo)
 
 
 @pytest.mark.parametrize("q", (0.01, 0.3, 0.8, 0.97))
@@ -773,16 +814,18 @@ def test_inner_model_over_z_list_matches_one_z_at_a_time(q, admitted):
 
     zs = [6.0, 3.05, 10.0, 3.4, 4.0]
     ghalf = {z: spectral._gamma_half_ratio(z) for z in zs}
-    for m in (7, 9, 41, 99):
+    poles = {z: _ref_pole_term(z, q, admitted) for z in zs}
+    for m in (1, 2, 7, 9, 41, 99):
         c_m, d_m = spectral._lattice_cd(q, m)
         # A later z may stop after an earlier one, and so extend the tables.
         for sub in (zs, zs[1:], zs[::2], zs[3:], zs[:1]):
             got = spectral._lattice_inner_model(sub, q, m, c_m, d_m,
-                                                admitted, ghalf)
-            assert got == [_ref_inner_model(z, q, m, c_m, d_m, admitted)
+                                                admitted, ghalf, poles)
+            assert got == [_ref_inner_model(z, q, m, c_m, d_m, admitted,
+                                            2.0 ** -53 * poles[z] * q ** m)
                            for z in sub]
     assert spectral._lattice_inner_model([], q, 7, c_m, d_m, admitted,
-                                         ghalf) == []
+                                         ghalf, poles) == []
 
 
 @pytest.mark.parametrize("q", (0.9, 0.97, 0.99))
@@ -794,15 +837,55 @@ def test_lattice_sum_near_one_matches_uncapped_model(q, admitted,
     cap on their number, the lattice sum holds to 1e-12."""
     from suq2 import spectral
 
-    def uncapped(zs, q, m, c_m, d_m, haar_weight, ghalf):
+    def uncapped(zs, q, m, c_m, d_m, haar_weight, ghalf, poles):
         return [_ref_inner_model(z, q, m, c_m, d_m, haar_weight,
-                                 itertools.count()) for z in zs]
+                                 2.0 ** -53 * poles[z] * q ** m,
+                                 itertools.count())
+                for z in zs]
 
     zs = [3.05, 3.5]
     got = eigen_lattice_sum(zs, q, admitted=admitted)
     monkeypatch.setattr(spectral, "_lattice_inner_model", uncapped)
     for value, want in zip(got, eigen_lattice_sum(zs, q, admitted=admitted)):
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", (150.0, 200.0))
+def test_cancelled_lattice_sum_raises(z):
+    """At q = 0.3 the sum falls like 2^{-z/2} and its resummed pole term
+    like (1 - q^2)^z, so from z = 150 on their difference is below the
+    float's digits.  The sum of positive terms once came out negative
+    (-3.2e-22 at z = 150); it raises instead, naming q and z, and so does
+    ``mero.f_value``, which is the every-m sum."""
+    from suq2 import mero
+
+    for call in (lambda: eigen_lattice_sum([4.0, z], 0.3),
+                 lambda: eigen_lattice_sum([z], 0.3, admitted=False),
+                 lambda: mero.f_value(z, 0.3)):
+        with pytest.raises(FloatingPointError, match=f"q=0.3, z={z}"):
+            call()
+    # Where the resummation leaves digits the sum is positive.
+    assert all(v > 0.0 for v in eigen_lattice_sum([100.0, z], 0.8))
+
+
+def test_log_kve_carries_past_the_overflow_of_kve():
+    """``_log_kve`` is ln(K_nu(x) e^x): ``kve`` itself where it is finite,
+    and the upward recurrence where it overflows, to within a few ulps
+    of the log's own size (4.5e-13 at 3700)."""
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import kve
+
+    from suq2 import spectral
+
+    overflowed = 0
+    for nu, x in ((1.00005, 20.0), (24.5, 12.6), (259.5, 12.6),
+                  (260.5, 12.6), (499.5, 24.4), (999.5, 17.8)):
+        got = spectral._log_kve(nu, x)
+        with mp.workdps(40):
+            want = mp.log(mp.besselk(nu, x)) + x
+        overflowed += kve(nu, x) == math.inf
+        assert abs(got - float(want)) <= 8 * math.ulp(float(want)), (nu, x)
+    assert overflowed >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -951,11 +1034,9 @@ def test_lattice_sums_bit_identical_to_array_powers(q, monkeypatch):
     from suq2 import spectral
 
     zs = [3.05, 3.4, 4.0]
-    got = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q),
-           eigen_lattice_sum(zs, q), eigen_lattice_sum(zs, q, admitted=False))
+    got = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q))
     monkeypatch.setattr(spectral, "_lattice_column", _ref_lattice_column)
-    want = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q),
-            eigen_lattice_sum(zs, q), eigen_lattice_sum(zs, q, admitted=False))
+    want = (upsilon_cstarc_lattice(zs, q), spectral._identity_lattice(zs, q))
     assert got == want
 
 
@@ -1006,36 +1087,13 @@ def test_lattice_sums_check_every_z_before_any_column(monkeypatch):
 
 @pytest.mark.parametrize("q", (0.99, 0.995, 0.9953, 0.9954, 0.999))
 def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
-    """A column gets the closed tail (alpha, beta) only where its float
-    weight past the head is alpha + beta t: exactly for the Haar and unit
-    weights of ``eigen_lattice_sum``, to 2 ulps for c*c.  Where a Haar
-    column gets the quadrature instead, its weight at t = a is not 1.
-    The modelled columns do not bear on this and are stubbed out."""
+    """A c*c or identity column gets the closed tail (alpha, beta) only
+    where its float weight past the head is alpha + beta t: to 2 ulps for
+    c*c, and exactly for the identity weight."""
     from suq2 import spectral
 
-    seen = []
-    column = spectral._lattice_column
-
-    def recorded(zs, q_value, m, qt, weight, tail):
-        seen.append((m, weight, tail))
-        return column(zs, q_value, m, qt, weight, tail)
-
-    monkeypatch.setattr(spectral, "_lattice_column", recorded)
-    monkeypatch.setattr(spectral, "_lattice_inner_model",
-                        lambda zs, *args: [0.0] * len(zs))
     a = spectral._N_CUT + 1.0
     ts = [a, a + 0.5, a + 1.0, 1.5 * a, 10.0 * a, 1e9]
-    for admitted in (True, False):
-        seen.clear()
-        eigen_lattice_sum([3.4], q, admitted=admitted)
-        assert [m for m, _, _ in seen] == list(
-            range(1, spectral._M_DIRECT + 1, 2 if admitted else 1))
-        for m, weight, tail in seen:
-            if tail is None:
-                assert admitted and weight(a, q.__pow__) != 1.0
-            else:
-                assert tail == (1.0, 0.0)
-                assert all(weight(t, q.__pow__) == 1.0 for t in ts)
     for m in (1, 3, 5):
         tail = spectral._cstarc_tail_weight(m, q)
         if tail is not None:
@@ -1044,7 +1102,7 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
                 assert abs(tail[0] + tail[1] * t - w) <= 2 * math.ulp(w)
     # The identity weight 2(n + m + 1) is alpha + beta t exactly, with no
     # guard; the columns themselves are stubbed out.
-    seen.clear()
+    seen = []
     monkeypatch.setattr(spectral, "_lattice_column",
                         lambda zs, q_value, m, qt, weight, tail:
                         seen.append((m, weight, tail)) or [0.0] * len(zs))
@@ -1090,13 +1148,12 @@ def _mp_tail_quadrature(mp, z, c_m):
 
 @pytest.mark.parametrize("q", (0.001, 0.01, 0.3, 0.5, 0.8, 0.99))
 def test_tail_integrals_match_high_precision(q, monkeypatch):
-    """The closed-form tail integrals at every (m, z) at which the lattice
-    sums evaluate a column, against mpmath to 30 digits: within 1e-13
-    relative of the incomplete beta form at every pair, and of a
-    quadrature of the integrals themselves on the directly summed columns
-    of ``eigen_lattice_sum`` wherever c_m <= a^2/4.  Those are m <= 5 at
-    every q, since its m series runs to m >= 41; the c*c columns are
-    recorded from a call."""
+    """The closed-form tail integrals at every (m, z) at which the c*c and
+    identity sums evaluate a column, against mpmath to 30 digits: within
+    1e-13 relative of the incomplete beta form at every pair, and of a
+    quadrature of the integrals themselves on their first columns,
+    m <= 5, wherever c_m <= a^2/4.  The pairs are recorded from a call of
+    each sum."""
     mp = pytest.importorskip("mpmath")
     from suq2 import spectral
 
@@ -1109,14 +1166,13 @@ def test_tail_integrals_match_high_precision(q, monkeypatch):
 
     monkeypatch.setattr(spectral, "_lattice_column", recorded)
     upsilon_cstarc_lattice([2.1, 2.5, 3.05, 4.0, 6.0], q)
-    pairs.update((m, z) for m in range(1, spectral._M_DIRECT + 1)
-                 for z in (3.05, 4.0, 6.0))
+    spectral._identity_lattice([3.05, 4.0, 6.0], q)
     quadratures = 0
     for m, z in sorted(pairs):
         c_m = spectral._lattice_cd(q, m)[0]
         got = spectral._tail_integrals(z, c_m)
         refs = [_mp_tail_integrals(mp, z, c_m)]
-        if m <= spectral._M_DIRECT and c_m <= 4001.0 ** 2 / 4:
+        if m <= 5 and c_m <= 4001.0 ** 2 / 4:
             refs.append(_mp_tail_quadrature(mp, z, c_m))
             quadratures += 1
         for ref in refs:
@@ -1129,31 +1185,18 @@ def _ref_eigen_lattice_sum(z, q, admitted):
     """``eigen_lattice_sum`` at one z with its own stopping loop over m."""
     from suq2 import spectral
 
-    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_DIRECT + 1) + 1,
-                        dtype=float)
     big_q = q / (1.0 - q * q)
     ghalf = spectral._gamma_half_ratio(z)
-    x = q ** (0.5 * (z - 3.0))
-    geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
-    total = ghalf * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0)) * geo
+    total = _ref_pole_term(z, q, admitted)
+    poles = {z: total}
     step = 2 if admitted else 1
     quiet = 0
     m = 1
     while m <= spectral._M_CAP:
         c_m, d_m = spectral._lattice_cd(q, m)
         lead = ghalf * (big_q * big_q * q ** (-(m + 1.0))) ** (0.5 * (1.0 - z))
-        if m > spectral._M_DIRECT:
-            inner = spectral._lattice_inner_model(
-                [z], q, m, c_m, d_m, admitted, {z: ghalf})[0]
-        elif admitted:
-            flat = q ** (2 * (spectral._N_CUT + m + 2)) <= 2.0 ** -54
-            inner = spectral._lattice_column(
-                [z], q, m, qt, lambda n, q_pow: 1.0 - q_pow(2 * (n + m + 1)),
-                (1.0, 0.0) if flat else None)[0]
-        else:
-            inner = spectral._lattice_column([z], q, m, qt,
-                                             lambda n, q_pow: 1.0,
-                                             (1.0, 0.0))[0]
+        inner = spectral._lattice_inner_model(
+            [z], q, m, c_m, d_m, admitted, {z: ghalf}, poles)[0]
         corr = q ** (-m) * (inner - lead)
         total += corr
         if abs(corr) < 1e-14 * abs(total):
