@@ -11,8 +11,9 @@ geometric correction, up to a remainder ``err`` that is holomorphic for
 Re z > 2 and admits the printed bound.  This module evaluates, at real z,
 
 * ``h_direct``  -- the truncated double sum itself, summed per column
-  with an integral tail (no use of the gamma identity, so it is an
-  independent route onto the same number);
+  with an integral tail, an incomplete beta function summed as a
+  positive hypergeometric series with no quadrature (no use of the gamma
+  identity, so it is an independent route onto the same number);
 * ``h_closed``  -- the closed form;
 * ``h_err_bound`` -- the bound on their difference;
 * ``f_value`` / ``f_residue`` -- the full-lattice sum whose residue at
@@ -88,34 +89,90 @@ def h_err_bound(z: float, x: float, y: float, r: float, w: int) -> float:
     return _geometric_term(z, y, r, w)
 
 
-def _j_tail(alpha: float, z: float) -> float:
-    """J(alpha) = integral over [alpha, inf) of (1 + u^2)^{-z/2}.
+def _hyp_sum(term: float, p: float, c: float, x: float) -> float:
+    """sum over k >= 0 of term (p)_k / (c)_k x^k, for 0 <= x < 1 and
+    p, c > 0: every term is positive.  The ratio of term k + 1 to term k,
+    (p + k) / (c + k) x, moves monotonically toward x, so once it and x
+    are both at most rho < 1 the rest is at most term rho / (1 - rho);
+    the terms stop where that is below 2^-56 of their sum, which
+    ``math.fsum`` returns."""
+    terms = [term]
+    total = term
+    for k in itertools.count():
+        ratio = (p + k) / (c + k) * x
+        rho = max(ratio, x)
+        if rho < 1.0 and term * rho <= 2.0 ** -56 * (1.0 - rho) * total:
+            return math.fsum(terms)
+        term *= ratio
+        terms.append(term)
+        total += term
 
-    Everything is O(1)-normalized: the finite piece is integrated as is,
-    and the far piece through u -> 1/v, whose integrand v^{z-2}
-    (1+v^2)^{-z/2} is bounded on (0, 1] for z > 2.  Windows never
-    exceed length 1, so the quadrature sees no scale spread.
+
+def _j_far(alpha: float, z: float) -> float:
+    """J(alpha) for alpha >= 1/2, as the incomplete beta function
+    B(X; a, 1/2) / 2 with X = 1/(1 + alpha^2) and a = (z - 1)/2:
+
+        X^a (1 - X)^{1/2} / (2 a) * sum_k (a + 1/2)_k / (a + 1)_k X^k
+
+    (DLMF 8.17.8 and 15.8.1), whose ratio stays below X <= 4/5.  X and
+    1 - X are formed from t = 1/alpha, so alpha^2 is never formed."""
+    a = 0.5 * (z - 1.0)
+    t = 1.0 / alpha
+    w = t * t
+    x = w / (1.0 + w)
+    return _hyp_sum(0.5 * x ** a * math.sqrt(1.0 / (1.0 + w)) / a,
+                    a + 0.5, a + 1.0, x)
+
+
+def _j_near(alpha: float, z: float) -> float:
+    """The integral over [0, alpha] of (1 + u^2)^{-z/2}, alpha <= 1/2,
+    by the Pfaff-transformed series
+
+        alpha (1 + alpha^2)^{-z/2} sum_k (z/2)_k / (3/2)_k y^k,
+
+    y = alpha^2 / (1 + alpha^2) <= 1/5."""
+    s = alpha * alpha
+    return _hyp_sum(alpha * (1.0 + s) ** (-0.5 * z), 0.5 * z, 1.5,
+                    s / (1.0 + s))
+
+
+def _j_zero(z: float) -> float:
+    """J(0) = J(1/2) plus the integral over [0, 1/2]: the anchor of every
+    J(alpha) with alpha < 1/2, one per z.  It is B(a, 1/2) / 2, but no
+    Gamma function forms it."""
+    return _j_far(0.5, z) + _j_near(0.5, z)
+
+
+def _j_tail(alpha: float, z: float, j_zero: float) -> float:
+    """J(alpha) = integral over [alpha, inf) of (1 + u^2)^{-z/2}, z > 2,
+    given the anchor ``j_zero`` = ``_j_zero(z)``, by positive series and
+    no quadrature: ``_j_far`` for alpha >= 1/2 and j_zero minus
+    ``_j_near`` below.
+
+    Against mpmath's incomplete beta function at 40 digits, J holds to
+    2.2e-14 relative for z <= 20 and alpha from 1e-9 to 1e6.  The far
+    series keeps about (z - 1) 2^-53 relative at any z (9e-15 at
+    z = 100).  The near branch subtracts, so it loses the ratio of j_zero
+    to J(alpha), which grows with z toward alpha = 1/2: at alpha = 0.45
+    it keeps 3e-13 relative at z = 40, 4e-12 at z = 60, 4e-10 at z = 100
+    and no digit at z = 300, while its absolute error stays within 2.2e-14
+    of j_zero up to z = 300.
     """
-    from scipy.integrate import quad
-
-    total = 0.0
-    cut = max(alpha, 1.0)
-    if alpha < 1.0:
-        total += quad(lambda u: (1.0 + u * u) ** (-0.5 * z), alpha, 1.0,
-                      epsabs=1e-14, epsrel=1e-12)[0]
-    total += quad(lambda v: v ** (z - 2.0) * (1.0 + v * v) ** (-0.5 * z),
-                  0.0, 1.0 / cut, epsabs=1e-14, epsrel=1e-12)[0]
-    return total
+    if alpha >= 0.5:
+        return _j_far(alpha, z)
+    return j_zero - _j_near(alpha, z)
 
 
-def _h_column(z: float, x: float, y: float, r: float, m: int) -> float:
+def _h_column(z: float, x: float, y: float, r: float, m: int,
+              j_zero: float) -> float:
     """One m column of the direct sum: n head plus integral tail.
 
     Both run on the factored term y^{-z} e^{rm(2-z)/2} (1 + u^2)^{-z/2}
     with u = x n e^{-rm/2} / y, and the tail is the normalized kernel
-    integral times the column scale y^{1-z} e^{rm(3-z)/2} / x.  No
-    positive exponential of r m is formed, so the far columns that z
-    near 3 needs cannot overflow.
+    integral J (``_j_tail``, a series given the anchor ``j_zero``) times
+    the column scale y^{1-z} e^{rm(3-z)/2} / x.  No positive exponential
+    of r m is formed, so the far columns that z near 3 needs cannot
+    overflow.
     """
     scale = y ** (-z) * math.exp(r * m * 0.5 * (2.0 - z))
     shrink = x * math.exp(-0.5 * r * m) / y
@@ -127,27 +184,30 @@ def _h_column(z: float, x: float, y: float, r: float, m: int) -> float:
     a = float(N_CAP + 1)
     head = _exact_sum([f_em(np.arange(1, N_CAP + 1, dtype=float))])
     tail = (y ** (1.0 - z) / x * math.exp(r * m * 0.5 * (3.0 - z))
-            * _j_tail(shrink * a, z))
+            * _j_tail(shrink * a, z, j_zero))
     return _em_close(head + tail, f_em, a)
 
 
 def h_direct(z: float, x: float, y: float, r: float, w: int) -> float:
     """The template double sum evaluated directly (no gamma identity).
 
-    Columns are accumulated until the geometric column estimate certifies
-    the remaining tail below 1e-9; requires z > 3 for the sum to converge
-    at all.  Columns shrink by about the ratio e^{r(3-z)/2} each, so the
-    sum is near |first column| / (1 - ratio), and every column added
-    rounds it by up to machine epsilon of that.  Once the columns summed
-    could have rounded the sum by 1e-9, the target is out of reach and
-    ``NonConvergenceError`` is raised.
+    Each column is a head of N_CAP terms plus its tail integral J by a
+    positive series (``_j_tail``), no quadrature; the series' anchor J(0)
+    is formed once per call.  Columns are accumulated until the geometric
+    column estimate certifies the remaining tail below 1e-9; requires
+    z > 3 for the sum to converge at all.  Columns shrink by about the
+    ratio e^{r(3-z)/2} each, so the sum is near |first column| /
+    (1 - ratio), and every column added rounds it by up to machine epsilon
+    of that.  Once the columns summed could have rounded the sum by 1e-9,
+    the target is out of reach and ``NonConvergenceError`` is raised.
     """
     _check_h_params(x, y, r, w)
     _check_z(z, 3.0)
     ratio = math.exp(r * 0.5 * (3.0 - z))
+    j_zero = _j_zero(z)
     total = 0.0
     for k, m in enumerate(itertools.count(w), 1):
-        col = _h_column(z, x, y, r, m)
+        col = _h_column(z, x, y, r, m, j_zero)
         total += col
         if abs(col) * ratio < 1e-9 * (1.0 - ratio):
             return total

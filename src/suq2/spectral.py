@@ -702,9 +702,11 @@ def _scan_terms(blocks: List[_ScanBlock], z: float) -> List[np.ndarray]:
     block: w * (1 + lambda^2)^{-z/2}.  The power stays Python's pow,
     because numpy's vectorized ``power`` does not round like libm's on
     every CPU; every term is therefore bit-identical to the per-term
-    loop."""
+    loop.  Each block's powers stream from the pow calls into their
+    array, so no list of them is held."""
     p = -0.5 * z
-    return [w * np.array(list(map(pow, base.tolist(), repeat(p))))
+    return [w * np.fromiter(map(pow, base.tolist(), repeat(p)), float,
+                            len(base))
             for base, w in blocks]
 
 
@@ -890,10 +892,16 @@ def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     rounding is monotone.  Near q = 1 the three terms are of size Q^2, and
     Q^2 times the unit roundoff exceeds the 1 that c_m - d_m must keep
     (from about q = 1 - 1e-9 on); where it rounds to <= 0 the column's
-    bases are lost, and ``FloatingPointError`` names q and m.
+    bases are lost, and ``FloatingPointError`` names q and m.  Where
+    q^{-(m+1)} overflows (from m = 1023 at q = 0.5), ``OverflowError``
+    names m and q.
     """
     big_q = q / (1.0 - q * q)
-    c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
+    try:
+        c_m = big_q * big_q * q ** (-(m + 1)) + 1.0 - big_q * big_q
+    except OverflowError:
+        raise OverflowError(f"lattice column m={m} overflows at q={q}: "
+                            f"its q^-(m+1) leaves the float range") from None
     d_m = big_q * big_q * (1.0 - q ** (m + 1))
     if not c_m - d_m > 0.0:
         raise FloatingPointError(f"lattice column m={m} cancels at q={q}: "
@@ -1040,10 +1048,27 @@ def _poisson_terms(z: float, c_m: float, floor: float) -> List[float]:
     formed in logs (``math.lgamma``, ``_log_kve``), so no factor overflows
     at any z: Gamma(z/2) alone would from z = 344.  A log of size L is
     rounded to about L 2^-53, so a term carries a relative error of about
-    1e-15 at z = 10 and 1e-13 at z = 300."""
+    1e-15 at z = 10 and 1e-13 at z = 300.
+
+    No ``kve`` is called where a proved bound puts the k = 1 term below
+    ``floor``: K_nu(x) <= sqrt(pi / 2x) e^{-x} (1 - (nu - 1/2)/(2x))^{-(nu
+    + 1/2)} for nu >= 1/2 and nu - 1/2 < 2x (DLMF 10.32.8, its integrand's
+    (1 + t/2x)^{nu-1/2} at most e^{t (nu-1/2)/2x}).  The bound's log is
+    taken 1e-6 times the sum of its parts' sizes, plus 1e-6, short of
+    ln(floor): far more than the rounding of those logs and ``kve``'s own
+    error, so the loop's first term would be at or below ``floor`` too,
+    and the terms returned are the loop's, bit for bit."""
     nu = 0.5 * (z - 1.0)
     root = math.sqrt(c_m)
     front = math.log(4.0 * math.sqrt(math.pi)) - math.lgamma(0.5 * z)
+    x = 4.0 * math.pi * root
+    if floor > 0.0 and 0.5 <= nu and nu - 0.5 < 2.0 * x:
+        parts = (front, nu * math.log(2.0 * math.pi / root),
+                 0.5 * math.log(math.pi / (2.0 * x)), -x,
+                 -(nu + 0.5) * math.log1p(-(nu - 0.5) / (2.0 * x)))
+        margin = 1e-6 * (1.0 + sum(map(abs, parts)))
+        if sum(parts) + margin <= math.log(floor):
+            return []
     terms = []
     for k in count(1):
         x = 4.0 * math.pi * k * root
@@ -1109,18 +1134,25 @@ def _m_series(totals: Sequence[float], zs: Sequence[float], terms,
     ``rtol`` of the running total once m >= m_min.  ``terms(m, zs)`` gives
     column m's term at each z it is passed, and is passed only the z whose
     series still runs, so no column past a stop is evaluated for that z,
-    and each value is the one a call with that z alone would give.  A
-    series that has not settled by the last m of ``ms`` stops there
-    without a word: every lattice sum passes m up to _M_CAP, and each
-    states the error that cap leaves near q = 1."""
+    and each value is the one a call with that z alone would give.  An
+    ``OverflowError`` of a column is raised again with the z whose series
+    reached it.  A series that has not settled by the last m of ``ms``
+    stops there without a word: every lattice sum passes m up to _M_CAP,
+    and each states the error that cap leaves near q = 1."""
     totals = list(totals)
     quiet = [0] * len(totals)
     active = list(range(len(totals)))
     for m in ms:
         if not active:
             break
+        zs_m = [zs[i] for i in active]
+        try:
+            added = terms(m, zs_m)
+        except OverflowError as exc:
+            raise OverflowError(f"{exc}, reached by the m series of z="
+                                f"{', '.join(map(str, zs_m))}") from None
         running = []
-        for i, term in zip(active, terms(m, [zs[i] for i in active])):
+        for i, term in zip(active, added):
             totals[i] += term
             small = abs(term) < rtol * abs(totals[i])
             quiet[i] = quiet[i] + 1 if small else 0
@@ -1142,8 +1174,11 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
     ``admitted=False``, over every m >= 1 with w = 1.  The leading
     m-geometric part P(z) is resummed in closed form, so the evaluation
     stays accurate arbitrarily close to z = 3; at and below 3 the sum
-    diverges, and every z is checked before any column.  Every column is
-    one ``_lattice_inner_model``, cut near 2^-53 P(z) q^m, since the
+    diverges, and every z is checked before any column.  So is every
+    P(z): where Q = q / (1 - q^2) < 1 its Q^{1-z} overflows at large z
+    (from z = 641 at q = 0.3, 1752 at q = 0.5), and
+    ``FloatingPointError`` names q and z.  Every column is one
+    ``_lattice_inner_model``, cut near 2^-53 P(z) q^m, since the
     series adds q^{-m} times each column.  The series starts from P(z)
     and cancels against it where the sum is far smaller, at large z for
     q below about 0.54 (P falls like (1 - q^2)^z, the sum like
@@ -1171,8 +1206,14 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
     for z in zs:
         x = q ** (0.5 * (z - 3.0))
         geo = x / (1.0 - x * x) if admitted else x / (1.0 - x)
-        poles[z] = (ghalf[z] * big_q ** (1.0 - z) * q ** (0.5 * (z - 1.0))
-                    * geo)
+        try:
+            poles[z] = (ghalf[z] * big_q ** (1.0 - z)
+                        * q ** (0.5 * (z - 1.0)) * geo)
+        except OverflowError:
+            poles[z] = math.inf
+        if poles[z] == math.inf:
+            raise FloatingPointError(f"lattice sum at q={q}, z={z}: its "
+                                     f"resummed pole term overflows")
 
     def corrections(m: int, zs_m: List[float]) -> List[float]:
         c_m, d_m = _lattice_cd(q, m)
@@ -1230,10 +1271,12 @@ def _odd_m_lattice(zs: Sequence[float], q_value: float, weight,
     series damped only like q^{m(z-2)/2}, as the identity's is, needs
     about 55 / ((z - 2) ln(1/q)) columns to settle.  Below about z = 2.08
     that passes the column m ~ 710 / ln(1/q) whose ``_lattice_cd`` power
-    q^{-(m+1)} overflows, which raises a bare ``OverflowError`` (the
-    identity sum at z = 2.05 for every q <= 0.7); above about q = 0.7 that
-    column lies past _M_CAP, and the series stops at the cap short of its
-    tail (about 0.5% at q = 0.9, z = 2.05).
+    q^{-(m+1)} overflows: the series must run until three columns in a
+    row fall below 1e-12 of its total, and it reaches that column first
+    (the identity sum at z = 2.05 for every q <= 0.7, column 1023 at
+    q = 0.5).  ``OverflowError`` then names m, q and z.  Above about
+    q = 0.7 that column lies past _M_CAP, and the series stops at the cap
+    short of its tail (about 0.5% at q = 0.9, z = 2.05).
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 2.0)

@@ -667,6 +667,22 @@ def test_cancelled_deltal2_sum_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_pole_term_exits_3(tmp_path, capsys):
+    # At q = 0.3 the deltaL2 sum's resummed pole term overflows from
+    # z = 641; z = 1000 once escaped as a bare OverflowError with no q
+    # or z in its message.
+    out = tmp_path / "out"
+    argv = ["residue", "--omega", "deltaL2-e11", "--q", "0.3",
+            "--eps", "997,500,100"]
+    assert run_command(argv + ["--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("numeric failure: FloatingPointError: lattice "
+                          "sum at q=0.3, z=1000.0: its resummed pole term "
+                          "overflows")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 - 1e-12])
 def test_lattice_sums_near_one_raise_arithmetic_error(q):
     from suq2 import mero

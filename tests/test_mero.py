@@ -10,6 +10,9 @@ pieces must be Cauchy in the triangle cutoff.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -28,7 +31,7 @@ from suq2.mero import (
     h_err_bound,
     mero_reference,
 )
-from suq2.mero import _h_column
+from suq2.mero import _h_column, _j_tail, _j_zero
 from suq2.spectral import NonConvergenceError
 
 
@@ -77,7 +80,7 @@ def test_closed_form_telescopes_by_column_shift(z, w):
     p = PROFILES[0.5]
     lhs = (h_closed(z, p["x"], p["y"], p["r"], w)
            - h_closed(z, p["x"], p["y"], p["r"], w + 1))
-    col = _h_column(z, p["x"], p["y"], p["r"], w)
+    col = _h_column(z, p["x"], p["y"], p["r"], w, _j_zero(z))
     assert abs(lhs - col) < 5e-9 * (1.0 + abs(lhs) + abs(col))
 
 
@@ -89,7 +92,7 @@ def test_column_shift_discrepancy_stays_within_certified_bounds():
     for z in (3.3, 4.0, 4.7):
         lhs = (h_closed(z, p["x"], p["y"], p["r"], 0)
                - h_closed(z, p["x"], p["y"], p["r"], 1))
-        col = _h_column(z, p["x"], p["y"], p["r"], 0)
+        col = _h_column(z, p["x"], p["y"], p["r"], 0, _j_zero(z))
         gap = abs(lhs - col)
         cap = (h_err_bound(z, p["x"], p["y"], p["r"], 0)
                + h_err_bound(z, p["x"], p["y"], p["r"], 1))
@@ -164,6 +167,38 @@ def test_direct_sum_runs_as_many_columns_as_it_needs(q, z):
     p = template_profile(q, 2)
     direct = h_direct(z, **p)
     assert abs(direct - h_closed(z, **p)) <= h_err_bound(z, **p)
+
+
+@pytest.mark.parametrize("z", [3.0005, 3.05, 3.2, 3.6, 4.0, 5.0, 8.0, 20.0])
+def test_tail_series_matches_incomplete_beta(z):
+    """The column tail J(alpha) = B(1/(1 + alpha^2); (z-1)/2, 1/2) / 2 is
+    a positive series, no quadrature; against mpmath's unregularized
+    incomplete beta function at 40 digits it holds to 1e-13 relative
+    from alpha = 1e-9 to 1e6, both sides of the series' switch at 1/2."""
+    mp = pytest.importorskip("mpmath")
+    j_zero = _j_zero(z)
+    alphas = [10.0 ** e for e in range(-9, 7)] + [
+        0.3, 0.45, 0.49, 0.4999, math.nextafter(0.5, 0.0), 0.5, 0.5001,
+        0.7, 2.0, 3.0, 31.6]
+    with mp.workdps(40):
+        a = (mp.mpf(z) - 1) / 2
+        for alpha in alphas:
+            al = mp.mpf(alpha)
+            want = mp.betainc(a, mp.mpf(1) / 2, 0, 1 / (1 + al * al)) / 2
+            got = _j_tail(alpha, z, j_zero)
+            assert abs(got - want) <= 1e-13 * want, (z, alpha)
+
+
+def test_template_sum_imports_no_quadrature():
+    """The direct template sum, and the mero-reference check that runs
+    it, never load ``scipy.integrate``: a fresh interpreter shows it."""
+    code = ("import sys\n"
+            "from suq2.acceptance import check_mero_reference\n"
+            "passed, detail = check_mero_reference()\n"
+            "assert passed, detail\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

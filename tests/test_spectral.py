@@ -888,6 +888,97 @@ def test_log_kve_carries_past_the_overflow_of_kve():
     assert overflowed >= 3
 
 
+def _ref_poisson_terms(z, c_m, floor):
+    """The Poisson terms of a flat column, each built from scratch from
+    ``kve`` in logs, up to the first at or below ``floor``, with no bound
+    that skips them."""
+    from scipy.special import kve
+
+    nu = 0.5 * (z - 1.0)
+    terms = []
+    for k in itertools.count(1):
+        x = 4.0 * math.pi * k * math.sqrt(c_m)
+        term = math.exp(math.log(4.0 * math.sqrt(math.pi))
+                        - math.lgamma(0.5 * z)
+                        + nu * math.log(2.0 * math.pi * k / math.sqrt(c_m))
+                        + math.log(float(kve(nu, x))) - x)
+        if not term > floor:
+            return terms
+        terms.append(term)
+
+
+def test_poisson_skip_is_exact():
+    """Where a proved bound puts the first Poisson term below the cut,
+    ``_poisson_terms`` calls no ``kve``; it returns the loop's terms, bit
+    for bit, at the lattice's own cut 2^-53 P(z) q^m, and at cuts an
+    ulp-scale step either side of the first term, where the bound's
+    margin must leave the decision to the loop."""
+    from suq2 import spectral
+
+    skipped = 0
+    for q in (0.02, 0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 0.97):
+        for z in (3.0001, 3.05, 3.5, 4.0, 6.0, 10.0, 30.0, 100.0, 300.0):
+            try:
+                pole = _ref_pole_term(z, q, True)
+            except OverflowError:  # Q^{1-z} leaves the float range
+                pole = math.inf
+            for m in (1, 2, 3, 5, 7, 11, 21, 41):
+                c_m = spectral._lattice_cd(q, m)[0]
+                floors = [2.0 ** -53 * pole * q ** m] if pole < math.inf \
+                    else []
+                first = _ref_poisson_terms(z, c_m, 0.0)[:1]
+                for t in first:
+                    floors += [t * (1.0 - 1e-12), t, t * (1.0 + 1e-12)]
+                for floor in floors:
+                    want = _ref_poisson_terms(z, c_m, floor)
+                    assert spectral._poisson_terms(z, c_m, floor) == want, (
+                        q, z, m, floor)
+                    skipped += not want
+    assert skipped > 500
+
+
+def test_lattice_sum_pole_overflow_raises_before_any_column(monkeypatch):
+    """Where Q = q / (1 - q^2) < 1, the resummed pole term's Q^{1-z}
+    overflows at large z; that once escaped as a bare ``OverflowError``.
+    It is a ``FloatingPointError`` naming q and z, raised before any
+    column of any z, and a finite P(z) keeps its bits."""
+    from suq2 import spectral
+
+    zs = [4.0, 3.3]
+    want = eigen_lattice_sum(zs, 0.3)
+
+    def no_column(*args):
+        raise AssertionError("a column was evaluated")
+
+    monkeypatch.setattr(spectral, "_lattice_inner_model", no_column)
+    for call in (lambda: eigen_lattice_sum([1000.0], 0.3),
+                 lambda: eigen_lattice_sum([4.0, 1000.0], 0.3),
+                 lambda: eigen_lattice_sum([2000.0], 0.5, admitted=False)):
+        with pytest.raises(FloatingPointError,
+                           match=r"q=0\.[35], z=[12]000\.0: its resummed "
+                                 r"pole term overflows"):
+            call()
+    monkeypatch.undo()
+    assert eigen_lattice_sum(zs, 0.3) == want
+
+
+def test_odd_m_lattice_overflow_names_its_column():
+    """The identity series at z = 2.05 runs until three columns in a row
+    are small, and at q <= 0.7 reaches the column whose q^{-(m+1)}
+    overflows first: an ``OverflowError`` naming m, q and z, where it was
+    a bare one."""
+    from suq2 import spectral
+
+    for zs, named in (([2.05], "z=2.05"), ([2.05, 4.0], "z=2.05")):
+        with pytest.raises(OverflowError,
+                           match=r"column m=1023 overflows at q=0\.5: .*"
+                                 + named):
+            spectral._identity_lattice(zs, 0.5)
+    with pytest.raises(OverflowError, match=r"m=\d+ overflows at q=0\.1: .*"
+                                            r"m series of z=2\.05"):
+        spectral._identity_lattice([2.05], 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Bit identity of the table-driven scans and lattice columns.
 #
