@@ -10,10 +10,11 @@ pole at z = 3 (from the geometric m series of the n integrals), minus a
 geometric correction, up to a remainder ``err`` that is holomorphic for
 Re z > 2 and admits the printed bound.  This module evaluates, at real z,
 
-* ``h_direct``  -- the truncated double sum itself, summed per column
-  with an integral tail, an incomplete beta function summed as a
-  positive hypergeometric series with no quadrature (no use of the gamma
-  identity, so it is an independent route onto the same number);
+* ``h_direct``  -- the truncated double sum itself, summed per column:
+  a head of N_CAP = 255 terms, an integral tail, an incomplete beta
+  function summed as a positive hypergeometric series with no
+  quadrature, and a third-order Euler-Maclaurin close (no use of the
+  gamma identity, so it is an independent route onto the same number);
 * ``h_closed``  -- the closed form;
 * ``h_err_bound`` -- the bound on their difference;
 * ``f_value`` / ``f_residue`` -- the full-lattice sum whose residue at
@@ -23,7 +24,9 @@ Re z > 2 and admits the printed bound.  This module evaluates, at real z,
   convergence.
 
 Every evaluator rejects a non-finite z, or one at or below its abscissa,
-with ``ValueError``, and a complex z with ``TypeError``.
+with ``ValueError``, and a complex z with ``TypeError``; the template
+members reject a z whose y^{-z} leaves the float range with
+``OverflowError`` naming z and y.
 """
 
 import itertools
@@ -36,18 +39,28 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .spectral import (_STANDARD_SCHEDULE, _check_cutoff, _check_q, _check_z,
-                       _em_close, _exact_sum, _gamma_half_ratio, _lattice_cd,
+                       _em_close, _gamma_half_ratio, _lattice_cd,
                        _richardson_to_zero, eigen_lattice_sum)
 
-#: Head length of every column of the direct template sum.
-N_CAP = 3000
+#: Head length of every column of the direct template sum, n = 1 ..
+#: N_CAP; its integral tail and Euler-Maclaurin close start at n = N_CAP + 1.
+N_CAP = 255
 
 
-def _check_h_params(x: float, y: float, r: float, w: int) -> None:
+def _check_h_params(z: float, x: float, y: float, r: float, w: int) -> None:
+    """Reject nonpositive scales and a column offset that is not a
+    nonnegative integer with ``ValueError``, and a z whose y^{-z} leaves
+    the float range with ``OverflowError`` naming z and y: every member of
+    the family forms that power (from z = 15000 at y = 0.943)."""
     if not (x > 0.0 and y > 0.0 and r > 0.0):
         raise ValueError("scale parameters x, y, r must be positive")
     if not isinstance(w, numbers.Integral) or w < 0:
         raise ValueError("column offset w must be a non-negative integer")
+    try:
+        y ** -z
+    except OverflowError:
+        raise OverflowError(f"template sum at z={z}, y={y}: its y^-z leaves "
+                            f"the float range") from None
 
 
 def _geometric_term(z: float, y: float, r: float, w: int) -> float:
@@ -67,8 +80,8 @@ def h_closed(z: float, x: float, y: float, r: float, w: int) -> float:
     A z whose pole denominator 1 - e^{-r(z-3)/2} rounds to zero, z = 3
     among them, raises ``ValueError``.
     """
-    _check_h_params(x, y, r, w)
     _check_z(z, 2.0)
+    _check_h_params(z, x, y, r, w)
     pole = 1.0 - math.exp(-r * 0.5 * (z - 3.0))
     if pole == 0.0:
         raise ValueError("the closed form has a simple pole at z = 3; "
@@ -84,8 +97,8 @@ def h_err_bound(z: float, x: float, y: float, r: float, w: int) -> float:
 
         1/(2 y^z) * e^{-rw(z-2)/2} / (1 - e^{-r(z-2)/2})
     """
-    _check_h_params(x, y, r, w)
     _check_z(z, 2.0)
+    _check_h_params(z, x, y, r, w)
     return _geometric_term(z, y, r, w)
 
 
@@ -165,14 +178,17 @@ def _j_tail(alpha: float, z: float, j_zero: float) -> float:
 
 def _h_column(z: float, x: float, y: float, r: float, m: int,
               j_zero: float) -> float:
-    """One m column of the direct sum: n head plus integral tail.
+    """One m column of the direct sum: the head n = 1 .. N_CAP, the
+    integral tail from a = N_CAP + 1 and the close ``_em_close`` at a,
+    which reads the summand at a - 1, a - 1/2, a, a + 1/2 and a + 1.
 
-    Both run on the factored term y^{-z} e^{rm(2-z)/2} (1 + u^2)^{-z/2}
+    All three run on the factored term y^{-z} e^{rm(2-z)/2} (1 + u^2)^{-z/2}
     with u = x n e^{-rm/2} / y, and the tail is the normalized kernel
     integral J (``_j_tail``, a series given the anchor ``j_zero``) times
-    the column scale y^{1-z} e^{rm(3-z)/2} / x.  No positive exponential
-    of r m is formed, so the far columns that z near 3 needs cannot
-    overflow.
+    the column scale y^{1-z} e^{rm(3-z)/2} / x.  The summand has no
+    q^{2n} part, so one head length serves every column.  No positive
+    exponential of r m is formed, so the far columns that z near 3 needs
+    cannot overflow.
     """
     scale = y ** (-z) * math.exp(r * m * 0.5 * (2.0 - z))
     shrink = x * math.exp(-0.5 * r * m) / y
@@ -182,7 +198,9 @@ def _h_column(z: float, x: float, y: float, r: float, m: int,
         return scale * (1.0 + u * u) ** (-0.5 * z)
 
     a = float(N_CAP + 1)
-    head = _exact_sum([f_em(np.arange(1, N_CAP + 1, dtype=float))])
+    # One short row: math.fsum of the list beats ``_exact_sum``'s fixed
+    # cost, and both give the correctly rounded sum.
+    head = math.fsum(f_em(np.arange(1, N_CAP + 1, dtype=float)).tolist())
     tail = (y ** (1.0 - z) / x * math.exp(r * m * 0.5 * (3.0 - z))
             * _j_tail(shrink * a, z, j_zero))
     return _em_close(head + tail, f_em, a)
@@ -191,9 +209,10 @@ def _h_column(z: float, x: float, y: float, r: float, m: int,
 def h_direct(z: float, x: float, y: float, r: float, w: int) -> float:
     """The template double sum evaluated directly (no gamma identity).
 
-    Each column is a head of N_CAP terms plus its tail integral J by a
-    positive series (``_j_tail``), no quadrature; the series' anchor J(0)
-    is formed once per call.  Columns are accumulated until the geometric
+    Each column is a head of N_CAP = 255 terms, its tail integral J by a
+    positive series (``_j_tail``), no quadrature, and a third-order
+    Euler-Maclaurin close; the series' anchor J(0) is formed once per
+    call.  Columns are accumulated until the geometric
     column estimate certifies the remaining tail below 1e-9; requires
     z > 3 for the sum to converge at all.  Columns shrink by about the
     ratio e^{r(3-z)/2} each, so the sum is near |first column| /
@@ -201,8 +220,8 @@ def h_direct(z: float, x: float, y: float, r: float, w: int) -> float:
     of that.  Once the columns summed could have rounded the sum by 1e-9,
     the target is out of reach and ``NonConvergenceError`` is raised.
     """
-    _check_h_params(x, y, r, w)
     _check_z(z, 3.0)
+    _check_h_params(z, x, y, r, w)
     ratio = math.exp(r * 0.5 * (3.0 - z))
     j_zero = _j_zero(z)
     total = 0.0

@@ -54,11 +54,12 @@ weakened by it.  Three levels:
   extraction splits the terms into parts whose sums are exact, and the
   sum is rounded once, under a certificate that it rounds as the exact
   total does.  That gives ``math.fsum``'s bits in a fifth of its time on
-  a 4001-term column head and a tenth on 40,000 terms (a short sum pays
-  a fixed cost instead; see ``_exact_sum``).  A scan's output thus has
-  the bits of the plain per-term loop under ``math.fsum``, and does not
-  depend on the host.  ``eigen_lattice_sum`` evaluates the same sums
-  arbitrarily close to the abscissa z = 3 by resumming the leading
+  4001 terms, the longest column head, and a tenth on 40,000 terms (a
+  short sum pays a fixed cost instead; see ``_exact_sum``).  A scan's
+  output thus has the bits of the plain per-term loop under
+  ``math.fsum``, and does not depend on the host.
+  ``eigen_lattice_sum`` evaluates the same sums arbitrarily close to the
+  abscissa z = 3 by resumming the leading
   geometric part of the (n, m) lattice in closed form, which a plain
   cutoff scan cannot reach.  Each of its columns is one model, by scalar
   Python arithmetic: the flat n sum, exact by Poisson summation (an
@@ -67,16 +68,18 @@ weakened by it.  Three levels:
   reaches the column.  Every column of the c*c and identity sums over
   the odd-m lattice (``upsilon_cstarc_lattice`` and
   ``_identity_lattice``) is summed directly by one evaluator given the
-  column's weight: a head whose array powers q^k are gathered from one
-  table built per call, the heads of all its z merged by one call of the
-  same exact sum, an integral tail, and an Euler-Maclaurin close.  Where
-  every t-dependent power of q rounds away past the head, the float
-  weight there is alpha + beta t and the tail is alpha I0 + beta I1, two
-  integrals in closed form (an incomplete beta function and a power);
-  only within about 5e-3 of q = 1 is the full c*c weight integrated by
-  quadrature.  The lattice sums take a list of z: a column's weights and
-  bases are built once for all of them, and each z then costs its
-  powers, exact sum, tail and close.
+  column's weight: a head of a(q) terms, 256 up to about q = 0.917 and
+  at most 4001, whose n arrays are built once per call and whose array
+  powers q^k are gathered from one table that grows with the columns
+  reached, the heads of all its z merged by one call of the same exact
+  sum, an integral tail, and a third-order Euler-Maclaurin close.
+  Where every t-dependent power of q rounds away past the head, the
+  float weight there is alpha + beta t and the tail is alpha I0 + beta
+  I1, two integrals in closed form (an incomplete beta function and a
+  power); only within about 5e-3 of q = 1 is the full c*c weight
+  integrated by quadrature.  The lattice sums take a list of z: a
+  column's weights and bases are built once for all of them, and each z
+  then costs its powers, exact sum, tail and close.
   Each z keeps its own m series, which stops after three terms in a row
   below a relative tolerance or at m = _M_CAP, so a list gives the bits
   of one call per z; within about 1e-9 of q = 1 a column's base cancels,
@@ -567,11 +570,14 @@ def _exact_sum(blocks: Sequence[np.ndarray]):
     its intermediate overflow (2^(e + M) above 2^1022), and an exact zero.
 
     Timed by timeit (min of 7, one Xeon core), with ``math.fsum`` of the
-    terms as a list in brackets: 23 us for a 4001-term column head (115
-    us), 56 us for five such heads as the rows of one call, 0.10 ms for
-    40,000 terms (1.15 ms), and a fixed cost of about 15 us per call, so
-    10 terms take 15 us (0.3 us).  Nearly every row of a column head is
-    settled at the first level.
+    terms as a list in brackets: 31 us for a 256-term column head (11
+    us), 47 us for five such heads as the rows of one call (55 us for the
+    five), 29 us for 4001 terms, the longest head (143 us), 0.15 ms for
+    40,000 terms (1.5 ms), and a fixed cost of about 18 us per call, so
+    10 terms take 18 us (0.6 us).  A lone short row is thus cheaper by
+    ``math.fsum``, as the template sum's columns take it; a lattice
+    column sums the heads of all its z as the rows of one call.  Nearly
+    every row of a column head is settled at the first level.
     """
     if not blocks:
         return 0.0
@@ -909,9 +915,12 @@ def _lattice_cd(q: float, m: int) -> Tuple[float, float]:
     return c_m, d_m
 
 
-#: Head length of every directly summed column (``_lattice_column``); the
-#: integral tail starts one past it.
-_N_CUT = 4000
+#: The longest head of a directly summed column (``_lattice_column``),
+#: the one of every q from about 0.9945 on.
+_HEAD_MAX = 4001
+
+#: The shortest head of a directly summed column.
+_HEAD_MIN = 256
 
 #: The last column either m series may reach.
 _M_CAP = 2001
@@ -921,16 +930,36 @@ _M_CAP = 2001
 _ROUNDS_AWAY = 2.0 ** -54
 
 
+def _head_length(q: float) -> int:
+    """The head length a of every directly summed column at q, whose
+    integral tail and close start at t = a:
+
+        a(q) = min(4001, max(256, ceil(32 ln 2 / ln(1/q)))),
+
+    so q^{2a} <= 2^-64 wherever a < 4001: past the head every base's
+    d_m q^{2n} is below 2^-64 of it, and ``_cstarc_tail_weight``'s guard
+    holds.  From about q = 0.9945 on, a is 4001."""
+    return min(_HEAD_MAX,
+               max(_HEAD_MIN, math.ceil(32.0 * math.log(2.0) / -math.log(q))))
+
+
 def _em_close(s: float, f, a: float) -> float:
-    """Euler-Maclaurin close of a head-plus-tail sum ``s`` cut at ``a``:
-    half the endpoint term minus f'(a)/12, the derivative taken as the
-    centred unit difference."""
-    return s + 0.5 * f(a) - (f(a + 0.5) - f(a - 0.5)) / 12.0
+    """Euler-Maclaurin close of a head-plus-tail sum ``s`` cut at ``a``,
+
+        s + f(a)/2 - f'(a)/12 + f'''(a)/720,
+
+    from the five values f(a), f(a +- 1/2) and f(a +- 1) alone: with
+    D1 = f(a + 1/2) - f(a - 1/2) = f' + f'''/24 + ... and
+    D3 = 4 [f(a + 1) - 2 f(a + 1/2) + 2 f(a - 1/2) - f(a - 1)] = f''' + ...,
+    f''' is taken as D3 and f' as D1 - D3/24."""
+    d1 = f(a + 0.5) - f(a - 0.5)
+    d3 = 4.0 * ((f(a + 1.0) - f(a - 1.0)) - 2.0 * d1)
+    return s + 0.5 * f(a) - (d1 - d3 / 24.0) / 12.0 + d3 / 720.0
 
 
-def _tail_integrals(z: float, c_m: float) -> Tuple[float, float]:
-    """The integrals I0, I1 over t >= a = _N_CUT + 1 of
-    (t^2/4 + c_m)^{-z/2} and of t times it, in closed form:
+def _tail_integrals(z: float, c_m: float, a: float) -> Tuple[float, float]:
+    """The integrals I0, I1 over t >= a of (t^2/4 + c_m)^{-z/2} and of t
+    times it, in closed form:
 
         I0 = c_m^{-(z-1)/2} B((z-1)/2, 1/2) I_{1-w}((z-1)/2, 1/2),
         I1 = 4/(z-2) (a^2/4 + c_m)^{1-z/2},      w = a^2/(a^2 + 4 c_m),
@@ -939,7 +968,6 @@ def _tail_integrals(z: float, c_m: float) -> Tuple[float, float]:
     whichever of w and 1 - w is at most 1/2, each formed directly, so
     neither loses the digits that 1 - x rounds away from the other.
     """
-    a = float(_N_CUT + 1)
     b = 0.5 * (z - 1.0)
     w = a * a / (a * a + 4.0 * c_m)
     if w <= 0.5:
@@ -951,7 +979,39 @@ def _tail_integrals(z: float, c_m: float) -> Tuple[float, float]:
     return i0, i1
 
 
-def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
+class _ColumnHead(NamedTuple):
+    """The arrays of the head n = 0 .. a - 1, a = ``_head_length(q)``,
+    that every directly summed column of one lattice sum shares: n, n^2/4
+    and q^{2n}, built once per call, and the power table qt, qt[k] = q^k,
+    as long as the columns reached so far need (``_column_head``)."""
+
+    n: np.ndarray
+    quarter_n2: np.ndarray
+    q2n: np.ndarray
+    qt: np.ndarray
+
+
+def _column_head(q: float, m: int,
+                 head: Optional[_ColumnHead] = None) -> _ColumnHead:
+    """``head`` with a power table long enough for column m, or a new
+    head at q where ``head`` is None.  Column m's weight reads q^k up to
+    k = 2(a - 1 + m) + 4.  A table too short for it is extended to the
+    columns up to 2m by the same numpy power of q over the new exponents,
+    so every entry has the bits of one table built whole, and a series
+    that runs to column M extends it about log2(M) times."""
+    if head is None:
+        a = _head_length(q)
+        n = np.arange(a)
+        qt = q ** np.arange(2 * (a + 2 * m) + 3, dtype=float)
+        return _ColumnHead(n, 0.25 * n * n, qt[2 * n], qt)
+    size = len(head.qt)
+    if size < 2 * (len(head.n) + m) + 3:
+        new = q ** np.arange(size, 2 * (len(head.n) + 2 * m) + 3, dtype=float)
+        head = head._replace(qt=np.concatenate([head.qt, new]))
+    return head
+
+
+def _lattice_column(zs: Sequence[float], q: float, m: int, head: _ColumnHead,
                     weight, tail: Optional[Tuple[float, float]]
                     ) -> List[float]:
     """Near-exact weighted n sum of column m of the lattice,
@@ -960,28 +1020,29 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
 
     one value for each z of ``zs``.  ``weight(n, q_pow)`` accepts an
     integer array or a float for n; ``q_pow(k)`` is q^k: on the head
-    n <= _N_CUT a gather from the call's power table ``qt``, qt[k] = q^k,
-    for the exponents that depend on n (arrays), and Python's pow for
-    those of m alone and everywhere past the head.  The
-    head's weights and bases, and the weights of the Euler-Maclaurin
-    close, do not depend on z and are built once; each z then costs the
-    head's power and exact sum, the tail and the close.  The tail
-    integrates weight(t) (t^2/4 + c_m)^{-z/2} over t >= a = _N_CUT + 1.
-    Where the caller's guard shows the float weight there to be exactly
-    ``tail`` = (alpha, beta), alpha + beta t, it is alpha I0 + beta I1
-    (``_tail_integrals``); with ``tail`` None, a ``quad`` of the full
-    weight over u = 1/t on [0, 1/a], and ``NonConvergenceError`` where
-    that quadrature reports a failure.  The close always uses the full
-    weight.
+    n < a = ``_head_length(q)`` a gather from ``head``'s power table for
+    the exponents that depend on n (arrays), and Python's pow for those
+    of m alone and everywhere past the head.  The head's n, n^2/4 and
+    q^{2n} are ``head``'s, shared by every column of the call; its
+    weights and bases, and the weights of the Euler-Maclaurin close
+    (``_em_close``, at t = a - 1, a - 1/2, a, a + 1/2 and a + 1), do not
+    depend on z and are built once; each z then costs the head's power
+    and exact sum, the tail and the close.  The tail integrates weight(t)
+    (t^2/4 + c_m)^{-z/2} over t >= a.  Where the caller's guard shows the
+    float weight there to be exactly ``tail`` = (alpha, beta), alpha +
+    beta t, it is alpha I0 + beta I1 (``_tail_integrals``); with ``tail``
+    None, a ``quad`` of the full weight over u = 1/t on [0, 1/a], and
+    ``NonConvergenceError`` where that quadrature reports a failure.  The
+    close always uses the full weight.
     """
-    n = np.arange(0, _N_CUT + 1)
-    head_weight = weight(n, lambda k: qt[k] if isinstance(k, np.ndarray)
+    qt = head.qt
+    head_weight = weight(head.n, lambda k: qt[k] if isinstance(k, np.ndarray)
                          else q ** k)
     c_m, d_m = _lattice_cd(q, m)
-    base = 0.25 * n * n + c_m - d_m * qt[2 * n]
-    a = float(_N_CUT + 1)
+    base = head.quarter_n2 + c_m - d_m * head.q2n
+    a = float(len(head.n))
     close = {t: (weight(t, q.__pow__), 0.25 * t * t + c_m)
-             for t in (a - 0.5, a, a + 0.5)}
+             for t in (a - 1.0, a - 0.5, a, a + 0.5, a + 1.0)}
 
     def f_inv(u: float, p: float) -> float:
         # u = 1/t flattens the slowly decaying tail onto a finite window.
@@ -991,7 +1052,7 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
     heads = _exact_sum([np.stack([head_weight * base ** (-0.5 * z)
                                   for z in zs])])
     values = []
-    for z, head in zip(zs, heads):
+    for z, head_sum in zip(zs, heads):
         p = -0.5 * z
         if tail is None:
             from scipy.integrate import quad
@@ -1004,10 +1065,10 @@ def _lattice_column(zs: Sequence[float], q: float, m: int, qt: np.ndarray,
                     f"z={z} did not converge")
             tail_int = fit[0]
         else:
-            i0, i1 = _tail_integrals(z, c_m)
+            i0, i1 = _tail_integrals(z, c_m, a)
             tail_int = tail[0] * i0 + tail[1] * i1
         ends = {t: w * s ** p for t, (w, s) in close.items()}
-        values.append(_em_close(head + tail_int, ends.__getitem__, a))
+        values.append(_em_close(head_sum + tail_int, ends.__getitem__, a))
     return values
 
 
@@ -1234,16 +1295,19 @@ def eigen_lattice_sum(zs: Sequence[float], q_value: float, *,
 
 def _cstarc_tail_weight(m: int, q: float) -> Optional[Tuple[float, float]]:
     """The pair (alpha, beta) with ``_cstarc_weight`` = alpha + beta t on
-    the integral tail t >= a = _N_CUT + 1 of column m, or None where the
-    float weight there is not of that form.
+    the integral tail t >= a = ``_head_length(q)`` of column m, or None
+    where the float weight there is not of that form.
 
     It is under the column's guard: q^{2a+m-1} and q^{2(a+m)} at most
     2^-54, so every t-dependent 1 - q^k of the weight rounds to 1, and
     (a+m+1) q^{2(a+m)+3} below a quarter ulp of q geo.  The weight is then
     a_part + 2 q^m ((t + m + 1) - geo) with geo = 1/(1 - q^2) and a_part =
     eps_up q geo, so alpha = a_part + 2 q^m (m + 1 - geo) and beta = 2 q^m.
+    Below a = 4001, q^{2a} <= 2^-64 holds the guard; at a = 4001 it fails
+    for the first columns from about q = 0.9948 on, and for every column
+    up to _M_CAP from about q = 0.9963 on.
     """
-    a = float(_N_CUT + 1)
+    a = float(_head_length(q))
     geo = 1.0 / (1.0 - q * q)
     if not (q ** (2 * a + m - 1) <= _ROUNDS_AWAY
             and q ** (2 * (a + m)) <= _ROUNDS_AWAY
@@ -1265,6 +1329,10 @@ def _odd_m_lattice(zs: Sequence[float], q_value: float, weight,
     ``weight(n, m, q, q_pow)`` and the tail pair ``tail_weight(m, q)``
     (direct head, the tail, and the endpoint corrections), and the odd-m
     series of each z is accumulated to a relative 1e-12 by ``_m_series``.
+    Every column has the one head length a = ``_head_length(q)``, 256
+    terms up to about q = 0.917 and 4001 from about q = 0.9945 on, and
+    the head's n arrays and q^{2n} are built once per call
+    (``_column_head``); its power table grows with the columns reached.
     No spin ceiling enters, so a sum whose m series is damped like
     q^{m(z-1)/2}, as the c*c one is, stays accurate down toward z = 2,
     where plain cutoff scans would need astronomically many sectors.  A
@@ -1280,11 +1348,13 @@ def _odd_m_lattice(zs: Sequence[float], q_value: float, weight,
     """
     q = _check_q(q_value)
     zs = _check_zs(zs, 2.0)
-    qt = q ** np.arange(2 * (_N_CUT + _M_CAP) + 5, dtype=float)
+    head = None
 
     def columns(m: int, zs_m: List[float]) -> List[float]:
+        nonlocal head
+        head = _column_head(q, m, head)
         return _lattice_column(
-            zs_m, q, m, qt, lambda n, q_pow: weight(n, m, q, q_pow),
+            zs_m, q, m, head, lambda n, q_pow: weight(n, m, q, q_pow),
             tail_weight(m, q))
 
     return _m_series([0.0] * len(zs), zs, columns,

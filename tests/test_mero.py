@@ -189,6 +189,43 @@ def test_tail_series_matches_incomplete_beta(z):
             assert abs(got - want) <= 1e-13 * want, (z, alpha)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.3])
+def test_template_columns_match_40_digit_sums(q):
+    """Columns m = 0, 1, 5 and 20 of the direct template sum (the head
+    n = 1 .. 255, the series tail and the close at 256) against 40-digit
+    sums (``column_references``), within 4 + z (1 + r m)/2 ulps: 4 for the
+    sum and its close, and the rounding of the column's scales, whose
+    exponents r m (z - 2)/2 and r m (z - 3)/2 exp turns into up to that
+    many ulps, and whose u = x n e^{-rm/2} / y moves each term by up to
+    z/2 times its own.  The close without its f''' term misses by up to
+    2500 ulps."""
+    pytest.importorskip("mpmath")
+    import column_references as ref
+
+    p = PROFILES[q]
+    for z in (3.05, 3.5, 10.0, 40.0):
+        j_zero = _j_zero(z)
+        for m in (0, 1, 5, 20):
+            got = _h_column(z, p["x"], p["y"], p["r"], m, j_zero)
+            want = ref.h_column(z, p["x"], p["y"], p["r"], m)
+            ulps = 4.0 + z * (1.0 + p["r"] * m) / 2.0
+            assert abs(got - want) <= ulps * 2.0 ** -52 * want, (
+                z, m, got, float(want))
+
+
+def test_template_overflow_names_z_and_y():
+    """Every member of the template family forms y^{-z}: at the q = 0.5
+    profile (y = 0.943) it leaves the float range from z = 15000 on, and
+    each raises an ``OverflowError`` naming z and y, not a bare one."""
+    p = PROFILES[0.5]
+    for fn in (h_closed, h_err_bound, h_direct):
+        with pytest.raises(OverflowError,
+                           match=rf"z=15000\.0, y={p['y']!r}: its y\^-z "
+                                 r"leaves the float range"):
+            fn(15000.0, **p)
+    assert math.isfinite(h_err_bound(12000.0, **p))
+
+
 def test_template_sum_imports_no_quadrature():
     """The direct template sum, and the mero-reference check that runs
     it, never load ``scipy.integrate``: a fresh interpreter shows it."""

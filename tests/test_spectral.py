@@ -691,7 +691,7 @@ def test_failed_tail_quadrature_is_nonconvergence():
     from suq2 import spectral
 
     q, m = 0.99999, 1067
-    qt = q ** np.arange(2 * (spectral._N_CUT + m) + 5, dtype=float)
+    head = spectral._column_head(q, m)
     tail = spectral._cstarc_tail_weight(m, q)
     assert tail is None
 
@@ -702,7 +702,7 @@ def test_failed_tail_quadrature_is_nonconvergence():
         warnings.simplefilter("error", IntegrationWarning)
         with pytest.raises(NonConvergenceError,
                            match="column m=1067 at q=0.99999, z=3.2"):
-            spectral._lattice_column([3.2], q, m, qt, weight, tail)
+            spectral._lattice_column([3.2], q, m, head, weight, tail)
 
 
 #: The (q, z) of ``test_modelled_lattice_columns_match_high_precision_sums``.
@@ -1042,21 +1042,23 @@ def _ref_cstarc_weight(n, m, q):
     return a_part + b_part
 
 
-def _ref_lattice_column(zs, q, m, qt, weight, tail):
+def _ref_lattice_column(zs, q, m, head, weight, tail):
     """``_lattice_column`` one z and one head term at a time: the weight of
-    every head term with numpy's array powers q^k, the plain power, one
-    ``math.fsum``, the same tail (alpha I0 + beta I1, or the quadrature of
-    the full weight), and the full weight in the close."""
+    every head term n < a = ``_head_length(q)`` with numpy's array powers
+    q^k, the plain power, one ``math.fsum``, the same tail (alpha I0 +
+    beta I1, or the quadrature of the full weight), and the full weight in
+    the close."""
     from scipy.integrate import quad
 
-    from suq2.spectral import _em_close, _lattice_cd, _tail_integrals
+    from suq2.spectral import (_em_close, _head_length, _lattice_cd,
+                               _tail_integrals)
 
     def q_pow(k):
         return q ** k
 
-    n = np.arange(0, 4001, dtype=float)
+    a = float(_head_length(q))
+    n = np.arange(0, a, dtype=float)
     c_m = _lattice_cd(q, m)[0]
-    a = 4001.0
     values = []
     for z in zs:
         head = math.fsum((weight(n, q_pow)
@@ -1073,7 +1075,7 @@ def _ref_lattice_column(zs, q, m, qt, weight, tail):
             tail_int, _ = quad(f_inv, 0.0, 1.0 / a, epsabs=1e-16,
                                epsrel=1e-13)
         else:
-            i0, i1 = _tail_integrals(z, c_m)
+            i0, i1 = _tail_integrals(z, c_m, a)
             tail_int = tail[0] * i0 + tail[1] * i1
         values.append(_em_close(head + tail_int, f, a))
     return values
@@ -1183,7 +1185,7 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
     c*c, and exactly for the identity weight."""
     from suq2 import spectral
 
-    a = spectral._N_CUT + 1.0
+    a = float(spectral._head_length(q))
     ts = [a, a + 0.5, a + 1.0, 1.5 * a, 10.0 * a, 1e9]
     for m in (1, 3, 5):
         tail = spectral._cstarc_tail_weight(m, q)
@@ -1195,7 +1197,7 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
     # guard; the columns themselves are stubbed out.
     seen = []
     monkeypatch.setattr(spectral, "_lattice_column",
-                        lambda zs, q_value, m, qt, weight, tail:
+                        lambda zs, q_value, m, head, weight, tail:
                         seen.append((m, weight, tail)) or [0.0] * len(zs))
     spectral._identity_lattice([3.4], q)
     assert [m for m, _, _ in seen] == list(range(1, spectral._M_CAP + 1, 2))
@@ -1204,12 +1206,12 @@ def test_closed_tail_only_where_weight_is_linear(q, monkeypatch):
         assert all(weight(t, q.__pow__) == tail[0] + tail[1] * t for t in ts)
 
 
-def _mp_tail_integrals(mp, z, c_m):
-    """I0 and I1 of ``_tail_integrals`` to 30 digits on the float c_m:
-    the incomplete beta form with 1 - w = 4 c_m/(a^2 + 4 c_m) exact, and
-    I1's antiderivative."""
+def _mp_tail_integrals(mp, z, c_m, a):
+    """I0 and I1 of ``_tail_integrals`` from t = a to 30 digits on the
+    float c_m: the incomplete beta form with 1 - w = 4 c_m/(a^2 + 4 c_m)
+    exact, and I1's antiderivative."""
     with mp.workdps(30):
-        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(4001)
+        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(a)
         b = (zm - 1) / 2
         x = 4 * cm / (am * am + 4 * cm)
         i0 = (cm ** -b * mp.beta(b, mp.mpf(1) / 2)
@@ -1218,12 +1220,12 @@ def _mp_tail_integrals(mp, z, c_m):
         return i0, i1
 
 
-def _mp_tail_quadrature(mp, z, c_m):
-    """I0 and I1 as 30-digit quadratures of their integrands over
-    t = a v^{-1/(z-k-1)}, v in (0, 1], which makes t^k (t^2/4)^{-z/2} dt
-    flat; for c_m <= a^2/4 the rest of the integrand is smooth there."""
+def _mp_tail_quadrature(mp, z, c_m, a):
+    """I0 and I1 from t = a as 30-digit quadratures of their integrands
+    over t = a v^{-1/(z-k-1)}, v in (0, 1], which makes t^k (t^2/4)^{-z/2}
+    dt flat; for c_m <= a^2/4 the rest of the integrand is smooth there."""
     with mp.workdps(30):
-        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(4001)
+        zm, cm, am = mp.mpf(z), mp.mpf(c_m), mp.mpf(a)
         out = []
         for k in (0, 1):
             g = 1 / (zm - k - 1)
@@ -1259,17 +1261,72 @@ def test_tail_integrals_match_high_precision(q, monkeypatch):
     upsilon_cstarc_lattice([2.1, 2.5, 3.05, 4.0, 6.0], q)
     spectral._identity_lattice([3.05, 4.0, 6.0], q)
     quadratures = 0
+    a = float(spectral._head_length(q))
     for m, z in sorted(pairs):
         c_m = spectral._lattice_cd(q, m)[0]
-        got = spectral._tail_integrals(z, c_m)
-        refs = [_mp_tail_integrals(mp, z, c_m)]
-        if m <= 5 and c_m <= 4001.0 ** 2 / 4:
-            refs.append(_mp_tail_quadrature(mp, z, c_m))
+        got = spectral._tail_integrals(z, c_m, a)
+        refs = [_mp_tail_integrals(mp, z, c_m, a)]
+        if m <= 5 and c_m <= a * a / 4:
+            refs.append(_mp_tail_quadrature(mp, z, c_m, a))
             quadratures += 1
         for ref in refs:
             for value, want in zip(got, ref):
                 assert abs(value - want) <= 1e-13 * want, (m, z)
     assert quadratures >= 3
+
+
+@pytest.mark.parametrize("omega", ("cstarc", "identity"))
+@pytest.mark.parametrize("q", (0.001, 0.05, 0.3, 0.5, 0.8, 0.95, 0.98))
+def test_lattice_columns_match_40_digit_sums(omega, q):
+    """c*c and identity columns m = 1, 3, 5 and 41, as the lattice sums
+    evaluate them (head, tail and the close at a = ``_head_length(q)``),
+    against 40-digit sums on the same float (c_m, d_m)
+    (``column_references``).  An identity column is within 4 ulps of its
+    reference; a c*c column within 4 + 1/(1 - q^2) ulps, since each of
+    its float weights rounds differences 1 - q^k that near q = 1 carry up
+    to about 1/(1 - q^2) ulps.  A column below the float range may round
+    to 0.  The close without its f''' term misses by up to 9.5e-13 at the
+    256-term head."""
+    pytest.importorskip("mpmath")
+    import column_references as ref
+
+    from suq2 import spectral
+
+    cstarc = omega == "cstarc"
+    zs = ([2.1] if cstarc else []) + [3.05, 4.0, 10.0]
+    ulps = 4.0 + (1.0 / (1.0 - q * q) if cstarc else 0.0)
+    for m in (1, 3, 5, 41):
+        c_m, d_m = spectral._lattice_cd(q, m)
+        if cstarc:
+            weight = spectral._cstarc_weight
+            tail = spectral._cstarc_tail_weight(m, q)
+        else:
+            weight, tail = spectral._identity_weight, (2.0 * (m + 1), 2.0)
+        got = spectral._lattice_column(
+            zs, q, m, spectral._column_head(q, m),
+            lambda n, q_pow: weight(n, m, q, q_pow), tail)
+        want = ref.lattice_column(zs, q, m, c_m, d_m, cstarc)
+        for z, value, exact in zip(zs, got, want):
+            err = abs(value - exact)
+            assert err <= ulps * 2.0 ** -52 * abs(exact) + 2.0 ** -1074, (
+                m, z, value, float(exact), float(err / exact))
+
+
+def test_head_length_caps_from_q_09945():
+    """a(q) = min(4001, max(256, ceil(32 ln 2 / ln(1/q)))): 256 up to about
+    q = 0.917, 4001 from q = 0.9945 on, and q^{2a} <= 2^-64 below the
+    cap."""
+    from suq2 import spectral
+
+    assert [spectral._head_length(q) for q in (1e-9, 0.001, 0.5, 0.917)] == [
+        256] * 4
+    for q in (0.9945, 0.995, 0.999, 0.99999, 0.999999999, 1.0 - 2.0 ** -53):
+        assert spectral._head_length(q) == 4001
+    for q in np.linspace(0.9, 0.9945, 400).tolist():
+        a = spectral._head_length(q)
+        assert 256 <= a <= 4001
+        assert a == 4001 or q ** (2 * a) <= 2.0 ** -64
+    assert spectral._head_length(0.98) == 1098
 
 
 def _ref_eigen_lattice_sum(z, q, admitted):
@@ -1305,13 +1362,12 @@ def _ref_odd_m_lattice(z, q, weight, tail_weight):
     its own stopping loop over m, given the sum's weight and tail pair."""
     from suq2 import spectral
 
-    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
-                        dtype=float)
     total = 0.0
     quiet = 0
     for m in range(1, spectral._M_CAP + 1, 2):
         term = spectral._lattice_column(
-            [z], q, m, qt, lambda n, q_pow: weight(n, m, q, q_pow),
+            [z], q, m, spectral._column_head(q, m),
+            lambda n, q_pow: weight(n, m, q, q_pow),
             tail_weight(m, q))[0]
         total += term
         if abs(term) < 1e-12 * abs(total):
@@ -1559,7 +1615,7 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
     is restated with numpy's array powers, bit for bit with the same tail.
     Where the guard holds, alpha + beta t is the full float weight to 2
     ulps at every t of the tail, and the only scalar weights are the
-    Euler-Maclaurin close's three, built once for every z; past the guard
+    Euler-Maclaurin close's five, built once for every z; past the guard
     the tail is a quadrature of the full weight."""
     from suq2 import spectral
 
@@ -1567,13 +1623,12 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
     assert (tail is not None) == exact_form
     if exact_form:
         alpha, beta = tail
-        a = spectral._N_CUT + 1.0
+        a = float(spectral._head_length(q))
         for u in np.linspace(1.0 / a, 1e-12, 5001).tolist():
             t = 1.0 / u
             w = spectral._cstarc_weight(t, m, q, lambda k: q ** k)
             assert abs(alpha + beta * t - w) <= 2 * math.ulp(w)
-    qt = q ** np.arange(2 * (spectral._N_CUT + spectral._M_CAP) + 5,
-                        dtype=float)
+    head = spectral._column_head(q, m)
     weight = spectral._cstarc_weight
     scalar_calls = []
 
@@ -1585,11 +1640,11 @@ def test_cstarc_column_bit_identical_to_reference(q, m, exact_form,
     monkeypatch.setattr(spectral, "_cstarc_weight", counted)
     zs = [3.05, 4.0]
     got = spectral._lattice_column(
-        zs, q, m, qt,
+        zs, q, m, head,
         lambda n, q_pow: spectral._cstarc_weight(n, m, q, q_pow), tail)
-    assert (len(scalar_calls) == 3) == exact_form
+    assert (len(scalar_calls) == 5) == exact_form
     assert got == _ref_lattice_column(
-        zs, q, m, qt, lambda n, q_pow: _ref_cstarc_weight(n, m, q), tail)
+        zs, q, m, head, lambda n, q_pow: _ref_cstarc_weight(n, m, q), tail)
 
 
 def test_upsilon_scan_checks_every_argument_before_any_row(monkeypatch):
